@@ -149,8 +149,9 @@ let run_points sizes =
    cells spread over the remaining pages, declaring a read of another
    family's hot counter — the read-write conflicts become the cross-page
    edges no per-page chain captures). The crash instant is frozen by
-   copying disk and stable log, then replayed once serially and once per
-   fiber count: same log, same graph, only the redo fan-out differs.
+   copying disk and stable log, then replayed once per fiber count: same
+   log, same graph, only the redo fan-out differs. One fiber is the
+   paper's serial schedule, the baseline every speedup is taken over.
    Virtual replay time (the redo+undo passes, excluding the analysis
    scan) is the figure of merit. *)
 
@@ -232,11 +233,10 @@ let run_replay_workload () =
   (disk, stable, log_records, Log_manager.deps_emitted log)
 
 type replay_arm = {
-  fibers : int; (* 0 = serial replay, no dependency graph *)
+  fibers : int;
   arm_replay_us : int;
   arm_restart_us : int;
-  stats : Parallel_redo.stats option;
-  trace : (string * int) list; (* apply order, for the N=1 lockstep check *)
+  stats : Parallel_redo.stats;
 }
 
 let run_replay_arm ~src_disk ~src_stable ~fibers =
@@ -247,14 +247,9 @@ let run_replay_arm ~src_disk ~src_stable ~fibers =
   let log = Log_manager.attach engine stable in
   let rm =
     Recovery_mgr.create engine ~node:0 ~log ~vm
-      ?parallel_recovery:
-        (if fibers = 0 then None else Some { Parallel_redo.fibers })
-      ()
+      ~parallel_recovery:{ Parallel_redo.fibers } ()
   in
   register_counter rm vm;
-  let trace = ref [] in
-  Recovery_mgr.set_apply_hook rm
-    (Some (fun ~phase ~lsn -> trace := (phase, lsn) :: !trace));
   let outcome, arm_restart_us =
     run_fiber engine (fun () ->
         let t0 = Engine.now engine in
@@ -266,31 +261,26 @@ let run_replay_arm ~src_disk ~src_stable ~fibers =
     arm_replay_us = outcome.replay_us;
     arm_restart_us;
     stats = outcome.graph;
-    trace = List.rev !trace;
   }
 
 type replay_result = {
   rr_log_records : int;
   rr_deps : int;
-  serial : replay_arm;
-  parallel_arms : replay_arm list;
-  n1_matches_serial : bool;
+  arms : replay_arm list; (* first arm: one fiber, the serial schedule *)
 }
 
 let run_replay () =
   let src_disk, src_stable, rr_log_records, rr_deps = run_replay_workload () in
-  let serial = run_replay_arm ~src_disk ~src_stable ~fibers:0 in
-  let parallel_arms =
+  let arms =
     List.map
       (fun fibers -> run_replay_arm ~src_disk ~src_stable ~fibers)
       [ 1; 2; 4; 8 ]
   in
-  let n1_matches_serial =
-    match parallel_arms with
-    | n1 :: _ -> n1.trace = serial.trace
-    | [] -> false
-  in
-  { rr_log_records; rr_deps; serial; parallel_arms; n1_matches_serial }
+  { rr_log_records; rr_deps; arms }
+
+let speedup replay a =
+  float_of_int (List.hd replay.arms).arm_replay_us
+  /. float_of_int (max 1 a.arm_replay_us)
 
 let json_file = "BENCH_recovery.json"
 
@@ -316,38 +306,26 @@ let write_json points replay =
         (if i = List.length points - 1 then "" else ","))
     points;
   output_string oc "  ],\n";
-  let speedup a =
-    float_of_int replay.serial.arm_replay_us
-    /. float_of_int (max 1 a.arm_replay_us)
-  in
   Printf.fprintf oc
     "  \"replay\": {\n\
     \    \"txns\": %d,\n\
     \    \"log_records\": %d,\n\
     \    \"deps_emitted\": %d,\n\
-    \    \"serial_replay_us\": %d,\n\
-    \    \"serial_restart_us\": %d,\n\
-    \    \"n1_matches_serial\": %b,\n\
     \    \"arms\": [\n"
-    replay_txns replay.rr_log_records replay.rr_deps
-    replay.serial.arm_replay_us replay.serial.arm_restart_us
-    replay.n1_matches_serial;
+    replay_txns replay.rr_log_records replay.rr_deps;
   List.iteri
     (fun i a ->
-      let s =
-        match a.stats with
-        | Some s -> s
-        | None -> assert false (* parallel arms always carry a graph *)
-      in
+      let s = a.stats in
       Printf.fprintf oc
         "      {\"fibers\": %d, \"replay_us\": %d, \"restart_us\": %d, \
          \"speedup\": %.2f, \"op_records\": %d, \"value_records\": %d, \
          \"chain_edges\": %d, \"dep_edges\": %d, \"critical_path\": %d, \
          \"width\": %d}%s\n"
-        a.fibers a.arm_replay_us a.arm_restart_us (speedup a) s.op_records
-        s.value_records s.chain_edges s.dep_edges s.critical_path s.width
-        (if i = List.length replay.parallel_arms - 1 then "" else ","))
-    replay.parallel_arms;
+        a.fibers a.arm_replay_us a.arm_restart_us (speedup replay a)
+        s.op_records s.value_records s.chain_edges s.dep_edges s.critical_path
+        s.width
+        (if i = List.length replay.arms - 1 then "" else ","))
+    replay.arms;
   output_string oc "    ]\n  }\n}\n";
   close_out oc
 
@@ -394,20 +372,13 @@ let print_recovery () =
   Printf.printf "%s\n" (String.make 72 '-');
   Printf.printf "    %7s %12s %13s %8s %6s %6s %6s %6s\n" "fibers" "replay us"
     "restart us" "speedup" "chain" "dep" "crit" "width";
-  Printf.printf "    %7s %12d %13d %8s\n" "serial"
-    replay.serial.arm_replay_us replay.serial.arm_restart_us "1.00";
   List.iter
     (fun a ->
-      match a.stats with
-      | Some s ->
-          Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d %6d\n" a.fibers
-            a.arm_replay_us a.arm_restart_us
-            (float_of_int replay.serial.arm_replay_us
-            /. float_of_int (max 1 a.arm_replay_us))
-            s.chain_edges s.dep_edges s.critical_path s.width
-      | None -> ())
-    replay.parallel_arms;
-  Printf.printf "  (N=1 replay %s the serial schedule record for record)\n"
-    (if replay.n1_matches_serial then "matches" else "DIVERGES FROM");
+      let s = a.stats in
+      Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d %6d\n" a.fibers
+        a.arm_replay_us a.arm_restart_us (speedup replay a) s.chain_edges
+        s.dep_edges s.critical_path s.width)
+    replay.arms;
+  Printf.printf "  (one fiber is the serial schedule, the speedup baseline)\n";
   write_json points replay;
   Printf.printf "  (curves written to %s)\n" json_file

@@ -37,19 +37,17 @@ type t
     records on the common log) and makes restart recovery drain its
     redo graph over the configured number of simulator fibers
     ({!Tabs_recovery.Parallel_redo}). Off by default — without it no
-    dependency record is written and replay is serial, byte-identical
-    to a build without the feature. The setting survives
+    dependency record is written and the same graph drains inline at
+    one fiber, the paper's serial passes. The setting survives
     {!crash}/{!restart}.
 
     [?instant_restart] makes {!restart}'s recovery open the node after
-    the analysis scan alone: redo and loser undo are parked as
-    per-page chains, replayed on the first touch of each page and
-    drained in the background by a trickle fiber
-    ({!Tabs_recovery.Recovery_mgr}). Also turns on dependency logging
-    (the chains come from the parallel-recovery phase graphs). Off by
-    default — no access gate is installed and restart is
-    byte-identical to a build without the feature. The setting
-    survives {!crash}/{!restart}.
+    the analysis scan alone and drain the same redo graph a page at a
+    time: on the first touch of each page, and in the background by a
+    trickle fiber ({!Tabs_recovery.Recovery_mgr}). Also turns on
+    dependency logging. Off by default — no access gate is installed
+    and restart drains eagerly. The setting survives
+    {!crash}/{!restart}.
 
     [?comm_batching] enables the Communication Manager's comm-batching
     layer ({!Tabs_net.Comm_mgr.batching}): piggybacked/delayed session

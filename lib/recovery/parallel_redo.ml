@@ -15,145 +15,134 @@ type stats = {
   width : int;
 }
 
-(* One scheduling graph. [members] are indices into the analysis record
-   array in log order; edges and priorities are expressed in member
-   positions. Every edge goes from a lower to a higher priority, so the
-   graph is acyclic by construction and a priority-ordered ready queue
-   can never deadlock. *)
-type phase = {
+type phase = Op_redo | Value | Op_undo
+
+(* One phase's scheduling graph. [members] are indices into the analysis
+   record array in log order; edges, priorities and the per-page index
+   are expressed in member positions. Every edge goes from a lower to a
+   higher priority, so the graph is acyclic by construction and a
+   priority-ordered ready queue can never deadlock. *)
+type dag = {
   members : int array;
-  succs : int list array;
-  indeg : int array;
   prio : int array;  (* pop order: lower pops first; a permutation *)
-  chain_edges : int;
-  dep_edges : int;
-  depth : int;  (* longest edge chain, in records *)
-  width : int;
+  order : int array;  (* positions in priority order: [prio]'s inverse *)
+  succs : int list array;
+  preds : int list array;
+  applied : bool array;
+  by_page : (Disk.page_id, int list) Hashtbl.t;
+  mutable chain_edges : int;
+  mutable dep_edges : int;
 }
 
-type t = { op : phase; value : phase }
+type t = {
+  records : (Record.lsn * Record.t) array;
+  op : dag;
+  value : dag;
+  undo : dag;
+  redo_done : (Disk.page_id, unit) Hashtbl.t;
+      (* pages whose redo closures (op, then value) have been drained *)
+  pending : (Disk.page_id, unit) Hashtbl.t;
+      (* pages with a member not yet applied in some phase *)
+  first : (Disk.page_id, Record.lsn) Hashtbl.t;
+      (* oldest record of any phase touching each page *)
+}
 
-(* Binary min-heap of member positions keyed by [prio]. Priorities are
-   a permutation, so there are no ties to break. *)
-module Heap = struct
-  type t = { mutable n : int; data : int array; prio : int array }
+let dag t = function Op_redo -> t.op | Value -> t.value | Op_undo -> t.undo
 
-  let create cap prio = { n = 0; data = Array.make (max 1 cap) 0; prio }
+let record_pages = function
+  | Record.Update_operation u -> u.pages
+  | Record.Update_value u -> Object_id.pages u.obj
+  | _ -> []
 
-  let push h pos =
-    h.data.(h.n) <- pos;
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while
-      !i > 0 && h.prio.(h.data.((!i - 1) / 2)) > h.prio.(h.data.(!i))
-    do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(parent) in
-      h.data.(parent) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := parent
-    done
+let on_page d pid = Option.value (Hashtbl.find_opt d.by_page pid) ~default:[]
 
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.n <- h.n - 1;
-      h.data.(0) <- h.data.(h.n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.n && h.prio.(h.data.(l)) < h.prio.(h.data.(!smallest)) then
-          smallest := l;
-        if r < h.n && h.prio.(h.data.(r)) < h.prio.(h.data.(!smallest)) then
-          smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.data.(!i) in
-          h.data.(!i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-end
+(* [newest_first] phases mirror a backward pass: the newest record pops
+   first, and same-page chains run from newer to older. *)
+let make_dag members ~newest_first =
+  let m = Array.length members in
+  let prio = Array.init m (fun pos -> if newest_first then m - 1 - pos else pos) in
+  let order = Array.make m 0 in
+  Array.iteri (fun pos p -> order.(p) <- pos) prio;
+  {
+    members;
+    prio;
+    order;
+    succs = Array.make m [];
+    preds = Array.make m [];
+    applied = Array.make m false;
+    by_page = Hashtbl.create 64;
+    chain_edges = 0;
+    dep_edges = 0;
+  }
 
-(* Longest-path depth and maximum level width of a phase, walking
-   members in priority (= topological) order. *)
-let measure ~succs ~order =
-  let m = Array.length succs in
-  if m = 0 then (0, 0)
-  else begin
-    let level = Array.make m 1 in
-    Array.iter
-      (fun pos ->
-        List.iter
-          (fun s -> if level.(s) < level.(pos) + 1 then level.(s) <- level.(pos) + 1)
-          succs.(pos))
-      order;
-    let depth = Array.fold_left max 1 level in
-    let per_level = Array.make (depth + 1) 0 in
-    Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) level;
-    (depth, Array.fold_left max 0 per_level)
+let add_edge d a b =
+  (* consecutive multi-page records can share several pages; one
+     ordering edge between a pair is enough *)
+  if a <> b && not (List.mem b d.succs.(a)) then begin
+    d.succs.(a) <- b :: d.succs.(a);
+    d.preds.(b) <- a :: d.preds.(b);
+    true
   end
+  else false
 
-let build records =
-  let n = Array.length records in
-  let op_list = ref [] and value_list = ref [] in
-  for i = n - 1 downto 0 do
-    match snd records.(i) with
-    | Record.Update_operation _ -> op_list := i :: !op_list
-    | Record.Update_value _ -> value_list := i :: !value_list
-    | _ -> ()
-  done;
-  let make_phase members prio_of =
-    let m = Array.length members in
+(* Per-page chains: each member follows the previous member, in
+   priority order, that shares one of its pages. The same walk indexes
+   members by page and marks their pages pending. *)
+let index t d =
+  let last_on_page = Hashtbl.create 64 in
+  Array.iter
+    (fun pos ->
+      let lsn, record = t.records.(d.members.(pos)) in
+      List.iter
+        (fun pid ->
+          (match Hashtbl.find_opt last_on_page pid with
+          | Some prev ->
+              if add_edge d prev pos then d.chain_edges <- d.chain_edges + 1
+          | None -> ());
+          Hashtbl.replace last_on_page pid pos;
+          Hashtbl.replace d.by_page pid (pos :: on_page d pid);
+          (match Hashtbl.find_opt t.first pid with
+          | Some f when f <= lsn -> ()
+          | Some _ | None -> Hashtbl.replace t.first pid lsn);
+          Hashtbl.replace t.pending pid ())
+        (record_pages record))
+    d.order
+
+let build ~loser records =
+  let select keep =
+    Array.of_list
+      (List.filter
+         (fun i -> keep (snd records.(i)))
+         (List.init (Array.length records) Fun.id))
+  in
+  let t =
     {
-      members;
-      succs = Array.make m [];
-      indeg = Array.make m 0;
-      prio = Array.init m prio_of;
-      chain_edges = 0;
-      dep_edges = 0;
-      depth = 0;
-      width = 0;
+      records;
+      op =
+        make_dag ~newest_first:false
+          (select (function Record.Update_operation _ -> true | _ -> false));
+      (* A value-logged object fits one page, so same-object records
+         always share a chain. *)
+      value =
+        make_dag ~newest_first:true
+          (select (function Record.Update_value _ -> true | _ -> false));
+      undo =
+        make_dag ~newest_first:true
+          (select (function
+            | Record.Update_operation u -> loser u.tid
+            | _ -> false));
+      redo_done = Hashtbl.create 64;
+      pending = Hashtbl.create 64;
+      first = Hashtbl.create 64;
     }
   in
-  let add_edge p a b =
-    (* consecutive multi-page records can share several pages; one
-       ordering edge between a pair is enough *)
-    if a <> b && not (List.mem b p.succs.(a)) then begin
-      p.succs.(a) <- b :: p.succs.(a);
-      p.indeg.(b) <- p.indeg.(b) + 1;
-      true
-    end
-    else false
-  in
-  (* Operation phase: forward order, per-page chains + dependency
-     edges between operation records. *)
-  let op = make_phase (Array.of_list !op_list) (fun pos -> pos) in
-  let op_m = Array.length op.members in
-  let op_pos_of_lsn = Hashtbl.create (max 16 op_m) in
+  let op = t.op in
+  List.iter (index t) [ op; t.value; t.undo ];
+  (* Dependency edges between operation records; they never constrain
+     the other phases, which the phase barrier already orders. *)
+  let op_pos_of_lsn = Hashtbl.create (max 16 (Array.length op.members)) in
   Array.iteri
     (fun pos i -> Hashtbl.replace op_pos_of_lsn (fst records.(i)) pos)
-    op.members;
-  let chain_edges = ref 0 and dep_edges = ref 0 in
-  let last_on_page : (Disk.page_id, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun pos i ->
-      match snd records.(i) with
-      | Record.Update_operation u ->
-          List.iter
-            (fun pid ->
-              (match Hashtbl.find_opt last_on_page pid with
-              | Some prev -> if add_edge op prev pos then incr chain_edges
-              | None -> ());
-              Hashtbl.replace last_on_page pid pos)
-            u.pages
-      | _ -> ())
     op.members;
   Array.iter
     (fun (_, record) ->
@@ -166,7 +155,8 @@ let build records =
                 (fun (_, pred_lsn) ->
                   match Hashtbl.find_opt op_pos_of_lsn pred_lsn with
                   | Some ppos when ppos < upos ->
-                      if add_edge op ppos upos then incr dep_edges
+                      if add_edge op ppos upos then
+                        op.dep_edges <- op.dep_edges + 1
                   | Some _ | None ->
                       (* predecessor below the scan anchor (or a value
                          record): its effect is already on stable disk,
@@ -176,90 +166,70 @@ let build records =
                 d.preds)
       | _ -> ())
     records;
-  let op_depth, op_width =
-    measure ~succs:op.succs ~order:(Array.init op_m (fun pos -> pos))
-  in
-  let op =
-    {
-      op with
-      chain_edges = !chain_edges;
-      dep_edges = !dep_edges;
-      depth = op_depth;
-      width = op_width;
-    }
-  in
-  (* Value phase: newest-first per-page chains. A value-logged object
-     fits one page, so same-object records always share a chain. *)
-  let value =
-    make_phase (Array.of_list !value_list) (fun _ -> 0 (* fixed below *))
-  in
-  let val_m = Array.length value.members in
-  let value =
-    { value with prio = Array.init val_m (fun pos -> val_m - 1 - pos) }
-  in
-  let vchain = ref 0 in
-  Hashtbl.reset last_on_page;
-  for pos = val_m - 1 downto 0 do
-    match snd records.(value.members.(pos)) with
-    | Record.Update_value u ->
+  t
+
+(* Longest-path depth and maximum level width of a phase, walking
+   members in priority (= topological) order. *)
+let measure d =
+  let m = Array.length d.members in
+  if m = 0 then (0, 0)
+  else begin
+    let level = Array.make m 1 in
+    Array.iter
+      (fun pos ->
         List.iter
-          (fun pid ->
-            (match Hashtbl.find_opt last_on_page pid with
-            | Some newer -> if add_edge value newer pos then incr vchain
-            | None -> ());
-            Hashtbl.replace last_on_page pid pos)
-          (Object_id.pages u.obj)
-    | _ -> ()
-  done;
-  let val_depth, val_width =
-    measure ~succs:value.succs ~order:(Array.init val_m (fun k -> val_m - 1 - k))
-  in
-  let value =
-    { value with chain_edges = !vchain; depth = val_depth; width = val_width }
-  in
-  { op; value }
+          (fun s -> if level.(s) < level.(pos) + 1 then level.(s) <- level.(pos) + 1)
+          d.succs.(pos))
+      d.order;
+    let depth = Array.fold_left max 1 level in
+    let per_level = Array.make (depth + 1) 0 in
+    Array.iter (fun l -> per_level.(l) <- per_level.(l) + 1) level;
+    (depth, Array.fold_left max 0 per_level)
+  end
 
-let op_members t = t.op.members
-
-let value_members t = t.value.members
-
-(* Predecessor lists by member position, inverting the stored successor
-   lists. Instant restart walks these to close a page's chain over the
-   cross-page records it depends on. *)
-let preds_of phase =
-  let preds = Array.make (Array.length phase.members) [] in
-  Array.iteri
-    (fun a succs -> List.iter (fun b -> preds.(b) <- a :: preds.(b)) succs)
-    phase.succs;
-  preds
-
-let op_preds t = preds_of t.op
-
-let value_preds t = preds_of t.value
-
+(* The redo phases' shape; loser undo always drains at one fiber, so
+   its chains bound nothing. *)
 let stats t =
+  let op_depth, op_width = measure t.op in
+  let val_depth, val_width = measure t.value in
   {
     op_records = Array.length t.op.members;
     value_records = Array.length t.value.members;
     chain_edges = t.op.chain_edges + t.value.chain_edges;
     dep_edges = t.op.dep_edges;
-    critical_path = t.op.depth + t.value.depth;
-    width = max t.op.width t.value.width;
+    critical_path = op_depth + val_depth;
+    width = max op_width val_width;
   }
 
-(* Drain one phase over [fibers] workers. The heap and in-degree
-   updates happen between fiber suspension points, so no further
-   synchronization is needed: the simulator's fibers are cooperative.
-   All edges point from lower to higher priority, so the lowest-
-   priority unapplied record always has in-degree zero — the heap can
-   only be empty mid-phase while some worker is still applying, and
-   that worker's completion signals the idle queue. *)
-let run_phase engine ~node ~fibers p ~apply =
-  let m = Array.length p.members in
+(* Whole phases ------------------------------------------------------- *)
+
+let apply_once d pos ~apply =
+  if d.applied.(pos) then false
+  else begin
+    d.applied.(pos) <- true;
+    apply d.members.(pos);
+    true
+  end
+
+let drain t phase ~apply =
+  let d = dag t phase in
+  Array.iter (fun pos -> ignore (apply_once d pos ~apply)) d.order
+
+(* The heap and in-degree updates happen between fiber suspension
+   points, so no further synchronization is needed: the simulator's
+   fibers are cooperative. All edges point from lower to higher
+   priority, so the lowest-priority unapplied record always has
+   in-degree zero — the heap can only be empty mid-phase while some
+   worker is still applying, and that worker's completion signals the
+   idle queue. *)
+let drain_over t phase engine ~node ~fibers ~apply =
+  let d = dag t phase in
+  let m = Array.length d.members in
   if m > 0 then begin
-    let indeg = Array.copy p.indeg in
-    let heap = Heap.create m p.prio in
-    Array.iteri (fun pos d -> if d = 0 then Heap.push heap pos) indeg;
+    let indeg = Array.map List.length d.preds in
+    let heap = Heap.create () in
+    let push pos = Heap.push heap ~key:d.prio.(pos) pos in
+    Array.iteri (fun pos n -> if n = 0 then push pos) indeg;
     let remaining = ref m in
     let idle : unit Engine.Waitq.t = Engine.Waitq.create () in
     let finished : unit Engine.Waitq.t = Engine.Waitq.create () in
@@ -267,24 +237,26 @@ let run_phase engine ~node ~fibers p ~apply =
     let live = ref workers in
     let rec worker () =
       if !remaining > 0 then
-        match Heap.pop heap with
-        | Some pos ->
-            apply p.members.(pos);
-            decr remaining;
-            List.iter
-              (fun s ->
-                indeg.(s) <- indeg.(s) - 1;
-                if indeg.(s) = 0 then begin
-                  Heap.push heap s;
-                  ignore (Engine.Waitq.signal idle ~engine ())
-                end)
-              p.succs.(pos);
-            if !remaining = 0 then
-              ignore (Engine.Waitq.signal_all idle ~engine ());
-            worker ()
-        | None ->
-            Engine.Waitq.wait idle;
-            worker ()
+        if Heap.is_empty heap then begin
+          Engine.Waitq.wait idle;
+          worker ()
+        end
+        else begin
+          let pos = Heap.pop heap in
+          ignore (apply_once d pos ~apply);
+          decr remaining;
+          List.iter
+            (fun s ->
+              indeg.(s) <- indeg.(s) - 1;
+              if indeg.(s) = 0 then begin
+                push s;
+                ignore (Engine.Waitq.signal idle ~engine ())
+              end)
+            d.succs.(pos);
+          if !remaining = 0 then
+            ignore (Engine.Waitq.signal_all idle ~engine ());
+          worker ()
+        end
     in
     for _ = 1 to workers do
       ignore
@@ -297,8 +269,73 @@ let run_phase engine ~node ~fibers p ~apply =
     Engine.Waitq.wait finished
   end
 
-let run_op_phase t engine ~node ~fibers ~apply =
-  run_phase engine ~node ~fibers t.op ~apply
+(* One page ---------------------------------------------------------- *)
 
-let run_value_phase t engine ~node ~fibers ~apply =
-  run_phase engine ~node ~fibers t.value ~apply
+(* Predecessor closure of the members touching [pid], in ascending
+   position order. Applying a closure in priority order respects every
+   edge. *)
+let closure d pid =
+  let seen = Hashtbl.create 32 in
+  let rec visit pos =
+    if not (Hashtbl.mem seen pos) then begin
+      Hashtbl.add seen pos ();
+      List.iter visit d.preds.(pos)
+    end
+  in
+  List.iter visit (on_page d pid);
+  List.sort compare (Hashtbl.fold (fun pos () acc -> pos :: acc) seen [])
+
+(* Redo the page's operation closure forward, then its value closure
+   newest-first; then repeat history on every page a needed loser undo
+   touches (undo assumes the loser effect is present) and apply the
+   undo closure newest-first. Cross-page predecessors are applied too
+   and never re-applied later: the applied flags, not the sector-seqno
+   gates, are what makes a serving window safe — a page already
+   recovered and re-written by new transactions carries a high seqno,
+   which must not resurrect a shared multi-page record. *)
+let drain_page t pid ~apply =
+  let applied = ref 0 in
+  let run phase positions =
+    let d = dag t phase in
+    List.iter
+      (fun pos -> if apply_once d pos ~apply:(apply phase) then incr applied)
+      (List.sort (fun a b -> compare d.prio.(a) d.prio.(b)) positions)
+  in
+  let redo q =
+    if not (Hashtbl.mem t.redo_done q) then begin
+      run Op_redo (closure t.op q);
+      run Value (closure t.value q);
+      Hashtbl.replace t.redo_done q ()
+    end
+  in
+  redo pid;
+  let needed = closure t.undo pid in
+  List.iter
+    (fun pos -> List.iter redo (record_pages (snd t.records.(t.undo.members.(pos)))))
+    needed;
+  run Op_undo needed;
+  !applied
+
+(* Pending pages whose every member, in all three phases, has been
+   applied — possibly by a neighbouring page's closure — leave the
+   pending set; returns how many did. *)
+let settle t =
+  let complete pid =
+    List.for_all
+      (fun d -> List.for_all (fun pos -> d.applied.(pos)) (on_page d pid))
+      [ t.op; t.value; t.undo ]
+  in
+  let done_ =
+    Hashtbl.fold
+      (fun pid () acc -> if complete pid then pid :: acc else acc)
+      t.pending []
+  in
+  List.iter (Hashtbl.remove t.pending) done_;
+  List.length done_
+
+let pending_count t = Hashtbl.length t.pending
+
+let is_pending t pid = Hashtbl.mem t.pending pid
+
+let pending t =
+  Hashtbl.fold (fun pid () acc -> (Hashtbl.find t.first pid, pid) :: acc) t.pending []

@@ -1,31 +1,39 @@
-(** Graph-bounded parallel redo.
+(** The redo graph: the one replay engine behind every restart.
 
-    Crash recovery's redo work is mostly independent: updates to
+    Crash recovery's replay work is mostly independent: updates to
     different pages never conflict, and updates to the same page are
     ordered by their position in the log. Dependency records (the third
     logging technique) add the only cross-page constraints — an
     operation that read or overwrote another transaction family's
     object must be redone after that object's previous writer.
 
-    This module turns an analysis scan's record array into two
-    scheduling graphs and drains them over N simulator fibers:
+    [build] turns an analysis scan's record array into one graph with
+    three phases, each the paper's serial pass made a partial order:
 
-    - the {e operation phase} mirrors the serial forward redo pass:
-      per-page chains (consecutive operation records sharing a page)
-      plus the dependency-record edges between operation records;
-    - the {e value phase} mirrors the serial backward pass: per-page
-      chains among value records, drained newest-first. Value-logged
-      objects fit one page, so two records for the same object are
-      always chained and no cross-page edge is ever needed; dependency
-      records never constrain this phase.
+    - {e operation redo} (forward): per-page chains of operation records
+      plus the dependency-record edges between them;
+    - {e value} (newest-first): per-page chains among value records.
+      Value-logged objects fit one page, so two records for the same
+      object are always chained; dependency records never constrain
+      this phase;
+    - {e loser operation undo} (newest-first): per-page chains among the
+      operation records of losers, built like the value phase.
 
-    Each phase's ready queue releases a record only when all its
-    predecessors have been applied, and pops ready records in serial
-    pass order (ascending LSN for operations, descending for values).
-    With a single fiber the schedule is therefore {e exactly} the
-    serial pass, record for record; with more fibers, records on
-    different chains overlap in virtual time and replay finishes in
-    roughly critical-path rather than total-work time. *)
+    Every member's priority is its position in the serial pass, and
+    every edge runs from lower to higher priority, so draining a phase
+    in priority order at one fiber {e is} the serial pass, record for
+    record. The graph also owns the per-page member index and the
+    applied flags, and offers the two ways to drain it that a restart
+    policy schedules:
+
+    - a whole phase — inline in the calling fiber ({!drain}) or over N
+      simulator fibers ({!drain_over}), where records on different
+      chains overlap in virtual time and replay finishes in roughly
+      critical-path rather than total-work time;
+    - one page's predecessor closure ({!drain_page}), for redo on first
+      touch.
+
+    A record is applied at most once whichever way reaches it. *)
 
 type config = { fibers : int }
 
@@ -34,7 +42,7 @@ val default : config
 type stats = {
   op_records : int;  (** operation records scheduled in the redo phase *)
   value_records : int;  (** value records scheduled in the backward phase *)
-  chain_edges : int;  (** same-page ordering edges across both phases *)
+  chain_edges : int;  (** same-page ordering edges across both redo phases *)
   dep_edges : int;
       (** cross-page edges contributed by dependency records (operation
           phase only; dangling predecessors below the scan anchor are
@@ -47,58 +55,69 @@ type stats = {
           at once given unlimited fibers *)
 }
 
+type phase =
+  | Op_redo  (** operation records, forward *)
+  | Value  (** value records, newest-first *)
+  | Op_undo  (** losers' operation records, newest-first *)
+
 type t
 
-(** [build records] constructs both phase graphs from an analysis
-    scan's [(lsn, record)] array. Pure bookkeeping: charges nothing. *)
-val build : (Tabs_wal.Record.lsn * Tabs_wal.Record.t) array -> t
+(** [build ~loser records] constructs the three phase graphs from an
+    analysis scan's [(lsn, record)] array; [loser tid] selects whose
+    operation records the undo phase rolls back. Pure bookkeeping:
+    charges nothing. *)
+val build :
+  loser:(Tabs_wal.Tid.t -> bool) ->
+  (Tabs_wal.Record.lsn * Tabs_wal.Record.t) array ->
+  t
 
+(** The shape of the two redo phases; loser undo always drains at one
+    fiber and is not counted. *)
 val stats : t -> stats
 
-(** {2 Graph introspection}
+(** {2 Whole phases} *)
 
-    Instant restart reuses the phase graphs for lazy per-page replay:
-    it indexes members by page and, on first touch of a page, applies
-    the predecessor closure of that page's chain in priority order.
-    Member arrays hold indices into the original records array, in
-    phase priority order (ascending LSN for operations; value members
-    are in log order but drain newest-first). *)
+(** [drain g phase ~apply] applies every not-yet-applied record of
+    [phase] in priority order, inline in the calling fiber. [apply i] is
+    called with the index into the records array passed to {!build}. *)
+val drain : t -> phase -> apply:(int -> unit) -> unit
 
-(** [op_members g] — operation-phase members, indices into the records
-    array passed to {!build}, in log order. *)
-val op_members : t -> int array
-
-(** [value_members g] — value-phase members, in log order. *)
-val value_members : t -> int array
-
-(** [op_preds g] — predecessor member positions (same-page chains plus
-    dependency edges) for each operation-phase member position. Fresh
-    arrays: callers may mutate. *)
-val op_preds : t -> int list array
-
-(** [value_preds g] — predecessor (newer same-page record) positions
-    for each value-phase member position. *)
-val value_preds : t -> int list array
-
-(** [run_op_phase g engine ~node ~fibers ~apply] drains the operation
-    graph over [fibers] worker fibers spawned on [node]; [apply i] is
-    called with the index into the original records array once record
-    [i]'s predecessors have all been applied. Returns when every
-    operation record has been applied. Must run inside a fiber. *)
-val run_op_phase :
+(** [drain_over g phase engine ~node ~fibers ~apply] drains [phase] over
+    [fibers] worker fibers spawned on [node]: [apply i] runs once record
+    [i]'s predecessors have all been applied, lowest priority first.
+    Returns when the whole phase has been applied. Must run inside a
+    fiber. *)
+val drain_over :
   t ->
+  phase ->
   Tabs_sim.Engine.t ->
   node:int ->
   fibers:int ->
   apply:(int -> unit) ->
   unit
 
-(** [run_value_phase g engine ~node ~fibers ~apply] likewise drains the
-    value graph, newest record first within each page chain. *)
-val run_value_phase :
-  t ->
-  Tabs_sim.Engine.t ->
-  node:int ->
-  fibers:int ->
-  apply:(int -> unit) ->
-  unit
+(** {2 One page}
+
+    A page is {e pending} while some record of any phase touching it is
+    unapplied. *)
+
+(** [drain_page g pid ~apply] applies the predecessor closure of
+    [pid]'s records: operation redo forward, then value newest-first,
+    then — after repeating history on every page they touch — the loser
+    undos newest-first. Returns the number of records applied. *)
+val drain_page :
+  t -> Tabs_storage.Disk.page_id -> apply:(phase -> int -> unit) -> int
+
+(** [settle g] removes from the pending set every page whose records
+    have all been applied — by its own closure or a neighbour's — and
+    returns how many it removed. *)
+val settle : t -> int
+
+val pending_count : t -> int
+
+val is_pending : t -> Tabs_storage.Disk.page_id -> bool
+
+(** [pending g] lists every pending page with the LSN of the oldest
+    record touching it — the recovery LSN a checkpoint must report for
+    the page, and the log floor its records pin. *)
+val pending : t -> (Tabs_wal.Record.lsn * Tabs_storage.Disk.page_id) list

@@ -39,8 +39,7 @@ type recovery_outcome = {
   replay_us : int;
       (* virtual time spent in the redo and undo passes — excludes the
          analysis scan, so fiber fan-out is visible in isolation *)
-  graph : Parallel_redo.stats option;
-      (* redo-graph shape when parallel recovery ran; None when serial *)
+  graph : Parallel_redo.stats; (* shape of the redo graph this restart built *)
   paxos : (Record.lsn * Record.t) list;
       (* surviving Paxos Commit acceptor state, already re-appended
          above the closing checkpoint; the TM reseeds its acceptor from
@@ -60,52 +59,16 @@ type analysis = {
   aborted : (Tid.t, unit) Hashtbl.t; (* incl. subtransactions *)
 }
 
-module Obj_key = struct
-  type t = Object_id.t
-
-  let equal = Object_id.equal
-
-  let hash = Object_id.hash
-end
-
-module Obj_set = Hashtbl.Make (Obj_key)
-
-(* Instant restart's parked redo state: the per-page chains from
-   {!Parallel_redo}'s phase graphs, indexed by page, plus application
-   flags so a record shared between pages (multi-page operations,
-   cross-page dependency closures) is applied exactly once. A page
-   leaves [pending] when every member touching it — operation redo,
-   value, and loser undo — has been applied. *)
+(* Instant restart's parked replay: the restart's redo graph, drained a
+   page at a time behind the Vm access gate and by the trickle. *)
 type ondemand = {
-  od_analysis : analysis;
-  (* operation redo phase: forward order, chains + dependency edges *)
-  od_op_members : int array;
-  od_op_preds : int list array;
-  od_op_applied : bool array;
-  od_page_ops : (Disk.page_id, int list) Hashtbl.t;
-  (* value phase: per-page chains drained newest-first *)
-  od_val_members : int array;
-  od_val_preds : int list array;
-  od_val_applied : bool array;
-  od_page_values : (Disk.page_id, int list) Hashtbl.t;
-  od_finalized : unit Obj_set.t;
-  (* loser undo: newest-first, after redo of every page it touches *)
-  od_undo_members : int array;
-  od_undo_preds : int list array;
-  od_undo_applied : bool array;
-  od_page_undos : (Disk.page_id, int list) Hashtbl.t;
-  (* page state *)
-  od_pending : (Disk.page_id, unit) Hashtbl.t;
-  od_page_first : (Disk.page_id, Record.lsn) Hashtbl.t;
-      (* oldest parked record per page — the conservative recovery LSN
-         a checkpoint taken in the window must report for it *)
-  od_redo_done : (Disk.page_id, unit) Hashtbl.t;
-  mutable od_paxos_floor : Record.lsn option;
+  graph : Parallel_redo.t;
+  apply : Parallel_redo.phase -> int -> unit;
+  paxos_floor : Record.lsn option;
       (* oldest re-appended acceptor record: held down until the
          trickle finalizes (the TM's own floor takes over by then) *)
-  mutable od_owner : int; (* fiber id mid-replay; -1 when free *)
-  od_latch : unit Engine.Waitq.t;
-  mutable od_applies : int; (* chain records drained by current replay *)
+  mutable owner : int; (* fiber id mid-replay; -1 when free *)
+  latch : unit Engine.Waitq.t;
 }
 
 type t = {
@@ -135,12 +98,9 @@ type t = {
   instant : bool;
   mutable ondemand : ondemand option;
       (* Some while an instant restart's chains are still parked *)
-  mutable replayed_pages : (Disk.page_id, unit) Hashtbl.t option;
-      (* eager-replay instrumentation: distinct pages the redo/undo
-         passes wrote, counted into the Metrics restart_pages row *)
   mutable apply_hook : (phase:string -> lsn:Record.lsn -> unit) option;
       (* test instrumentation: observes every redo/undo application, in
-         order, from both the serial and the parallel replay paths *)
+         order, whatever the schedule *)
   mutable recovering : bool;
       (* true from the start of [recover] until the log's chain table is
          restored. [Log_manager.attach] starts the table empty, so any
@@ -169,31 +129,28 @@ let set_truncation_floor_source t f = t.truncation_floor_source <- f
 
 let set_apply_hook t f = t.apply_hook <- f
 
-(* The log floor parked recovery work pins: the oldest record of any
-   still-pending per-page chain, plus the re-appended Paxos acceptor
+let min_opt a b =
+  match (a, b) with None, f | f, None -> f | Some a, Some b -> Some (min a b)
+
+(* Besides the TM's floor, parked recovery work pins the log: the oldest
+   record of any still-pending page, plus the re-appended Paxos acceptor
    records (held until the trickle's finalize; the TM's own floor
    covers the acceptor from the moment it reseeds). *)
-let ondemand_floor t =
-  match t.ondemand with
-  | None -> None
-  | Some st ->
-      Hashtbl.fold
-        (fun pid () acc ->
-          let f = Hashtbl.find st.od_page_first pid in
-          match acc with
-          | Some a when a <= f -> acc
-          | Some _ | None -> Some f)
-        st.od_pending st.od_paxos_floor
-
 let reclamation_floor t =
   if t.recovering then
     (* Chain table not restored yet (see [recovering]): pin the floor at
        the log's first retained record so any truncation is a no-op. *)
     Some (Log_manager.first_lsn t.log)
   else
-    match (ondemand_floor t, t.truncation_floor_source ()) with
-    | None, f | f, None -> f
-    | Some a, Some b -> Some (min a b)
+    let parked =
+      match t.ondemand with
+      | None -> None
+      | Some st ->
+          List.fold_left
+            (fun acc (first, _) -> min_opt acc (Some first))
+            st.paxos_floor (Parallel_redo.pending st.graph)
+    in
+    min_opt parked (t.truncation_floor_source ())
 
 let hook t phase lsn =
   match t.apply_hook with None -> () | Some f -> f ~phase ~lsn
@@ -357,6 +314,27 @@ let abort t ~tid =
 
 (* Checkpoints and reclamation ---------------------------------------- *)
 
+(* Where analysis anchored at checkpoint [c], written at [lsn], starts:
+   no record below the checkpoint, its dirty pages' recovery LSNs, and
+   its transaction families' first-update LSNs is needed. *)
+let anchor_floor lsn (c : Record.checkpoint) =
+  let floor = List.fold_left (fun acc (_, r) -> min acc r) lsn c.dirty_pages in
+  List.fold_left
+    (fun acc (_, first) -> match first with Some f -> min acc f | None -> acc)
+    floor c.active_txns
+
+(* Oldest first-update LSN per top-level family, from per-tid chains. *)
+let family_firsts chain_firsts =
+  let family_first = Hashtbl.create 16 in
+  List.iter
+    (fun (tid, first) ->
+      let top = Tid.top_level tid in
+      match Hashtbl.find_opt family_first top with
+      | Some f when f <= first -> ()
+      | Some _ | None -> Hashtbl.replace family_first top first)
+    chain_firsts;
+  family_first
+
 (* A fuzzy checkpoint: record where recovery would have to start —
    the dirty pages with their recovery LSNs, the first-update LSN of
    every live transaction family, and the unresolved prepared
@@ -376,13 +354,12 @@ let checkpoint t =
     | Some st ->
         let merged = Hashtbl.create 32 in
         List.iter (fun (pid, r) -> Hashtbl.replace merged pid r) dirty_pages;
-        Hashtbl.iter
-          (fun pid () ->
-            let f = Hashtbl.find st.od_page_first pid in
+        List.iter
+          (fun (f, pid) ->
             match Hashtbl.find_opt merged pid with
             | Some r when r <= f -> ()
             | Some _ | None -> Hashtbl.replace merged pid f)
-          st.od_pending;
+          (Parallel_redo.pending st.graph);
         Hashtbl.fold (fun pid r acc -> (pid, r) :: acc) merged []
         |> List.sort compare
   in
@@ -398,14 +375,7 @@ let checkpoint t =
   let prepared =
     List.sort compare (List.filter undecided (t.prepared_source ()))
   in
-  let family_first = Hashtbl.create 16 in
-  List.iter
-    (fun (tid, first) ->
-      let top = Tid.top_level tid in
-      match Hashtbl.find_opt family_first top with
-      | Some f when f <= first -> ()
-      | Some _ | None -> Hashtbl.replace family_first top first)
-    (Log_manager.live_chain_firsts t.log);
+  let family_first = family_firsts (Log_manager.live_chain_firsts t.log) in
   let seen = Hashtbl.create 16 in
   let active_txns =
     List.filter_map
@@ -420,25 +390,14 @@ let checkpoint t =
       @ Hashtbl.fold (fun top _ acc -> top :: acc) family_first [])
     |> List.sort compare
   in
-  let lsn =
-    Log_manager.append t.log
-      (Record.Checkpoint { dirty_pages; active_txns; prepared })
-  in
+  let c = { Record.dirty_pages; active_txns; prepared } in
+  let lsn = Log_manager.append t.log (Record.Checkpoint c) in
   (* Checkpoint-time pruning of the dependency last-writer table: an
      entry below this checkpoint's scan anchor can never seed a kept
      edge — the next restart's analysis starts at the anchor, and
      {!Parallel_redo.build} drops dependency predecessors below it as
      provably on disk. No-op unless dependency logging is on. *)
-  let prune_floor =
-    List.fold_left (fun acc (_, r) -> min acc r) lsn dirty_pages
-  in
-  let prune_floor =
-    List.fold_left
-      (fun acc (_, first) ->
-        match first with Some f -> min acc f | None -> acc)
-      prune_floor active_txns
-  in
-  Log_manager.prune_last_writer t.log ~floor:prune_floor;
+  Log_manager.prune_last_writer t.log ~floor:(anchor_floor lsn c);
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_checkpoint
@@ -452,6 +411,29 @@ let checkpoint t =
   Log_manager.force_all t.log;
   lsn
 
+(* Truncate the log below the checkpoint at [ck], keeping every live
+   update chain, the recovery LSN of every page still dirty (pinned
+   pages can survive a flush), and [floor]. *)
+let truncate_below t ~ck ~floor =
+  let keep_from =
+    match min_opt (Log_manager.oldest_first_lsn t.log) floor with
+    | Some f -> min ck f
+    | None -> ck
+  in
+  let keep_from =
+    List.fold_left (fun acc (_, r) -> min acc r) keep_from (Vm.dirty_pages t.vm)
+  in
+  Log_manager.truncate t.log ~keep_from
+
+(* Reclamation "may force pages back to disk before they would otherwise
+   be written": flush, checkpoint, and truncate below the checkpoint.
+   [floor] is read once the checkpoint is stable: the flush and the
+   checkpoint's force both suspend. *)
+let reclaim t ~floor =
+  Vm.flush_all t.vm;
+  let ck = checkpoint t in
+  truncate_below t ~ck ~floor:(floor ())
+
 let maybe_reclaim t =
   if Log_manager.stable_bytes t.log <= t.log_space_limit then false
   else
@@ -462,26 +444,7 @@ let maybe_reclaim t =
         Checkpointer.request cp;
         false
     | None ->
-        (* Reclamation "may force pages back to disk before they would
-           otherwise be written". *)
-        Vm.flush_all t.vm;
-        let ck = checkpoint t in
-        let keep_from =
-          match Log_manager.oldest_first_lsn t.log with
-          | Some first -> min ck first
-          | None -> ck
-        in
-        (* pinned pages can survive the flush: keep their recovery LSNs *)
-        let keep_from =
-          List.fold_left (fun acc (_, r) -> min acc r) keep_from
-            (Vm.dirty_pages t.vm)
-        in
-        let keep_from =
-          match reclamation_floor t with
-          | Some f -> min keep_from f
-          | None -> keep_from
-        in
-        Log_manager.truncate t.log ~keep_from;
+        reclaim t ~floor:(fun () -> reclamation_floor t);
         true
 
 let create engine ~node ~log ~vm ?(profile = Profile.Classic)
@@ -517,7 +480,6 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       parallel = parallel_recovery;
       instant = instant_restart;
       ondemand = None;
-      replayed_pages = None;
       apply_hook = None;
       recovering = false;
       open_q = Engine.Waitq.create ();
@@ -536,9 +498,6 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
   t
 
 (* Crash recovery ------------------------------------------------------ *)
-
-let status_of a top =
-  match Hashtbl.find_opt a.statuses top with Some s -> s | None -> Active
 
 let set_status a top status = Hashtbl.replace a.statuses top status
 
@@ -582,18 +541,7 @@ let analyze ?(anchored = true) t =
   let scan_from =
     match anchor with
     | None -> Log_manager.first_lsn t.log
-    | Some (lsn, c) ->
-        let floor =
-          List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) lsn
-            c.dirty_pages
-        in
-        let floor =
-          List.fold_left
-            (fun acc (_, first) ->
-              match first with Some f -> min acc f | None -> acc)
-            floor c.active_txns
-        in
-        max (Log_manager.first_lsn t.log) floor
+    | Some (lsn, c) -> max (Log_manager.first_lsn t.log) (anchor_floor lsn c)
   in
   let acc = ref [] in
   let bytes = ref 0 in
@@ -653,114 +601,70 @@ let analyze ?(anchored = true) t =
 let winner a tid =
   (not (covered_by_abort a tid))
   &&
-  match status_of a (Tid.top_level tid) with
-  | Committed | Prepared _ -> true
-  | Aborted | Active -> false
+  match Hashtbl.find_opt a.statuses (Tid.top_level tid) with
+  | Some (Committed | Prepared _) -> true
+  | Some (Aborted | Active) | None -> false
 
-(* Pass 2 for operation logging: repeat history forward, gated by the
-   sector sequence numbers so already-reflected effects are skipped.
-   The per-record body is shared with the parallel scheduler, which
-   calls it under the redo graph's ordering instead of log order. *)
-let apply_op_redo t a i =
-  match a.records.(i) with
-  | lsn, Record.Update_operation u ->
-      let needs_redo =
-        u.pages = []
-        || List.exists (fun pid -> Disk.seqno (Vm.disk t.vm) pid < lsn) u.pages
-      in
-      if needs_redo then begin
+(* Apply record [i] of the analysis in [phase] and return the pages it
+   wrote — [] when a sector-seqno gate found nothing to do. Every
+   schedule of the redo graph calls this, so its body is the paper's
+   two techniques, record by record.
+
+   Operation logging repeats history forward, gated by the sector
+   sequence numbers so already-reflected effects are skipped, then
+   undoes losers backward; history was repeated first, so every loser
+   effect is present.
+
+   Value logging is a single backward pass: the newest record for an
+   object decides it. A winner's new value finalizes the object; loser
+   records keep restoring older old-values until the oldest one — whose
+   old value is the last committed image — has been applied. The
+   restores are gated by the sector sequence numbers too: a winner
+   whose page already carries a sequence number at or past its LSN is
+   on disk exactly as logged (the page-out snapshot covers every update
+   noted by then, and winners are never undone in place), so nothing
+   need be read or written; a loser whose page's sequence number is
+   below its LSN never reached the segment, so there is nothing to undo
+   and the walk continues toward the last committed image. *)
+let apply_record t a finalized phase i =
+  let seqno pid = Disk.seqno (Vm.disk t.vm) pid in
+  match (phase, a.records.(i)) with
+  | Parallel_redo.Op_redo, (lsn, Record.Update_operation u) ->
+      if u.pages = [] || List.exists (fun pid -> seqno pid < lsn) u.pages
+      then begin
         hook t "op_redo" lsn;
         small_msg t;
         (op_handler t u.server).redo ~op:u.operation ~arg:u.redo_arg;
         Vm.note_pages t.vm u.pages ~lsn;
-        match t.replayed_pages with
-        | Some set -> List.iter (fun pid -> Hashtbl.replace set pid ()) u.pages
-        | None -> ()
+        u.pages
       end
-  | _ -> ()
-
-let op_redo_pass t a =
-  Array.iteri (fun i _ -> apply_op_redo t a i) a.records
-
-(* Pass 3 for operation logging: undo losers backward. History was
-   repeated in pass 2, so every loser effect is present. Always serial:
-   an undo walks a single transaction's chain newest-first, and chains
-   of different losers may touch the same objects. *)
-let apply_op_undo t a i =
-  match a.records.(i) with
-  | lsn, Record.Update_operation u when not (winner a u.tid) ->
+      else []
+  | Parallel_redo.Op_undo, (lsn, Record.Update_operation u) ->
       hook t "op_undo" lsn;
       small_msg t;
       (op_handler t u.server).undo ~op:u.operation ~arg:u.undo_arg;
       Vm.note_pages t.vm u.pages ~lsn;
-      (match t.replayed_pages with
-      | Some set -> List.iter (fun pid -> Hashtbl.replace set pid ()) u.pages
-      | None -> ())
-  | _ -> ()
-
-let op_undo_pass t a =
-  for i = Array.length a.records - 1 downto 0 do
-    apply_op_undo t a i
-  done
-
-(* The single backward pass of value recovery: the newest record for an
-   object decides it. A winner's new value finalizes the object; loser
-   records keep restoring older old-values until the oldest one — whose
-   old value is the last committed image — has been applied.
-
-   Like the operation redo pass, the restores are gated by the sector
-   sequence numbers: a winner whose page already carries a sequence
-   number at or past its LSN is on disk exactly as logged (the page-out
-   snapshot covers every update noted by then, and winners are never
-   undone in place), so nothing need be read or written; a loser whose
-   page's sequence number is below its LSN never reached the segment,
-   so there is nothing to undo and the walk continues toward the last
-   committed image. *)
-let apply_value t a finalized i =
-  match a.records.(i) with
-  | lsn, Record.Update_value u ->
-      if not (Obj_set.mem finalized u.obj) then begin
-        let on_disk =
-          (* value-logged objects fit one page (checked at log_value) *)
-          List.for_all
-            (fun pid -> Disk.seqno (Vm.disk t.vm) pid >= lsn)
-            (Object_id.pages u.obj)
-        in
-        let mark () =
-          match t.replayed_pages with
-          | Some set ->
-              List.iter
-                (fun pid -> Hashtbl.replace set pid ())
-                (Object_id.pages u.obj)
-          | None -> ()
-        in
-        if winner a u.tid then begin
-          if not on_disk then begin
-            hook t "value_redo" lsn;
-            restore_value t u.obj u.new_value;
-            Vm.note_pages t.vm (Object_id.pages u.obj) ~lsn;
-            mark ()
-          end;
-          Obj_set.add finalized u.obj ()
-        end
-        else if on_disk then begin
-          hook t "value_undo" lsn;
-          restore_value t u.obj u.old_value;
-          Vm.note_pages t.vm (Object_id.pages u.obj) ~lsn;
-          mark ()
-        end
+      u.pages
+  | Parallel_redo.Value, (lsn, Record.Update_value u)
+    when not (Hashtbl.mem finalized u.obj) ->
+      (* value-logged objects fit one page (checked at log_value) *)
+      let pages = Object_id.pages u.obj in
+      let on_disk = List.for_all (fun pid -> seqno pid >= lsn) pages in
+      let restore phase value =
+        hook t phase lsn;
+        restore_value t u.obj value;
+        Vm.note_pages t.vm pages ~lsn;
+        pages
+      in
+      if winner a u.tid then begin
+        let written = if on_disk then [] else restore "value_redo" u.new_value in
+        Hashtbl.replace finalized u.obj ();
+        written
       end
-  | _ -> ()
+      else if on_disk then restore "value_undo" u.old_value
+      else []
+  | _ -> []
 
-let value_backward_pass t a =
-  let finalized = Obj_set.create 64 in
-  for i = Array.length a.records - 1 downto 0 do
-    apply_value t a finalized i
-  done
-
-(* Shared restart bookkeeping: roll-back records for the losers, the
-   in-doubt set, and the re-registered in-doubt update chains a later
-   [abort] must be able to walk. *)
 let resolve_outcome t a =
   (* Roll-back records for the losers that never logged an outcome. *)
   let losers =
@@ -806,11 +710,18 @@ let resolve_outcome t a =
     a.records;
   (* sorted: hashtable iteration order depends on tid hashing, and the
      restore order must not vary between runs of the same crash *)
-  Hashtbl.fold (fun tid (first, last) acc -> (tid, first, last) :: acc) chains []
-  |> List.sort compare
-  |> List.iter (fun (tid, first, last) ->
-         Log_manager.restore_chain t.log ~tid ~first ~last);
-  (losers, in_doubt, written_objects, chains)
+  let chains =
+    Hashtbl.fold (fun tid (first, last) acc -> (tid, first, last) :: acc)
+      chains []
+    |> List.sort compare
+  in
+  List.iter
+    (fun (tid, first, last) -> Log_manager.restore_chain t.log ~tid ~first ~last)
+    chains;
+  ( losers,
+    in_doubt,
+    written_objects,
+    List.map (fun (tid, first, _) -> (tid, first)) chains )
 
 (* Paxos Commit acceptor state must survive post-restart reclamation: it
    belongs to no local transaction chain, so the keep_from floor would
@@ -870,206 +781,45 @@ let condense_paxos a =
                      Record.Paxos_accept { tid; part; ballot; yes })))
       (List.sort Tid.compare !tids)
 
-let finish_statuses t a =
-  t.last_statuses <-
-    List.sort compare
-      (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses [])
+(* Restart schedules ---------------------------------------------------- *)
 
-let trace_recovered t a ~losers ~in_doubt =
-  if Engine.tracing t.engine then
-    Engine.emit t.engine
-      (Rm_recovered
-         {
-           node = t.node;
-           scanned = Array.length a.records;
-           losers = List.length losers;
-           in_doubt = List.length in_doubt;
-         })
-
-(* Instant restart ----------------------------------------------------- *)
-
-let record_pages a i =
-  match a.records.(i) with
-  | _, Record.Update_operation u -> u.pages
-  | _, Record.Update_value u -> Object_id.pages u.obj
-  | _ -> []
-
-(* Index the phase graphs by page and park every chain. A page's
-   [od_page_first] is the LSN of its oldest parked record: the recovery
-   LSN a window checkpoint reports for it, and the log floor it pins. *)
-let build_ondemand a g =
-  let od_op_members = Parallel_redo.op_members g in
-  let od_op_preds = Parallel_redo.op_preds g in
-  let od_val_members = Parallel_redo.value_members g in
-  let od_val_preds = Parallel_redo.value_preds g in
-  let od_page_ops = Hashtbl.create 64 in
-  let od_page_values = Hashtbl.create 64 in
-  let od_page_first = Hashtbl.create 64 in
-  let od_pending = Hashtbl.create 64 in
-  let index tbl members =
-    Array.iteri
-      (fun pos i ->
-        let lsn = fst a.records.(i) in
-        List.iter
-          (fun pid ->
-            Hashtbl.replace tbl pid
-              (pos :: Option.value (Hashtbl.find_opt tbl pid) ~default:[]);
-            (match Hashtbl.find_opt od_page_first pid with
-            | Some f when f <= lsn -> ()
-            | Some _ | None -> Hashtbl.replace od_page_first pid lsn);
-            Hashtbl.replace od_pending pid ())
-          (record_pages a i))
-      members
+(* Every restart builds one redo graph and differs only in when it is
+   drained. Eager: both redo phases over the configured fibers — inline
+   at one fiber when parallel recovery is off — then loser undo inline
+   (losers are few: fanning them out would buy little and move every
+   restart timing), all before the node opens. The distinct pages
+   written go into the Metrics restart_pages row. *)
+let replay_eagerly t g apply =
+  let replayed = Hashtbl.create 32 in
+  let apply phase i =
+    List.iter (fun pid -> Hashtbl.replace replayed pid ()) (apply phase i)
   in
-  index od_page_ops od_op_members;
-  index od_page_values od_val_members;
-  (* Loser-undo members: operation records of non-winners, chained
-     newest-first per page like the value phase. Their pages are
-     already pending via the op index; this adds the undo ordering. *)
-  let undo_list = ref [] in
-  for i = Array.length a.records - 1 downto 0 do
-    match a.records.(i) with
-    | _, Record.Update_operation u when not (winner a u.tid) ->
-        undo_list := i :: !undo_list
-    | _ -> ()
-  done;
-  let od_undo_members = Array.of_list !undo_list in
-  let um = Array.length od_undo_members in
-  let od_undo_preds = Array.make um [] in
-  let last = Hashtbl.create 16 in
-  for pos = um - 1 downto 0 do
-    List.iter
-      (fun pid ->
-        (match Hashtbl.find_opt last pid with
-        | Some newer when not (List.mem newer od_undo_preds.(pos)) ->
-            od_undo_preds.(pos) <- newer :: od_undo_preds.(pos)
-        | Some _ | None -> ());
-        Hashtbl.replace last pid pos)
-      (record_pages a od_undo_members.(pos))
-  done;
-  let od_page_undos = Hashtbl.create 16 in
-  index od_page_undos od_undo_members;
-  {
-    od_analysis = a;
-    od_op_members;
-    od_op_preds;
-    od_op_applied = Array.make (Array.length od_op_members) false;
-    od_page_ops;
-    od_val_members;
-    od_val_preds;
-    od_val_applied = Array.make (Array.length od_val_members) false;
-    od_page_values;
-    od_finalized = Obj_set.create 64;
-    od_undo_members;
-    od_undo_preds;
-    od_undo_applied = Array.make um false;
-    od_page_undos;
-    od_pending;
-    od_page_first;
-    od_redo_done = Hashtbl.create 64;
-    od_paxos_floor = None;
-    od_owner = -1;
-    od_latch = Engine.Waitq.create ();
-    od_applies = 0;
-  }
-
-(* Predecessor closure of a set of member positions, sorted. Applying a
-   closure in priority order respects every edge: both phase graphs
-   only have edges from lower to higher priority. *)
-let closure preds seeds =
-  let seen = Hashtbl.create 32 in
-  let rec visit pos =
-    if not (Hashtbl.mem seen pos) then begin
-      Hashtbl.add seen pos ();
-      List.iter visit preds.(pos)
-    end
+  let redo phase =
+    match t.parallel with
+    | None -> Parallel_redo.drain g phase ~apply:(apply phase)
+    | Some { Parallel_redo.fibers } ->
+        Parallel_redo.drain_over g phase t.engine ~node:t.node ~fibers
+          ~apply:(apply phase)
   in
-  List.iter visit seeds;
-  List.sort compare (Hashtbl.fold (fun pos () acc -> pos :: acc) seen [])
-
-let page_members tbl pid = Option.value (Hashtbl.find_opt tbl pid) ~default:[]
-
-(* Replay the redo side of [pid]'s parked chain: the operation-phase
-   closure in forward order, then the value-phase closure newest-first.
-   Cross-page predecessors are applied too and never re-applied later —
-   the applied flags, not the sector-seqno gates, are what makes the
-   serving window safe: a page already recovered and re-written by new
-   transactions carries a high seqno, which must not resurrect a shared
-   multi-page record. *)
-let ensure_redo t st pid =
-  if not (Hashtbl.mem st.od_redo_done pid) then begin
-    List.iter
-      (fun pos ->
-        if not st.od_op_applied.(pos) then begin
-          st.od_op_applied.(pos) <- true;
-          st.od_applies <- st.od_applies + 1;
-          apply_op_redo t st.od_analysis st.od_op_members.(pos)
-        end)
-      (closure st.od_op_preds (page_members st.od_page_ops pid));
-    List.iter
-      (fun pos ->
-        if not st.od_val_applied.(pos) then begin
-          st.od_val_applied.(pos) <- true;
-          st.od_applies <- st.od_applies + 1;
-          apply_value t st.od_analysis st.od_finalized st.od_val_members.(pos)
-        end)
-      (List.rev (closure st.od_val_preds (page_members st.od_page_values pid)));
-    Hashtbl.replace st.od_redo_done pid ()
-  end
-
-(* Undo [pid]'s loser records: history is first repeated on every page
-   a needed undo touches (undo assumes the loser effect is present),
-   then the needed closure is applied newest-first — the serial
-   backward pass restricted to the records that matter for [pid]. *)
-let undo_stage t st pid =
-  let needed = closure st.od_undo_preds (page_members st.od_page_undos pid) in
-  List.iter
-    (fun pos ->
-      List.iter
-        (fun q -> ensure_redo t st q)
-        (record_pages st.od_analysis st.od_undo_members.(pos)))
-    needed;
-  List.iter
-    (fun pos ->
-      if not st.od_undo_applied.(pos) then begin
-        st.od_undo_applied.(pos) <- true;
-        st.od_applies <- st.od_applies + 1;
-        apply_op_undo t st.od_analysis st.od_undo_members.(pos)
-      end)
-    (List.rev needed)
-
-let page_recovered st pid =
-  List.for_all
-    (fun pos -> st.od_op_applied.(pos))
-    (page_members st.od_page_ops pid)
-  && List.for_all
-       (fun pos -> st.od_val_applied.(pos))
-       (page_members st.od_page_values pid)
-  && List.for_all
-       (fun pos -> st.od_undo_applied.(pos))
-       (page_members st.od_page_undos pid)
-
-let recover_page t st pid ~via =
-  st.od_owner <- Engine.fiber_id ();
-  st.od_applies <- 0;
-  ensure_redo t st pid;
-  undo_stage t st pid;
-  (* cross-page closures can complete neighbouring pages too: sweep *)
-  let completed =
-    Hashtbl.fold
-      (fun q () acc -> if page_recovered st q then q :: acc else acc)
-      st.od_pending []
-    |> List.sort compare
-  in
+  redo Parallel_redo.Op_redo;
+  redo Parallel_redo.Value;
+  Parallel_redo.drain g Parallel_redo.Op_undo
+    ~apply:(apply Parallel_redo.Op_undo);
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
-  List.iter
-    (fun q ->
-      Hashtbl.remove st.od_pending q;
-      match via with
-      | `Fault -> m.Metrics.ondemand_pages <- m.Metrics.ondemand_pages + 1
-      | `Trickle -> m.Metrics.trickle_pages <- m.Metrics.trickle_pages + 1)
-    completed;
-  m.Metrics.pending_pages <- Hashtbl.length st.od_pending;
+  m.Metrics.restart_pages <- m.Metrics.restart_pages + Hashtbl.length replayed
+
+(* Instant: replay one parked page's closure, then retire every page it
+   completed — cross-page closures can complete neighbours too. *)
+let recover_page t st pid ~via =
+  st.owner <- Engine.fiber_id ();
+  let records = Parallel_redo.drain_page st.graph pid ~apply:st.apply in
+  let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
+  let completed = Parallel_redo.settle st.graph in
+  (match via with
+  | `Fault -> m.Metrics.ondemand_pages <- m.Metrics.ondemand_pages + completed
+  | `Trickle -> m.Metrics.trickle_pages <- m.Metrics.trickle_pages + completed);
+  let pending = Parallel_redo.pending_count st.graph in
+  m.Metrics.pending_pages <- pending;
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_ondemand_redo
@@ -1077,12 +827,12 @@ let recover_page t st pid ~via =
            node = t.node;
            segment = pid.Disk.segment;
            page = pid.Disk.page;
-           records = st.od_applies;
+           records;
            via = (match via with `Fault -> "fault" | `Trickle -> "trickle");
-           pending = Hashtbl.length st.od_pending;
+           pending;
          });
-  st.od_owner <- -1;
-  ignore (Engine.Waitq.signal_all st.od_latch ~engine:t.engine ())
+  st.owner <- -1;
+  ignore (Engine.Waitq.signal_all st.latch ~engine:t.engine ())
 
 (* The Vm access gate. Every page access lands here first; if the
    page's chain is parked, the accessor replays it before proceeding.
@@ -1093,11 +843,12 @@ let ondemand_gate t pid =
   match t.ondemand with
   | None -> ()
   | Some st ->
-      if st.od_owner <> Engine.fiber_id () then begin
-        while st.od_owner >= 0 do
-          Engine.Waitq.wait st.od_latch
+      if st.owner <> Engine.fiber_id () then begin
+        while st.owner >= 0 do
+          Engine.Waitq.wait st.latch
         done;
-        if Hashtbl.mem st.od_pending pid then recover_page t st pid ~via:`Fault
+        if Parallel_redo.is_pending st.graph pid then
+          recover_page t st pid ~via:`Fault
       end
 
 (* Every chain is drained: flush the recovered state, close the window
@@ -1107,26 +858,8 @@ let ondemand_gate t pid =
 let finalize_instant t st =
   t.ondemand <- None;
   Vm.set_on_fault t.vm None;
-  Vm.flush_all t.vm;
-  let ck = checkpoint t in
-  let keep_from =
-    match Log_manager.oldest_first_lsn t.log with
-    | Some first -> min ck first
-    | None -> ck
-  in
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) keep_from
-      (Vm.dirty_pages t.vm)
-  in
-  let keep_from =
-    match st.od_paxos_floor with Some f -> min keep_from f | None -> keep_from
-  in
-  let keep_from =
-    match t.truncation_floor_source () with
-    | Some f -> min keep_from f
-    | None -> keep_from
-  in
-  Log_manager.truncate t.log ~keep_from
+  reclaim t ~floor:(fun () ->
+      min_opt st.paxos_floor (t.truncation_floor_source ()))
 
 let trickle_pause = 10_000
 
@@ -1135,79 +868,48 @@ let trickle_pause = 10_000
    runs of the same crash replay identically. Spawned on the node, so a
    crash in the window kills it with the incarnation. *)
 let rec trickle_loop t st =
-  while st.od_owner >= 0 do
-    Engine.Waitq.wait st.od_latch
+  while st.owner >= 0 do
+    Engine.Waitq.wait st.latch
   done;
-  if Hashtbl.length st.od_pending = 0 then finalize_instant t st
-  else begin
-    (match
-       Hashtbl.fold
-         (fun pid () best ->
-           let first = Hashtbl.find st.od_page_first pid in
-           match best with
-           | Some (bf, bp) when (bf, bp) <= (first, pid) -> best
-           | Some _ | None -> Some (first, pid))
-         st.od_pending None
-     with
-    | Some (_, pid) -> recover_page t st pid ~via:`Trickle
-    | None -> ());
-    if Hashtbl.length st.od_pending = 0 then finalize_instant t st
-    else begin
-      Engine.delay trickle_pause;
-      trickle_loop t st
-    end
-  end
+  match List.sort compare (Parallel_redo.pending st.graph) with
+  | [] -> finalize_instant t st
+  | (_, pid) :: _ ->
+      recover_page t st pid ~via:`Trickle;
+      if Parallel_redo.pending_count st.graph = 0 then finalize_instant t st
+      else begin
+        Engine.delay trickle_pause;
+        trickle_loop t st
+      end
 
-(* Restart paths ------------------------------------------------------- *)
-
-(* A full (eager) restart: replay everything, then flush, close with a
-   checkpoint, and reclaim the scanned prefix so repeated crashes do
-   not re-read ever-growing history. Chains of in-doubt transactions
-   must stay walkable for a late Abort verdict, and the closing
-   checkpoint carries them so the next restart can anchor on it. *)
-let recover_full t a ~t0 =
-  let replay_start = Engine.now t.engine in
-  let replayed = Hashtbl.create 32 in
-  t.replayed_pages <- Some replayed;
-  let graph =
-    match t.parallel with
-    | None ->
-        op_redo_pass t a;
-        value_backward_pass t a;
-        None
-    | Some { Parallel_redo.fibers } ->
-        (* Graph-bounded fan-out: both redo passes drain their
-           dependency graphs over [fibers] worker fibers. The undo pass
-           below stays serial — it walks loser chains newest-first. *)
-        let g = Parallel_redo.build a.records in
-        Parallel_redo.run_op_phase g t.engine ~node:t.node ~fibers
-          ~apply:(apply_op_redo t a);
-        let finalized = Obj_set.create 64 in
-        Parallel_redo.run_value_phase g t.engine ~node:t.node ~fibers
-          ~apply:(apply_value t a finalized);
-        Some (Parallel_redo.stats g)
+(* Instant: open now, with the graph parked behind the access gate.
+   First touch drains a page's closure; the trickle drains the rest. *)
+let park t g apply ~paxos =
+  let st =
+    {
+      graph = g;
+      apply = (fun phase i -> ignore (apply phase i));
+      paxos_floor =
+        List.fold_left (fun acc (lsn, _) -> min_opt acc (Some lsn)) None paxos;
+      owner = -1;
+      latch = Engine.Waitq.create ();
+    }
   in
-  op_undo_pass t a;
-  t.replayed_pages <- None;
+  t.ondemand <- Some st;
+  Vm.set_on_fault t.vm (Some (fun pid -> ondemand_gate t pid));
+  ignore (Engine.spawn t.engine ~node:t.node (fun () -> trickle_loop t st));
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
-  m.Metrics.restart_pages <- m.Metrics.restart_pages + Hashtbl.length replayed;
-  let replay_us = Engine.now t.engine - replay_start in
-  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
-  (* Segments must reflect exactly committed + prepared work. *)
+  m.Metrics.pending_pages <- Parallel_redo.pending_count g
+
+(* Eager close: segments must reflect exactly committed + prepared
+   work, so flush, then write the closing checkpoint. Chains of
+   in-doubt transactions must stay walkable for a late Abort verdict,
+   and the checkpoint carries them so the next restart can anchor on
+   it. Returns the checkpoint and the oldest in-doubt chain record, the
+   floor below which the scanned prefix can be reclaimed. *)
+let close_eagerly t ~in_doubt ~chains =
   Vm.flush_all t.vm;
   Log_manager.force_all t.log;
-  let keep_from =
-    Hashtbl.fold (fun _ (first, _) acc -> min acc first) chains
-      (Log_manager.next_lsn t.log)
-  in
-  let family_first = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun tid (first, _) ->
-      let top = Tid.top_level tid in
-      match Hashtbl.find_opt family_first top with
-      | Some f when f <= first -> ()
-      | Some _ | None -> Hashtbl.replace family_first top first)
-    chains;
+  let family_first = family_firsts chains in
   let ck =
     Log_manager.append t.log
       (Record.Checkpoint
@@ -1220,75 +922,59 @@ let recover_full t a ~t0 =
            prepared = in_doubt;
          })
   in
-  let paxos =
-    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
-  in
-  Log_manager.force_all t.log;
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) (min keep_from ck)
-      (Vm.dirty_pages t.vm)
-  in
-  Log_manager.truncate t.log ~keep_from;
-  finish_statuses t a;
-  trace_recovered t a ~losers ~in_doubt;
-  {
-    losers;
-    in_doubt;
-    written_objects;
-    records_scanned = Array.length a.records;
-    replay_us;
-    graph;
-    paxos;
-    open_early = false;
-    time_to_open_us = Engine.now t.engine - t0;
-  }
+  (ck, List.fold_left (fun acc (_, first) -> min_opt acc (Some first)) None chains)
 
-(* Instant restart: open after analysis. Redo and loser undo are parked
-   as per-page chains; the first touch of a page replays its chain
-   behind the access gate, and the trickle fiber drains the rest
-   oldest-first, then finalizes. Bookkeeping that later traffic depends
-   on — loser roll-back records, in-doubt chains, condensed Paxos
-   acceptor state — still happens before opening: it costs log appends
-   and one force, not replay I/O. *)
-let recover_instant t a ~t0 =
-  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
-  ignore chains;
-  let paxos =
-    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
-  in
-  Log_manager.force_all t.log;
-  let g = Parallel_redo.build a.records in
-  let st = build_ondemand a g in
-  st.od_paxos_floor <-
-    List.fold_left
-      (fun acc (lsn, _) ->
-        match acc with Some f when f <= lsn -> acc | _ -> Some lsn)
-      None paxos;
-  t.ondemand <- Some st;
-  Vm.set_on_fault t.vm (Some (fun pid -> ondemand_gate t pid));
-  ignore (Engine.spawn t.engine ~node:t.node (fun () -> trickle_loop t st));
-  let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
-  m.Metrics.pending_pages <- Hashtbl.length st.od_pending;
-  finish_statuses t a;
-  trace_recovered t a ~losers ~in_doubt;
-  {
-    losers;
-    in_doubt;
-    written_objects;
-    records_scanned = Array.length a.records;
-    replay_us = 0;
-    graph = Some (Parallel_redo.stats g);
-    paxos;
-    open_early = true;
-    time_to_open_us = Engine.now t.engine - t0;
-  }
-
+(* Analysis, then the one graph under the configured schedule. The
+   bookkeeping later traffic depends on — loser roll-back records,
+   in-doubt chains, condensed Paxos acceptor state — happens before the
+   node opens either way: it costs log appends and one force, not
+   replay I/O. An eager restart then reclaims the scanned prefix so
+   repeated crashes do not re-read ever-growing history; an instant one
+   reclaims when the trickle finishes. *)
 let recover ?anchored t =
   let t0 = Engine.now t.engine in
   t.recovering <- true;
   let a = analyze ?anchored t in
+  let g = Parallel_redo.build a.records ~loser:(fun tid -> not (winner a tid)) in
+  let apply = apply_record t a (Hashtbl.create 64) in
+  let replay_start = Engine.now t.engine in
+  if not t.instant then replay_eagerly t g apply;
+  let replay_us = Engine.now t.engine - replay_start in
+  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
+  let closing =
+    if t.instant then None else Some (close_eagerly t ~in_doubt ~chains)
+  in
+  let paxos =
+    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
+  in
+  Log_manager.force_all t.log;
+  (match closing with
+  | Some (ck, floor) -> truncate_below t ~ck ~floor
+  | None -> park t g apply ~paxos);
+  t.last_statuses <-
+    List.sort compare
+      (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses []);
+  if Engine.tracing t.engine then
+    Engine.emit t.engine
+      (Rm_recovered
+         {
+           node = t.node;
+           scanned = Array.length a.records;
+           losers = List.length losers;
+           in_doubt = List.length in_doubt;
+         });
   let outcome =
-    if t.instant then recover_instant t a ~t0 else recover_full t a ~t0
+    {
+      losers;
+      in_doubt;
+      written_objects;
+      records_scanned = Array.length a.records;
+      replay_us;
+      graph = Parallel_redo.stats g;
+      paxos;
+      open_early = t.instant;
+      time_to_open_us = Engine.now t.engine - t0;
+    }
   in
   t.recovering <- false;
   ignore (Engine.Waitq.signal_all t.open_q ~engine:t.engine ());

@@ -76,9 +76,9 @@ type recovery_outcome = {
       (** virtual microseconds spent in the redo and undo passes —
           excludes the analysis scan, so the effect of parallel redo
           fan-out is measurable in isolation *)
-  graph : Parallel_redo.stats option;
-      (** shape of the redo dependency graph when parallel recovery
-          replayed it; [None] after a serial replay *)
+  graph : Parallel_redo.stats;
+      (** shape of the redo graph the restart built — every restart
+          replays through one, whatever its schedule *)
   paxos : (Tabs_wal.Record.lsn * Tabs_wal.Record.t) list;
       (** surviving Paxos Commit acceptor records (condensed: decisions
           for decided transactions; highest promise and highest-ballot
@@ -111,19 +111,20 @@ type recovery_outcome = {
     reclaims the log in the background — with it configured,
     {!maybe_reclaim} never flushes on the foreground path. Omitted (the
     default), checkpoints happen only where callers ask for them,
-    exactly as before. [?parallel_recovery] turns on dependency-record
-    emission for this incarnation and makes {!recover} drain the redo
-    graph over the configured number of simulator fibers; omitted (the
-    default), no dependency record is written and replay is serial —
-    the log and every virtual timing are byte-identical to a build
-    without the feature. [?instant_restart] (default [false]) makes
-    {!recover} open the node after the analysis scan alone: redo and
-    loser undo are parked as per-page chains, replayed on first touch
-    behind the {!Tabs_accent.Vm} access gate and drained by a
-    background trickle fiber oldest-chain-first; it also turns on
-    dependency-record emission (the chains come from the same phase
-    graphs parallel recovery schedules). Off, nothing changes: no gate
-    is installed and the restart path is byte-identical. *)
+    exactly as before.
+
+    The last two arguments pick how {!recover} schedules its redo graph
+    ({!Parallel_redo}). [?parallel_recovery] drains the redo phases over
+    the configured number of simulator fibers and turns on
+    dependency-record emission for this incarnation, so the next crash
+    finds its cross-page edges already written; omitted (the default),
+    the graph drains inline at one fiber — the paper's serial passes,
+    record for record — and no dependency record is written.
+    [?instant_restart] (default [false]) opens the node right after
+    analysis and drains the graph a page at a time, on first touch
+    behind the {!Tabs_accent.Vm} access gate and by a background
+    trickle; it turns on dependency-record emission too. With neither,
+    the log and every virtual timing are the paper's. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
@@ -245,11 +246,14 @@ val maybe_reclaim : t -> bool
 
 (** {2 Crash recovery} *)
 
-(** [recover t] runs at node restart: value-logged objects are restored
-    in one backward pass; operation-logged objects by
-    analysis/redo/undo passes gated on sector sequence numbers. Abort
-    records are written for losers; disk pages are flushed so the
-    segments reflect exactly the committed and prepared transactions.
+(** [recover t] runs at node restart. An analysis scan resolves every
+    transaction's fate; {!Parallel_redo.build} turns the scanned records
+    into one redo graph whose phases are the paper's two techniques —
+    value-logged objects restored newest-first, operation-logged
+    objects redone forward and their losers undone backward, gated on
+    sector sequence numbers. Abort records are written for losers, and
+    once the graph is drained the segments reflect exactly the
+    committed and prepared transactions.
 
     By default the analysis scan is anchored at the last stable
     checkpoint: it starts at the minimum of the checkpoint's LSN, its
@@ -258,23 +262,22 @@ val maybe_reclaim : t -> bool
     [~anchored:false] forces the pre-checkpoint behavior — a full scan
     of the live log — for comparison and cross-checking.
 
-    With [?parallel_recovery] configured at {!create}, the redo passes
-    (operation forward, value backward) are drained over N simulator
-    fibers under the dependency graph of {!Parallel_redo}; the undo
-    pass stays serial. With one fiber the schedule is exactly the
-    serial order, record for record.
+    Eager and instant restarts differ only in the schedule. Eager (the
+    default) drains both redo phases — over N fibers with
+    [?parallel_recovery], inline otherwise — then loser undo at one
+    fiber, flushes, checkpoints and reclaims, all before returning.
 
     With [?instant_restart] configured at {!create}, [recover] returns
     right after the analysis scan and the restart bookkeeping (loser
     roll-back records, in-doubt chain re-registration, Paxos acceptor
     condensation): the outcome has [open_early = true], [replay_us = 0],
-    and every page's redo work parked. The first transaction to touch a
-    page replays that page's chain before its access proceeds; a
-    trickle fiber replays untouched pages oldest-first and, once every
-    chain is drained, flushes, checkpoints, and reclaims the log as an
-    eager restart would have. Fuzzy checkpoints taken while chains are
-    parked report those pages at their oldest parked record, so a
-    re-crash in the serving window recovers correctly. *)
+    and the whole graph parked. The first transaction to touch a page
+    drains that page's closure before its access proceeds; a trickle
+    fiber drains untouched pages oldest-first and, once nothing is
+    pending, flushes, checkpoints, and reclaims the log as an eager
+    restart would have. Fuzzy checkpoints taken while pages are pending
+    report them at their oldest parked record, so a re-crash in the
+    serving window recovers correctly. *)
 val recover : ?anchored:bool -> t -> recovery_outcome
 
 (** [recovering t] is true while a {!recover} call is in progress. In
@@ -297,8 +300,9 @@ val await_open : t -> unit
 (** [set_apply_hook t (Some f)] installs test instrumentation: [f] is
     called, in application order, for every redo or undo actually
     applied by {!recover} — [~phase] is ["op_redo"], ["value_redo"],
-    ["value_undo"], or ["op_undo"] — from both the serial and the
-    parallel replay paths. [None] (the default) costs nothing. *)
+    ["value_undo"], or ["op_undo"] — whichever schedule drains the redo
+    graph: inline, over fibers, or a page at a time. [None] (the
+    default) costs nothing. *)
 val set_apply_hook :
   t -> (phase:string -> lsn:Tabs_wal.Record.lsn -> unit) option -> unit
 

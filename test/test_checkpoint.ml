@@ -157,8 +157,8 @@ let next_rand s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
 
 (* Run a random concurrent workload on one node with the checkpoint
    daemon on, crash at a random instant, and recover twice: the live
-   node restarts (checkpoint-anchored), and a frozen copy of its stable
-   log and disk recovers with a full scan. Both must agree on the
+   node restarts (checkpoint-anchored), and the reference oracle
+   recovers a frozen copy of its stable log and disk with a full scan. Both must agree on the
    losers, the in-doubt set, and every byte of the data segment. *)
 let crash_equivalence ~profile ~seed =
   let cells = 256 in
@@ -192,21 +192,12 @@ let crash_equivalence ~profile ~seed =
   let crash_at = 10_000 + (next_rand seed mod 500_000) in
   Cluster.run_until c ~time:crash_at;
   Node.crash node;
-  (* freeze the stable log and disk as they were at the crash *)
-  let ref_engine = Engine.create () in
-  let stable_copy = Stable.copy (Log_manager.stable (Node.log node)) in
-  let disk_copy = Disk.copy (Node.disk node) ~engine:ref_engine in
-  (* reference: full-scan recovery over the frozen copy *)
-  let ref_outcome =
-    let vm = Vm.attach ref_engine disk_copy ~frames:64 () in
-    let log = Log_manager.attach ref_engine stable_copy in
-    let rm = Recovery_mgr.create ref_engine ~node:0 ~log ~vm () in
-    let out = ref None in
-    ignore
-      (Engine.spawn ref_engine (fun () ->
-           out := Some (Recovery_mgr.recover ~anchored:false rm)));
-    ignore (Engine.run ref_engine);
-    Option.get !out
+  (* reference: the oracle's full-scan recovery of the stable log and
+     disk frozen at the crash *)
+  let ref_outcome, disk_copy =
+    Recovery_oracle.run ~disk:(Node.disk node)
+      ~stable:(Log_manager.stable (Node.log node))
+      ~handlers:(fun _ -> []) ()
   in
   (* live node: checkpoint-anchored restart *)
   let outcome =

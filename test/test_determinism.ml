@@ -164,13 +164,11 @@ let recovery_fingerprint ~seed () =
       outcome.Recovery_mgr.records_scanned
       (List.length outcome.Recovery_mgr.losers)
       outcome.Recovery_mgr.replay_us
-      (match outcome.Recovery_mgr.graph with
-      | None -> "-"
-      | Some g ->
-          Printf.sprintf "%d/%d/%d/%d/%d/%d" g.Parallel_redo.op_records
-            g.Parallel_redo.value_records g.Parallel_redo.chain_edges
-            g.Parallel_redo.dep_edges g.Parallel_redo.critical_path
-            g.Parallel_redo.width)
+      (let g = outcome.Recovery_mgr.graph in
+       Printf.sprintf "%d/%d/%d/%d/%d/%d" g.Parallel_redo.op_records
+         g.Parallel_redo.value_records g.Parallel_redo.chain_edges
+         g.Parallel_redo.dep_edges g.Parallel_redo.critical_path
+         g.Parallel_redo.width)
   in
   (trace, summary, Engine.now engine, Engine.events_processed engine)
 

@@ -7,10 +7,12 @@
    - a dependency record is emitted only on a cross-family conflict,
      immediately after the update it orders, and truncation can never
      separate the pair;
-   - parallel replay with one fiber is the serial schedule record for
-     record; with more fibers it is faster but ends in the same state;
-   - crash at an arbitrary instant: a parallel anchored restart and a
-     serial full-scan recovery over a frozen copy of the same stable
+   - replay at one fiber, inline or spawned, applies exactly the
+     reference oracle's sequence ({!Recovery_oracle}: the paper's
+     serial passes); with more fibers it is faster but ends in the same
+     state, and loser undo still runs newest-first;
+   - crash at an arbitrary instant: a parallel anchored restart and the
+     oracle's full-scan recovery over a frozen copy of the same stable
      log and disk agree on losers, the in-doubt set, and every data
      byte — including with group commit, checkpointing, and comm
      batching all running at once. *)
@@ -44,15 +46,22 @@ let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
 
 (* one operation-logged counter per cell; redo and undo both write the
    absolute value carried in the record's argument *)
-let register_counter rm vm =
+let counter_handler vm =
   let apply ~op:_ ~arg =
     Scanf.sscanf arg "%d %d" (fun cell v ->
         Vm.pin vm (obj cell) ~access:`Random;
         Vm.write vm (obj cell) (Printf.sprintf "%08d" v);
         Vm.unpin vm (obj cell))
   in
-  Recovery_mgr.register_op_handler rm ~server:"counter"
-    { redo = apply; undo = apply }
+  { Recovery_mgr.redo = apply; undo = apply }
+
+let register_counter rm vm =
+  Recovery_mgr.register_op_handler rm ~server:"counter" (counter_handler vm)
+
+let counter_oracle rig =
+  Recovery_oracle.run ~frames:(2 * pages) ~disk:rig.disk ~stable:rig.stable
+    ~handlers:(fun vm -> [ ("counter", counter_handler vm) ])
+    ()
 
 let make_rig ?parallel_recovery () =
   let engine = Engine.create () in
@@ -82,13 +91,13 @@ let write_value rig tid n value =
        ~new_value:value);
   Vm.unpin rig.vm (obj n)
 
-let write_op rig tid n v ~reads =
+let write_op ?(undo = 0) rig tid n v ~reads =
   Vm.pin rig.vm (obj n) ~access:`Random;
   Vm.write rig.vm (obj n) (Printf.sprintf "%08d" v);
   Vm.unpin rig.vm (obj n);
   ignore
     (Recovery_mgr.log_operation rig.rm ~tid ~server:"counter" ~op:"set"
-       ~undo_arg:(Printf.sprintf "%d %d" n 0)
+       ~undo_arg:(Printf.sprintf "%d %d" n undo)
        ~redo_arg:(Printf.sprintf "%d %d" n v)
        ~reads:(List.map obj reads) ~objs:[ obj n ] ())
 
@@ -264,58 +273,100 @@ let check_pages_equal ~what disk_a disk_b ~segments =
       done)
     segments
 
-let test_one_fiber_is_serial_record_for_record () =
+let trace_frozen rig ~parallel =
+  let acc = ref [] in
+  let outcome, disk =
+    recover_frozen rig ~parallel
+      ~hook:(Some (fun ~phase ~lsn -> acc := (phase, lsn) :: !acc))
+  in
+  (List.rev !acc, outcome, disk)
+
+let tids = List.map Tid.to_string
+
+let test_one_fiber_is_the_oracle () =
   let rig = build_mixed_log () in
-  let trace parallel =
-    let acc = ref [] in
-    let outcome, disk =
-      recover_frozen rig ~parallel
-        ~hook:(Some (fun ~phase ~lsn -> acc := (phase, lsn) :: !acc))
-    in
-    (List.rev !acc, outcome, disk)
-  in
-  let serial_trace, serial_outcome, serial_disk = trace None in
-  let n1_trace, n1_outcome, n1_disk =
-    trace (Some { Parallel_redo.fibers = 1 })
-  in
+  let oracle, oracle_disk = counter_oracle rig in
   Alcotest.(check bool) "some work was replayed" true
-    (List.length serial_trace > 40);
-  Alcotest.(check (list (pair string int)))
-    "identical application sequence" serial_trace n1_trace;
-  Alcotest.(check int) "identical replay time" serial_outcome.replay_us
-    n1_outcome.replay_us;
-  Alcotest.(check (list string))
-    "identical losers"
-    (List.map Tid.to_string serial_outcome.losers)
-    (List.map Tid.to_string n1_outcome.losers);
-  check_pages_equal ~what:"serial vs one fiber" serial_disk n1_disk
-    ~segments:[ 1 ]
+    (List.length oracle.applied > 40);
+  let replay what parallel =
+    let trace, outcome, disk = trace_frozen rig ~parallel in
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": the oracle's application sequence")
+      oracle.Recovery_oracle.applied trace;
+    Alcotest.(check (list string))
+      (what ^ ": the oracle's losers") (tids oracle.losers)
+      (tids outcome.losers);
+    check_pages_equal ~what disk oracle_disk ~segments:[ 1 ];
+    outcome.replay_us
+  in
+  Alcotest.(check int) "inline and one spawned fiber take the same time"
+    (replay "inline" None)
+    (replay "one fiber" (Some { Parallel_redo.fibers = 1 }))
 
 let test_more_fibers_same_state_less_time () =
   let rig = build_mixed_log () in
-  let serial_outcome, serial_disk =
-    recover_frozen rig ~parallel:None ~hook:None
+  let oracle, oracle_disk = counter_oracle rig in
+  let one_outcome, _ =
+    recover_frozen rig ~parallel:(Some { Parallel_redo.fibers = 1 }) ~hook:None
   in
   let par_outcome, par_disk =
     recover_frozen rig ~parallel:(Some { Parallel_redo.fibers = 8 })
       ~hook:None
   in
   Alcotest.(check bool) "replay is faster with 8 fibers" true
-    (par_outcome.replay_us < serial_outcome.replay_us);
-  (match par_outcome.graph with
-  | None -> Alcotest.fail "parallel recovery must report its graph"
-  | Some s ->
-      Alcotest.(check bool) "graph has cross-page dependency edges" true
-        (s.Parallel_redo.dep_edges > 0);
-      Alcotest.(check bool) "critical path below total work" true
-        (s.Parallel_redo.critical_path
-        < s.Parallel_redo.op_records + s.Parallel_redo.value_records));
+    (par_outcome.replay_us < one_outcome.replay_us);
+  let s = par_outcome.graph in
+  Alcotest.(check bool) "graph has cross-page dependency edges" true
+    (s.Parallel_redo.dep_edges > 0);
+  Alcotest.(check bool) "critical path below total work" true
+    (s.Parallel_redo.critical_path
+    < s.Parallel_redo.op_records + s.Parallel_redo.value_records);
   Alcotest.(check (list string))
-    "identical losers"
-    (List.map Tid.to_string serial_outcome.losers)
-    (List.map Tid.to_string par_outcome.losers);
-  check_pages_equal ~what:"serial vs eight fibers" serial_disk par_disk
+    "the oracle's losers" (tids oracle.losers) (tids par_outcome.losers);
+  check_pages_equal ~what:"oracle vs eight fibers" oracle_disk par_disk
     ~segments:[ 1 ]
+
+(* Losers whose operation records share pages with winners (and with
+   each other): undo must run newest-first, after every winner's redo,
+   whatever the redo fan-out. Undo arguments restore the previous
+   image, so an out-of-order undo leaves a wrong value behind, and the
+   applied order is checked against the oracle's directly. *)
+let test_eight_fiber_undo_is_newest_first () =
+  let rig = make_rig ~parallel_recovery:Parallel_redo.default () in
+  run_fiber rig (fun () ->
+      let shadow = Array.make (pages * cells_per_page) 0 in
+      for i = 0 to 29 do
+        let tid = Tid.top ~node:0 ~seq:(i + 1) in
+        List.iter
+          (fun cell ->
+            let v = (i * 10) + 1 + (cell mod 7) in
+            write_op rig tid cell v ~undo:shadow.(cell) ~reads:[];
+            shadow.(cell) <- v)
+          [ (i mod 3) * cells_per_page; ((i + 1) mod 3) * cells_per_page + 1 ];
+        if i mod 3 <> 1 then commit rig tid
+      done;
+      Log_manager.force_all rig.log);
+  let oracle, oracle_disk = counter_oracle rig in
+  let undos trace = List.filter (fun (phase, _) -> phase = "op_undo") trace in
+  let oracle_undos = undos oracle.applied in
+  Alcotest.(check bool) "several losers to undo" true
+    (List.length oracle_undos >= 10);
+  Alcotest.(check (list int)) "the oracle undoes newest-first"
+    (List.sort (fun a b -> compare b a) (List.map snd oracle_undos))
+    (List.map snd oracle_undos);
+  let trace, outcome, disk =
+    trace_frozen rig ~parallel:(Some { Parallel_redo.fibers = 8 })
+  in
+  Alcotest.(check (list (pair string int)))
+    "eight fibers undo in the oracle's order" oracle_undos (undos trace);
+  check_pages_equal ~what:"oracle vs eight fibers" oracle_disk disk
+    ~segments:[ 1 ];
+  (* every restart reports its graph, even the inline one-fiber drain *)
+  let _, inline, _ = trace_frozen rig ~parallel:None in
+  Alcotest.(check bool) "inline restart reports its graph" true
+    (inline.graph.Parallel_redo.op_records > 0);
+  Alcotest.(check bool) "the same graph at every schedule" true
+    (inline.graph = outcome.graph)
 
 (* --- crash at a random instant over full nodes ----------------------- *)
 
@@ -324,7 +375,7 @@ let next_rand s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
 (* The account server's "adjust" records carry absolute balances;
    replaying one on a bare Recovery Manager needs only this handler
    (mirrors the redo/undo Account_server registers). *)
-let register_accounts rm vm ~name ~segment =
+let accounts_handler vm ~segment =
   let slot_obj i = Object_id.make ~segment ~offset:(8 * i) ~length:8 in
   let encode_slot v =
     let b = Bytes.create 8 in
@@ -347,13 +398,12 @@ let register_accounts rm vm ~name ~segment =
         Vm.unpin vm (slot_obj i))
       entries
   in
-  Recovery_mgr.register_op_handler rm ~server:name
-    { redo = apply; undo = apply }
+  { Recovery_mgr.redo = apply; undo = apply }
 
 (* Random concurrent workload on one node with parallel recovery (and,
    when [full_stack], group commit, the checkpoint daemon, and comm
    batching all at once) — crash at a random instant; the live node's
-   parallel anchored restart must agree with a serial full-scan
+   parallel anchored restart must agree with the oracle's full-scan
    recovery over a frozen copy on losers, in-doubt set, and every data
    byte. Value-logged and operation-logged servers both participate. *)
 let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
@@ -407,22 +457,13 @@ let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
   let crash_at = 60_000 + (next_rand seed mod window) in
   Cluster.run_until c ~time:crash_at;
   Node.crash node;
-  (* freeze the stable log and disk as they were at the crash *)
-  let ref_engine = Engine.create () in
-  let stable_copy = Stable.copy (Log_manager.stable (Node.log node)) in
-  let disk_copy = Disk.copy (Node.disk node) ~engine:ref_engine in
-  (* reference: serial full-scan recovery over the frozen copy *)
-  let ref_outcome =
-    let vm = Vm.attach ref_engine disk_copy ~frames:64 () in
-    let log = Log_manager.attach ref_engine stable_copy in
-    let rm = Recovery_mgr.create ref_engine ~node:0 ~log ~vm () in
-    register_accounts rm vm ~name:"b" ~segment:2;
-    let out = ref None in
-    ignore
-      (Engine.spawn ref_engine (fun () ->
-           out := Some (Recovery_mgr.recover ~anchored:false rm)));
-    ignore (Engine.run ref_engine);
-    Option.get !out
+  (* reference: the oracle's full-scan recovery of the stable log and
+     disk frozen at the crash *)
+  let ref_outcome, disk_copy =
+    Recovery_oracle.run ~disk:(Node.disk node)
+      ~stable:(Log_manager.stable (Node.log node))
+      ~handlers:(fun vm -> [ ("b", accounts_handler vm ~segment:2) ])
+      ()
   in
   (* live node: parallel anchored restart *)
   let outcome =
@@ -435,20 +476,15 @@ let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
               (Account_server.create env ~name:"b" ~segment:2 ~accounts ()))
           ())
   in
-  (* the live restart must actually have replayed through the graph,
-     and the reference serially *)
-  Alcotest.(check bool) "live restart was parallel" true
-    (outcome.graph <> None);
-  Alcotest.(check bool) "reference was serial" true (ref_outcome.graph = None);
   let tids = List.map Tid.to_string in
   Alcotest.(check (list string))
-    "parallel and serial recovery agree on losers" (tids ref_outcome.losers)
+    "parallel restart and the oracle agree on losers" (tids ref_outcome.losers)
     (tids outcome.losers);
   Alcotest.(check (list string))
     "and on the in-doubt set"
     (List.map (fun (t, _) -> Tid.to_string t) ref_outcome.in_doubt)
     (List.map (fun (t, _) -> Tid.to_string t) outcome.in_doubt);
-  check_pages_equal ~what:"parallel restart vs serial reference"
+  check_pages_equal ~what:"parallel restart vs the oracle"
     (Node.disk node) disk_copy ~segments:[ 1; 2 ];
   true
 
@@ -476,10 +512,12 @@ let suites =
         quick "read conflict crosses pages" test_read_conflict_crosses_pages;
         quick "truncation never splits the pair"
           test_truncation_never_splits_the_pair;
-        quick "one fiber = serial, record for record"
-          test_one_fiber_is_serial_record_for_record;
+        quick "one fiber = the oracle's application sequence"
+          test_one_fiber_is_the_oracle;
         quick "more fibers: same state, less time"
           test_more_fibers_same_state_less_time;
+        quick "eight fibers: loser undo newest-first"
+          test_eight_fiber_undo_is_newest_first;
         QCheck_alcotest.to_alcotest
           (prop_parallel_equivalence Profile.Classic
              "crash at a random instant: parallel = serial (Classic)");
