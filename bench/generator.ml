@@ -69,6 +69,7 @@ type stats = {
   msgs_per_cross_commit : float;
   per_shard_committed : int array;
   per_shard_stable_writes : float array;
+  events : int; (* engine events processed by the run *)
 }
 
 (* One Poisson inter-arrival gap in microseconds (at least 1). *)
@@ -216,4 +217,5 @@ let run ?group_commit ?checkpointing ?comm_batching ?profile config =
             ~node:
               (Topology.node_of_shard (Cluster.topology cluster) s)
             Cost_model.Stable_storage_write);
+    events = Engine.events_processed engine;
   }

@@ -24,6 +24,7 @@ type point = {
   msgs_per_commit : float;
   piggybacked_acks : int;
   delayed_acks : int;
+  events : int; (* engine events processed by the run *)
 }
 
 let horizon = 10_000_000 (* 10 virtual seconds *)
@@ -79,6 +80,7 @@ let run_point ?comm_batching ~workers () =
        else float_of_int m.Metrics.wire_messages /. float_of_int committed);
     piggybacked_acks = m.Metrics.piggybacked_acks;
     delayed_acks = m.Metrics.delayed_acks;
+    events = Engine.events_processed engine;
   }
 
 type pair = { off : point; on_ : point }

@@ -8,23 +8,17 @@
    - [current_node] caches the node of the running fiber so that
      {!charge}'s per-node attribution is a field read instead of a
      [Get_fiber] effect (a heap-allocated continuation round-trip);
-   - wait queues are circular buffers with an O(1) live count.
-
-   In {!Sim_profile} baseline mode each of these reverts to the seed
-   implementation (boxed heap, epoch hashtable, effect-based lookup,
-   list-append queues) with identical observable behavior. *)
+   - wait queues are circular buffers with an O(1) live count. *)
 
 exception Killed
 
 type t = {
   mutable now : int;
-  baseline : bool;
   events : (unit -> unit) Event_queue.t;
   metrics : Metrics.t;
   mutable model : Cost_model.t;
   cpu : (string, int ref) Hashtbl.t;
-  epochs_tbl : (int, int) Hashtbl.t; (* baseline arm *)
-  mutable epochs : int array; (* fast arm, indexed by node id *)
+  mutable epochs : int array; (* indexed by node id *)
   mutable next_fiber : int;
   mutable tracer : Trace.sink option;
   mutable current_node : int; (* node of the running fiber; -1 = none *)
@@ -35,15 +29,12 @@ type t = {
 type fiber = { id : int; node_id : int; epoch : int; engine : t }
 
 let create ?(cost_model = Cost_model.measured) () =
-  let baseline = Sim_profile.baseline () in
   {
     now = 0;
-    baseline;
-    events = Event_queue.create ~baseline ();
+    events = Event_queue.create ();
     metrics = Metrics.create ();
     model = cost_model;
     cpu = Hashtbl.create 8;
-    epochs_tbl = Hashtbl.create 8;
     epochs = [||];
     next_fiber = 0;
     tracer = None;
@@ -72,27 +63,21 @@ let at t ~delay fn =
   Event_queue.push t.events ~now:t.now ~key:(t.now + delay) fn
 
 let node_epoch t node =
-  if t.baseline then
-    match Hashtbl.find_opt t.epochs_tbl node with Some e -> e | None -> 0
-  else if node >= 0 && node < Array.length t.epochs then t.epochs.(node)
+  if node >= 0 && node < Array.length t.epochs then t.epochs.(node)
   else 0
 
 let crash_node t node =
   if node < 0 then invalid_arg "Engine.crash_node: negative node";
-  if t.baseline then
-    Hashtbl.replace t.epochs_tbl node (node_epoch t node + 1)
-  else begin
-    if node >= Array.length t.epochs then begin
-      let cap = ref (max 8 (Array.length t.epochs * 2)) in
-      while node >= !cap do
-        cap := !cap * 2
-      done;
-      let epochs = Array.make !cap 0 in
-      Array.blit t.epochs 0 epochs 0 (Array.length t.epochs);
-      t.epochs <- epochs
-    end;
-    t.epochs.(node) <- t.epochs.(node) + 1
-  end
+  if node >= Array.length t.epochs then begin
+    let cap = ref (max 8 (Array.length t.epochs * 2)) in
+    while node >= !cap do
+      cap := !cap * 2
+    done;
+    let epochs = Array.make !cap 0 in
+    Array.blit t.epochs 0 epochs 0 (Array.length t.epochs);
+    t.epochs <- epochs
+  end;
+  t.epochs.(node) <- t.epochs.(node) + 1
 
 let fiber_dead f =
   f.node_id >= 0 && node_epoch f.engine f.node_id <> f.epoch
@@ -200,10 +185,6 @@ let run_until t ~time =
 
 let self () = Effect.perform Get_fiber
 
-let fiber_node () =
-  let f = self () in
-  if f.node_id < 0 then None else Some f.node_id
-
 let fiber_id () = (self ()).id
 
 let delay micros =
@@ -220,17 +201,10 @@ let elide t prim = Metrics.record_elided t.metrics prim
 
 (* Per-node rollup: charges paid inside a node-bound fiber are also
    attributed to that node (observational only — no cost, no delay).
-   Fast path reads the cached [current_node]; baseline performs the
-   seed's [Get_fiber] effect. *)
+   Reads the cached [current_node] rather than performing [Get_fiber]. *)
 let attribute t prim ~num ~den =
-  if t.baseline then
-    match fiber_node () with
-    | Some node -> Metrics.record_node t.metrics ~node prim ~num ~den
-    | None -> ()
-  else begin
-    let node = t.current_node in
-    if node >= 0 then Metrics.record_node t.metrics ~node prim ~num ~den
-  end
+  let node = t.current_node in
+  if node >= 0 then Metrics.record_node t.metrics ~node prim ~num ~den
 
 let charge t prim =
   record_only t prim;
@@ -267,13 +241,10 @@ module Waitq = struct
   (* [state] is true once the waiter has been woken or timed out; stale
      entries are skipped by [signal]. *)
 
-  (* Fast arm: circular buffer of waiters in arrival order, plus a
-     [live] count maintained by [wake] so [waiters] is O(1). Baseline
-     arm: the seed's list with O(n) append and O(n) count. *)
+  (* Circular buffer of waiters in arrival order, plus a [live] count
+     maintained by [wake] so [waiters] is O(1). *)
   type 'a t = {
-    baseline : bool;
-    mutable queue : 'a waiter list; (* baseline arm *)
-    mutable ring : 'a waiter array; (* fast arm *)
+    mutable ring : 'a waiter array;
     mutable head : int;
     mutable count : int;
     mutable live : int;
@@ -282,14 +253,7 @@ module Waitq = struct
   let vacant : unit -> 'a = fun () -> Obj.magic 0
 
   let create () =
-    {
-      baseline = Sim_profile.baseline ();
-      queue = [];
-      ring = Array.make 16 (vacant ());
-      head = 0;
-      count = 0;
-      live = 0;
-    }
+    { ring = Array.make 16 (vacant ()); head = 0; count = 0; live = 0 }
 
   let ring_grow q =
     let cap = Array.length q.ring in
@@ -302,31 +266,30 @@ module Waitq = struct
 
   let push q w =
     q.live <- q.live + 1;
-    if q.baseline then q.queue <- q.queue @ [ w ]
-    else begin
-      if q.count = Array.length q.ring then ring_grow q;
-      let cap = Array.length q.ring in
-      q.ring.((q.head + q.count) land (cap - 1)) <- w;
-      q.count <- q.count + 1
-    end
+    if q.count = Array.length q.ring then ring_grow q;
+    let cap = Array.length q.ring in
+    q.ring.((q.head + q.count) land (cap - 1)) <- w;
+    q.count <- q.count + 1
 
-  (* Waking (by signal or timeout) is the one false->true transition of
-     [state]; it owns the [live] decrement. *)
+  (* [enqueue q fiber k] parks [k] at the tail of [q] and returns its
+     [wake]. Waking (by signal or timeout) is the one false->true
+     transition of [state]; it owns the [live] decrement. *)
+  let enqueue q fiber k =
+    let state = ref false in
+    let wake v =
+      if not !state then begin
+        state := true;
+        q.live <- q.live - 1;
+        at fiber.engine ~delay:0 (fun () -> resume fiber k v)
+      end
+    in
+    push q { state; wake };
+    wake
+
   let wait q =
     let fiber = self () in
     match
-      Effect.perform
-        (Suspend
-           (fun k ->
-             let state = ref false in
-             let wake v =
-               if not !state then begin
-                 state := true;
-                 q.live <- q.live - 1;
-                 at fiber.engine ~delay:0 (fun () -> resume fiber k v)
-               end
-             in
-             push q { state; wake }))
+      Effect.perform (Suspend (fun k -> let _wake = enqueue q fiber k in ()))
     with
     | Some v -> v
     | None -> assert false (* no timer can fire for a plain wait *)
@@ -336,29 +299,11 @@ module Waitq = struct
     Effect.perform
       (Suspend
          (fun k ->
-           let state = ref false in
-           let wake v =
-             if not !state then begin
-               state := true;
-               q.live <- q.live - 1;
-               at fiber.engine ~delay:0 (fun () -> resume fiber k v)
-             end
-           in
-           push q { state; wake };
+           let wake = enqueue q fiber k in
            at engine ~delay:timeout (fun () -> wake None)))
 
   let rec signal q ~engine v =
-    if q.baseline then
-      match q.queue with
-      | [] -> false
-      | w :: rest ->
-          q.queue <- rest;
-          if !(w.state) then signal q ~engine v
-          else begin
-            w.wake (Some v);
-            true
-          end
-    else if q.count = 0 then false
+    if q.count = 0 then false
     else begin
       let w = q.ring.(q.head) in
       q.ring.(q.head) <- vacant ();
@@ -378,8 +323,5 @@ module Waitq = struct
     done;
     !woken
 
-  let waiters q =
-    if q.baseline then
-      List.length (List.filter (fun w -> not !(w.state)) q.queue)
-    else q.live
+  let waiters q = q.live
 end

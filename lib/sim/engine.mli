@@ -133,9 +133,6 @@ val cpu_time : t -> process:string -> int
 (** [reset_cpu t] zeroes all CPU accumulators. *)
 val reset_cpu : t -> unit
 
-(** [fiber_node ()] is the node of the calling fiber, if bound. *)
-val fiber_node : unit -> int option
-
 (** [fiber_id ()] is the calling fiber's engine-unique identifier
     (deterministic: ids come from a per-engine spawn counter). Used as
     an owner token by re-entrant latches such as the instant-restart

@@ -19,88 +19,11 @@
    - a far event with key = [ring_key] was necessarily pushed at an
      earlier instant, so its seq is smaller and it drains first.
    The pop path still compares (key, seq) across tiers, so order is
-   correct even without leaning on the second invariant.
-
-   The seed implementation — one boxed binary heap of
-   ['a entry option array] — is kept verbatim below as the
-   {!Sim_profile} baseline arm for wall-clock A/B runs. *)
-
-module Legacy = struct
-  (* the seed heap, byte-for-byte (lib/sim/heap.ml at PR 7) *)
-  type 'a entry = { key : int; seq : int; value : 'a }
-
-  type 'a t = {
-    mutable data : 'a entry option array;
-    mutable size : int;
-    mutable next_seq : int;
-  }
-
-  let create () = { data = Array.make 64 None; size = 0; next_seq = 0 }
-
-  let is_empty t = t.size = 0
-
-  let length t = t.size
-
-  let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
-
-  let get t i =
-    match t.data.(i) with Some e -> e | None -> assert false
-
-  let grow t =
-    let data = Array.make (2 * Array.length t.data) None in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if entry_lt (get t i) (get t parent) then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && entry_lt (get t l) (get t !smallest) then smallest := l;
-    if r < t.size && entry_lt (get t r) (get t !smallest) then smallest := r;
-    if !smallest <> i then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(!smallest);
-      t.data.(!smallest) <- tmp;
-      sift_down t !smallest
-    end
-
-  let push t ~key value =
-    if t.size = Array.length t.data then grow t;
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    t.data.(t.size) <- Some { key; seq; value };
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let pop_min t =
-    if t.size = 0 then raise Not_found;
-    let min = get t 0 in
-    t.size <- t.size - 1;
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- None;
-    if t.size > 0 then sift_down t 0;
-    (min.key, min.value)
-
-  let min_key t =
-    if t.size = 0 then raise Not_found;
-    (get t 0).key
-end
+   correct even without leaning on the second invariant. *)
 
 let vacant : unit -> 'a = fun () -> Obj.magic 0
 
 type 'a t = {
-  baseline : bool;
-  legacy : 'a Legacy.t;
   heap : 'a Heap.t;
   (* near tier: FIFO ring of events for the current instant *)
   mutable ring_vals : 'a array;
@@ -111,10 +34,8 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create ?(baseline = Sim_profile.baseline ()) () =
+let create () =
   {
-    baseline;
-    legacy = Legacy.create ();
     heap = Heap.create ();
     ring_vals = Array.make 64 (vacant ());
     ring_seqs = Array.make 64 0;
@@ -124,14 +45,7 @@ let create ?(baseline = Sim_profile.baseline ()) () =
     next_seq = 0;
   }
 
-let baseline t = t.baseline
-
-let is_empty t =
-  if t.baseline then Legacy.is_empty t.legacy
-  else t.count = 0 && Heap.is_empty t.heap
-
-let length t =
-  if t.baseline then Legacy.length t.legacy else t.count + Heap.length t.heap
+let is_empty t = t.count = 0 && Heap.is_empty t.heap
 
 let ring_grow t =
   let cap = Array.length t.ring_vals in
@@ -163,20 +77,16 @@ let ring_pop t =
   v
 
 let push t ~now ~key v =
-  if t.baseline then Legacy.push t.legacy ~key v
-  else begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    if key = now && (t.count = 0 || t.ring_key = key) then begin
-      if t.count = 0 then t.ring_key <- key;
-      ring_push t seq v
-    end
-    else Heap.push_seq t.heap ~key ~seq v
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if key = now && (t.count = 0 || t.ring_key = key) then begin
+    if t.count = 0 then t.ring_key <- key;
+    ring_push t seq v
   end
+  else Heap.push_seq t.heap ~key ~seq v
 
 let min_key t =
-  if t.baseline then Legacy.min_key t.legacy
-  else if t.count = 0 then Heap.min_key t.heap
+  if t.count = 0 then Heap.min_key t.heap
   else if Heap.is_empty t.heap then t.ring_key
   else begin
     let hk = Heap.min_key t.heap in
@@ -184,8 +94,7 @@ let min_key t =
   end
 
 let pop t =
-  if t.baseline then snd (Legacy.pop_min t.legacy)
-  else if t.count = 0 then Heap.pop t.heap
+  if t.count = 0 then Heap.pop t.heap
   else if Heap.is_empty t.heap then ring_pop t
   else begin
     let hk = Heap.min_key t.heap in

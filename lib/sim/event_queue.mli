@@ -4,24 +4,15 @@
     wakeups, spawns, elided hops, the bulk of every workload) go to an
     O(1) FIFO ring; future events go to the struct-of-arrays {!Heap}.
     A single seq counter spans both tiers, so pop order is by
-    (key, seq) exactly as in the single seed heap — byte-identical
+    (key, seq) exactly as in a single binary heap — the same
     schedules, without the worst-case full-depth sift a delay-0 push
-    causes in a binary heap.
-
-    When created in baseline mode (see {!Sim_profile}) the queue runs
-    the seed-era boxed binary heap verbatim instead. *)
+    causes in a binary heap. *)
 
 type 'a t
 
-(** [create ()] captures [Sim_profile.baseline ()] unless [~baseline]
-    is given explicitly. *)
-val create : ?baseline:bool -> unit -> 'a t
-
-val baseline : 'a t -> bool
+val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
-
-val length : 'a t -> int
 
 (** [push t ~now ~key v] schedules [v] at virtual time [key]. [now] is
     the engine clock; [key >= now]. FIFO among equal keys. *)

@@ -4,8 +4,7 @@
    Struct-of-arrays layout: keys and seqs live in unboxed int arrays so
    every sift comparison is two int loads — no per-entry record, no
    option box, no value deref. The hot path (min_key / min_seq / pop /
-   push_seq) never allocates; [pop_min] / [peek_min_key] are kept as
-   allocating conveniences for tests and callers that want tuples.
+   push_seq) never allocates.
 
    The value array needs a filler for vacant slots; we use an immediate
    forged with [Obj.magic 0]. That is safe for any ['a]: the array is
@@ -33,13 +32,6 @@ let create () =
   }
 
 let is_empty t = t.size = 0
-
-let length t = t.size
-
-let clear t =
-  (* only the occupied prefix holds live values *)
-  Array.fill t.vals 0 t.size (vacant ());
-  t.size <- 0
 
 let grow t =
   let cap = 2 * Array.length t.keys in
@@ -126,9 +118,3 @@ let pop t =
     t.vals.(!i) <- mv
   end;
   v
-
-let pop_min t =
-  let key = min_key t in
-  (key, pop t)
-
-let peek_min_key t = if t.size = 0 then None else Some t.keys.(0)

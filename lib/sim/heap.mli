@@ -12,8 +12,6 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val length : 'a t -> int
-
 (** [push t ~key v] inserts [v] with priority [key], drawing the
     tie-break [seq] from the heap's own counter. *)
 val push : 'a t -> key:int -> 'a -> unit
@@ -34,15 +32,3 @@ val min_seq : 'a t -> int
 (** [pop t] removes and returns the minimum-(key, seq) value without
     allocating. Raises [Not_found] when empty. *)
 val pop : 'a t -> 'a
-
-(** [pop_min t] is [(min_key t, pop t)] — allocates the pair; prefer
-    {!min_key} + {!pop} on hot paths. *)
-val pop_min : 'a t -> int * 'a
-
-(** [peek_min_key t] is the smallest key, if any (allocates the
-    option; prefer {!is_empty} + {!min_key} on hot paths). *)
-val peek_min_key : 'a t -> int option
-
-(** [clear t] removes every element (touching only the occupied
-    prefix of the backing arrays). *)
-val clear : 'a t -> unit

@@ -11,10 +11,7 @@
 (* Hot-path note: [record] / [record_weighted] / [record_node] run on
    every Engine.charge. The primitive index is the O(1)
    [Cost_model.to_int] and the per-node rollup is a flat array of rows
-   indexed by node id, so a charge is a handful of int ops. In
-   [Sim_profile] baseline mode the seed implementations are kept
-   verbatim: a linear scan of [Cost_model.all] per lookup (twice per
-   record) and a hashtable of per-node rows. *)
+   indexed by node id, so a charge is a handful of int ops. *)
 
 (* [msgs] counts wire-level Communication Manager traffic: every
    network transmission a CM pays for is one wire message, carrying one
@@ -50,17 +47,14 @@ type recovery = {
 (* Per-node rollup of the charged counters, by the node of the fiber
    that paid them (scale-out benches report per-shard load from it).
    Purely observational: entries appear lazily, and nothing reads them
-   on the seed paths. Fast arm: [node_rows] indexed by node id, with a
-   zero-length row as the "never charged" sentinel. Baseline arm: the
-   seed [per_node] hashtable. *)
+   on the seed paths. [node_rows] is indexed by node id, with a
+   zero-length row as the "never charged" sentinel. *)
 type t = {
-  baseline : bool;
   charged : int array;
   elided : int array;
   msgs : msgs;
   tm : tm;
   recovery_rows : (int, recovery) Hashtbl.t;
-  per_node : (int, int array) Hashtbl.t;
   mutable node_rows : int array array;
 }
 
@@ -93,25 +87,15 @@ let scale = 1000
 
 let size = Cost_model.count
 
-(* seed index: linear scan of the primitive list (baseline arm only) *)
-let idx_linear p =
-  let rec find i = function
-    | [] -> assert false
-    | q :: rest -> if q = p then i else find (i + 1) rest
-  in
-  find 0 Cost_model.all
-
-let idx t p = if t.baseline then idx_linear p else Cost_model.to_int p
+let idx = Cost_model.to_int
 
 let create () =
   {
-    baseline = Sim_profile.baseline ();
     charged = Array.make size 0;
     elided = Array.make size 0;
     msgs = zero_msgs ();
     tm = zero_tm ();
     recovery_rows = Hashtbl.create 4;
-    per_node = Hashtbl.create 8;
     node_rows = [||];
   }
 
@@ -142,16 +126,11 @@ let copy_msgs m =
 
 let record_weighted t p ~num ~den =
   if den <= 0 then invalid_arg "Metrics.record_weighted: den <= 0";
-  if t.baseline then
-    (* seed shape: two independent index scans per record *)
-    t.charged.(idx_linear p) <- t.charged.(idx_linear p) + (scale * num / den)
-  else begin
-    let i = Cost_model.to_int p in
-    t.charged.(i) <- t.charged.(i) + (scale * num / den)
-  end
+  let i = idx p in
+  t.charged.(i) <- t.charged.(i) + (scale * num / den)
 
-(* fast-arm row accessor; creates the row (growing the outer array) on
-   first charge against a node *)
+(* creates the row (growing the outer array) on first charge against a
+   node *)
 let node_row t node =
   if node >= Array.length t.node_rows then begin
     let cap = ref (max 8 (Array.length t.node_rows * 2)) in
@@ -170,72 +149,48 @@ let node_row t node =
     row
   end
 
-(* baseline-arm row accessor (seed verbatim) *)
-let node_counters t node =
-  match Hashtbl.find_opt t.per_node node with
-  | Some arr -> arr
-  | None ->
-      let arr = Array.make size 0 in
-      Hashtbl.add t.per_node node arr;
-      arr
-
 let record_node t ~node p ~num ~den =
   if den <= 0 then invalid_arg "Metrics.record_node: den <= 0";
   if node < 0 then invalid_arg "Metrics.record_node: negative node";
-  if t.baseline then begin
-    let arr = node_counters t node in
-    arr.(idx_linear p) <- arr.(idx_linear p) + (scale * num / den)
-  end
-  else begin
-    let row = node_row t node in
-    let i = Cost_model.to_int p in
-    row.(i) <- row.(i) + (scale * num / den)
-  end
+  let row = node_row t node in
+  let i = idx p in
+  row.(i) <- row.(i) + (scale * num / den)
 
 let node_weight t ~node p =
   let units =
-    if t.baseline then
-      match Hashtbl.find_opt t.per_node node with
-      | None -> 0
-      | Some arr -> arr.(idx_linear p)
-    else if node < 0 || node >= Array.length t.node_rows then 0
+    if node < 0 || node >= Array.length t.node_rows then 0
     else
       let row = t.node_rows.(node) in
-      if Array.length row = 0 then 0 else row.(Cost_model.to_int p)
+      if Array.length row = 0 then 0 else row.(idx p)
   in
   float_of_int units /. float_of_int scale
 
 let nodes_tracked t =
-  if t.baseline then
-    List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.per_node [])
-  else begin
-    let acc = ref [] in
-    for n = Array.length t.node_rows - 1 downto 0 do
-      if Array.length t.node_rows.(n) > 0 then acc := n :: !acc
-    done;
-    !acc
-  end
+  let acc = ref [] in
+  for n = Array.length t.node_rows - 1 downto 0 do
+    if Array.length t.node_rows.(n) > 0 then acc := n :: !acc
+  done;
+  !acc
 
 let record_many t p n = record_weighted t p ~num:n ~den:1
 
 let record t p = record_many t p 1
 
 let record_elided t p =
-  let i = idx t p in
+  let i = idx p in
   t.elided.(i) <- t.elided.(i) + scale
 
-let count t p = t.charged.(idx t p) / scale
+let count t p = t.charged.(idx p) / scale
 
-let weight t p = float_of_int t.charged.(idx t p) /. float_of_int scale
+let weight t p = float_of_int t.charged.(idx p) /. float_of_int scale
 
-let elided_count t p = t.elided.(idx t p) / scale
+let elided_count t p = t.elided.(idx p) / scale
 
-let elided_weight t p = float_of_int t.elided.(idx t p) /. float_of_int scale
+let elided_weight t p = float_of_int t.elided.(idx p) /. float_of_int scale
 
 let reset t =
   Array.fill t.charged 0 size 0;
   Array.fill t.elided 0 size 0;
-  Hashtbl.reset t.per_node;
   t.node_rows <- [||];
   let m = t.msgs in
   m.wire_messages <- 0;
@@ -248,22 +203,16 @@ let reset t =
   Hashtbl.reset t.recovery_rows
 
 let snapshot t =
-  let per_node = Hashtbl.create (max 1 (Hashtbl.length t.per_node)) in
-  Hashtbl.iter
-    (fun n arr -> Hashtbl.replace per_node n (Array.copy arr))
-    t.per_node;
   let recovery_rows = Hashtbl.create (max 1 (Hashtbl.length t.recovery_rows)) in
   Hashtbl.iter
     (fun n r -> Hashtbl.replace recovery_rows n (copy_recovery r))
     t.recovery_rows;
   {
-    baseline = t.baseline;
     charged = Array.copy t.charged;
     elided = Array.copy t.elided;
     msgs = copy_msgs t.msgs;
     tm = copy_tm t.tm;
     recovery_rows;
-    per_node;
     node_rows =
       Array.map
         (fun row -> if Array.length row = 0 then [||] else Array.copy row)
@@ -271,16 +220,6 @@ let snapshot t =
   }
 
 let diff ~later ~earlier =
-  let per_node = Hashtbl.create (max 1 (Hashtbl.length later.per_node)) in
-  Hashtbl.iter
-    (fun n arr ->
-      let base =
-        match Hashtbl.find_opt earlier.per_node n with
-        | Some b -> b
-        | None -> Array.make size 0
-      in
-      Hashtbl.replace per_node n (Array.init size (fun i -> arr.(i) - base.(i))))
-    later.per_node;
   let recovery_rows =
     Hashtbl.create (max 1 (Hashtbl.length later.recovery_rows))
   in
@@ -315,8 +254,6 @@ let diff ~later ~earlier =
       later.node_rows
   in
   {
-    baseline = later.baseline;
-    per_node;
     node_rows;
     recovery_rows;
     charged = Array.init size (fun i -> later.charged.(i) - earlier.charged.(i));
@@ -343,12 +280,12 @@ let diff ~later ~earlier =
 
 let weighted_cost t model =
   List.fold_left
-    (fun acc p -> acc + (t.charged.(idx t p) * Cost_model.cost model p / scale))
+    (fun acc p -> acc + (t.charged.(idx p) * Cost_model.cost model p / scale))
     0 Cost_model.all
 
 let to_alist t =
   List.filter_map
     (fun p ->
       let n = count t p in
-      if t.charged.(idx t p) = 0 then None else Some (p, n))
+      if t.charged.(idx p) = 0 then None else Some (p, n))
     Cost_model.all

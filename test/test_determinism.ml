@@ -1,11 +1,11 @@
-(* Determinism guard for the PR 8 simulator-core rewrite: the optimized
-   core ([Sim_profile] fast mode — two-tier event queue, O(1) metrics
-   index, epoch arrays, ring wait queues, cached fiber node) and the
-   seed baseline mode must be observationally indistinguishable. Same
-   seed, same workload => byte-identical rendered trace JSONL, equal
-   metrics down to the per-node rollup, equal final virtual time and
-   equal event count — on a workload that exercises loss,
-   retransmission, timeouts and distributed commit. *)
+(* Determinism goldens for the simulator core. Each scenario runs once
+   and is compared with values pinned from history: an MD5 of the
+   rendered trace JSONL, a metrics or recovery summary, the final
+   virtual time and the engine event count. The scenarios exercise
+   loss, retransmission, timeouts and distributed commit, a crash with
+   a parallel restart, and an instant restart under traffic. Any change
+   to event order, virtual time or metrics moves at least one value.
+   A deliberate change re-pins by pasting the values a failure prints. *)
 
 open Tabs_sim
 open Tabs_net
@@ -19,9 +19,31 @@ let txns = 5
 
 let server_name dest = Printf.sprintf "a%d" dest
 
-(* One lossy-commit run; returns every observable artifact rendered to
-   strings so the two modes can be compared byte-for-byte. *)
-let fingerprint ~loss ~seed () =
+type golden = { trace_md5 : string; summary : string; now : int; events : int }
+
+let show g =
+  Printf.sprintf "{ trace_md5 = %S; summary = %S; now = %d; events = %d }"
+    g.trace_md5 g.summary g.now g.events
+
+(* Detaches [recorder] and collects what a run is pinned by. *)
+let observe recorder engine summary =
+  let trace = List.map Jsonl.entry_to_json (Recorder.entries recorder) in
+  Recorder.detach recorder;
+  {
+    trace_md5 = Digest.to_hex (Digest.string (String.concat "\n" trace));
+    summary;
+    now = Engine.now engine;
+    events = Engine.events_processed engine;
+  }
+
+let check_golden name expected actual =
+  if actual <> expected then
+    Alcotest.failf "%s drifted from its golden\n  pinned: %s\n  actual: %s" name
+      (show expected) (show actual)
+
+(* One lossy-commit run; the summary is every metrics counter, down to
+   the per-node rollup. *)
+let fingerprint ~loss ~seed =
   let c = Cluster.create ~nodes ~seed () in
   List.iter
     (fun node ->
@@ -52,8 +74,6 @@ let fingerprint ~loss ~seed () =
   Cluster.run_until c ~time:600_000_000;
   Network.set_loss (Cluster.network c) 0.0;
   Cluster.run c;
-  let trace = List.map Jsonl.entry_to_json (Recorder.entries recorder) in
-  Recorder.detach recorder;
   let m = Engine.metrics engine in
   let buf = Buffer.create 512 in
   List.iter
@@ -80,59 +100,169 @@ let fingerprint ~loss ~seed () =
               (Printf.sprintf "n%d:%s=%.3f;" node (Cost_model.name p) w))
         Cost_model.all)
     (Metrics.nodes_tracked m);
-  (trace, Buffer.contents buf, Engine.now engine, Engine.events_processed engine)
+  observe recorder engine (Buffer.contents buf)
 
-let check_same ~loss ~seed =
-  let fast = Sim_profile.with_baseline false (fingerprint ~loss ~seed) in
-  let base = Sim_profile.with_baseline true (fingerprint ~loss ~seed) in
-  let trace_f, metrics_f, now_f, events_f = fast in
-  let trace_b, metrics_b, now_b, events_b = base in
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: trace length" seed)
-    (List.length trace_b) (List.length trace_f);
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then
-        Alcotest.failf "seed %d: trace line %d differs:\n  fast: %s\n  base: %s"
-          seed i a b)
-    (List.combine trace_f trace_b);
-  Alcotest.(check string)
-    (Printf.sprintf "seed %d: metrics fingerprint" seed)
-    metrics_b metrics_f;
-  Alcotest.(check int) (Printf.sprintf "seed %d: final now" seed) now_b now_f;
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: events processed" seed)
-    events_b events_f
+(* Values pinned at the last change to the core (trace MD5, summary,
+   final virtual time, engine events). *)
 
-let test_lossy_identical () =
-  List.iter (fun seed -> check_same ~loss:0.20 ~seed) [ 1; 5; 9 ]
+let lossy_1 =
+  {
+    trace_md5 = "47f9e82ed9cfc0a913f8d7678dc5994e";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
+       Small Contiguous Message=141.000/0.000;\
+       Large Contiguous Message=25.000/0.000;Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;Sequential Read=0.000/0.000;\
+       Stable Storage Write=10.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=91 frames=91 piggy=0 delayed=0 covered=0 dup=4;abandoned=0;\
+       n0:Data Server Call=5.000;n0:Inter-Node Data Server Call=10.000;\
+       n0:Datagram=17.000;n0:Small Contiguous Message=67.000;\
+       n0:Large Contiguous Message=9.000;\
+       n0:Random Access Paged I/O=5.000;n0:Stable Storage Write=4.000;\
+       n1:Datagram=7.000;n1:Small Contiguous Message=25.000;\
+       n1:Large Contiguous Message=7.000;\
+       n1:Random Access Paged I/O=1.000;n1:Stable Storage Write=2.000;\
+       n2:Datagram=11.000;n2:Small Contiguous Message=31.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 526;
+  }
 
-let test_lossless_identical () = check_same ~loss:0.0 ~seed:3
+let lossy_5 =
+  {
+    trace_md5 = "88fbde31f00c1f1f423b3e5748acd2f7";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
+       Small Contiguous Message=145.000/0.000;\
+       Large Contiguous Message=28.000/0.000;Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;Sequential Read=0.000/0.000;\
+       Stable Storage Write=13.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=102 frames=102 piggy=0 delayed=0 covered=0 dup=8;abandoned=0;\
+       n0:Data Server Call=5.000;n0:Inter-Node Data Server Call=10.000;\
+       n0:Datagram=17.000;n0:Small Contiguous Message=67.000;\
+       n0:Large Contiguous Message=10.000;\
+       n0:Random Access Paged I/O=5.000;n0:Stable Storage Write=5.000;\
+       n1:Datagram=9.000;n1:Small Contiguous Message=30.000;\
+       n1:Large Contiguous Message=9.000;\
+       n1:Random Access Paged I/O=1.000;n1:Stable Storage Write=4.000;\
+       n2:Datagram=9.000;n2:Small Contiguous Message=30.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 566;
+  }
 
-(* A crash and dependency-logged parallel restart must also be
-   mode-independent: same trace, same metrics, same redo-graph shape,
-   same replay time under the fast core and the seed baseline. *)
-let recovery_fingerprint ~seed () =
-  let cells = 64 in
-  let c =
-    Cluster.create ~nodes:1 ~seed
-      ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }
-      ()
-  in
-  let node = Cluster.node c 0 in
-  let arr =
-    Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
-  in
-  let engine = Cluster.engine c in
-  let recorder = Recorder.attach engine in
-  let tm = Node.tm node in
+let lossy_9 =
+  {
+    trace_md5 = "e18b979bf8f9d2cbb09fe0e9f3fb0744";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;Datagram=41.000/0.000;\
+       Small Contiguous Message=147.000/0.000;\
+       Large Contiguous Message=27.000/0.000;Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;Sequential Read=0.000/0.000;\
+       Stable Storage Write=12.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=94 frames=94 piggy=0 delayed=0 covered=0 dup=3;abandoned=0;\
+       n0:Data Server Call=5.000;n0:Inter-Node Data Server Call=10.000;\
+       n0:Datagram=18.000;n0:Small Contiguous Message=67.000;\
+       n0:Large Contiguous Message=9.000;\
+       n0:Random Access Paged I/O=5.000;n0:Stable Storage Write=4.000;\
+       n1:Datagram=14.000;n1:Small Contiguous Message=31.000;\
+       n1:Large Contiguous Message=9.000;\
+       n1:Random Access Paged I/O=1.000;n1:Stable Storage Write=4.000;\
+       n2:Datagram=9.000;n2:Small Contiguous Message=31.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 560;
+  }
+
+let clean_3 =
+  {
+    trace_md5 = "1aa12dac5fe12d6c6f5bb39ee9a1aa10";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
+       Small Contiguous Message=145.000/0.000;\
+       Large Contiguous Message=30.000/0.000;Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;Sequential Read=0.000/0.000;\
+       Stable Storage Write=15.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=80 frames=80 piggy=0 delayed=0 covered=0 dup=0;abandoned=0;\
+       n0:Data Server Call=5.000;n0:Inter-Node Data Server Call=10.000;\
+       n0:Datagram=15.000;n0:Small Contiguous Message=67.000;\
+       n0:Large Contiguous Message=10.000;\
+       n0:Random Access Paged I/O=5.000;n0:Stable Storage Write=5.000;\
+       n1:Datagram=10.000;n1:Small Contiguous Message=30.000;\
+       n1:Large Contiguous Message=10.000;\
+       n1:Random Access Paged I/O=1.000;n1:Stable Storage Write=5.000;\
+       n2:Datagram=10.000;n2:Small Contiguous Message=30.000;\
+       n2:Large Contiguous Message=10.000;\
+       n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=5.000;";
+    now = 600_000_000;
+    events = 564;
+  }
+
+let parallel_2 =
+  {
+    trace_md5 = "5896420ae4eee0e165104c78730e0858";
+    summary = "scanned=13 losers=0 replay=32000 graph=0/5/4/0/5/1";
+    now = 662_400;
+    events = 103;
+  }
+
+let parallel_7 =
+  {
+    trace_md5 = "5511b433026bb5e869b7ba50d59ed1f5";
+    summary = "scanned=20 losers=1 replay=32000 graph=0/11/10/0/11/1";
+    now = 946_800;
+    events = 142;
+  }
+
+let instant_2 =
+  {
+    trace_md5 = "aef58426698468d5668e703e98ec3ceb";
+    summary = "scanned=4 losers=0 open_early=true tto=16000 pages=0/0/1/0";
+    now = 2_162_038;
+    events = 406;
+  }
+
+let instant_7 =
+  {
+    trace_md5 = "47136af0da307382df9f5dd623ef9fb0";
+    summary = "scanned=7 losers=0 open_early=true tto=16000 pages=0/0/1/0";
+    now = 4_276_148;
+    events = 449;
+  }
+
+let test_lossy_goldens () =
+  List.iter
+    (fun (seed, g) ->
+      check_golden (Printf.sprintf "lossy seed %d" seed) g
+        (fingerprint ~loss:0.20 ~seed))
+    [ (1, lossy_1); (5, lossy_5); (9, lossy_9) ]
+
+let test_clean_golden () =
+  check_golden "clean seed 3" clean_3 (fingerprint ~loss:0.0 ~seed:3)
+
+let lcg seed =
+  let s = ref seed in
+  fun n ->
+    s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
+    !s mod n
+
+(* Two writer fibers on node 0 updating random cells of [arr] forever,
+   each with its own deterministic stream. *)
+let spawn_writers c tm arr ~seed ~cells =
   for w = 0 to 1 do
     Cluster.spawn c ~node:0 (fun () ->
-        let s = ref (seed + (w * 7919) + 1) in
-        let rand n =
-          s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-          !s mod n
-        in
+        let rand = lcg (seed + (w * 7919) + 1) in
         while true do
           (try
              Txn_lib.execute_transaction tm (fun tid ->
@@ -145,7 +275,24 @@ let recovery_fingerprint ~seed () =
               ());
           Engine.delay (1 + rand 2_000)
         done)
-  done;
+  done
+
+(* A crash and dependency-logged parallel restart: the summary carries
+   the redo-graph shape and the replay time. *)
+let recovery_fingerprint ~seed =
+  let cells = 64 in
+  let c =
+    Cluster.create ~nodes:1 ~seed
+      ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }
+      ()
+  in
+  let node = Cluster.node c 0 in
+  let arr =
+    Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
+  in
+  let engine = Cluster.engine c in
+  let recorder = Recorder.attach engine in
+  spawn_writers c (Node.tm node) arr ~seed ~cells;
   Cluster.run_until c ~time:(400_000 + (seed * 37_000));
   Node.crash node;
   let outcome =
@@ -156,8 +303,6 @@ let recovery_fingerprint ~seed () =
               (Int_array_server.create env ~name:"a" ~segment:1 ~cells ()))
           ())
   in
-  let trace = List.map Jsonl.entry_to_json (Recorder.entries recorder) in
-  Recorder.detach recorder;
   let summary =
     let open Tabs_recovery in
     Printf.sprintf "scanned=%d losers=%d replay=%d graph=%s"
@@ -170,13 +315,12 @@ let recovery_fingerprint ~seed () =
          g.Parallel_redo.dep_edges g.Parallel_redo.critical_path
          g.Parallel_redo.width)
   in
-  (trace, summary, Engine.now engine, Engine.events_processed engine)
+  observe recorder engine summary
 
 (* An instant restart — open after analysis, chains replayed on first
-   touch and by the trickle, under post-restart traffic — must also be
-   mode-independent: same trace (including the ondemand_redo events),
-   same page counters, same time-to-open. *)
-let instant_fingerprint ~seed () =
+   touch and by the trickle, under post-restart traffic. The summary
+   carries the page counters and the time to open. *)
+let instant_fingerprint ~seed =
   let cells = 64 in
   let c =
     Cluster.create ~nodes:1 ~seed
@@ -189,30 +333,9 @@ let instant_fingerprint ~seed () =
   let arr =
     Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
   in
-  ignore arr;
   let engine = Cluster.engine c in
   let recorder = Recorder.attach engine in
-  let tm = Node.tm node in
-  for w = 0 to 1 do
-    Cluster.spawn c ~node:0 (fun () ->
-        let s = ref (seed + (w * 7919) + 1) in
-        let rand n =
-          s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-          !s mod n
-        in
-        while true do
-          (try
-             Txn_lib.execute_transaction tm (fun tid ->
-                 for _ = 0 to rand 3 do
-                   Int_array_server.set arr tid (rand cells) (rand 1000)
-                 done)
-           with
-          | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-          | Errors.Lock_timeout _ ->
-              ());
-          Engine.delay (1 + rand 2_000)
-        done)
-  done;
+  spawn_writers c (Node.tm node) arr ~seed ~cells;
   Cluster.run_until c ~time:(400_000 + (seed * 37_000));
   Node.crash node;
   let outcome =
@@ -227,11 +350,7 @@ let instant_fingerprint ~seed () =
         (* post-restart traffic races the trickle: some chains drain on
            first touch, the rest in the background *)
         Cluster.spawn c ~node:0 (fun () ->
-            let s = ref (seed + 13) in
-            let rand n =
-              s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-              !s mod n
-            in
+            let rand = lcg (seed + 13) in
             let tm' = Node.tm node in
             for _ = 1 to 20 do
               (try
@@ -245,8 +364,6 @@ let instant_fingerprint ~seed () =
             done);
         o)
   in
-  let trace = List.map Jsonl.entry_to_json (Recorder.entries recorder) in
-  Recorder.detach recorder;
   let summary =
     let open Tabs_recovery in
     let m = Metrics.recovery (Engine.metrics engine) ~node:0 in
@@ -258,62 +375,21 @@ let instant_fingerprint ~seed () =
       m.Metrics.restart_pages m.Metrics.ondemand_pages
       m.Metrics.trickle_pages m.Metrics.pending_pages
   in
-  (trace, summary, Engine.now engine, Engine.events_processed engine)
+  observe recorder engine summary
 
-let compare_fingerprints ~what ~seed fast base =
-  let trace_f, summary_f, now_f, events_f = fast in
-  let trace_b, summary_b, now_b, events_b = base in
-  Alcotest.(check string)
-    (Printf.sprintf "seed %d: %s summary" seed what)
-    summary_b summary_f;
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: trace length" seed)
-    (List.length trace_b) (List.length trace_f);
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then
-        Alcotest.failf "seed %d: trace line %d differs:\n  fast: %s\n  base: %s"
-          seed i a b)
-    (List.combine trace_f trace_b);
-  Alcotest.(check int) (Printf.sprintf "seed %d: final now" seed) now_b now_f;
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: events processed" seed)
-    events_b events_f
-
-let test_instant_identical () =
+let test_recovery_goldens () =
   List.iter
-    (fun seed ->
-      compare_fingerprints ~what:"instant restart" ~seed
-        (Sim_profile.with_baseline false (instant_fingerprint ~seed))
-        (Sim_profile.with_baseline true (instant_fingerprint ~seed)))
-    [ 2; 7 ]
+    (fun (seed, g) ->
+      check_golden (Printf.sprintf "parallel restart seed %d" seed) g
+        (recovery_fingerprint ~seed))
+    [ (2, parallel_2); (7, parallel_7) ]
 
-let test_recovery_identical () =
+let test_instant_goldens () =
   List.iter
-    (fun seed ->
-      let fast = Sim_profile.with_baseline false (recovery_fingerprint ~seed) in
-      let base = Sim_profile.with_baseline true (recovery_fingerprint ~seed) in
-      let trace_f, summary_f, now_f, events_f = fast in
-      let trace_b, summary_b, now_b, events_b = base in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: recovery summary" seed)
-        summary_b summary_f;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: trace length" seed)
-        (List.length trace_b) (List.length trace_f);
-      List.iteri
-        (fun i (a, b) ->
-          if a <> b then
-            Alcotest.failf
-              "seed %d: trace line %d differs:\n  fast: %s\n  base: %s" seed i
-              a b)
-        (List.combine trace_f trace_b);
-      Alcotest.(check int) (Printf.sprintf "seed %d: final now" seed) now_b
-        now_f;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: events processed" seed)
-        events_b events_f)
-    [ 2; 7 ]
+    (fun (seed, g) ->
+      check_golden (Printf.sprintf "instant restart seed %d" seed) g
+        (instant_fingerprint ~seed))
+    [ (2, instant_2); (7, instant_7) ]
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -321,12 +397,9 @@ let suites =
   [
     ( "sim.determinism",
       [
-        quick "fast = baseline on lossy distributed commit"
-          test_lossy_identical;
-        quick "fast = baseline on clean run" test_lossless_identical;
-        quick "fast = baseline on crash and parallel restart"
-          test_recovery_identical;
-        quick "fast = baseline on instant restart under traffic"
-          test_instant_identical;
+        quick "lossy commit goldens" test_lossy_goldens;
+        quick "clean run golden" test_clean_golden;
+        quick "parallel restart goldens" test_recovery_goldens;
+        quick "instant restart goldens" test_instant_goldens;
       ] );
   ]
