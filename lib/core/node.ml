@@ -22,38 +22,14 @@ type t = {
   net : Network.t;
   node_id : int;
   profile : Profile.t;
-  group_commit : Group_commit.config option;
-  checkpointing : Checkpointer.config option;
-  parallel_recovery : Parallel_redo.config option;
-  instant_restart : bool;
-  comm_batching : Comm_mgr.batching option;
   commit_protocol : Commit_protocol.t;
-  frames : int;
-  log_space_limit : int;
-  read_only_optimization : bool;
   disk : Disk.t;
-  stable : Stable.t;
+  fresh : unit -> incarnation;
+      (* a new set of managers over the surviving disk and stable
+         storage: the first boot and every restart *)
   mutable live : incarnation;
   mutable up : bool;
 }
-
-let build_incarnation engine net disk stable ~id ~profile ~group_commit
-    ~checkpointing ~parallel_recovery ~instant_restart ~comm_batching
-    ~commit_protocol ~frames ~log_space_limit ~read_only_optimization =
-  let vm = Vm.attach engine disk ~frames ~profile () in
-  let log = Log_manager.attach engine stable in
-  let rm =
-    Recovery_mgr.create engine ~node:id ~log ~vm ~profile ?group_commit
-      ?checkpointing ~log_space_limit ?parallel_recovery ~instant_restart ()
-  in
-  let cm = Comm_mgr.create net ~node:id ?batching:comm_batching () in
-  let tm =
-    Txn_mgr.create engine ~node:id ~rm ~cm ~profile ~commit_protocol
-      ~read_only_optimization ()
-  in
-  let ns = Name_server.create engine ~node:id ~cm in
-  let rpc = Rpc.create_registry engine ~node:id ~cm in
-  { vm; log; rm; cm; tm; ns; rpc }
 
 let create engine net ~id ?(profile = Profile.Classic) ?group_commit
     ?checkpointing ?parallel_recovery ?(instant_restart = false)
@@ -62,15 +38,25 @@ let create engine net ~id ?(profile = Profile.Classic) ?group_commit
     ?(read_only_optimization = true) () =
   let disk = Disk.create engine in
   let stable = Stable.create () in
-  let live =
-    build_incarnation engine net disk stable ~id ~profile ~group_commit
-      ~checkpointing ~parallel_recovery ~instant_restart ~comm_batching
-      ~commit_protocol ~frames ~log_space_limit ~read_only_optimization
+  let fresh () =
+    let vm = Vm.attach engine disk ~frames ~profile () in
+    let log = Log_manager.attach engine stable in
+    let rm =
+      Recovery_mgr.create engine ~node:id ~log ~vm ~profile ?group_commit
+        ?checkpointing ~log_space_limit ?parallel_recovery ~instant_restart ()
+    in
+    let cm = Comm_mgr.create net ~node:id ?batching:comm_batching () in
+    let tm =
+      Txn_mgr.create engine ~node:id ~rm ~cm ~profile ~commit_protocol
+        ~read_only_optimization ()
+    in
+    let ns = Name_server.create engine ~node:id ~cm in
+    let rpc = Rpc.create_registry engine ~node:id ~cm in
+    { vm; log; rm; cm; tm; ns; rpc }
   in
-  { engine; net; node_id = id; profile; group_commit; checkpointing;
-    parallel_recovery; instant_restart; comm_batching; commit_protocol;
-    frames; log_space_limit;
-    read_only_optimization; disk; stable; live; up = true }
+  let live = fresh () in
+  { engine; net; node_id = id; profile; commit_protocol; disk; fresh; live;
+    up = true }
 
 let id t = t.node_id
 
@@ -120,14 +106,7 @@ let crash t =
 let restart t ~reinstall ?(after_recovery = fun _ -> ()) () =
   if t.up then invalid_arg "Node.restart: node is up";
   Network.set_node_up t.net ~node:t.node_id true;
-  t.live <-
-    build_incarnation t.engine t.net t.disk t.stable ~id:t.node_id
-      ~profile:t.profile ~group_commit:t.group_commit
-      ~checkpointing:t.checkpointing ~parallel_recovery:t.parallel_recovery
-      ~instant_restart:t.instant_restart ~comm_batching:t.comm_batching
-      ~commit_protocol:t.commit_protocol
-      ~frames:t.frames ~log_space_limit:t.log_space_limit
-      ~read_only_optimization:t.read_only_optimization;
+  t.live <- t.fresh ();
   t.up <- true;
   (* while the log replays below, the node has "no record" of
      transactions it may well have decided: answering status queries by

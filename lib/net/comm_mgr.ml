@@ -711,17 +711,14 @@ let set_failure_handler t f = t.failure_handler <- f
 
 let set_remote_involvement_handler t f = t.remote_involvement <- f
 
-let create net ~node ?(session_rto = 100_000) ?session_rto_max
-    ?(session_retries = 8) ?(session_resend_burst = 8) ?batching () =
-  let rto_max =
-    match session_rto_max with Some m -> max m session_rto | None -> 8 * session_rto
-  in
+let create net ~node ?(session_rto = 100_000) ?(session_retries = 8)
+    ?(session_resend_burst = 8) ?batching () =
   let t =
     {
       net;
       node_id = node;
       rto = session_rto;
-      rto_max;
+      rto_max = 8 * session_rto;
       retries = session_retries;
       resend_burst = max 1 session_resend_burst;
       batching;

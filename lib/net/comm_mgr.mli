@@ -84,9 +84,9 @@ type peer_stats = {
 
 (** [session_rto] is the base retransmission timeout. Each barren
     retransmission round doubles the timeout (exponential backoff) up to
-    [session_rto_max] (default [8 * session_rto]); an acknowledgement
-    that makes progress resets it to the base. After [session_retries]
-    barren rounds the stream is declared permanently failed.
+    [8 * session_rto]; an acknowledgement that makes progress resets it
+    to the base. After [session_retries] barren rounds the stream is
+    declared permanently failed.
     [session_resend_burst] (default 8) caps how many unacked frames a
     single retransmission round puts back on the wire. [batching]
     enables the comm-batching layer; omitted means off. *)
@@ -94,7 +94,6 @@ val create :
   Network.t ->
   node:int ->
   ?session_rto:int ->
-  ?session_rto_max:int ->
   ?session_retries:int ->
   ?session_resend_burst:int ->
   ?batching:batching ->

@@ -76,11 +76,12 @@ type gather = {
   signal : unit Engine.Waitq.t;
 }
 
-type participant = {
-  p_tid : Tid.t;
-  p_coordinator : int;
-  mutable p_resolved : bool;
-}
+(* A child that has not voted within this long is presumed crashed; a
+   Paxos root waits as long for its accept quorum. *)
+let vote_timeout = 2_000_000
+
+(* Commits between the checkpoints a TM asks of its RM. *)
+let checkpoint_interval = 50
 
 type t = {
   engine : Engine.t;
@@ -90,15 +91,12 @@ type t = {
   cm : Comm_mgr.t;
   commit_protocol : Commit_protocol.t;
   mutable px : Paxos.t option; (* Some iff commit_protocol is Paxos *)
-  vote_timeout : int;
   read_only_optimization : bool;
   mutable ready : bool;
       (* false while a restart is replaying the log: a mid-recovery "no
          record of that transaction" is not "no transaction", so status
          queries must wait for {!recover} to finish *)
   mutable resolutions_abandoned : int;
-  checkpoint_interval : int;
-      (* commits between the checkpoints this TM asks of the RM *)
   mutable commits_since_checkpoint : int;
   mutable distributed_commits : int;
       (* committed tree 2PC rounds this TM coordinated (bench accounting) *)
@@ -110,7 +108,8 @@ type t = {
   outcomes : (Tid.t, outcome) Hashtbl.t; (* top tids with known verdicts *)
   gathers : (Tid.t, gather) Hashtbl.t; (* vote collection in flight *)
   acks : (Tid.t, gather) Hashtbl.t; (* ack collection in flight *)
-  participants : (Tid.t, participant) Hashtbl.t; (* prepared, in doubt *)
+  participants : (Tid.t, int) Hashtbl.t;
+      (* prepared, in doubt: top tid -> coordinator *)
 }
 
 let node t = t.node_id
@@ -264,7 +263,7 @@ let gather_note t table top src verdict =
 let wait_gather t g =
   if g.awaiting <> [] then
     match
-      Engine.Waitq.wait_timeout g.signal ~engine:t.engine ~timeout:t.vote_timeout
+      Engine.Waitq.wait_timeout g.signal ~engine:t.engine ~timeout:vote_timeout
     with
     | Some () -> ()
     | None ->
@@ -297,7 +296,7 @@ let propagate_outcome t top outcome ~to_nodes =
    Recovery Manager for a checkpoint plus, if needed, reclamation. *)
 let maybe_periodic_checkpoint t =
   t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-  if t.commits_since_checkpoint >= t.checkpoint_interval then begin
+  if t.commits_since_checkpoint >= checkpoint_interval then begin
     t.commits_since_checkpoint <- 0;
     ignore
       (Engine.spawn t.engine ~node:t.node_id (fun () ->
@@ -321,111 +320,83 @@ let abort_top t top ~children ~reason =
     propagate_outcome t top Aborted ~to_nodes:children
   end
 
-(* The purely local commit path: no remote spread was recorded. *)
-let commit_local t top =
-  small t;
-  (* commit request *)
-  let wrote = family_wrote_locally t top in
-  Engine.charge_cpu t.engine ~process:"tm"
-    (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
-  Engine.charge_cpu t.engine ~process:"rm"
-    (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  if not (local_votes_ok t top) then begin
-    abort_top t top ~children:[] ~reason:Trace.Vote_no;
-    forget t top;
-    small t;
-    (* verdict to application *)
-    Aborted
-  end
-  else begin
-    if wrote then begin
-      let lsn = Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top) in
-      Recovery_mgr.force_through t.rm lsn
-    end;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = false });
-    notify_local_servers t top Committed;
-    forget t top;
-    small t;
-    Committed
-  end
+let force t record =
+  Recovery_mgr.force_through t.rm (Recovery_mgr.append_tm_record t.rm record)
 
-(* Tree two-phase commit, coordinator side (the root). *)
-let commit_distributed t top =
-  small t;
-  let wrote = family_wrote_locally t top in
-  Engine.charge_cpu t.engine ~process:"tm"
-    (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
-  Engine.charge_cpu t.engine ~process:"rm"
-    (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  let children = Comm_mgr.children_of t.cm top in
+(* Phase one below any node: prepares go down to [children] while the
+   local servers vote; [cast local_ok] runs between the local vote and
+   the wait, so a Paxos root can force its prepare and cast its own
+   ballot-0 vote while the children's votes are in flight. *)
+let prepare_subtree t top ~children ~cast =
   let g = new_gather () t.gathers top children in
   if tracing t then
     emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
   Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
   let local_ok = local_votes_ok t top in
+  cast local_ok;
   wait_gather t g;
   Hashtbl.remove t.gathers top;
-  if g.any_no || not local_ok then begin
-    let reason =
-      if not local_ok then Trace.Vote_no
-      else if g.timed_out then Trace.Comm_failure
-      else Trace.Vote_no
-    in
-    abort_top t top ~children ~reason;
-    forget t top;
-    small t;
-    Aborted
-  end
-  else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
-    (* Whole tree read-only: one phase suffices; subordinates already
-       released their locks when they voted Read_only. *)
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    forget t top;
-    small t;
-    Committed
-  end
-  else begin
-    let lsn = Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top) in
-    Recovery_mgr.force_through t.rm lsn;
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    (* Second phase goes only to children that held updates. The
-       transaction is decided once the commit record is stable, so on an
-       Integrated node the outcome distribution overlaps with succeeding
-       transactions (Section 5.3's optimized commit protocol) in a
-       background fiber; the Classic prototype kept it on the caller's
-       critical path, as the paper measured. *)
-    let phase_two () =
+  (g, local_ok)
+
+let abort_reason g ~local_ok =
+  if local_ok && g.timed_out then Trace.Comm_failure else Trace.Vote_no
+
+(* Whole subtree read-only: one phase suffices; subordinates already
+   released their locks when they voted Read_only. *)
+let read_only_tree t g ~wrote =
+  t.read_only_optimization && (not wrote) && g.all_read_only
+
+let end_leadership t top =
+  match t.px with Some px -> Paxos.end_leader px top | None -> ()
+
+(* The root's one commit verdict. Second phase goes only to children
+   that held updates. The transaction is decided once the decision
+   point is passed, so on an Integrated node the outcome distribution
+   overlaps with succeeding transactions (Section 5.3's optimized
+   commit protocol) in a background fiber; the Classic prototype kept
+   it on the caller's critical path, as the paper measured. *)
+let root_committed t top ~children ~distributed ~phase_two =
+  if distributed then t.distributed_commits <- t.distributed_commits + 1;
+  record_outcome t top Committed;
+  if tracing t then emit t (Txn_commit { node = t.node_id; tid = top; distributed });
+  notify_local_servers t top Committed;
+  if phase_two then begin
+    let second_phase () =
       let a = new_gather () t.acks top children in
       propagate_outcome t top Committed ~to_nodes:children;
       wait_gather t a;
       Hashtbl.remove t.acks top;
       ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_end top));
+      end_leadership t top;
       forget t top
     in
-    (match t.profile with
-    | Profile.Classic -> phase_two ()
+    match t.profile with
+    | Profile.Classic -> second_phase ()
     | Profile.Integrated ->
-        ignore (Engine.spawn t.engine ~node:t.node_id phase_two));
-    small t;
-    Committed
+        ignore (Engine.spawn t.engine ~node:t.node_id second_phase)
   end
+  else begin
+    end_leadership t top;
+    forget t top
+  end;
+  small t;
+  (* verdict to application *)
+  Committed
 
-(* Tree commit, coordinator side, under Paxos Commit. The spanning tree
-   and both phases are unchanged — prepares flow down, votes flow up,
-   the verdict flows down — but root-level participants additionally
-   multicast their votes to the 2F+1 acceptors as ballot-0 accepts, and
-   the decision point moves from "coordinator's commit record forced"
-   to "every instance holds F+1 Prepared accepts". Two consequences:
+let root_aborted t top ~children ~reason =
+  abort_top t top ~children ~reason;
+  end_leadership t top;
+  forget t top;
+  small t;
+  Aborted
+
+(* Tree commit under Paxos Commit: only the decision point differs. The
+   spanning tree and both phases are unchanged — prepares flow down,
+   votes flow up, the verdict flows down — but root-level participants
+   additionally multicast their votes to the 2F+1 acceptors as ballot-0
+   accepts, and the decision point moves from "coordinator's commit
+   record forced" to "every instance holds F+1 Prepared accepts". Two
+   consequences:
 
    - the coordinator appends its commit record {e unforced}: the
      outcome is already quorum-durable at the acceptors, and a takeover
@@ -437,105 +408,88 @@ let commit_distributed t top =
      resolved by running a real ballot. An explicit No is still an
      immediate abort — the No voter never cast Prepared, so no ballot
      can ever choose Commit. *)
-let commit_paxos t px top =
+let commit_paxos t px top ~children ~wrote =
+  Paxos.begin_leader px top ~parts:(t.node_id :: children);
+  let g, local_ok =
+    prepare_subtree t top ~children ~cast:(fun local_ok ->
+        (* the coordinator's own instance: force the prepare first (a
+           vote must never outlive the updates it promises), then cast *)
+        if local_ok && wrote then force t (Record.Txn_prepare (top, t.node_id));
+        Paxos.cast_vote px top ~part:t.node_id ~yes:local_ok)
+  in
+  let committed () =
+    ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top));
+    Paxos.announce px top ~committed:true;
+    root_committed t top ~children ~distributed:true ~phase_two:true
+  in
+  let aborted ~reason ~announce =
+    if announce then Paxos.announce px top ~committed:false;
+    root_aborted t top ~children ~reason
+  in
+  let by_ballot () =
+    if Paxos.resolve_as_coordinator px top then committed ()
+    else aborted ~reason:Trace.Comm_failure ~announce:false
+  in
+  (* a takeover beat us to a verdict while we gathered votes? *)
+  match Paxos.decision_of px top with
+  | Some true -> committed ()
+  | Some false -> aborted ~reason:Trace.Comm_failure ~announce:false
+  | None ->
+      if (g.any_no && not g.timed_out) || not local_ok then
+        (* an explicit No somewhere: abort directly, and tell the
+           acceptors so in-doubt queries are answerable at once *)
+        aborted ~reason:Trace.Vote_no ~announce:true
+      else if g.timed_out then
+        (* silence: resolve through a ballot, never unilaterally *)
+        by_ballot ()
+      else if read_only_tree t g ~wrote then begin
+        (* nothing durable at stake *)
+        Paxos.announce px top ~committed:true;
+        root_committed t top ~children ~distributed:true ~phase_two:false
+      end
+      else
+        match Paxos.await_quorum px top ~timeout:vote_timeout with
+        | `Commit | `Decided true -> committed ()
+        | `Abort | `Decided false -> aborted ~reason:Trace.Vote_no ~announce:true
+        | `Timeout ->
+            (* votes arrived but accept confirmations did not — fewer
+               than F+1 acceptors reachable. Paxos blocks here, by
+               design: resolve through a ballot when quorum returns. *)
+            by_ballot ()
+
+(* The root's commit. One tree protocol with three decision points: a
+   local transaction (no remote spread recorded) has no prepare round
+   and forces its commit record only if it wrote; tree 2PC decides at
+   the forced commit record; Paxos Commit at an acceptor quorum. *)
+let commit_top t top ~distributed =
   small t;
+  (* commit request *)
   let wrote = family_wrote_locally t top in
   Engine.charge_cpu t.engine ~process:"tm"
     (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
   Engine.charge_cpu t.engine ~process:"rm"
     (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  let children = Comm_mgr.children_of t.cm top in
-  Paxos.begin_leader px top ~parts:(t.node_id :: children);
-  let g = new_gather () t.gathers top children in
-  if tracing t then
-    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
-  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  (* the coordinator's own instance: force the prepare first (a vote
-     must never outlive the updates it promises), then cast *)
-  if local_ok && wrote then begin
-    let lsn =
-      Recovery_mgr.append_tm_record t.rm (Record.Txn_prepare (top, t.node_id))
-    in
-    Recovery_mgr.force_through t.rm lsn
-  end;
-  Paxos.cast_vote px top ~part:t.node_id ~yes:local_ok;
-  wait_gather t g;
-  Hashtbl.remove t.gathers top;
-  let finish_abort ~reason ~announce =
-    if announce then Paxos.announce px top ~committed:false;
-    abort_top t top ~children ~reason;
-    Paxos.end_leader px top;
-    forget t top;
-    small t;
-    Aborted
-  in
-  let finish_commit ~forced =
-    if not forced then
-      ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top));
-    Paxos.announce px top ~committed:true;
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    let phase_two () =
-      let a = new_gather () t.acks top children in
-      propagate_outcome t top Committed ~to_nodes:children;
-      wait_gather t a;
-      Hashtbl.remove t.acks top;
-      ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_end top));
-      Paxos.end_leader px top;
-      forget t top
-    in
-    (match t.profile with
-    | Profile.Classic -> phase_two ()
-    | Profile.Integrated ->
-        ignore (Engine.spawn t.engine ~node:t.node_id phase_two));
-    small t;
-    Committed
-  in
-  (* a takeover beat us to a verdict while we gathered votes? *)
-  match Paxos.decision_of px top with
-  | Some true -> finish_commit ~forced:false
-  | Some false -> finish_abort ~reason:Trace.Comm_failure ~announce:false
-  | None ->
-      if (g.any_no && not g.timed_out) || not local_ok then
-        (* an explicit No somewhere: abort directly, and tell the
-           acceptors so in-doubt queries are answerable at once *)
-        finish_abort ~reason:Trace.Vote_no ~announce:true
-      else if g.timed_out then begin
-        (* silence: resolve through a ballot, never unilaterally *)
-        let committed = Paxos.resolve_as_coordinator px top in
-        if committed then finish_commit ~forced:false
-        else finish_abort ~reason:Trace.Comm_failure ~announce:false
-      end
-      else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
-        (* whole tree read-only: one phase, nothing durable at stake *)
-        Paxos.announce px top ~committed:true;
-        t.distributed_commits <- t.distributed_commits + 1;
-        record_outcome t top Committed;
-        if tracing t then
-          emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-        notify_local_servers t top Committed;
-        Paxos.end_leader px top;
-        forget t top;
-        small t;
-        Committed
-      end
-      else begin
-        match Paxos.await_quorum px top ~timeout:t.vote_timeout with
-        | `Commit | `Decided true -> finish_commit ~forced:false
-        | `Abort | `Decided false ->
-            finish_abort ~reason:Trace.Vote_no ~announce:true
-        | `Timeout ->
-            (* votes arrived but accept confirmations did not — fewer
-               than F+1 acceptors reachable. Paxos blocks here, by
-               design: resolve through a ballot when quorum returns. *)
-            let committed = Paxos.resolve_as_coordinator px top in
-            if committed then finish_commit ~forced:false
-            else finish_abort ~reason:Trace.Comm_failure ~announce:false
-      end
+  if not distributed then
+    if not (local_votes_ok t top) then
+      root_aborted t top ~children:[] ~reason:Trace.Vote_no
+    else begin
+      if wrote then force t (Record.Txn_commit top);
+      root_committed t top ~children:[] ~distributed ~phase_two:false
+    end
+  else
+    let children = Comm_mgr.children_of t.cm top in
+    match t.px with
+    | Some px -> commit_paxos t px top ~children ~wrote
+    | None ->
+        let g, local_ok = prepare_subtree t top ~children ~cast:ignore in
+        if g.any_no || not local_ok then
+          root_aborted t top ~children ~reason:(abort_reason g ~local_ok)
+        else if read_only_tree t g ~wrote then
+          root_committed t top ~children ~distributed ~phase_two:false
+        else begin
+          force t (Record.Txn_commit top);
+          root_committed t top ~children ~distributed ~phase_two:true
+        end
 
 (* Subordinate side ----------------------------------------------------- *)
 
@@ -629,13 +583,7 @@ let handle_prepare t top ~src =
   if tracing t then emit t (Prepare_received { node = t.node_id; tid = top; src });
   Engine.charge_cpu t.engine ~process:"tm" Overheads.tm_commit_write;
   let children = Comm_mgr.children_of t.cm top in
-  let g = new_gather () t.gathers top children in
-  if tracing t then
-    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
-  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  wait_gather t g;
-  Hashtbl.remove t.gathers top;
+  let g, local_ok = prepare_subtree t top ~children ~cast:ignore in
   let wrote = family_wrote_locally t top in
   let send_vote vote =
     (* Under Paxos Commit a direct child of the root is a root-level
@@ -656,16 +604,11 @@ let handle_prepare t top ~src =
     Comm_mgr.send_datagram t.cm ~dest:src (Tm_vote (top, vote))
   in
   if g.any_no || not local_ok then begin
-    let reason =
-      if not local_ok then Trace.Vote_no
-      else if g.timed_out then Trace.Comm_failure
-      else Trace.Vote_no
-    in
-    abort_top t top ~children ~reason;
+    abort_top t top ~children ~reason:(abort_reason g ~local_ok);
     forget t top;
     send_vote No
   end
-  else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
+  else if read_only_tree t g ~wrote then begin
     (* Read-only subtree: release and drop out of phase two. *)
     record_outcome t top Committed;
     notify_local_servers t top Committed;
@@ -673,12 +616,8 @@ let handle_prepare t top ~src =
     send_vote Read_only
   end
   else begin
-    let lsn =
-      Recovery_mgr.append_tm_record t.rm (Record.Txn_prepare (top, src))
-    in
-    Recovery_mgr.force_through t.rm lsn;
-    Hashtbl.replace t.participants top
-      { p_tid = top; p_coordinator = src; p_resolved = false };
+    force t (Record.Txn_prepare (top, src));
+    Hashtbl.replace t.participants top src;
     if tracing t then
       emit t (Prepared_in_doubt { node = t.node_id; tid = top; coordinator = src });
     (* If the coordinator's verdict never arrives we are blocked in
@@ -692,14 +631,8 @@ let apply_decided_outcome t top outcome ~ack_to =
   (* The verdict may reach us in the prepared state (normal phase two),
      or while still active (a coordinator-initiated abort), or again
      (duplicate datagram). Only the first arrival is applied. *)
-  let was_in_doubt =
-    match Hashtbl.find_opt t.participants top with
-    | Some p ->
-        p.p_resolved <- true;
-        Hashtbl.remove t.participants top;
-        true
-    | None -> false
-  in
+  let was_in_doubt = Hashtbl.mem t.participants top in
+  Hashtbl.remove t.participants top;
   if Hashtbl.mem t.outcomes top then
     Option.iter
       (fun dest -> Comm_mgr.send_datagram t.cm ~dest (Tm_ack top))
@@ -733,6 +666,25 @@ let apply_decided_outcome t top outcome ~ack_to =
         (fun dest -> Comm_mgr.send_datagram t.cm ~dest (Tm_ack top))
         ack_to
   end
+
+(* A verdict arriving from [src]: phase two from the parent, or an
+   answer to a status query. *)
+let verdict t top outcome ~src ~ack_to =
+  if tracing t then
+    emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
+  apply_decided_outcome t top outcome ~ack_to
+
+(* A status reply or Paxos decision is accepted for a prepared
+   participant (normal in-doubt resolution) or for an undecided orphan
+   participant still holding effects of a remote transaction. *)
+let resolution t top outcome ~src =
+  let orphan =
+    (not (Hashtbl.mem t.outcomes top))
+    && top.Tid.node <> t.node_id
+    && Comm_mgr.involved_remotely t.cm top
+  in
+  if Hashtbl.mem t.participants top || orphan then
+    verdict t top outcome ~src ~ack_to:None
 
 (* In-doubt resolution: a prepared participant that hears nothing asks
    its coordinator. Presumed abort: a coordinator with no record of the
@@ -774,11 +726,7 @@ let commit t tid =
     small t;
     Committed
   end
-  else if Comm_mgr.involved_remotely t.cm tid then
-    match t.px with
-    | Some px -> commit_paxos t px tid
-    | None -> commit_distributed t tid
-  else commit_local t tid
+  else commit_top t tid ~distributed:(Comm_mgr.involved_remotely t.cm tid)
 
 let abort t ?(reason = Trace.Explicit) tid =
   small t;
@@ -825,8 +773,7 @@ let recover t (summary : Recovery_mgr.recovery_outcome) =
     summary.losers;
   List.iter
     (fun (tid, coordinator) ->
-      Hashtbl.replace t.participants tid
-        { p_tid = tid; p_coordinator = coordinator; p_resolved = false };
+      Hashtbl.replace t.participants tid coordinator;
       if tracing t then
         emit t (Prepared_in_doubt { node = t.node_id; tid; coordinator });
       start_resolver t tid ~coordinator ~delay:200_000)
@@ -838,8 +785,8 @@ let recover t (summary : Recovery_mgr.recovery_outcome) =
   t.ready <- true
 
 let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
-    ?(commit_protocol = Commit_protocol.default) ?(vote_timeout = 2_000_000)
-    ?(read_only_optimization = true) ?(checkpoint_interval = 50) () =
+    ?(commit_protocol = Commit_protocol.default)
+    ?(read_only_optimization = true) () =
   let t =
     {
       engine;
@@ -851,9 +798,7 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       px = None;
       ready = true;
       resolutions_abandoned = 0;
-      vote_timeout;
       read_only_optimization;
-      checkpoint_interval;
       commits_since_checkpoint = 0;
       distributed_commits = 0;
       (* Transaction identifiers must be globally unique across crashes:
@@ -884,9 +829,7 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       t.px <- Some (Paxos.create engine ~node ~f ~rm ~cm ()));
   Recovery_mgr.set_active_txns_source rm (fun () -> active_txns t);
   Recovery_mgr.set_prepared_source rm (fun () ->
-      Hashtbl.fold
-        (fun top p acc ->
-          if p.p_resolved then acc else (top, p.p_coordinator) :: acc)
+      Hashtbl.fold (fun top coordinator acc -> (top, coordinator) :: acc)
         t.participants []);
   Comm_mgr.set_remote_involvement_handler cm (fun tid ->
       (* the Communication Manager's first-spread notice to the TM *)
@@ -908,57 +851,21 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
           | Some px when v = Read_only && top.Tid.node = t.node_id ->
               Paxos.cast_vote px top ~part:src ~yes:true
           | _ -> ());
-          gather_note t t.gathers top src v;
-          if v = No then
-            (* make sure a blocked coordinator learns promptly *)
-            gather_note t t.gathers top src No
-      | Tm_commit top ->
-          if tracing t then
-            emit t
-              (Verdict_received
-                 { node = t.node_id; tid = top; outcome = Committed; src });
-          apply_decided_outcome t top Committed ~ack_to:(Some src)
-      | Tm_abort top ->
-          if tracing t then
-            emit t
-              (Verdict_received
-                 { node = t.node_id; tid = top; outcome = Aborted; src });
-          apply_decided_outcome t top Aborted ~ack_to:(Some src)
+          gather_note t t.gathers top src v
+      | Tm_commit top -> verdict t top Committed ~src ~ack_to:(Some src)
+      | Tm_abort top -> verdict t top Aborted ~src ~ack_to:(Some src)
       | Tm_ack top ->
           if tracing t then
             emit t (Ack_received { node = t.node_id; tid = top; src });
           gather_note t t.acks top src Yes
       | Tm_status_query top -> handle_status_query t top ~src
-      | Tm_status_reply (top, outcome) ->
-          (* accept for a prepared participant (normal in-doubt
-             resolution) or for an undecided orphan participant still
-             holding effects of a remote transaction *)
-          let orphan =
-            (not (Hashtbl.mem t.outcomes top))
-            && top.Tid.node <> t.node_id
-            && Comm_mgr.involved_remotely t.cm top
-          in
-          if Hashtbl.mem t.participants top || orphan then begin
-            if tracing t then
-              emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
-            apply_decided_outcome t top outcome ~ack_to:None
-          end
+      | Tm_status_reply (top, outcome) -> resolution t top outcome ~src
       | Paxos.Px_decision { tid = top; committed } ->
           (* A Paxos decision reaching a blocked participant (from an
              acceptor answering its status query, or a takeover's
-             broadcast). Same acceptance rule as Tm_status_reply; the
-             Paxos module's own handler separately records the decision
-             for this node's acceptor/leader roles. *)
-          let outcome = if committed then Committed else Aborted in
-          let orphan =
-            (not (Hashtbl.mem t.outcomes top))
-            && top.Tid.node <> t.node_id
-            && Comm_mgr.involved_remotely t.cm top
-          in
-          if Hashtbl.mem t.participants top || orphan then begin
-            if tracing t then
-              emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
-            apply_decided_outcome t top outcome ~ack_to:None
-          end
+             broadcast). The Paxos module's own handler separately
+             records the decision for this node's acceptor/leader
+             roles. *)
+          resolution t top (if committed then Committed else Aborted) ~src
       | _ -> ());
   t

@@ -129,10 +129,10 @@ type server_callbacks = {
 
     [read_only_optimization] (default true) lets subtrees that logged
     nothing vote Read_only and drop out of phase two; disabling it
-    exists for the ablation benchmark. Every [checkpoint_interval]
-    commits (default 50) the Transaction Manager asks the Recovery
-    Manager for a system checkpoint and, if the log is near its space
-    limit, reclamation. *)
+    exists for the ablation benchmark. A child that has not voted
+    within 2 s is presumed crashed. Every 50 commits the Transaction
+    Manager asks the Recovery Manager for a system checkpoint and, if
+    the log is near its space limit, reclamation. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
@@ -140,9 +140,7 @@ val create :
   cm:Tabs_net.Comm_mgr.t ->
   ?profile:Tabs_sim.Profile.t ->
   ?commit_protocol:Commit_protocol.t ->
-  ?vote_timeout:int ->
   ?read_only_optimization:bool ->
-  ?checkpoint_interval:int ->
   unit ->
   t
 
@@ -183,7 +181,9 @@ val join : t -> tid:Tabs_wal.Tid.t -> server:string -> unit
     Top-level: if the Communication Manager saw no remote spread, a
     purely local commit (forcing the log only when updates were made);
     otherwise the full tree two-phase commit, with the read-only
-    optimization for subtrees that logged nothing.
+    optimization for subtrees that logged nothing. Under
+    {!Commit_protocol.Paxos} the same tree commit is decided at an
+    acceptor quorum instead of the forced commit record.
 
     Subtransaction: passes locks to the parent, always [Committed]
     (durability awaits the top-level commit). *)

@@ -43,8 +43,8 @@ let check_golden name expected actual =
 
 (* One lossy-commit run; the summary is every metrics counter, down to
    the per-node rollup. *)
-let fingerprint ~loss ~seed =
-  let c = Cluster.create ~nodes ~seed () in
+let fingerprint ?profile ?commit_protocol ~loss ~seed () =
+  let c = Cluster.create ?profile ?commit_protocol ~nodes ~seed () in
   List.iter
     (fun node ->
       ignore
@@ -209,6 +209,204 @@ let clean_3 =
     events = 564;
   }
 
+let paxos_1 =
+  {
+    trace_md5 = "2e047d742fafc8099518b2175bcf434e";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=208.500/0.000;\
+       Small Contiguous Message=266.000/0.000;\
+       Large Contiguous Message=133.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=118.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=320 frames=320 piggy=0 delayed=0 covered=0 dup=5;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=114.000;\
+       n0:Small Contiguous Message=118.000;\
+       n0:Large Contiguous Message=51.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=46.000;n1:Datagram=53.500;\
+       n1:Small Contiguous Message=68.000;\
+       n1:Large Contiguous Message=44.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=39.000;n2:Datagram=41.000;\
+       n2:Small Contiguous Message=62.000;\
+       n2:Large Contiguous Message=38.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=33.000;";
+    now = 600_000_000;
+    events = 1573;
+  }
+
+let paxos_5 =
+  {
+    trace_md5 = "ec737692da10b75a856e5a7d534760a1";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=236.500/0.000;\
+       Small Contiguous Message=273.000/0.000;\
+       Large Contiguous Message=138.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=123.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=364 frames=364 piggy=0 delayed=0 covered=0 dup=8;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=116.500;\
+       n0:Small Contiguous Message=112.000;\
+       n0:Large Contiguous Message=45.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=40.000;n1:Datagram=61.000;\
+       n1:Small Contiguous Message=69.000;\
+       n1:Large Contiguous Message=43.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=38.000;n2:Datagram=59.000;\
+       n2:Small Contiguous Message=74.000;\
+       n2:Large Contiguous Message=50.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=45.000;";
+    now = 600_000_000;
+    events = 1750;
+  }
+
+let paxos_9 =
+  {
+    trace_md5 = "094db4ae0e8cf20a89b42a757151cc80";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=221.500/0.000;\
+       Small Contiguous Message=274.000/0.000;\
+       Large Contiguous Message=139.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=124.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=336 frames=336 piggy=0 delayed=0 covered=0 dup=7;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=110.000;\
+       n0:Small Contiguous Message=112.000;\
+       n0:Large Contiguous Message=45.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=40.000;n1:Datagram=53.500;\
+       n1:Small Contiguous Message=72.000;\
+       n1:Large Contiguous Message=48.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=43.000;n2:Datagram=58.000;\
+       n2:Small Contiguous Message=72.000;\
+       n2:Large Contiguous Message=46.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=41.000;";
+    now = 600_000_000;
+    events = 1673;
+  }
+
+let integrated_1 =
+  {
+    trace_md5 = "15f63cf3bbe143e592ee19e1fafe7358";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=35.000/0.000;\
+       Small Contiguous Message=99.000/43.000;\
+       Large Contiguous Message=25.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=10.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=91 frames=91 piggy=0 delayed=0 covered=0 dup=4;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=17.000;\
+       n0:Small Contiguous Message=44.000;\
+       n0:Large Contiguous Message=9.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=4.000;n1:Datagram=7.000;\
+       n1:Small Contiguous Message=18.000;\
+       n1:Large Contiguous Message=7.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=2.000;n2:Datagram=11.000;\
+       n2:Small Contiguous Message=22.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 488;
+  }
+
+let integrated_5 =
+  {
+    trace_md5 = "11a1054ca1495087a34d699e4d0a9f16";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=35.000/0.000;\
+       Small Contiguous Message=100.000/46.000;\
+       Large Contiguous Message=28.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=13.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=102 frames=102 piggy=0 delayed=0 covered=0 dup=8;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=17.000;\
+       n0:Small Contiguous Message=43.000;\
+       n0:Large Contiguous Message=10.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=5.000;n1:Datagram=9.000;\
+       n1:Small Contiguous Message=21.000;\
+       n1:Large Contiguous Message=9.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=4.000;n2:Datagram=9.000;\
+       n2:Small Contiguous Message=21.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 526;
+  }
+
+let integrated_9 =
+  {
+    trace_md5 = "11ffce127566511d264c604aef80dd79";
+    summary =
+      "Data Server Call=5.000/0.000;\
+       Inter-Node Data Server Call=10.000/0.000;\
+       Datagram=41.000/0.000;\
+       Small Contiguous Message=103.000/45.000;\
+       Large Contiguous Message=27.000/0.000;\
+       Pointer Message=0.000/0.000;\
+       Random Access Paged I/O=7.000/0.000;\
+       Sequential Read=0.000/0.000;\
+       Stable Storage Write=12.000/0.000;\
+       Coalesced Extra Frame=0.000/0.000;\
+       wire=94 frames=94 piggy=0 delayed=0 covered=0 dup=3;\
+       abandoned=0;n0:Data Server Call=5.000;\
+       n0:Inter-Node Data Server Call=10.000;n0:Datagram=18.000;\
+       n0:Small Contiguous Message=44.000;\
+       n0:Large Contiguous Message=9.000;\
+       n0:Random Access Paged I/O=5.000;\
+       n0:Stable Storage Write=4.000;n1:Datagram=14.000;\
+       n1:Small Contiguous Message=22.000;\
+       n1:Large Contiguous Message=9.000;\
+       n1:Random Access Paged I/O=1.000;\
+       n1:Stable Storage Write=4.000;n2:Datagram=9.000;\
+       n2:Small Contiguous Message=22.000;\
+       n2:Large Contiguous Message=9.000;\
+       n2:Random Access Paged I/O=1.000;\
+       n2:Stable Storage Write=4.000;";
+    now = 600_000_000;
+    events = 520;
+  }
+
 let parallel_2 =
   {
     trace_md5 = "5896420ae4eee0e165104c78730e0858";
@@ -245,11 +443,30 @@ let test_lossy_goldens () =
   List.iter
     (fun (seed, g) ->
       check_golden (Printf.sprintf "lossy seed %d" seed) g
-        (fingerprint ~loss:0.20 ~seed))
+        (fingerprint ~loss:0.20 ~seed ()))
     [ (1, lossy_1); (5, lossy_5); (9, lossy_9) ]
 
 let test_clean_golden () =
-  check_golden "clean seed 3" clean_3 (fingerprint ~loss:0.0 ~seed:3)
+  check_golden "clean seed 3" clean_3 (fingerprint ~loss:0.0 ~seed:3 ())
+
+(* The same lossy runs under the two commit variants the 2PC rows do not
+   reach: Paxos Commit (root prepare forced, commit record unforced,
+   quorum-decided) and the Integrated profile (phase two in a background
+   fiber). *)
+let test_paxos_goldens () =
+  List.iter
+    (fun (seed, g) ->
+      check_golden (Printf.sprintf "paxos lossy seed %d" seed) g
+        (fingerprint ~commit_protocol:(Tabs_tm.Commit_protocol.Paxos { f = 1 })
+           ~loss:0.20 ~seed ()))
+    [ (1, paxos_1); (5, paxos_5); (9, paxos_9) ]
+
+let test_integrated_goldens () =
+  List.iter
+    (fun (seed, g) ->
+      check_golden (Printf.sprintf "integrated lossy seed %d" seed) g
+        (fingerprint ~profile:Profile.Integrated ~loss:0.20 ~seed ()))
+    [ (1, integrated_1); (5, integrated_5); (9, integrated_9) ]
 
 let lcg seed =
   let s = ref seed in
@@ -399,6 +616,8 @@ let suites =
       [
         quick "lossy commit goldens" test_lossy_goldens;
         quick "clean run golden" test_clean_golden;
+        quick "paxos lossy commit goldens" test_paxos_goldens;
+        quick "integrated lossy commit goldens" test_integrated_goldens;
         quick "parallel restart goldens" test_recovery_goldens;
         quick "instant restart goldens" test_instant_goldens;
       ] );
