@@ -29,11 +29,10 @@ type point = {
 
 let horizon = 10_000_000 (* 10 virtual seconds *)
 
-let gc_config = { Tabs_recovery.Group_commit.window = 5_000; max_batch = 64 }
-
 let run_point ?comm_batching ~workers () =
   let cluster =
-    Cluster.create ~nodes:3 ~group_commit:gc_config ?comm_batching ()
+    Cluster.create ~nodes:3 ~group_commit:Tabs_recovery.Group_commit.default
+      ?comm_batching ()
   in
   let cells = max 1024 (workers * 4) in
   List.iter

@@ -19,18 +19,18 @@ type pair = { off : Generator.stats; on_ : Generator.stats }
 
 let shard_counts = [ 1; 2; 4; 8; 16 ]
 
-let gc_config = { Tabs_recovery.Group_commit.window = 5_000; max_batch = 64 }
-
 let batch_config = Tabs_net.Comm_mgr.default_batching
 
 let base = Generator.default
 
 let run_pair shards =
   {
-    off = Generator.run ~group_commit:gc_config { base with shards };
-    on_ =
-      Generator.run ~group_commit:gc_config ~comm_batching:batch_config
+    off =
+      Generator.run ~group_commit:Tabs_recovery.Group_commit.default
         { base with shards };
+    on_ =
+      Generator.run ~group_commit:Tabs_recovery.Group_commit.default
+        ~comm_batching:batch_config { base with shards };
   }
 
 (* Chaos arm: kill one shard's node mid-load under the Zipfian arrival
@@ -75,7 +75,8 @@ let run_chaos ~instant =
   let open Tabs_servers in
   let scramble = Generator.scramble and poisson_gap = Generator.poisson_gap in
   let c =
-    Cluster.create ~nodes:chaos_shards ~group_commit:gc_config
+    Cluster.create ~nodes:chaos_shards
+      ~group_commit:Tabs_recovery.Group_commit.default
       ~checkpointing:
         { Tabs_recovery.Checkpointer.default with interval = 100_000 }
       ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }

@@ -203,7 +203,7 @@ let run_tabs_messages () =
 
 let run_tabs_scaleout () =
   let s =
-    Generator.run ~group_commit:Scaleout.gc_config
+    Generator.run ~group_commit:Tabs_recovery.Group_commit.default
       { Generator.default with shards = 8; offered_load = 600. }
   in
   { txns = s.Generator.committed; events = s.Generator.events }

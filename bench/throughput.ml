@@ -138,7 +138,7 @@ let print_all () =
 
 type gc_point = { off : point; on_ : point }
 
-let gc_config = { Tabs_recovery.Group_commit.window = 5_000; max_batch = 64 }
+let gc_config = Tabs_recovery.Group_commit.default
 
 let gc_workers = [ 1; 2; 4; 8; 16; 32 ]
 

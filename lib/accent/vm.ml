@@ -58,8 +58,6 @@ let set_on_fault t f = t.on_fault <- f
 
 let disk t = t.disk
 
-let profile t = t.profile
-
 (* One leg of the kernel <-> Recovery Manager paging protocol. On a
    Classic node it is an Accent small message and delays the caller; on
    an Integrated node the Recovery Manager lives in the kernel's address

@@ -64,8 +64,6 @@ val set_wal_hooks : t -> wal_hooks -> unit
     the owning fiber). [None] (the default) costs one match. *)
 val set_on_fault : t -> (Tabs_storage.Disk.page_id -> unit) option -> unit
 
-val profile : t -> Tabs_sim.Profile.t
-
 val disk : t -> Tabs_storage.Disk.t
 
 (** [read t obj ~access] reads the object's bytes, demand-paging with

@@ -21,8 +21,6 @@ type t = {
   engine : Engine.t;
   net : Network.t;
   node_id : int;
-  profile : Profile.t;
-  commit_protocol : Commit_protocol.t;
   disk : Disk.t;
   fresh : unit -> incarnation;
       (* a new set of managers over the surviving disk and stable
@@ -55,16 +53,9 @@ let create engine net ~id ?(profile = Profile.Classic) ?group_commit
     { vm; log; rm; cm; tm; ns; rpc }
   in
   let live = fresh () in
-  { engine; net; node_id = id; profile; commit_protocol; disk; fresh; live;
-    up = true }
+  { engine; net; node_id = id; disk; fresh; live; up = true }
 
 let id t = t.node_id
-
-let profile t = t.profile
-
-let commit_protocol t = t.commit_protocol
-
-let engine t = t.engine
 
 let tm t = t.live.tm
 

@@ -82,12 +82,6 @@ val create :
 
 val id : t -> int
 
-val profile : t -> Tabs_sim.Profile.t
-
-val commit_protocol : t -> Tabs_tm.Commit_protocol.t
-
-val engine : t -> Tabs_sim.Engine.t
-
 (** [env t] bundles the current incarnation's handles for building data
     servers and applications. Invalidated by {!crash}. *)
 val env : t -> Server_lib.env

@@ -13,8 +13,6 @@ type location = { shard : int; node : int; instance : string; base : int }
 
 let create topology = { topology; keyspaces = Hashtbl.create 8 }
 
-let topology t = t.topology
-
 let keyspace t server =
   match Hashtbl.find_opt t.keyspaces server with
   | Some ks -> ks
@@ -113,8 +111,6 @@ let locate_hashed t ~server ~key =
       make_location t ~server ~shard ~base:0
   | Ranged _ -> invalid_arg (server ^ ": ranged keyspace, use locate")
 
-let node_of t ~server ~key = (locate t ~server ~key).node
-
 let shards_of t ~server ~keys =
   List.sort_uniq compare (List.map (fun key -> shard_of t ~server ~key) keys)
 
@@ -123,9 +119,6 @@ let ranges t ~server =
   | Ranged ranges ->
       Array.to_list (Array.mapi (fun s r -> (s, r.lo, r.hi)) ranges)
   | Hashed -> invalid_arg (server ^ ": hashed keyspace has no ranges")
-
-let keyspaces t =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.keyspaces [])
 
 let publish t ns ~server ~only_node =
   match (keyspace t server).strategy with

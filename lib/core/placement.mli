@@ -24,8 +24,6 @@ type location = { shard : int; node : int; instance : string; base : int }
 
 val create : Topology.t -> t
 
-val topology : t -> Topology.t
-
 (** [partition t ~server ~keys] splits integer keys [0..keys-1] of
     keyspace [server] into contiguous ranges, one per shard, as evenly
     as integer division allows (first ranges get the remainder).
@@ -50,8 +48,6 @@ val locate_hashed : t -> server:string -> key:string -> location
 
 val shard_of : t -> server:string -> key:int -> int
 
-val node_of : t -> server:string -> key:int -> int
-
 (** [shards_of t ~server ~keys] is the distinct, sorted set of shards an
     operation touching [keys] must visit — singleton for a single-shard
     transaction, longer for one that will need distributed commit. *)
@@ -60,9 +56,6 @@ val shards_of : t -> server:string -> keys:int list -> int list
 (** [ranges t ~server] lists [(shard, lo, hi)] with [lo <= k < hi], in
     shard order (for tests and reporting; empty ranges included). *)
 val ranges : t -> server:string -> (int * int * int) list
-
-(** [keyspaces t] lists the placed logical names. *)
-val keyspaces : t -> string list
 
 (** [publish t ns ~server] registers every shard slice of [server] in
     [ns] under the logical name, with the owned range encoded in the

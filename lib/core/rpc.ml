@@ -36,8 +36,6 @@ type registry = {
 
 let expose t ~server dispatch = Hashtbl.replace t.servers server dispatch
 
-let withdraw t ~server = Hashtbl.remove t.servers server
-
 let set_call_timeout t micros = t.call_timeout <- micros
 
 let run_dispatch t ~server ~tid ~op ~arg =

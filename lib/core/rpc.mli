@@ -22,9 +22,6 @@ val create_registry :
     dispatcher on its node ([AcceptRequests]). *)
 val expose : registry -> server:string -> dispatch -> unit
 
-(** [withdraw registry ~server] removes the entry point (server down). *)
-val withdraw : registry -> server:string -> unit
-
 (** [call registry ~dest ~server ~tid ~op ~arg] invokes an operation on
     a data server from within a fiber. [dest] is the server's node;
     when it equals the registry's node the call is local. Raises

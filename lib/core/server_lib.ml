@@ -21,7 +21,6 @@ type t = {
   name : string;
   segment : int;
   locks : Lock_manager.t;
-  lock_timeout : int;
   buffered : (Tid.t * Object_id.t, string) Hashtbl.t;
   marked : (Tid.t, Object_id.t list ref) Hashtbl.t;
   joined : (Tid.t, unit) Hashtbl.t; (* top tids whose first op was seen *)
@@ -29,8 +28,6 @@ type t = {
   ops : (string, (arg:string -> unit) * (arg:string -> unit)) Hashtbl.t;
       (* op name -> (redo, undo) *)
 }
-
-let name t = t.name
 
 let env t = t.env
 
@@ -53,8 +50,10 @@ let clear_txn_state t top =
   Hashtbl.remove t.joined (Tid.top_level top);
   Hashtbl.remove t.wrote (Tid.top_level top)
 
-let create env ~name ~segment ~pages ?(compatible = Mode.standard)
-    ?(lock_timeout = 2_000_000) () =
+(* Deadlock time-out for every server's lock waits. *)
+let lock_timeout = 2_000_000
+
+let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
   Disk.ensure_segment (Vm.disk env.vm) segment ~pages;
   let t =
     {
@@ -62,7 +61,6 @@ let create env ~name ~segment ~pages ?(compatible = Mode.standard)
       name;
       segment;
       locks = Lock_manager.create ~compatible ~default_timeout:lock_timeout env.engine ();
-      lock_timeout;
       buffered = Hashtbl.create 32;
       marked = Hashtbl.create 8;
       joined = Hashtbl.create 32;
@@ -125,8 +123,6 @@ let accept_requests t dispatch =
 
 let create_object_id t ~offset ~length =
   Object_id.make ~segment:t.segment ~offset ~length
-
-let object_offset _t (obj : Object_id.t) = obj.offset
 
 (* Locking -------------------------------------------------------------- *)
 

@@ -26,19 +26,16 @@ type env = {
 (** [create env ~name ~segment ~pages ()] initializes the server: maps
     (and, first time, creates) its recoverable segment, builds its lock
     manager with the given compatibility relation, and registers with
-    the Transaction Manager and Recovery Manager. [lock_timeout] is the
-    user-set deadlock time-out. *)
+    the Transaction Manager and Recovery Manager. Lock waits give up
+    after the deadlock time-out, 2 s of virtual time. *)
 val create :
   env ->
   name:string ->
   segment:int ->
   pages:int ->
   ?compatible:Tabs_lock.Mode.compat ->
-  ?lock_timeout:int ->
   unit ->
   t
-
-val name : t -> string
 
 val env : t -> env
 
@@ -66,9 +63,6 @@ val enter_operation : t -> Tabs_wal.Tid.t -> unit
     (byte offset within the mapped segment) and a length to a logical
     object identifier. *)
 val create_object_id : t -> offset:int -> length:int -> Tabs_wal.Object_id.t
-
-(** [object_offset t obj] is the inverse conversion. *)
-val object_offset : t -> Tabs_wal.Object_id.t -> int
 
 (** {2 Locking} *)
 

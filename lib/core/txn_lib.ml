@@ -13,8 +13,6 @@ let end_transaction tm tid =
 
 let abort_transaction tm tid = Txn_mgr.abort tm tid
 
-let transaction_is_aborted tm tid = Txn_mgr.is_aborted tm tid
-
 (* Classify the exception that killed the transaction body for the
    trace stream's abort-reason taxonomy. *)
 let abort_reason_of = function

@@ -16,10 +16,6 @@ val end_transaction : Tabs_tm.Txn_mgr.t -> Tabs_wal.Tid.t -> bool
 
 val abort_transaction : Tabs_tm.Txn_mgr.t -> Tabs_wal.Tid.t -> unit
 
-(** [transaction_is_aborted tm tid] mirrors the library's exception
-    query: true once the transaction (or an ancestor) aborted. *)
-val transaction_is_aborted : Tabs_tm.Txn_mgr.t -> Tabs_wal.Tid.t -> bool
-
 (** [execute_transaction tm f] runs [f] inside a fresh top-level
     transaction, committing on return and aborting if [f] raises (the
     exception is re-raised). Raises {!Errors.Transaction_is_aborted}

@@ -243,9 +243,6 @@ let is_locked t key =
   | None -> false
   | Some e -> e.holds <> []
 
-let holders t key =
-  match Table.find_opt t.table key with None -> [] | Some e -> e.holds
-
 let held_by t tid =
   Table.fold
     (fun key e acc ->

@@ -75,9 +75,6 @@ val try_lock : t -> Tabs_wal.Tid.t -> Tabs_wal.Object_id.t -> Mode.t -> bool
 (** [is_locked t key] is the server library's [IsObjectLocked]. *)
 val is_locked : t -> Tabs_wal.Object_id.t -> bool
 
-(** [holders t key] lists current holders with their modes. *)
-val holders : t -> Tabs_wal.Object_id.t -> (Tabs_wal.Tid.t * Mode.t list) list
-
 (** [held_by t tid] lists the keys [tid] currently holds. *)
 val held_by : t -> Tabs_wal.Tid.t -> Tabs_wal.Object_id.t list
 

@@ -35,8 +35,6 @@ let deregister t ~name ~server =
       (fun e -> not (String.equal e.name name && String.equal e.server server))
       t.table
 
-let local_entries t = t.table
-
 (* Generalized lookup: collect matching entries (local table first, then
    a broadcast round) until [enough] is satisfied or [max_wait] passes.
    The count-based [lookup] and the placement-aware [lookup_owner] are

@@ -31,9 +31,6 @@ val deregister : t -> name:string -> server:string -> unit
 val lookup :
   t -> name:string -> ?desired:int -> ?max_wait:int -> unit -> entry list
 
-(** [local_entries t] lists this node's registrations (for tests). *)
-val local_entries : t -> entry list
-
 (** {2 Placement-aware lookups}
 
     A sharded keyspace advertises each shard's slice through the

@@ -55,16 +55,6 @@ type batching = {
 let default_batching =
   { ack_delay = 30_000; flush_delay = 1_000; max_frames = 16; max_bytes = 8_192 }
 
-(* Per-peer wire accounting, mirrored into the engine-global
-   {!Metrics.msgs} block. *)
-type peer_stats = {
-  mutable wire_messages : int;
-  mutable carried_frames : int;
-  mutable piggybacked_acks : int;
-  mutable delayed_acks : int;
-  mutable duplicate_reacks : int;
-}
-
 type out_session = {
   mutable seq : int; (* next sequence number to assign *)
   mutable acked : int; (* all < acked are acknowledged *)
@@ -120,7 +110,6 @@ type t = {
   in_sessions : (int, in_session) Hashtbl.t;
   out_batches : (int, out_batch) Hashtbl.t;
   pending_acks : (int, pending_ack) Hashtbl.t;
-  peer_stats : (int, peer_stats) Hashtbl.t;
   trees : (Tid.t, tree) Hashtbl.t; (* keyed by top-level tid *)
   mutable datagram_handlers : (src:int -> Network.payload -> unit) list;
   mutable session_handler : src:int -> Network.payload -> unit;
@@ -136,64 +125,32 @@ let engine t = Network.engine t.net
    inter-node RPC primitive charged above this layer. *)
 let session_wire_delay = 2_000
 
-let node t = t.node_id
-
 let batching t = t.batching
 
 let shutdown t = t.alive <- false
 
 (* Wire accounting ---------------------------------------------------- *)
 
-let peer_stats_of t peer =
-  match Hashtbl.find_opt t.peer_stats peer with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          wire_messages = 0;
-          carried_frames = 0;
-          piggybacked_acks = 0;
-          delayed_acks = 0;
-          duplicate_reacks = 0;
-        }
-      in
-      Hashtbl.add t.peer_stats peer s;
-      s
-
-let peer_wire_stats t ~peer = Hashtbl.find_opt t.peer_stats peer
-
-let total_wire_messages t =
-  Hashtbl.fold (fun _ s acc -> acc + s.wire_messages) t.peer_stats 0
-
 let global_msgs t = Metrics.msgs (Engine.metrics (engine t))
 
-let count_wire t ~peer ~frames =
+let count_wire t ~frames =
   let m = global_msgs t in
   m.Metrics.wire_messages <- m.Metrics.wire_messages + 1;
-  m.Metrics.carried_frames <- m.Metrics.carried_frames + frames;
-  let s = peer_stats_of t peer in
-  s.wire_messages <- s.wire_messages + 1;
-  s.carried_frames <- s.carried_frames + frames
+  m.Metrics.carried_frames <- m.Metrics.carried_frames + frames
 
-let count_piggybacked t ~peer ~covered =
+let count_piggybacked t ~covered =
   let m = global_msgs t in
   m.Metrics.piggybacked_acks <- m.Metrics.piggybacked_acks + 1;
-  m.Metrics.ack_deliveries_covered <- m.Metrics.ack_deliveries_covered + covered;
-  let s = peer_stats_of t peer in
-  s.piggybacked_acks <- s.piggybacked_acks + 1
+  m.Metrics.ack_deliveries_covered <- m.Metrics.ack_deliveries_covered + covered
 
-let count_delayed_ack t ~peer ~covered =
+let count_delayed_ack t ~covered =
   let m = global_msgs t in
   m.Metrics.delayed_acks <- m.Metrics.delayed_acks + 1;
-  m.Metrics.ack_deliveries_covered <- m.Metrics.ack_deliveries_covered + covered;
-  let s = peer_stats_of t peer in
-  s.delayed_acks <- s.delayed_acks + 1
+  m.Metrics.ack_deliveries_covered <- m.Metrics.ack_deliveries_covered + covered
 
-let count_duplicate_reack t ~peer =
+let count_duplicate_reack t =
   let m = global_msgs t in
-  m.Metrics.duplicate_reacks <- m.Metrics.duplicate_reacks + 1;
-  let s = peer_stats_of t peer in
-  s.duplicate_reacks <- s.duplicate_reacks + 1
+  m.Metrics.duplicate_reacks <- m.Metrics.duplicate_reacks + 1
 
 (* Commit spanning tree ------------------------------------------------ *)
 
@@ -276,7 +233,7 @@ let out_session t peer =
       s
 
 let transmit_frame t ~dest frame =
-  count_wire t ~peer:dest ~frames:1;
+  count_wire t ~frames:1;
   Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Session
     ~delay:session_wire_delay frame
 
@@ -327,7 +284,7 @@ let flush_batch t ~dest =
             pa.live <- false;
             let covered = pa.covered in
             pa.covered <- 0;
-            count_piggybacked t ~peer:dest ~covered;
+            count_piggybacked t ~covered;
             ( frames
               @ [ (false, Sess_ack { seq = pa.upto; incarnation = pa.pa_incarnation }) ],
               true )
@@ -337,7 +294,7 @@ let flush_batch t ~dest =
       let control = List.length (List.filter fst frames) in
       ignore
         (Engine.spawn (engine t) ~node:t.node_id (fun () ->
-             count_wire t ~peer:dest ~frames:n;
+             count_wire t ~frames:n;
              if Engine.tracing (engine t) then
                Engine.emit (engine t)
                  (Comm_batch
@@ -420,7 +377,7 @@ let ack_window_expired t ~peer (b : batching) =
         pa.live <- false;
         let covered = pa.covered in
         pa.covered <- 0;
-        count_delayed_ack t ~peer ~covered;
+        count_delayed_ack t ~covered;
         enqueue t ~dest:peer ~control:false
           (Sess_ack { seq = pa.upto; incarnation = pa.pa_incarnation })
           b
@@ -566,7 +523,7 @@ let handle_ack t ~src ~seq ~incarnation =
       end
 
 let send_ack_now t ~dest ~seq ~incarnation =
-  count_wire t ~peer:dest ~frames:1;
+  count_wire t ~frames:1;
   Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Session
     ~delay:session_wire_delay
     (Sess_ack { seq; incarnation })
@@ -577,7 +534,7 @@ let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
       (* We have no state for this stream (we probably restarted) and
          this frame is not its beginning: earlier frames were delivered
          to our previous incarnation. Ask the sender to renumber. *)
-      count_wire t ~peer:src ~frames:1;
+      count_wire t ~frames:1;
       Network.transmit t.net ~src:t.node_id ~dest:src ~channel:Network.Session
         ~delay:session_wire_delay (Sess_reset { incarnation })
   | state ->
@@ -602,7 +559,7 @@ let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
     (* Duplicate of a delivered message: re-ack, do not deliver. With
        batching on the re-ack joins the delayed-ack path so it can
        piggyback instead of spending a wire message of its own. *)
-    count_duplicate_reack t ~peer:src;
+    count_duplicate_reack t;
     match t.batching with
     | None -> send_ack_now t ~dest:src ~seq:(s.expected - 1) ~incarnation
     | Some b -> note_ack_due t ~src ~seq:(s.expected - 1) ~incarnation b
@@ -632,7 +589,7 @@ let send_datagram t ~dest payload =
   | None ->
       Engine.charge (engine t) Cost_model.Datagram;
       Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t);
-      count_wire t ~peer:dest ~frames:1;
+      count_wire t ~frames:1;
       Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Datagram
         ~delay:0 payload
 
@@ -649,7 +606,7 @@ let send_datagrams_parallel t ~dests payload =
               (* overlapped sends cost the paper's half-datagram increment *)
               Engine.charge_fraction (engine t) Cost_model.Datagram ~num:1 ~den:2;
               Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t / 2);
-              count_wire t ~peer:dest ~frames:1;
+              count_wire t ~frames:1;
               Network.transmit t.net ~src:t.node_id ~dest
                 ~channel:Network.Datagram ~delay:0 payload)
             rest)
@@ -661,7 +618,7 @@ let broadcast t payload =
   List.iter
     (fun dest ->
       if dest <> t.node_id then begin
-        count_wire t ~peer:dest ~frames:1;
+        count_wire t ~frames:1;
         Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Broadcast
           ~delay:(datagram_delay t) payload
       end)
@@ -677,26 +634,28 @@ let handle_session_payload t ~src payload =
   | Sess_reset { incarnation } -> handle_reset t ~src ~incarnation
   | _ -> ()
 
+let dispatch_frame t ~src frame =
+  match frame with
+  | Sess_data _ | Sess_ack _ | Sess_reset _ -> handle_session_payload t ~src frame
+  | _ -> List.iter (fun handler -> handler ~src frame) t.datagram_handlers
+
 (* Unpack a coalesced wire message: every frame gets its own fiber,
    mirroring the one-fiber-per-transmission semantics of the unbatched
    paths (a handler that blocks — a prepare gathering votes, an RPC
    dispatch waiting on a lock — must not stall the frames behind it).
    FIFO scheduling of same-instant fibers preserves session frame
    order. *)
-let dispatch_frame t ~src frame =
-  match frame with
-  | Sess_data _ | Sess_ack _ | Sess_reset _ -> handle_session_payload t ~src frame
-  | _ -> List.iter (fun handler -> handler ~src frame) t.datagram_handlers
+let unpack t ~src frames =
+  List.iter
+    (fun frame ->
+      ignore
+        (Engine.spawn (engine t) ~node:t.node_id (fun () ->
+             dispatch_frame t ~src frame)))
+    frames
 
 let dispatch_wire t ~src payload =
   match payload with
-  | Coalesced frames ->
-      List.iter
-        (fun frame ->
-          ignore
-            (Engine.spawn (engine t) ~node:t.node_id (fun () ->
-                 dispatch_frame t ~src frame)))
-        frames
+  | Coalesced frames -> unpack t ~src frames
   | _ -> handle_session_payload t ~src payload
 
 (* Wiring ------------------------------------------------------------ *)
@@ -727,7 +686,6 @@ let create net ~node ?(session_rto = 100_000) ?(session_retries = 8)
       in_sessions = Hashtbl.create 8;
       out_batches = Hashtbl.create 8;
       pending_acks = Hashtbl.create 8;
-      peer_stats = Hashtbl.create 8;
       trees = Hashtbl.create 32;
       datagram_handlers = [];
       session_handler = (fun ~src:_ _ -> ());
@@ -740,13 +698,7 @@ let create net ~node ?(session_rto = 100_000) ?(session_retries = 8)
   Network.register net ~node ~channel:Network.Datagram (fun ~src payload ->
       if t.alive then
         match payload with
-        | Coalesced frames ->
-            List.iter
-              (fun frame ->
-                ignore
-                  (Engine.spawn (engine t) ~node:t.node_id (fun () ->
-                       dispatch_frame t ~src frame)))
-              frames
+        | Coalesced frames -> unpack t ~src frames
         | _ ->
             List.iter (fun handler -> handler ~src payload) t.datagram_handlers);
   Network.register net ~node ~channel:Network.Broadcast (fun ~src payload ->

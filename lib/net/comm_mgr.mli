@@ -72,16 +72,6 @@ type batching = {
 
 val default_batching : batching
 
-(** Per-peer wire accounting (see {!Tabs_sim.Metrics.msgs} for the
-    engine-global mirror). *)
-type peer_stats = {
-  mutable wire_messages : int;
-  mutable carried_frames : int;
-  mutable piggybacked_acks : int;
-  mutable delayed_acks : int;
-  mutable duplicate_reacks : int;
-}
-
 (** [session_rto] is the base retransmission timeout. Each barren
     retransmission round doubles the timeout (exponential backoff) up to
     [8 * session_rto]; an acknowledgement that makes progress resets it
@@ -99,8 +89,6 @@ val create :
   ?batching:batching ->
   unit ->
   t
-
-val node : t -> int
 
 (** [batching t] is the batching configuration, if enabled. *)
 val batching : t -> batching option
@@ -150,16 +138,6 @@ val set_failure_handler : t -> (peer:int -> unit) -> unit
 val broadcast : t -> Network.payload -> unit
 
 val set_broadcast_handler : t -> (src:int -> Network.payload -> unit) -> unit
-
-(** {2 Wire accounting} *)
-
-(** [peer_wire_stats t ~peer] is this incarnation's live traffic
-    counters towards [peer], if any traffic has flowed. *)
-val peer_wire_stats : t -> peer:int -> peer_stats option
-
-(** [total_wire_messages t] sums {!peer_stats.wire_messages} over all
-    peers of this incarnation. *)
-val total_wire_messages : t -> int
 
 (** {2 Commit spanning tree} *)
 

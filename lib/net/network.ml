@@ -60,8 +60,6 @@ let set_node_up t ~node up =
   s.up <- up;
   if not up then s.handlers <- []
 
-let node_up t ~node = (state t node).up
-
 let pair a b = if a < b then (a, b) else (b, a)
 
 let set_partitioned t a b p =

@@ -31,8 +31,6 @@ val register :
     crashing also clears its handlers. *)
 val set_node_up : t -> node:int -> bool -> unit
 
-val node_up : t -> node:int -> bool
-
 (** [set_partitioned t a b p] cuts (or heals) the link between [a] and
     [b] in both directions. *)
 val set_partitioned : t -> int -> int -> bool -> unit

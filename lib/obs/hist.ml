@@ -31,6 +31,4 @@ let p95 t = percentile t 95.0
 
 let p99 t = percentile t 99.0
 
-let mean t = if t.n = 0 then 0 else List.fold_left ( + ) 0 t.samples / t.n
-
 let max_value t = List.fold_left max 0 t.samples

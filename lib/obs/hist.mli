@@ -20,6 +20,4 @@ val p95 : t -> int
 
 val p99 : t -> int
 
-val mean : t -> int
-
 val max_value : t -> int

@@ -5,6 +5,4 @@
 
 val entry_to_json : Recorder.entry -> string
 
-val to_channel : out_channel -> Recorder.entry list -> unit
-
 val to_file : string -> Recorder.entry list -> unit

@@ -22,7 +22,3 @@ let detach t = Engine.set_tracer t.engine None
 let entries t = List.rev t.rev_entries
 
 let length t = t.count
-
-let clear t =
-  t.rev_entries <- [];
-  t.count <- 0

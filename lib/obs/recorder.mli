@@ -17,5 +17,3 @@ val detach : t -> unit
 val entries : t -> entry list
 
 val length : t -> int
-
-val clear : t -> unit

@@ -8,6 +8,7 @@ let value_to_string = function
   | Event_info.Ints l ->
       "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 
+(* One line: [[    12.345 ms] event_name k=v k=v ...]. *)
 let entry_line ({ time; event } : Recorder.entry) =
   let info = Event_info.inspect event in
   let fields =

@@ -1,8 +1,5 @@
 (** Human-readable trace rendering for [tabs_demo --trace]. *)
 
-(** One line: [[    12.345 ms] event_name k=v k=v ...]. *)
-val entry_line : Recorder.entry -> string
-
 val dump : out_channel -> Recorder.entry list -> unit
 
 (** Aggregate span statistics: counts, commit-latency percentiles, and

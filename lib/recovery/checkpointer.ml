@@ -18,14 +18,11 @@ type t = {
   engine : Engine.t;
   node : int;
   vm : Vm.t;
-  log : Log_manager.t;
   config : config;
-  checkpoint : unit -> Record.lsn;
-      (* the Recovery Manager's fuzzy checkpoint, passed as a closure
-         because the Recovery Manager owns this daemon *)
-  floor : unit -> Record.lsn option;
-      (* extra truncation floor (Paxos acceptor state lives outside the
-         transaction chains but must survive until its txn is decided) *)
+  checkpoint_and_truncate : unit -> Record.lsn * int;
+      (* the Recovery Manager's fuzzy checkpoint and log truncation,
+         passed as a closure because the Recovery Manager owns this
+         daemon *)
   gate : unit -> bool;
       (* cycles are skipped while this is false. Restart recovery holds
          it: after [Log_manager.attach] the chain table is empty until
@@ -64,27 +61,12 @@ let cycle t =
         Engine.emit t.engine
           (Rm_writeback
              { node = t.node; pages = List.length victims; oldest_rec_lsn }));
-  let ck = t.checkpoint () in
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) ck (Vm.dirty_pages t.vm)
-  in
-  let keep_from =
-    match Log_manager.oldest_first_lsn t.log with
-    | Some first -> min keep_from first
-    | None -> keep_from
-  in
-  let keep_from =
-    match t.floor () with
-    | Some f -> min keep_from f
-    | None -> keep_from
-  in
-  let reclaimable = keep_from - Log_manager.first_lsn t.log in
-  if reclaimable > 0 then begin
-    t.reclaimed <- t.reclaimed + reclaimable;
-    Log_manager.truncate t.log ~keep_from;
+  let keep_from, reclaimed = t.checkpoint_and_truncate () in
+  if reclaimed > 0 then begin
+    t.reclaimed <- t.reclaimed + reclaimed;
     if Engine.tracing t.engine then
       Engine.emit t.engine
-        (Rm_reclaimed { node = t.node; keep_from; records = reclaimable })
+        (Rm_reclaimed { node = t.node; keep_from; records = reclaimed })
   end
 
 let rec daemon t =
@@ -93,17 +75,15 @@ let rec daemon t =
   if t.gate () then cycle t;
   daemon t
 
-let create engine ~node ~vm ~log ~checkpoint ?(floor = fun () -> None)
-    ?(gate = fun () -> true) config =
+let create engine ~node ~vm ~checkpoint_and_truncate ?(gate = fun () -> true)
+    config =
   let t =
     {
       engine;
       node;
       vm;
-      log;
       config;
-      checkpoint;
-      floor;
+      checkpoint_and_truncate;
       gate;
       wake_q = Engine.Waitq.create ();
       pending = false;
@@ -127,8 +107,6 @@ let poke t =
     (not t.pending)
     && Engine.now t.engine - t.last_cycle >= t.config.interval
   then request t
-
-let config t = t.config
 
 let cycles t = t.cycles
 

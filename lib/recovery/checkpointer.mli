@@ -40,24 +40,21 @@ type Tabs_sim.Trace.event +=
       records : int;
     }
 
-(** [create engine ~node ~vm ~log ~checkpoint ?floor ?gate config]
-    spawns the daemon fiber. [checkpoint] is the Recovery Manager's
-    fuzzy checkpoint (passed as a closure — the Recovery Manager owns
-    the daemon). [?floor] supplies an extra truncation floor each cycle:
-    Paxos Commit acceptor records belong to no local transaction chain,
-    so without it the daemon would reclaim consensus state a takeover
-    still needs. [?gate] (default: always true) is consulted before each
-    cycle; a cycle whose gate reads false is skipped entirely. Restart
-    recovery holds the gate closed: until it restores the log's chain
-    table, a cycle would see no live chains, truncate in-doubt undo
-    records, and write a checkpoint missing the prepared set. *)
+(** [create engine ~node ~vm ~checkpoint_and_truncate ?gate config]
+    spawns the daemon fiber. [checkpoint_and_truncate] is the Recovery
+    Manager's fuzzy checkpoint followed by its log truncation (passed as
+    a closure — the Recovery Manager owns the daemon); it returns the
+    truncation point and the number of records it reclaimed. [?gate]
+    (default: always true) is consulted before each cycle; a cycle whose
+    gate reads false is skipped entirely. Restart recovery holds the
+    gate closed: until it restores the log's chain table, a cycle would
+    see no live chains, truncate in-doubt undo records, and write a
+    checkpoint missing the prepared set. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
   vm:Tabs_accent.Vm.t ->
-  log:Tabs_wal.Log_manager.t ->
-  checkpoint:(unit -> Tabs_wal.Record.lsn) ->
-  ?floor:(unit -> Tabs_wal.Record.lsn option) ->
+  checkpoint_and_truncate:(unit -> Tabs_wal.Record.lsn * int) ->
   ?gate:(unit -> bool) ->
   config ->
   t
@@ -69,8 +66,6 @@ val poke : t -> unit
 (** [request t] forces a cycle regardless of the interval — the
     log-space-limit path. Never blocks the caller. *)
 val request : t -> unit
-
-val config : t -> config
 
 (** Cycles completed, pages trickled out, and log records reclaimed so
     far — statistics for tests and benchmarks. *)

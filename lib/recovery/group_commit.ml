@@ -100,5 +100,3 @@ let force_through t ~upto =
 let batches t = t.batches
 
 let coalesced t = t.coalesced
-
-let config t = t.config

@@ -58,5 +58,3 @@ val batches : t -> int
 
 (** Total force requests coalesced into those batches. *)
 val coalesced : t -> int
-
-val config : t -> config

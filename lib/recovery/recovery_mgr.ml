@@ -114,10 +114,6 @@ type t = {
 
 let log t = t.log
 
-let vm t = t.vm
-
-let profile t = t.profile
-
 let register_op_handler t ~server handler =
   Hashtbl.replace t.op_handlers server handler
 
@@ -413,7 +409,8 @@ let checkpoint t =
 
 (* Truncate the log below the checkpoint at [ck], keeping every live
    update chain, the recovery LSN of every page still dirty (pinned
-   pages can survive a flush), and [floor]. *)
+   pages can survive a flush), and [floor]. Returns the truncation point
+   and how many records it reclaimed (not positive when nothing goes). *)
 let truncate_below t ~ck ~floor =
   let keep_from =
     match min_opt (Log_manager.oldest_first_lsn t.log) floor with
@@ -423,7 +420,9 @@ let truncate_below t ~ck ~floor =
   let keep_from =
     List.fold_left (fun acc (_, r) -> min acc r) keep_from (Vm.dirty_pages t.vm)
   in
-  Log_manager.truncate t.log ~keep_from
+  let reclaimed = keep_from - Log_manager.first_lsn t.log in
+  Log_manager.truncate t.log ~keep_from;
+  (keep_from, reclaimed)
 
 (* Reclamation "may force pages back to disk before they would otherwise
    be written": flush, checkpoint, and truncate below the checkpoint.
@@ -432,7 +431,7 @@ let truncate_below t ~ck ~floor =
 let reclaim t ~floor =
   Vm.flush_all t.vm;
   let ck = checkpoint t in
-  truncate_below t ~ck ~floor:(floor ())
+  ignore (truncate_below t ~ck ~floor:(floor ()))
 
 let maybe_reclaim t =
   if Log_manager.stable_bytes t.log <= t.log_space_limit then false
@@ -489,9 +488,10 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
   t.checkpointer <-
     Option.map
       (fun config ->
-        Checkpointer.create engine ~node ~vm ~log
-          ~checkpoint:(fun () -> checkpoint t)
-          ~floor:(fun () -> reclamation_floor t)
+        Checkpointer.create engine ~node ~vm
+          ~checkpoint_and_truncate:(fun () ->
+            let ck = checkpoint t in
+            truncate_below t ~ck ~floor:(reclamation_floor t))
           ~gate:(fun () -> not t.recovering)
           config)
       checkpointing;
@@ -949,7 +949,7 @@ let recover ?anchored t =
   in
   Log_manager.force_all t.log;
   (match closing with
-  | Some (ck, floor) -> truncate_below t ~ck ~floor
+  | Some (ck, floor) -> ignore (truncate_below t ~ck ~floor)
   | None -> park t g apply ~paxos);
   t.last_statuses <-
     List.sort compare
@@ -979,8 +979,6 @@ let recover ?anchored t =
   t.recovering <- false;
   ignore (Engine.Waitq.signal_all t.open_q ~engine:t.engine ());
   outcome
-
-let recovering t = t.recovering
 
 (* Park until [recover] returns — the moment the node opens. On an
    instant restart that is right after analysis; on a full restart it is

@@ -141,10 +141,6 @@ val create :
 
 val log : t -> Tabs_wal.Log_manager.t
 
-val vm : t -> Tabs_accent.Vm.t
-
-val profile : t -> Tabs_sim.Profile.t
-
 (** [register_op_handler t ~server handler] installs the logical
     undo/redo code for [server]'s operation-logged objects. *)
 val register_op_handler : t -> server:string -> op_handler -> unit
@@ -279,14 +275,6 @@ val maybe_reclaim : t -> bool
     report them at their oldest parked record, so a re-crash in the
     serving window recovers correctly. *)
 val recover : ?anchored:bool -> t -> recovery_outcome
-
-(** [recovering t] is true while a {!recover} call is in progress. In
-    that window the chain table rebuilt from the log is incomplete, so
-    the Recovery Manager pins its reclamation floor at the log's first
-    retained record and the checkpoint daemon skips its cycles — a
-    truncation decided mid-recovery would otherwise eat undo records
-    that in-doubt transactions still need. *)
-val recovering : t -> bool
 
 (** [await_open t] parks the calling fiber until the in-progress
     {!recover} returns — the moment the node opens for service. Server

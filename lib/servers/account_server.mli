@@ -46,13 +46,6 @@ val deposit : t -> Tabs_wal.Tid.t -> int -> int -> unit
     (reading would observe an uncommitted sum). *)
 val credit : t -> Tabs_wal.Tid.t -> int -> int -> unit
 
-(** [withdraw t tid i amount] subtracts a non-negative [amount] under a
-    write lock with [transfer]'s funds check — the debit half of a
-    cross-shard transfer. Raises
-    [Tabs_core.Errors.Server_error "InsufficientFunds"] when the balance
-    is too small. *)
-val withdraw : t -> Tabs_wal.Tid.t -> int -> int -> unit
-
 (** [transfer t tid ~from_ ~to_ amount] moves [amount] atomically,
     logging a single multi-page operation record. Raises
     [Tabs_core.Errors.Server_error "InsufficientFunds"] when the source

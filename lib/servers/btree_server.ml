@@ -23,8 +23,6 @@ let max_leaf_keys = 8
 
 type t = { server : Server_lib.t; pages : int }
 
-let server t = t.server
-
 let page_obj t page =
   Server_lib.create_object_id t.server ~offset:(page * Page.size)
     ~length:Page.size

@@ -20,8 +20,6 @@
 
 type t
 
-val max_key_len : int
-
 val max_value_len : int
 
 val create :
@@ -31,8 +29,6 @@ val create :
   ?pages:int ->
   unit ->
   t
-
-val server : t -> Tabs_core.Server_lib.t
 
 (** [insert t tid ~key ~value] adds or overwrites the entry. Raises
     [Tabs_core.Errors.Server_error] on oversized keys/values or when the

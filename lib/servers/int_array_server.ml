@@ -11,8 +11,6 @@ type t = { server : Server_lib.t; n_cells : int }
 
 let server t = t.server
 
-let cells t = t.n_cells
-
 let cell_obj t i =
   (* one cells_per_page run per page: cell i lives on page
      i / cells_per_page at slot i mod cells_per_page *)

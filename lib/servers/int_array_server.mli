@@ -22,8 +22,6 @@ val create :
 
 val server : t -> Tabs_core.Server_lib.t
 
-val cells : t -> int
-
 (** {2 Direct (same-address-space) operations}
 
     These run the real code path — locking, pinning, logging — and must
@@ -42,13 +40,7 @@ val get :
 val set :
   t -> Tabs_wal.Tid.t -> ?access:[ `Random | `Sequential ] -> int -> int -> unit
 
-(** {2 RPC argument codecs (the Matchmaker role)} *)
-
-val encode_get : ?access:[ `Random | `Sequential ] -> int -> string
-
-val encode_set : ?access:[ `Random | `Sequential ] -> int -> int -> string
-
-val decode_int_reply : string -> int
+(** {2 RPC client stubs (the Matchmaker role)} *)
 
 (** [call_get rpc ~dest ~server tid i] — client stub usable from any
     node. *)

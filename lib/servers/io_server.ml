@@ -33,8 +33,6 @@ type t = {
       (* volatile: unterminated output line per area (slot, text) *)
 }
 
-let server t = t.server
-
 let area_check a = if a < 0 || a >= areas then raise (Errors.Server_error "BadArea")
 
 let table_obj t a field =

@@ -37,8 +37,6 @@ val areas : int  (** number of display areas on the screen *)
 val create :
   Tabs_core.Server_lib.env -> name:string -> segment:int -> unit -> t
 
-val server : t -> Tabs_core.Server_lib.t
-
 (** [obtain_io_area t] allocates a free display area. Raises
     [Tabs_core.Errors.Server_error "NoFreeArea"] if all are taken. Must
     run inside a fiber (performs its own transaction). *)

@@ -14,57 +14,44 @@ let deploy_instances cluster ~name create_instance =
       in
       (shard, create_instance ~shard ~node ~instance))
 
+(* [slice placement ~server ~shard] is the [lo, hi) key range of a
+   range-partitioned server's shard. *)
+let slice placement ~server ~shard =
+  match
+    List.find_opt (fun (s, _, _) -> s = shard) (Placement.ranges placement ~server)
+  with
+  | Some (_, lo, hi) -> (lo, hi)
+  | None -> invalid_arg "Sharded: unknown shard"
+
 module Int_array = struct
   type t = {
     placement : Placement.t;
     logical : string;
-    n_keys : int;
     segment : int;
     instances : (int * Int_array_server.t) list;
   }
 
-  let deploy cluster ~name ~keys ?(segment = 1) () =
-    let placement = Cluster.placement cluster in
-    Placement.partition placement ~server:name ~keys;
-    let instances =
-      deploy_instances cluster ~name (fun ~shard ~node ~instance ->
-          let lo, hi =
-            match
-              List.find_opt (fun (s, _, _) -> s = shard)
-                (Placement.ranges placement ~server:name)
-            with
-            | Some (_, lo, hi) -> (lo, hi)
-            | None -> assert false
-          in
-          Placement.publish placement (Node.ns node) ~server:name
-            ~only_node:(Some (Node.id node));
-          Int_array_server.create (Node.env node) ~name:instance
-            ~segment:(segment + shard)
-            ~cells:(max 1 (hi - lo))
-            ())
-    in
-    { placement; logical = name; n_keys = keys; segment; instances }
-
-  let keys t = t.n_keys
-
-  let reinstall t ~shard (env : Server_lib.env) =
-    let lo, hi =
-      match
-        List.find_opt (fun (s, _, _) -> s = shard)
-          (Placement.ranges t.placement ~server:t.logical)
-      with
-      | Some (_, lo, hi) -> (lo, hi)
-      | None -> invalid_arg "Sharded.Int_array.reinstall: unknown shard"
-    in
-    let instance =
-      Placement.instance_name t.placement ~server:t.logical ~shard
-    in
+  let install t ~shard (env : Server_lib.env) =
+    let lo, hi = slice t.placement ~server:t.logical ~shard in
     Placement.publish t.placement env.ns ~server:t.logical
       ~only_node:(Some env.node);
-    Int_array_server.create env ~name:instance
+    Int_array_server.create env
+      ~name:(Placement.instance_name t.placement ~server:t.logical ~shard)
       ~segment:(t.segment + shard)
       ~cells:(max 1 (hi - lo))
       ()
+
+  let deploy cluster ~name ~keys ?(segment = 1) () =
+    let placement = Cluster.placement cluster in
+    Placement.partition placement ~server:name ~keys;
+    let t = { placement; logical = name; segment; instances = [] } in
+    let instances =
+      deploy_instances cluster ~name (fun ~shard ~node ~instance:_ ->
+          install t ~shard (Node.env node))
+    in
+    { t with instances }
+
+  let reinstall = install
 
   let instances t = t.instances
 
@@ -85,7 +72,6 @@ module Accounts = struct
   type t = {
     placement : Placement.t;
     logical : string;
-    n_accounts : int;
     instances : (int * Account_server.t) list;
   }
 
@@ -94,14 +80,7 @@ module Accounts = struct
     Placement.partition placement ~server:name ~keys:accounts;
     let instances =
       deploy_instances cluster ~name (fun ~shard ~node ~instance ->
-          let lo, hi =
-            match
-              List.find_opt (fun (s, _, _) -> s = shard)
-                (Placement.ranges placement ~server:name)
-            with
-            | Some (_, lo, hi) -> (lo, hi)
-            | None -> assert false
-          in
+          let lo, hi = slice placement ~server:name ~shard in
           Placement.publish placement (Node.ns node) ~server:name
             ~only_node:(Some (Node.id node));
           Account_server.create (Node.env node) ~name:instance
@@ -109,9 +88,7 @@ module Accounts = struct
             ~accounts:(max 1 (hi - lo))
             ())
     in
-    { placement; logical = name; n_accounts = accounts; instances }
-
-  let accounts t = t.n_accounts
+    { placement; logical = name; instances }
 
   let instances t = t.instances
 
@@ -148,20 +125,16 @@ module Btree = struct
   type t = {
     placement : Placement.t;
     logical : string;
-    instances : (int * Btree_server.t) list;
   }
 
   let deploy cluster ~name ?(segment = 1) () =
     let placement = Cluster.placement cluster in
     Placement.partition_hashed placement ~server:name;
-    let instances =
-      deploy_instances cluster ~name (fun ~shard ~node ~instance ->
-          Btree_server.create (Node.env node) ~name:instance
-            ~segment:(segment + shard) ())
-    in
-    { placement; logical = name; instances }
-
-  let instances t = t.instances
+    ignore
+      (deploy_instances cluster ~name (fun ~shard ~node ~instance ->
+           Btree_server.create (Node.env node) ~name:instance
+             ~segment:(segment + shard) ()));
+    { placement; logical = name }
 
   let locate t key = Placement.locate_hashed t.placement ~server:t.logical ~key
 

@@ -21,8 +21,6 @@ module Int_array : sig
   val deploy :
     Tabs_core.Cluster.t -> name:string -> keys:int -> ?segment:int -> unit -> t
 
-  val keys : t -> int
-
   (** [reinstall t ~shard env] re-creates shard [shard]'s physical
       instance against a restarted node's fresh environment (same
       instance name, segment, and cell count as {!deploy} chose) and
@@ -58,8 +56,6 @@ module Accounts : sig
     Tabs_core.Cluster.t ->
     name:string -> accounts:int -> ?segment:int -> unit -> t
 
-  val accounts : t -> int
-
   val instances : t -> (int * Account_server.t) list
 
   val locate : t -> int -> Tabs_core.Placement.location
@@ -82,10 +78,6 @@ module Btree : sig
 
   val deploy :
     Tabs_core.Cluster.t -> name:string -> ?segment:int -> unit -> t
-
-  val instances : t -> (int * Btree_server.t) list
-
-  val locate : t -> string -> Tabs_core.Placement.location
 
   val insert :
     t -> Tabs_core.Rpc.registry -> Tabs_wal.Tid.t ->

@@ -24,10 +24,6 @@ type t = {
          wait on the latch or they could clobber a reserved tail. *)
 }
 
-let server t = t.server
-
-let capacity t = t.cap
-
 let head_obj t = Server_lib.create_object_id t.server ~offset:0 ~length:8
 
 let element_obj t index =
@@ -57,8 +53,6 @@ let read_head t = decode_int64 (Server_lib.read_object t.server (head_obj t)) 0
 
 let read_element t index =
   decode_element (Server_lib.read_object t.server (element_obj t index))
-
-let head = read_head
 
 let tail t = t.tail
 

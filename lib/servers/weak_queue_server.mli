@@ -33,16 +33,9 @@ val create :
   unit ->
   t
 
-val server : t -> Tabs_core.Server_lib.t
-
-val capacity : t -> int
-
-(** Volatile tail and permanent head, exposed for tests of the
-    recomputation logic. [head] must run inside a fiber; [tail] is only
+(** Volatile tail, exposed for tests of the recomputation logic. Only
     meaningful after the first operation of the server's current
     incarnation (the recomputation from InUse bits is lazy). *)
-val head : t -> int
-
 val tail : t -> int
 
 (** [enqueue t tid v] adds [v]; raises

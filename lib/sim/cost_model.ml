@@ -24,7 +24,7 @@ let all =
     Coalesced_frame;
   ]
 
-let index = function
+let to_int = function
   | Data_server_call -> 0
   | Inter_node_data_server_call -> 1
   | Datagram -> 2
@@ -37,8 +37,6 @@ let index = function
   | Coalesced_frame -> 9
 
 let count = 10
-
-let to_int = index
 
 let name = function
   | Data_server_call -> "Data Server Call"
@@ -54,11 +52,11 @@ let name = function
 
 type t = int array
 
-let cost t p = t.(index p)
+let cost t p = t.(to_int p)
 
 let make assoc =
   let t = Array.make count 0 in
-  List.iter (fun (p, c) -> t.(index p) <- c) assoc;
+  List.iter (fun (p, c) -> t.(to_int p) <- c) assoc;
   t
 
 (* Table 5-1, milliseconds -> microseconds. [Coalesced_frame] is our

@@ -32,9 +32,6 @@ val name : primitive -> string
     per-primitive counter arrays without scanning {!all}. *)
 val to_int : primitive -> int
 
-(** [index] is {!to_int} (historical name). *)
-val index : primitive -> int
-
 (** Number of primitives ([List.length all]). *)
 val count : int
 

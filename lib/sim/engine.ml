@@ -46,8 +46,6 @@ let now t = t.now
 
 let events_processed t = t.events_processed
 
-let set_cost_model t m = t.model <- m
-
 let cost_model t = t.model
 
 let metrics t = t.metrics

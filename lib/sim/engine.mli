@@ -27,9 +27,6 @@ val create : ?cost_model:Cost_model.t -> unit -> t
 (** [now t] is the current virtual time in microseconds. *)
 val now : t -> int
 
-(** [set_cost_model t m] switches the latency table used by {!charge}. *)
-val set_cost_model : t -> Cost_model.t -> unit
-
 val cost_model : t -> Cost_model.t
 
 (** Engine-global primitive-operation counters (see {!Metrics}). *)

@@ -111,9 +111,6 @@ let recovery t ~node =
       Hashtbl.add t.recovery_rows node r;
       r
 
-let recovery_nodes t =
-  List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.recovery_rows [])
-
 let copy_msgs m =
   {
     wire_messages = m.wire_messages;
@@ -184,23 +181,7 @@ let count t p = t.charged.(idx p) / scale
 
 let weight t p = float_of_int t.charged.(idx p) /. float_of_int scale
 
-let elided_count t p = t.elided.(idx p) / scale
-
 let elided_weight t p = float_of_int t.elided.(idx p) /. float_of_int scale
-
-let reset t =
-  Array.fill t.charged 0 size 0;
-  Array.fill t.elided 0 size 0;
-  t.node_rows <- [||];
-  let m = t.msgs in
-  m.wire_messages <- 0;
-  m.carried_frames <- 0;
-  m.piggybacked_acks <- 0;
-  m.delayed_acks <- 0;
-  m.ack_deliveries_covered <- 0;
-  m.duplicate_reacks <- 0;
-  t.tm.resolutions_abandoned <- 0;
-  Hashtbl.reset t.recovery_rows
 
 let snapshot t =
   let recovery_rows = Hashtbl.create (max 1 (Hashtbl.length t.recovery_rows)) in
@@ -282,10 +263,3 @@ let weighted_cost t model =
   List.fold_left
     (fun acc p -> acc + (t.charged.(idx p) * Cost_model.cost model p / scale))
     0 Cost_model.all
-
-let to_alist t =
-  List.filter_map
-    (fun p ->
-      let n = count t p in
-      if t.charged.(idx p) = 0 then None else Some (p, n))
-    Cost_model.all

@@ -57,9 +57,6 @@ val tm : t -> tm
     {!diff} copy it). *)
 val recovery : t -> node:int -> recovery
 
-(** [recovery_nodes t] lists node ids with a recovery counter block. *)
-val recovery_nodes : t -> int list
-
 (** [record t p] counts one execution of primitive [p]. *)
 val record : t -> Cost_model.primitive -> unit
 
@@ -88,10 +85,8 @@ val count : t -> Cost_model.primitive -> int
     fractional count — as a float. *)
 val weight : t -> Cost_model.primitive -> float
 
-(** [elided_count t p] / [elided_weight t p] — executions of [p] elided
-    by Integrated-profile nodes (zero on Classic nodes). *)
-val elided_count : t -> Cost_model.primitive -> int
-
+(** [elided_weight t p] — executions of [p] elided by Integrated-profile
+    nodes (zero on Classic nodes), as a float. *)
 val elided_weight : t -> Cost_model.primitive -> float
 
 (** {2 Per-node rollup}
@@ -114,9 +109,6 @@ val node_weight : t -> node:int -> Cost_model.primitive -> float
 (** [nodes_tracked t] lists node ids with any attributed executions. *)
 val nodes_tracked : t -> int list
 
-(** [reset t] zeroes every counter. *)
-val reset : t -> unit
-
 (** [snapshot t] is an independent copy of the current counts. *)
 val snapshot : t -> t
 
@@ -127,6 +119,3 @@ val diff : later:t -> earlier:t -> t
     count x latency, in microseconds — the paper's "System Time Predicted
     by Primitives". *)
 val weighted_cost : t -> Cost_model.t -> int
-
-(** [to_alist t] lists non-zero counts in Table 5-1 order. *)
-val to_alist : t -> (Cost_model.primitive * int) list

@@ -2,8 +2,6 @@ let tm_local_readonly = 36_000
 
 let rm_local_readonly = 5_000
 
-let application_txn = 3_000
-
 let data_server_txn = 4_000
 
 let data_server_log_format = 5_000
@@ -13,7 +11,3 @@ let rm_spool_write = 10_000
 let rm_commit_write = 8_000
 
 let tm_commit_write = 24_000
-
-let unattributed_local = 9_000
-
-let cm_per_remote_call = 30_000

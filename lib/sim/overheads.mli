@@ -3,7 +3,9 @@
     These constants are model {e inputs}, calibrated from the accounting
     prose of Section 5.2 — not outputs of the simulation. They feed the
     "Measured TABS Process Time" column of Table 5-4. All values in
-    microseconds. *)
+    microseconds. Only attributable time is charged: the 9 ms of the
+    local read-only benchmark that the paper's analysis "does not
+    account for" is left out. *)
 
 (** Transaction Manager work to begin + commit a local read-only
     transaction (36 ms). *)
@@ -11,9 +13,6 @@ val tm_local_readonly : int
 
 (** Recovery Manager work for a local read-only transaction (5 ms). *)
 val rm_local_readonly : int
-
-(** Application-side cost to initiate and commit a transaction (3 ms). *)
-val application_txn : int
 
 (** Data-server-side cost to join and commit a transaction (4 ms). *)
 val data_server_txn : int
@@ -31,14 +30,3 @@ val rm_commit_write : int
 (** Extra Transaction Manager time for the update-commit protocol
     (24 ms). *)
 val tm_commit_write : int
-
-(** Unattributed residue of the local read-only benchmark (9 ms); the
-    paper's analysis "does not account for the remaining 9 msec". We
-    charge it to the application side so measured elapsed times line up
-    the way Table 5-4's do. *)
-val unattributed_local : int
-
-(** Communication Manager work per remote data server call, per node
-    (derived from the two-node read benchmark's process-time
-    residue). *)
-val cm_per_remote_call : int

@@ -1,7 +1,5 @@
 type t = Classic | Integrated
 
-let equal (a : t) (b : t) = a = b
-
 let to_string = function Classic -> "classic" | Integrated -> "integrated"
 
 let of_string = function

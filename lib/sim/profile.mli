@@ -23,10 +23,6 @@
 
 type t = Classic | Integrated
 
-val equal : t -> t -> bool
-
-val to_string : t -> string
-
 val of_string : string -> t option
 
 val pp : Format.formatter -> t -> unit

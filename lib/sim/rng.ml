@@ -22,8 +22,6 @@ let float t =
 
 let bool t ~p = float t < p
 
-let split t = { state = next t }
-
 (* Zipfian keys over [0, n): the standard Gray et al. quick generator
    (the one YCSB uses), parameterized by skew theta in [0, 1). theta = 0
    degenerates to uniform; theta -> 1 concentrates mass on key 0. Key

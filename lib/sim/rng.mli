@@ -18,9 +18,6 @@ val float : t -> float
 (** [bool t ~p] is true with probability [p]. *)
 val bool : t -> p:float -> bool
 
-(** [split t] derives an independent generator. *)
-val split : t -> t
-
 (** Zipfian key popularity over [0, n) — the standard quick generator
     (Gray et al.; the one YCSB uses). Rank 0 is the hottest key.
     [theta] in [0, 1) tunes the skew: 0 is uniform, 0.99 is the classic

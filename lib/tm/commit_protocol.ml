@@ -11,13 +11,6 @@ type t = Two_phase | Paxos of { f : int }
 
 let default = Two_phase
 
-(* Acceptor placement convention: the first 2F+1 nodes. *)
-let acceptors = function
-  | Two_phase -> []
-  | Paxos { f } -> List.init ((2 * f) + 1) Fun.id
-
-let quorum = function Two_phase -> 0 | Paxos { f } -> f + 1
-
 let to_string = function
   | Two_phase -> "2pc"
   | Paxos { f } -> Printf.sprintf "paxos:%d" f
@@ -35,5 +28,3 @@ let of_string s =
           | Some f when f >= 1 && f <= 3 -> Some (Paxos { f })
           | _ -> None)
       | _ -> None)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -18,16 +18,8 @@ type t =
 val default : t
 (** [Two_phase]. *)
 
-val acceptors : t -> int list
-(** The acceptor node ids ([0 .. 2F]); empty under [Two_phase]. *)
-
-val quorum : t -> int
-(** F+1, the acceptor majority; 0 under [Two_phase]. *)
-
 val to_string : t -> string
 (** ["2pc"] or ["paxos:<f>"]. *)
 
 val of_string : string -> t option
 (** Accepts ["2pc"], ["twophase"], ["paxos"] (F=1), ["paxos:<f>"]. *)
-
-val pp : Format.formatter -> t -> unit

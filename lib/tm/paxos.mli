@@ -136,8 +136,3 @@ val decision_of : t -> Tabs_wal.Tid.t -> bool option
     floor is restored from the records' re-appended LSNs, and takeover
     watchdogs restart for still-undecided transactions. *)
 val reseed : t -> (Tabs_wal.Record.lsn * Tabs_wal.Record.t) list -> unit
-
-(** The acceptor's log-truncation floor (oldest record backing undecided
-    consensus state), also wired into the Recovery Manager by
-    {!create}. *)
-val truncation_floor : t -> Tabs_wal.Record.lsn option

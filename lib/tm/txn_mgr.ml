@@ -89,8 +89,7 @@ type t = {
   profile : Profile.t;
   rm : Recovery_mgr.t;
   cm : Comm_mgr.t;
-  commit_protocol : Commit_protocol.t;
-  mutable px : Paxos.t option; (* Some iff commit_protocol is Paxos *)
+  mutable px : Paxos.t option; (* Some iff the node runs Paxos Commit *)
   read_only_optimization : bool;
   mutable ready : bool;
       (* false while a restart is replaying the log: a mid-recovery "no
@@ -111,12 +110,6 @@ type t = {
   participants : (Tid.t, int) Hashtbl.t;
       (* prepared, in doubt: top tid -> coordinator *)
 }
-
-let node t = t.node_id
-
-let profile t = t.profile
-
-let commit_protocol t = t.commit_protocol
 
 let distributed_commits t = t.distributed_commits
 
@@ -794,7 +787,6 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       profile;
       rm;
       cm;
-      commit_protocol;
       px = None;
       ready = true;
       resolutions_abandoned = 0;

@@ -127,6 +127,10 @@ type server_callbacks = {
     The log records written and the verdicts returned are identical in
     both profiles.
 
+    [commit_protocol] is a cluster-wide convention; under the default
+    {!Commit_protocol.Two_phase} nothing of the Paxos machinery —
+    messages, handlers, log records — exists.
+
     [read_only_optimization] (default true) lets subtrees that logged
     nothing vote Read_only and drop out of phase two; disabling it
     exists for the ablation benchmark. A child that has not voted
@@ -143,15 +147,6 @@ val create :
   ?read_only_optimization:bool ->
   unit ->
   t
-
-val node : t -> int
-
-val profile : t -> Tabs_sim.Profile.t
-
-(** The commit protocol this node runs (a cluster-wide convention; the
-    default is {!Commit_protocol.Two_phase}, under which nothing of the
-    Paxos machinery — messages, handlers, log records — exists). *)
-val commit_protocol : t -> Commit_protocol.t
 
 (** [distributed_commits t] counts the committed tree two-phase-commit
     rounds this Transaction Manager coordinated (benchmark

@@ -111,8 +111,6 @@ let stable t = t.stable
 
 let last_lsn_of t tid = Hashtbl.find_opt t.txn_last tid
 
-let first_lsn_of t tid = Hashtbl.find_opt t.txn_first tid
-
 (* Minimum over every live update chain — active transactions,
    subtransactions, and prepared-but-unresolved participants alike
    (chains are only unregistered at commit/abort/end, and restart

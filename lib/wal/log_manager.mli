@@ -109,11 +109,6 @@ val dep_aligned_keep_from : t -> keep_from:lsn -> lsn
     checkpointing and abort. *)
 val last_lsn_of : t -> Tid.t -> lsn option
 
-(** [first_lsn_of t tid] is the earliest update LSN of [tid]; log
-    reclamation must not truncate past the first record of any active
-    transaction. *)
-val first_lsn_of : t -> Tid.t -> lsn option
-
 (** [oldest_first_lsn t] is the smallest first-update LSN over every
     live update chain — active transactions and subtransactions as well
     as prepared-but-unresolved (in-doubt) participants, whose chains

@@ -64,14 +64,6 @@ let tid_of = function
   | Dependency d -> Some d.tid
   | Checkpoint _ | Paxos_promise _ | Paxos_accept _ | Paxos_decision _ -> None
 
-let prev_of = function
-  | Update_value u -> u.prev
-  | Update_operation u -> u.prev
-  | Txn_begin _ | Txn_commit _ | Txn_abort _ | Txn_prepare _ | Txn_end _
-  | Checkpoint _ | Paxos_promise _ | Paxos_accept _ | Paxos_decision _
-  | Dependency _ ->
-      None
-
 (* Encoding --------------------------------------------------------- *)
 
 let write_tid w (tid : Tid.t) =

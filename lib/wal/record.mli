@@ -89,9 +89,6 @@ type t =
 (** [tid_of t] is the transaction a record belongs to, if any. *)
 val tid_of : t -> Tid.t option
 
-(** [prev_of t] is the backward-chain pointer of update records. *)
-val prev_of : t -> lsn option
-
 val encode : t -> string
 
 (** Raises [Codec.Reader.Malformed] on corrupt input. *)

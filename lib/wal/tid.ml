@@ -28,8 +28,6 @@ let equal a b = a.node = b.node && a.seq = b.seq && a.path = b.path
 
 let compare = Stdlib.compare
 
-let hash = Hashtbl.hash
-
 let pp fmt t =
   Format.fprintf fmt "T%d.%d" t.node t.seq;
   List.iter (fun i -> Format.fprintf fmt ".%d" i) t.path

@@ -1,6 +1,6 @@
-(* Tests for the simulated Accent kernel: ports and the virtual-memory
-   system (demand paging, eviction, pinning, the kernel<->Recovery
-   Manager write-ahead protocol). *)
+(* Tests for the simulated Accent kernel's virtual-memory system (demand
+   paging, eviction, pinning, the kernel<->Recovery Manager write-ahead
+   protocol). *)
 
 open Tabs_sim
 open Tabs_storage
@@ -17,37 +17,6 @@ let in_fiber f =
   Option.get !out
 
 let obj ~segment ~offset ~length = Object_id.make ~segment ~offset ~length
-
-(* Ports ----------------------------------------------------------------- *)
-
-let test_port_send_receive () =
-  let e = Engine.create () in
-  let port = Port.create e in
-  let got = ref [] in
-  let _ =
-    Engine.spawn e (fun () ->
-        let first = Port.receive port in
-        let second = Port.receive port in
-        got := [ first; second ])
-  in
-  let _ =
-    Engine.spawn e (fun () ->
-        Port.send port ~kind:Port.Small "a";
-        Port.send port ~kind:Port.Large "b")
-  in
-  let _ = Engine.run e in
-  Alcotest.(check (list string)) "fifo" [ "a"; "b" ] !got;
-  Alcotest.(check int) "small + large costs" (3_000 + 4_400) (Engine.now e)
-
-let test_port_timeout () =
-  let e = Engine.create () in
-  let port : string Port.t = Port.create e in
-  let got = ref (Some "x") in
-  let _ =
-    Engine.spawn e (fun () -> got := Port.receive_timeout port ~timeout:1_000)
-  in
-  let _ = Engine.run e in
-  Alcotest.(check (option string)) "timed out" None !got
 
 (* VM ---------------------------------------------------------------------- *)
 
@@ -190,9 +159,6 @@ let test_vm_single_frame_pool () =
 
 let suites =
   [
-    ( "accent.port",
-      [ quick "send/receive" test_port_send_receive; quick "timeout" test_port_timeout ]
-    );
     ( "accent.vm",
       [
         quick "read/write" test_vm_read_write;

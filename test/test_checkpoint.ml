@@ -143,6 +143,8 @@ let test_daemon_reclaims_in_background () =
   Alcotest.(check bool) "daemon cycled" true (Checkpointer.cycles cp > 0);
   Alcotest.(check bool) "daemon reclaimed log records" true
     (Checkpointer.reclaimed cp > 0);
+  Alcotest.(check int) "reclaimed = truncated prefix"
+    (Log_manager.first_lsn rig.log) (Checkpointer.reclaimed cp);
   Alcotest.(check bool) "daemon trickled pages out" true
     (Checkpointer.pages_written cp > 0);
   (* the foreground path never reclaims synchronously *)
