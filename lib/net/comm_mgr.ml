@@ -523,10 +523,7 @@ let handle_ack t ~src ~seq ~incarnation =
       end
 
 let send_ack_now t ~dest ~seq ~incarnation =
-  count_wire t ~frames:1;
-  Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Session
-    ~delay:session_wire_delay
-    (Sess_ack { seq; incarnation })
+  transmit_frame t ~dest (Sess_ack { seq; incarnation })
 
 let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
   match Hashtbl.find_opt t.in_sessions src with
@@ -534,9 +531,7 @@ let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
       (* We have no state for this stream (we probably restarted) and
          this frame is not its beginning: earlier frames were delivered
          to our previous incarnation. Ask the sender to renumber. *)
-      count_wire t ~frames:1;
-      Network.transmit t.net ~src:t.node_id ~dest:src ~channel:Network.Session
-        ~delay:session_wire_delay (Sess_reset { incarnation })
+      transmit_frame t ~dest:src (Sess_reset { incarnation })
   | state ->
   let s =
     match state with

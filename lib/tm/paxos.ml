@@ -143,10 +143,9 @@ let truncation_floor t =
       | Some l, Some m -> Some (min l m))
     t.axns None
 
-let log_forced t tid a record =
+let log_forced t a record =
   let lsn = Recovery_mgr.append_tm_record t.rm record in
   if a.a_first_lsn = None then a.a_first_lsn <- Some lsn;
-  ignore tid;
   Recovery_mgr.force_through t.rm lsn
 
 let send t ~dest payload = Comm_mgr.send_datagram t.cm ~dest payload
@@ -342,18 +341,19 @@ let handle_begin t tid ~parts =
     if a.parts = None then a.parts <- Some parts
   end
 
+let inst_of a part =
+  match Hashtbl.find_opt a.insts part with
+  | Some i -> i
+  | None ->
+      let i = { abal = -1; ayes = false } in
+      Hashtbl.add a.insts part i;
+      i
+
 let accept_value t a tid ~part ~ballot ~yes =
-  let i =
-    match Hashtbl.find_opt a.insts part with
-    | Some i -> i
-    | None ->
-        let i = { abal = -1; ayes = false } in
-        Hashtbl.add a.insts part i;
-        i
-  in
+  let i = inst_of a part in
   i.abal <- ballot;
   i.ayes <- yes;
-  log_forced t tid a (Record.Paxos_accept { tid; part; ballot; yes });
+  log_forced t a (Record.Paxos_accept { tid; part; ballot; yes });
   if tracing t then
     emit t (Paxos_accepted { node = t.node; tid; part; ballot; yes })
 
@@ -387,7 +387,7 @@ let handle_prepare_ballot t tid ~ballot ~src =
   let a = ensure_atxn t tid in
   if ballot > a.promised then begin
     a.promised <- ballot;
-    log_forced t tid a (Record.Paxos_promise { tid; ballot });
+    log_forced t a (Record.Paxos_promise { tid; ballot });
     let accepted =
       Hashtbl.fold
         (fun part i acc ->
@@ -533,14 +533,7 @@ let reseed t records =
           if a.a_first_lsn = None then a.a_first_lsn <- Some lsn
       | Record.Paxos_accept { tid; part; ballot; yes } ->
           let a = ensure_atxn t tid in
-          let i =
-            match Hashtbl.find_opt a.insts part with
-            | Some i -> i
-            | None ->
-                let i = { abal = -1; ayes = false } in
-                Hashtbl.add a.insts part i;
-                i
-          in
+          let i = inst_of a part in
           if ballot > i.abal then begin
             i.abal <- ballot;
             i.ayes <- yes

@@ -4,7 +4,8 @@
    The load-bearing property: with the daemon running, crash at an
    arbitrary instant and recover anchored at the last fuzzy checkpoint —
    the result must be indistinguishable from a full-log-scan recovery
-   over a frozen copy of the same stable log and disk. *)
+   over a frozen copy of the same stable log and disk. The paper's
+   configuration, every feature off, is held to the same oracle. *)
 
 open Tabs_sim
 open Tabs_storage
@@ -12,65 +13,13 @@ open Tabs_wal
 open Tabs_accent
 open Tabs_recovery
 open Tabs_core
-open Tabs_servers
+open Crash_harness
 
 let quick name f = Alcotest.test_case name `Quick f
 
-(* --- rig-level tests (no Transaction Manager), as in test_recovery_unit *)
+(* --- rig-level tests (no Transaction Manager) ------------------------ *)
 
-type rig = {
-  engine : Engine.t;
-  disk : Disk.t;
-  stable : Stable.t;
-  mutable vm : Vm.t;
-  mutable log : Log_manager.t;
-  mutable rm : Recovery_mgr.t;
-}
-
-let make_rig ?checkpointing ?log_space_limit () =
-  let engine = Engine.create () in
-  let disk = Disk.create engine in
-  Disk.ensure_segment disk 1 ~pages:8;
-  let stable = Stable.create () in
-  let vm = Vm.attach engine disk ~frames:16 () in
-  let log = Log_manager.attach engine stable in
-  let rm =
-    Recovery_mgr.create engine ~node:0 ~log ~vm ?checkpointing
-      ?log_space_limit ()
-  in
-  { engine; disk; stable; vm; log; rm }
-
-let crash_and_recover ?anchored rig =
-  let vm = Vm.attach rig.engine rig.disk ~frames:16 () in
-  let log = Log_manager.attach rig.engine rig.stable in
-  let rm = Recovery_mgr.create rig.engine ~node:0 ~log ~vm () in
-  rig.vm <- vm;
-  rig.log <- log;
-  rig.rm <- rm;
-  Recovery_mgr.recover ?anchored rm
-
-let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
-
-let run_fiber rig f =
-  let out = ref None in
-  let _ = Engine.spawn rig.engine (fun () -> out := Some (f ())) in
-  let _ = Engine.run rig.engine in
-  Option.get !out
-
-let write rig tid n value =
-  Vm.pin rig.vm (obj n) ~access:`Random;
-  let old_value = Vm.read rig.vm (obj n) ~access:`Random in
-  Vm.write rig.vm (obj n) value;
-  ignore
-    (Recovery_mgr.log_value rig.rm ~tid ~obj:(obj n) ~old_value
-       ~new_value:value);
-  Vm.unpin rig.vm (obj n)
-
-let commit rig tid =
-  let lsn = Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit tid) in
-  Recovery_mgr.force_through rig.rm lsn
-
-let v8 s = Printf.sprintf "%-8s" s
+let make_rig = make_rig ~pages:8
 
 (* The same workload with and without a mid-way checkpoint: anchoring
    must make the restart analysis scan strictly shorter. *)
@@ -155,86 +104,45 @@ let test_daemon_reclaims_in_background () =
 
 (* --- the crash-equivalence property over full nodes ------------------ *)
 
-let next_rand s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
-
 (* Run a random concurrent workload on one node with the checkpoint
    daemon on, crash at a random instant, and recover twice: the live
    node restarts (checkpoint-anchored), and the reference oracle
    recovers a frozen copy of its stable log and disk with a full scan. Both must agree on the
    losers, the in-doubt set, and every byte of the data segment. *)
-let crash_equivalence ~profile ~seed =
-  let cells = 256 in
-  let c =
-    Cluster.create ~nodes:1 ~profile
-      ~checkpointing:{ Checkpointer.interval = 20_000; trickle = 4 }
-      ()
-  in
-  let node = Cluster.node c 0 in
-  let arr =
-    Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
-  in
-  let tm = Node.tm node in
-  for w = 0 to 2 do
-    Cluster.spawn c ~node:0 (fun () ->
-        let s = ref (seed + (w * 7919) + 1) in
-        let rand n =
-          s := next_rand !s;
-          !s mod n
-        in
-        while true do
-          (try
-             Txn_lib.execute_transaction tm (fun tid ->
-                 for _ = 0 to rand 3 do
-                   Int_array_server.set arr tid (rand cells) (rand 1000)
-                 done)
-           with Errors.Transaction_is_aborted _ -> ());
-          Engine.delay (1 + rand 5_000)
-        done)
-  done;
-  let crash_at = 10_000 + (next_rand seed mod 500_000) in
-  Cluster.run_until c ~time:crash_at;
-  Node.crash node;
-  (* reference: the oracle's full-scan recovery of the stable log and
-     disk frozen at the crash *)
-  let ref_outcome, disk_copy =
-    Recovery_oracle.run ~disk:(Node.disk node)
-      ~stable:(Log_manager.stable (Node.log node))
-      ~handlers:(fun _ -> []) ()
-  in
-  (* live node: checkpoint-anchored restart *)
-  let outcome =
-    Cluster.run_fiber c ~node:0 (fun () ->
-        Node.restart node
-          ~reinstall:(fun env ->
-            ignore
-              (Int_array_server.create env ~name:"a" ~segment:1 ~cells ()))
-          ())
-  in
-  let tids = List.map Tid.to_string in
-  Alcotest.(check (list string))
-    "anchored and full-scan recovery agree on losers" (tids ref_outcome.losers)
-    (tids outcome.losers);
-  Alcotest.(check (list string))
-    "and on the in-doubt set"
-    (List.map (fun (t, _) -> Tid.to_string t) ref_outcome.in_doubt)
-    (List.map (fun (t, _) -> Tid.to_string t) outcome.in_doubt);
-  let pages = Disk.segment_pages (Node.disk node) 1 in
-  for p = 0 to pages - 1 do
-    let pid = { Disk.segment = 1; page = p } in
-    if
-      not
-        (Page.equal
-           (Disk.read_nocharge (Node.disk node) pid)
-           (Disk.read_nocharge disk_copy pid))
-    then
-      Alcotest.failf "data page %d differs between anchored and full-scan" p
-  done;
-  true
-
 let prop_crash_equivalence profile name =
   QCheck.Test.make ~name ~count:12
     QCheck.(int_bound 1_000_000)
-    (fun seed -> crash_equivalence ~profile ~seed)
+    (fun seed ->
+      let c =
+        Cluster.create ~nodes:1 ~profile
+          ~checkpointing:{ Checkpointer.interval = 20_000; trickle = 4 }
+          ()
+      in
+      ignore
+        (crash_matches_oracle c ~what:"anchored restart" ~seed ~cells:256
+           ~accounts:0 ~think:5_000 ~crash_from:10_000 ~window:500_000 ());
+      true)
+
+(* The paper's configuration: every feature off, the same crash at a
+   random instant, the same comparison with the oracle. *)
+let paper_crash_equivalence ~profile ~seed =
+  ignore
+    (crash_matches_oracle
+       (Cluster.create ~nodes:1 ~profile ())
+       ~what:"every-feature-off restart" ~seed ~cells:128 ~accounts:64
+       ~think:2_000 ~crash_from:60_000 ~window:2_000_000 ())
+
+let prop_paper_equivalence profile name =
+  QCheck.Test.make ~name ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      paper_crash_equivalence ~profile ~seed;
+      true)
+
+let test_paper_stress () =
+  for k = 1 to 300 do
+    paper_crash_equivalence ~profile:Profile.Classic ~seed:(k * 3571)
+  done
 
 let suites =
   [
@@ -251,5 +159,13 @@ let suites =
         QCheck_alcotest.to_alcotest
           (prop_crash_equivalence Profile.Integrated
              "crash at a random instant: anchored = full scan (Integrated)");
+        QCheck_alcotest.to_alcotest
+          (prop_paper_equivalence Profile.Classic
+             "crash at a random instant, every feature off (Classic)");
+        QCheck_alcotest.to_alcotest
+          (prop_paper_equivalence Profile.Integrated
+             "crash at a random instant, every feature off (Integrated)");
+        Alcotest.test_case "300-seed stress: every feature off" `Slow
+          test_paper_stress;
       ] );
   ]

@@ -471,28 +471,8 @@ let test_integrated_goldens () =
 let lcg seed =
   let s = ref seed in
   fun n ->
-    s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
+    s := Crash_harness.next_rand !s;
     !s mod n
-
-(* Two writer fibers on node 0 updating random cells of [arr] forever,
-   each with its own deterministic stream. *)
-let spawn_writers c tm arr ~seed ~cells =
-  for w = 0 to 1 do
-    Cluster.spawn c ~node:0 (fun () ->
-        let rand = lcg (seed + (w * 7919) + 1) in
-        while true do
-          (try
-             Txn_lib.execute_transaction tm (fun tid ->
-                 for _ = 0 to rand 3 do
-                   Int_array_server.set arr tid (rand cells) (rand 1000)
-                 done)
-           with
-          | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-          | Errors.Lock_timeout _ ->
-              ());
-          Engine.delay (1 + rand 2_000)
-        done)
-  done
 
 (* A crash and dependency-logged parallel restart: the summary carries
    the redo-graph shape and the replay time. *)
@@ -509,7 +489,10 @@ let recovery_fingerprint ~seed =
   in
   let engine = Cluster.engine c in
   let recorder = Recorder.attach engine in
-  spawn_writers c (Node.tm node) arr ~seed ~cells;
+  (* two writers updating random cells of [arr] forever *)
+  Crash_harness.spawn_writers c ~tm:(Node.tm node) ~seed ~writers:2
+    ~think:2_000 (fun rand tid ->
+      Int_array_server.set arr tid (rand cells) (rand 1000));
   Cluster.run_until c ~time:(400_000 + (seed * 37_000));
   Node.crash node;
   let outcome =
@@ -552,7 +535,10 @@ let instant_fingerprint ~seed =
   in
   let engine = Cluster.engine c in
   let recorder = Recorder.attach engine in
-  spawn_writers c (Node.tm node) arr ~seed ~cells;
+  (* two writers updating random cells of [arr] forever *)
+  Crash_harness.spawn_writers c ~tm:(Node.tm node) ~seed ~writers:2
+    ~think:2_000 (fun rand tid ->
+      Int_array_server.set arr tid (rand cells) (rand 1000));
   Cluster.run_until c ~time:(400_000 + (seed * 37_000));
   Node.crash node;
   let outcome =

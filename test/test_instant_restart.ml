@@ -17,75 +17,18 @@
      entry that a live dependency chain still needs. *)
 
 open Tabs_sim
-open Tabs_storage
 open Tabs_wal
 open Tabs_accent
 open Tabs_recovery
 open Tabs_core
-open Tabs_servers
+open Crash_harness
 
 let quick name f = Alcotest.test_case name `Quick f
 
-(* --- rig (no Transaction Manager), as in test_parallel_recovery ------ *)
-
-type rig = {
-  engine : Engine.t;
-  vm : Vm.t;
-  log : Log_manager.t;
-  rm : Recovery_mgr.t;
-}
-
-let pages = 16
-
-let cells_per_page = Page.size / 8
-
-let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
+(* --- rig (no Transaction Manager) ------------------------------------ *)
 
 let make_rig () =
-  let engine = Engine.create () in
-  let disk = Disk.create engine in
-  Disk.ensure_segment disk 1 ~pages;
-  let stable = Stable.create () in
-  let vm = Vm.attach engine disk ~frames:(2 * pages) () in
-  let log = Log_manager.attach engine stable in
-  let rm =
-    Recovery_mgr.create engine ~node:0 ~log ~vm
-      ~parallel_recovery:Parallel_redo.default ()
-  in
-  { engine; vm; log; rm }
-
-let run_fiber rig f =
-  let out = ref None in
-  let _ = Engine.spawn rig.engine (fun () -> out := Some (f ())) in
-  let _ = Engine.run rig.engine in
-  Option.get !out
-
-let v8 s = Printf.sprintf "%-8s" s
-
-let write_value rig tid n value =
-  Vm.pin rig.vm (obj n) ~access:`Random;
-  let old_value = Vm.read rig.vm (obj n) ~access:`Random in
-  Vm.write rig.vm (obj n) value;
-  let lsn =
-    Recovery_mgr.log_value rig.rm ~tid ~obj:(obj n) ~old_value
-      ~new_value:value
-  in
-  Vm.unpin rig.vm (obj n);
-  lsn
-
-let commit rig tid =
-  let lsn = Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit tid) in
-  Recovery_mgr.force_through rig.rm lsn
-
-let dependency_records rig =
-  run_fiber rig (fun () -> Log_manager.force_all rig.log);
-  let deps = ref [] in
-  Log_manager.iter_forward rig.log ~from:(Log_manager.first_lsn rig.log)
-    ~f:(fun lsn record ->
-      match record with
-      | Record.Dependency d -> deps := (lsn, d) :: !deps
-      | _ -> ());
-  List.rev !deps
+  make_rig ~pages:16 ~parallel_recovery:Parallel_redo.default ()
 
 (* --- last-writer pruning at checkpoint time -------------------------- *)
 
@@ -101,10 +44,11 @@ let test_prune_keeps_live_chain_entries () =
   and t4 = Tid.top ~node:0 ~seq:4 in
   let t2_lsn = ref 0 in
   run_fiber rig (fun () ->
-      ignore (write_value rig t1 0 (v8 "a"));
+      write rig t1 0 (v8 "a");
       commit rig t1;
       (* t2 stays active: its first update is the prune floor *)
-      t2_lsn := write_value rig t2 cells_per_page (v8 "b");
+      t2_lsn := Log_manager.next_lsn rig.log;
+      write rig t2 cells_per_page (v8 "b");
       Alcotest.(check int) "two tracked writers" 2
         (Log_manager.last_writer_size rig.log);
       Vm.flush_all rig.vm;
@@ -114,12 +58,12 @@ let test_prune_keeps_live_chain_entries () =
         (Log_manager.last_writer_size rig.log);
       (* a cross-family write of t2's object still sees the last
          writer: the live chain gets its dependency edge *)
-      ignore (write_value rig t3 cells_per_page (v8 "c"));
+      write rig t3 cells_per_page (v8 "c");
       commit rig t3;
       (* the pruned object has no tracked writer: no edge, which is
          safe exactly because the floor proved t1's update can never
          be in a redo set with t4's *)
-      ignore (write_value rig t4 0 (v8 "d"));
+      write rig t4 0 (v8 "d");
       commit rig t4);
   match dependency_records rig with
   | [ (_, d) ] ->
@@ -135,7 +79,7 @@ let test_prune_empties_table_when_quiescent () =
   run_fiber rig (fun () ->
       for i = 1 to 4 do
         let tid = Tid.top ~node:0 ~seq:i in
-        ignore (write_value rig tid (i mod 3) (v8 (string_of_int i)));
+        write rig tid (i mod 3) (v8 (string_of_int i));
         commit rig tid
       done;
       Alcotest.(check int) "three objects tracked" 3
@@ -146,50 +90,6 @@ let test_prune_empties_table_when_quiescent () =
         (Log_manager.last_writer_size rig.log))
 
 (* --- crash at a random instant over a full node ---------------------- *)
-
-let next_rand s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
-
-(* Replaying account "adjust" records on a bare reference Recovery
-   Manager needs only this handler (mirrors Account_server's). *)
-let accounts_handler vm ~segment =
-  let slot_obj i = Object_id.make ~segment ~offset:(8 * i) ~length:8 in
-  let encode_slot v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int v);
-    Bytes.to_string b
-  in
-  let apply ~op ~arg =
-    if op <> "adjust" then failwith ("unexpected account op " ^ op);
-    let r = Codec.Reader.of_string arg in
-    let entries =
-      Codec.Reader.list r (fun r ->
-          let i = Codec.Reader.int r in
-          let v = Codec.Reader.int r in
-          (i, v))
-    in
-    List.iter
-      (fun (i, v) ->
-        Vm.pin vm (slot_obj i) ~access:`Random;
-        Vm.write vm (slot_obj i) (encode_slot v);
-        Vm.unpin vm (slot_obj i))
-      entries
-  in
-  { Recovery_mgr.redo = apply; undo = apply }
-
-let check_pages_equal ~what disk_a disk_b ~segments =
-  List.iter
-    (fun segment ->
-      let seg_pages = Disk.segment_pages disk_a segment in
-      for p = 0 to seg_pages - 1 do
-        let pid = { Disk.segment; page = p } in
-        if
-          not
-            (Page.equal
-               (Disk.read_nocharge disk_a pid)
-               (Disk.read_nocharge disk_b pid))
-        then Alcotest.failf "segment %d page %d differs: %s" segment p what
-      done)
-    segments
 
 (* Random concurrent workload on one node with instant restart (and,
    when [full_stack], group commit and the checkpoint daemon too) —
@@ -213,90 +113,32 @@ let instant_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
       ()
   in
   let node = Cluster.node c 0 in
-  let arr =
-    Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
-  in
-  let acc =
-    Account_server.create (Node.env node) ~name:"b" ~segment:2 ~accounts ()
-  in
-  let tm = Node.tm node in
-  for w = 0 to 2 do
-    Cluster.spawn c ~node:0 (fun () ->
-        let s = ref (seed + (w * 7919) + 1) in
-        let rand n =
-          s := next_rand !s;
-          !s mod n
-        in
-        while true do
-          (try
-             Txn_lib.execute_transaction tm (fun tid ->
-                 for _ = 0 to rand 3 do
-                   if rand 2 = 0 then
-                     Int_array_server.set arr tid (rand cells) (rand 1000)
-                   else
-                     Account_server.deposit acc tid (rand accounts)
-                       (1 + rand 9)
-                 done)
-           with
-          | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-          | Errors.Lock_timeout _ ->
-              ());
-          Engine.delay (1 + rand 2_000)
-        done)
-  done;
-  let crash_at = 60_000 + (next_rand seed mod window) in
-  Cluster.run_until c ~time:crash_at;
-  Node.crash node;
-  (* reference: the oracle's full-scan recovery of the stable log and
-     disk frozen at the crash *)
-  let ref_outcome, disk_copy =
-    Recovery_oracle.run ~disk:(Node.disk node)
-      ~stable:(Log_manager.stable (Node.log node))
-      ~handlers:(fun vm -> [ ("b", accounts_handler vm ~segment:2) ])
-      ()
-  in
   (* live node: instant restart, then read every page while the trickle
      is still draining — first touches replay parked chains on demand *)
-  let outcome =
-    Cluster.run_fiber c ~node:0 (fun () ->
-        let o =
-          Node.restart node
-            ~reinstall:(fun env ->
-              ignore
-                (Int_array_server.create env ~name:"a" ~segment:1 ~cells ());
-              ignore
-                (Account_server.create env ~name:"b" ~segment:2 ~accounts ()))
-            ()
+  let touch_every_page () =
+    Cluster.spawn c ~node:0 (fun () ->
+        let vm = Node.vm node in
+        let touch o =
+          Vm.pin vm o ~access:`Random;
+          ignore (Vm.read vm o ~access:`Random);
+          Vm.unpin vm o
         in
-        Cluster.spawn c ~node:0 (fun () ->
-            let vm = Node.vm node in
-            let touch o =
-              Vm.pin vm o ~access:`Random;
-              ignore (Vm.read vm o ~access:`Random);
-              Vm.unpin vm o
-            in
-            for i = 0 to cells - 1 do
-              touch (Object_id.make ~segment:1 ~offset:(8 * i) ~length:8)
-            done;
-            for i = 0 to accounts - 1 do
-              touch (Object_id.make ~segment:2 ~offset:(8 * i) ~length:8)
-            done);
-        o)
+        for i = 0 to cells - 1 do
+          touch (Object_id.make ~segment:1 ~offset:(8 * i) ~length:8)
+        done;
+        for i = 0 to accounts - 1 do
+          touch (Object_id.make ~segment:2 ~offset:(8 * i) ~length:8)
+        done)
+  in
+  let outcome =
+    crash_matches_oracle c ~what:"instant restart" ~seed ~cells ~accounts
+      ~think:2_000 ~crash_from:60_000 ~window ~after_restart:touch_every_page
+      ()
   in
   Alcotest.(check bool) "live restart opened early" true outcome.open_early;
   Alcotest.(check int) "no upfront replay" 0 outcome.replay_us;
-  let tids = List.map Tid.to_string in
-  Alcotest.(check (list string))
-    "instant restart and the oracle agree on losers" (tids ref_outcome.losers)
-    (tids outcome.losers);
-  Alcotest.(check (list string))
-    "and on the in-doubt set"
-    (List.map (fun (t, _) -> Tid.to_string t) ref_outcome.in_doubt)
-    (List.map (fun (t, _) -> Tid.to_string t) outcome.in_doubt);
   let m = Metrics.recovery (Engine.metrics (Cluster.engine c)) ~node:0 in
   Alcotest.(check int) "every parked chain drained" 0 m.Metrics.pending_pages;
-  check_pages_equal ~what:"instant restart vs the oracle"
-    (Node.disk node) disk_copy ~segments:[ 1; 2 ];
   true
 
 let prop_instant_equivalence profile name =

@@ -8,7 +8,6 @@
    transaction records the same outcome, the replicated cells agree,
    no transaction is left in doubt, and no locks leak. *)
 
-open Tabs_wal
 open Tabs_net
 open Tabs_core
 open Tabs_servers
@@ -57,25 +56,7 @@ let run_case ?comm_batching ?commit_protocol ~loss ~seed () =
   Recorder.detach recorder;
   (* 1. trace-stream convergence: no transaction has a commit on one
      node and an abort on another *)
-  let outcomes : (string, bool list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ({ event; _ } : Recorder.entry) ->
-      let note tid committed =
-        let key = Tid.to_string tid in
-        let prev = Option.value (Hashtbl.find_opt outcomes key) ~default:[] in
-        Hashtbl.replace outcomes key (committed :: prev)
-      in
-      match event with
-      | Tabs_tm.Txn_mgr.Txn_commit { tid; _ } -> note tid true
-      | Tabs_tm.Txn_mgr.Txn_abort { tid; _ } -> note tid false
-      | _ -> ())
-    entries;
-  let converged =
-    Hashtbl.fold
-      (fun _ recorded ok ->
-        ok && not (List.mem true recorded && List.mem false recorded))
-      outcomes true
-  in
+  let converged = Crash_harness.outcomes_agree entries in
   (* 2. replica convergence: each written cell reads the same on every
      node *)
   let replicas_agree =
@@ -94,20 +75,9 @@ let run_case ?comm_batching ?commit_protocol ~loss ~seed () =
           (List.init txns (fun i -> i)))
   in
   (* 3. nothing left behind: no in-doubt transactions, no held locks *)
-  let nothing_in_doubt =
-    List.for_all
-      (fun node -> Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-      (Cluster.nodes c)
-  in
+  let nothing_in_doubt = Crash_harness.nothing_in_doubt (Cluster.nodes c) in
   let spans_balanced = Span.balanced (Span.of_entries entries) in
-  let no_leaked_locks =
-    List.for_all
-      (fun arr ->
-        Tabs_lock.Lock_manager.total_holds
-          (Server_lib.lock_manager (Int_array_server.server arr))
-        = 0)
-      arrays
-  in
+  let no_leaked_locks = Crash_harness.no_locks_held arrays in
   converged && replicas_agree && nothing_in_doubt && spans_balanced
   && no_leaked_locks
 
@@ -177,11 +147,7 @@ let run_crash_case ?commit_protocol ~offset ~restart ~seed () =
   (* long enough for Paxos takeover (or 2PC blocking) to play out *)
   Cluster.run_until c ~time:60_000_000;
   let survivors_drained =
-    List.for_all
-      (fun node ->
-        (not (Node.is_up node))
-        || Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-      (Cluster.nodes c)
+    Crash_harness.nothing_in_doubt (List.filter Node.is_up (Cluster.nodes c))
   in
   if restart then
     ignore
@@ -199,30 +165,10 @@ let run_crash_case ?commit_protocol ~offset ~restart ~seed () =
   Cluster.run_until c ~time:(Tabs_sim.Engine.now (Cluster.engine c) + 600_000_000);
   let entries = Recorder.entries recorder in
   Recorder.detach recorder;
-  (* consistent outcomes in the trace stream *)
-  let outcomes : (string, bool list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ({ event; _ } : Recorder.entry) ->
-      let note tid committed =
-        let key = Tid.to_string tid in
-        let prev = Option.value (Hashtbl.find_opt outcomes key) ~default:[] in
-        Hashtbl.replace outcomes key (committed :: prev)
-      in
-      match event with
-      | Tabs_tm.Txn_mgr.Txn_commit { tid; _ } -> note tid true
-      | Tabs_tm.Txn_mgr.Txn_abort { tid; reason; _ } ->
-          (* the crash wiped node 3's volatile state: losers rolled back
-             at restart are legitimate aborts, recorded like others *)
-          ignore reason;
-          note tid false
-      | _ -> ())
-    entries;
-  let converged =
-    Hashtbl.fold
-      (fun _ recorded ok ->
-        ok && not (List.mem true recorded && List.mem false recorded))
-      outcomes true
-  in
+  (* consistent outcomes in the trace stream; the crash wiped node 3's
+     volatile state, so losers rolled back at restart are legitimate
+     aborts, recorded like others *)
+  let converged = Crash_harness.outcomes_agree entries in
   (* replicas agree, in-doubt drained, no locks held — on up nodes *)
   let up = List.filter Node.is_up (Cluster.nodes c) in
   let replicas_agree =
@@ -241,17 +187,10 @@ let run_crash_case ?commit_protocol ~offset ~restart ~seed () =
         | [] -> true)
       [ 0; 1; 2 ]
   in
-  let nothing_in_doubt =
-    List.for_all (fun node -> Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = []) up
-  in
+  let nothing_in_doubt = Crash_harness.nothing_in_doubt up in
   let no_leaked_locks =
-    List.for_all
-      (fun node ->
-        Tabs_lock.Lock_manager.total_holds
-          (Server_lib.lock_manager
-             (Int_array_server.server !(holders.(Node.id node))))
-        = 0)
-      up
+    Crash_harness.no_locks_held
+      (List.map (fun node -> !(holders.(Node.id node))) up)
   in
   (* under Paxos the survivors must have been clean BEFORE any restart *)
   let non_blocking_held =

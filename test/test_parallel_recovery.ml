@@ -23,26 +23,13 @@ open Tabs_wal
 open Tabs_accent
 open Tabs_recovery
 open Tabs_core
-open Tabs_servers
+open Crash_harness
 
 let quick name f = Alcotest.test_case name `Quick f
 
-(* --- rig (no Transaction Manager), as in test_checkpoint ------------- *)
-
-type rig = {
-  engine : Engine.t;
-  disk : Disk.t;
-  stable : Stable.t;
-  vm : Vm.t;
-  log : Log_manager.t;
-  rm : Recovery_mgr.t;
-}
+(* --- rig (no Transaction Manager) ------------------------------------ *)
 
 let pages = 16
-
-let cells_per_page = Page.size / 8
-
-let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
 
 (* one operation-logged counter per cell; redo and undo both write the
    absolute value carried in the record's argument *)
@@ -64,32 +51,9 @@ let counter_oracle rig =
     ()
 
 let make_rig ?parallel_recovery () =
-  let engine = Engine.create () in
-  let disk = Disk.create engine in
-  Disk.ensure_segment disk 1 ~pages;
-  let stable = Stable.create () in
-  let vm = Vm.attach engine disk ~frames:(2 * pages) () in
-  let log = Log_manager.attach engine stable in
-  let rm =
-    Recovery_mgr.create engine ~node:0 ~log ~vm ?parallel_recovery ()
-  in
-  register_counter rm vm;
-  { engine; disk; stable; vm; log; rm }
-
-let run_fiber rig f =
-  let out = ref None in
-  let _ = Engine.spawn rig.engine (fun () -> out := Some (f ())) in
-  let _ = Engine.run rig.engine in
-  Option.get !out
-
-let write_value rig tid n value =
-  Vm.pin rig.vm (obj n) ~access:`Random;
-  let old_value = Vm.read rig.vm (obj n) ~access:`Random in
-  Vm.write rig.vm (obj n) value;
-  ignore
-    (Recovery_mgr.log_value rig.rm ~tid ~obj:(obj n) ~old_value
-       ~new_value:value);
-  Vm.unpin rig.vm (obj n)
+  let rig = make_rig ~pages ?parallel_recovery () in
+  register_counter rig.rm rig.vm;
+  rig
 
 let write_op ?(undo = 0) rig tid n v ~reads =
   Vm.pin rig.vm (obj n) ~access:`Random;
@@ -101,31 +65,15 @@ let write_op ?(undo = 0) rig tid n v ~reads =
        ~redo_arg:(Printf.sprintf "%d %d" n v)
        ~reads:(List.map obj reads) ~objs:[ obj n ] ())
 
-let commit rig tid =
-  let lsn = Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit tid) in
-  Recovery_mgr.force_through rig.rm lsn
-
-let v8 s = Printf.sprintf "%-8s" s
-
-let dependency_records rig =
-  run_fiber rig (fun () -> Log_manager.force_all rig.log);
-  let deps = ref [] in
-  Log_manager.iter_forward rig.log ~from:(Log_manager.first_lsn rig.log)
-    ~f:(fun lsn record ->
-      match record with
-      | Record.Dependency d -> deps := (lsn, d) :: !deps
-      | _ -> ());
-  List.rev !deps
-
 (* --- dependency emission -------------------------------------------- *)
 
 let test_off_emits_nothing () =
   let rig = make_rig () in
   run_fiber rig (fun () ->
       let t1 = Tid.top ~node:0 ~seq:1 and t2 = Tid.top ~node:0 ~seq:2 in
-      write_value rig t1 0 (v8 "a");
+      write rig t1 0 (v8 "a");
       commit rig t1;
-      write_value rig t2 0 (v8 "b");
+      write rig t2 0 (v8 "b");
       commit rig t2);
   Alcotest.(check bool) "dep logging off" false
     (Log_manager.dep_logging rig.log);
@@ -148,9 +96,9 @@ let test_conflict_emits_adjacent_record () =
           ~old_value:(v8 "") ~new_value:(v8 "a");
       commit rig t1;
       (* the same family rewriting the object: no conflict, no record *)
-      write_value rig t1 0 (v8 "a2");
+      write rig t1 0 (v8 "a2");
       (* another family: conflict *)
-      write_value rig t2 0 (v8 "b");
+      write rig t2 0 (v8 "b");
       commit rig t2);
   match dependency_records rig with
   | [ (dep_lsn, d) ] ->
@@ -190,9 +138,9 @@ let test_truncation_never_splits_the_pair () =
   let rig = make_rig ~parallel_recovery:Parallel_redo.default () in
   run_fiber rig (fun () ->
       let t1 = Tid.top ~node:0 ~seq:1 and t2 = Tid.top ~node:0 ~seq:2 in
-      write_value rig t1 0 (v8 "a");
+      write rig t1 0 (v8 "a");
       commit rig t1;
-      write_value rig t2 0 (v8 "b");
+      write rig t2 0 (v8 "b");
       commit rig t2;
       Log_manager.force_all rig.log;
       Vm.flush_all rig.vm);
@@ -232,8 +180,8 @@ let build_mixed_log () =
             ~reads:[ ((i + 2) mod 4) * cells_per_page ]
         end
         else begin
-          write_value rig tid (4 + (i mod 8)) (v8 (string_of_int i));
-          write_value rig tid (12 + (i mod 4)) (v8 (string_of_int (i * 3)))
+          write rig tid (4 + (i mod 8)) (v8 (string_of_int i));
+          write rig tid (12 + (i mod 4)) (v8 (string_of_int (i * 3)))
         end;
         if i mod 7 <> 6 then commit rig tid
       done;
@@ -257,21 +205,6 @@ let recover_frozen rig ~parallel ~hook =
          out := Some (Recovery_mgr.recover ~anchored:false rm)));
   ignore (Engine.run engine);
   (Option.get !out, disk)
-
-let check_pages_equal ~what disk_a disk_b ~segments =
-  List.iter
-    (fun segment ->
-      let seg_pages = Disk.segment_pages disk_a segment in
-      for p = 0 to seg_pages - 1 do
-        let pid = { Disk.segment; page = p } in
-        if
-          not
-            (Page.equal
-               (Disk.read_nocharge disk_a pid)
-               (Disk.read_nocharge disk_b pid))
-        then Alcotest.failf "segment %d page %d differs: %s" segment p what
-      done)
-    segments
 
 let trace_frozen rig ~parallel =
   let acc = ref [] in
@@ -370,36 +303,6 @@ let test_eight_fiber_undo_is_newest_first () =
 
 (* --- crash at a random instant over full nodes ----------------------- *)
 
-let next_rand s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
-
-(* The account server's "adjust" records carry absolute balances;
-   replaying one on a bare Recovery Manager needs only this handler
-   (mirrors the redo/undo Account_server registers). *)
-let accounts_handler vm ~segment =
-  let slot_obj i = Object_id.make ~segment ~offset:(8 * i) ~length:8 in
-  let encode_slot v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int v);
-    Bytes.to_string b
-  in
-  let apply ~op ~arg =
-    if op <> "adjust" then failwith ("unexpected account op " ^ op);
-    let r = Codec.Reader.of_string arg in
-    let entries =
-      Codec.Reader.list r (fun r ->
-          let i = Codec.Reader.int r in
-          let v = Codec.Reader.int r in
-          (i, v))
-    in
-    List.iter
-      (fun (i, v) ->
-        Vm.pin vm (slot_obj i) ~access:`Random;
-        Vm.write vm (slot_obj i) (encode_slot v);
-        Vm.unpin vm (slot_obj i))
-      entries
-  in
-  { Recovery_mgr.redo = apply; undo = apply }
-
 (* Random concurrent workload on one node with parallel recovery (and,
    when [full_stack], group commit, the checkpoint daemon, and comm
    batching all at once) — crash at a random instant; the live node's
@@ -408,7 +311,6 @@ let accounts_handler vm ~segment =
    byte. Value-logged and operation-logged servers both participate. *)
 let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
     () =
-  let cells = 128 and accounts = 64 in
   let c =
     Cluster.create ~nodes:1 ~profile
       ~parallel_recovery:{ Parallel_redo.fibers = 4 }
@@ -422,70 +324,9 @@ let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
          else None)
       ()
   in
-  let node = Cluster.node c 0 in
-  let arr =
-    Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells ()
-  in
-  let acc =
-    Account_server.create (Node.env node) ~name:"b" ~segment:2 ~accounts ()
-  in
-  let tm = Node.tm node in
-  for w = 0 to 2 do
-    Cluster.spawn c ~node:0 (fun () ->
-        let s = ref (seed + (w * 7919) + 1) in
-        let rand n =
-          s := next_rand !s;
-          !s mod n
-        in
-        while true do
-          (try
-             Txn_lib.execute_transaction tm (fun tid ->
-                 for _ = 0 to rand 3 do
-                   if rand 2 = 0 then
-                     Int_array_server.set arr tid (rand cells) (rand 1000)
-                   else
-                     Account_server.deposit acc tid (rand accounts)
-                       (1 + rand 9)
-                 done)
-           with
-          | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-          | Errors.Lock_timeout _ ->
-              ());
-          Engine.delay (1 + rand 2_000)
-        done)
-  done;
-  let crash_at = 60_000 + (next_rand seed mod window) in
-  Cluster.run_until c ~time:crash_at;
-  Node.crash node;
-  (* reference: the oracle's full-scan recovery of the stable log and
-     disk frozen at the crash *)
-  let ref_outcome, disk_copy =
-    Recovery_oracle.run ~disk:(Node.disk node)
-      ~stable:(Log_manager.stable (Node.log node))
-      ~handlers:(fun vm -> [ ("b", accounts_handler vm ~segment:2) ])
-      ()
-  in
-  (* live node: parallel anchored restart *)
-  let outcome =
-    Cluster.run_fiber c ~node:0 (fun () ->
-        Node.restart node
-          ~reinstall:(fun env ->
-            ignore
-              (Int_array_server.create env ~name:"a" ~segment:1 ~cells ());
-            ignore
-              (Account_server.create env ~name:"b" ~segment:2 ~accounts ()))
-          ())
-  in
-  let tids = List.map Tid.to_string in
-  Alcotest.(check (list string))
-    "parallel restart and the oracle agree on losers" (tids ref_outcome.losers)
-    (tids outcome.losers);
-  Alcotest.(check (list string))
-    "and on the in-doubt set"
-    (List.map (fun (t, _) -> Tid.to_string t) ref_outcome.in_doubt)
-    (List.map (fun (t, _) -> Tid.to_string t) outcome.in_doubt);
-  check_pages_equal ~what:"parallel restart vs the oracle"
-    (Node.disk node) disk_copy ~segments:[ 1; 2 ];
+  ignore
+    (crash_matches_oracle c ~what:"parallel restart" ~seed ~cells:128
+       ~accounts:64 ~think:2_000 ~crash_from:60_000 ~window ());
   true
 
 let prop_parallel_equivalence profile name =

@@ -37,18 +37,7 @@ let read_cell c arrays ~node =
         (Node.tm (Cluster.node c node))
         (fun tid -> Int_array_server.get (List.nth arrays node) tid 0))
 
-let no_leaked_locks arrays =
-  List.for_all
-    (fun arr ->
-      Tabs_lock.Lock_manager.total_holds
-        (Server_lib.lock_manager (Int_array_server.server arr))
-      = 0)
-    arrays
-
-let drained c =
-  List.for_all
-    (fun node -> Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-    (Cluster.nodes c)
+let up_nodes c = List.filter Node.is_up (Cluster.nodes c)
 
 (* Healthy cluster: a Paxos-committed transaction is durable and visible
    on every node, nothing is left in doubt, no locks leak. The
@@ -71,8 +60,10 @@ let test_paxos_commit_healthy () =
       42
       (read_cell c arrays ~node)
   done;
-  Alcotest.(check bool) "nothing in doubt" true (drained c);
-  Alcotest.(check bool) "no leaked locks" true (no_leaked_locks arrays)
+  Alcotest.(check bool) "nothing in doubt" true
+    (Crash_harness.nothing_in_doubt (Cluster.nodes c));
+  Alcotest.(check bool) "no leaked locks" true
+    (Crash_harness.no_locks_held arrays)
 
 (* A healthy abort (vote timeout is not involved; a participant is
    unreachable from the start so its vote phase fails) must release
@@ -91,11 +82,7 @@ let test_paxos_abort_releases () =
       with _ -> ());
   Cluster.run_until c ~time:120_000_000;
   Alcotest.(check bool) "nothing in doubt on survivors" true
-    (List.for_all
-       (fun node ->
-         (not (Node.is_up node))
-         || Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-       (Cluster.nodes c));
+    (Crash_harness.nothing_in_doubt (up_nodes c));
   (* survivors' cells still read 0 *)
   Alcotest.(check int) "node 0 unchanged" 0 (read_cell c arrays ~node:0);
   Alcotest.(check int) "node 2 unchanged" 0 (read_cell c arrays ~node:2)
@@ -131,14 +118,10 @@ let test_takeover_releases_in_doubt () =
   (* released without the coordinator coming back *)
   Alcotest.(check bool) "coordinator still down" false (Node.is_up n3);
   Alcotest.(check bool) "survivors drained" true
-    (List.for_all
-       (fun node ->
-         (not (Node.is_up node))
-         || Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-       (Cluster.nodes c));
+    (Crash_harness.nothing_in_doubt (up_nodes c));
   let survivor_arrays = [ List.nth arrays 0; List.nth arrays 1; List.nth arrays 2 ] in
   Alcotest.(check bool) "locks released on survivors" true
-    (no_leaked_locks survivor_arrays);
+    (Crash_harness.no_locks_held survivor_arrays);
   (* a takeover ballot really ran and decided *)
   let takeovers, decisions =
     List.fold_left
@@ -209,13 +192,9 @@ let test_takeover_with_f_acceptor_failures () =
          watch ()));
   Cluster.run_until c ~time:120_000_000;
   Alcotest.(check bool) "remaining nodes drained" true
-    (List.for_all
-       (fun node ->
-         (not (Node.is_up node))
-         || Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-       (Cluster.nodes c));
+    (Crash_harness.nothing_in_doubt (up_nodes c));
   Alcotest.(check bool) "locks released on remaining nodes" true
-    (no_leaked_locks [ List.nth arrays 0; List.nth arrays 2 ])
+    (Crash_harness.no_locks_held [ List.nth arrays 0; List.nth arrays 2 ])
 
 (* S1 regression: under 2PC with the coordinator gone for good, the
    resolver exhausts its status-query budget. That surrender used to be
@@ -265,7 +244,7 @@ let test_resolution_abandoned_is_observable () =
   Alcotest.(check int) "still in doubt" 1
     (List.length (Tabs_tm.Txn_mgr.in_doubt (Node.tm (Cluster.node c 1))));
   Alcotest.(check bool) "locks still held" false
-    (no_leaked_locks [ List.nth arrays 1 ])
+    (Crash_harness.no_locks_held [ List.nth arrays 1 ])
 
 (* S2 regression: a coordinator that committed, crashed, and is
    restarting must not answer status queries from the middle of its log

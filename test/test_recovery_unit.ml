@@ -4,69 +4,20 @@
    prepared/in-doubt handling, and a model-based property over random
    commit/abort/crash schedules. *)
 
-open Tabs_sim
 open Tabs_storage
 open Tabs_wal
 open Tabs_accent
 open Tabs_recovery
+open Crash_harness
 
 let quick name f = Alcotest.test_case name `Quick f
 
-type rig = {
-  engine : Engine.t;
-  disk : Disk.t;
-  stable : Stable.t;
-  mutable vm : Vm.t;
-  mutable log : Log_manager.t;
-  mutable rm : Recovery_mgr.t;
-}
-
-let make_rig () =
-  let engine = Engine.create () in
-  let disk = Disk.create engine in
-  Disk.ensure_segment disk 1 ~pages:8;
-  let stable = Stable.create () in
-  let vm = Vm.attach engine disk ~frames:16 () in
-  let log = Log_manager.attach engine stable in
-  let rm = Recovery_mgr.create engine ~node:0 ~log ~vm () in
-  { engine; disk; stable; vm; log; rm }
-
-(* simulate a crash: rebuild all volatile structures *)
-let crash_and_recover rig =
-  let vm = Vm.attach rig.engine rig.disk ~frames:16 () in
-  let log = Log_manager.attach rig.engine rig.stable in
-  let rm = Recovery_mgr.create rig.engine ~node:0 ~log ~vm () in
-  rig.vm <- vm;
-  rig.log <- log;
-  rig.rm <- rm;
-  Recovery_mgr.recover rm
-
-let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
-
-let run_fiber rig f =
-  let out = ref None in
-  let _ = Engine.spawn rig.engine (fun () -> out := Some (f ())) in
-  let _ = Engine.run rig.engine in
-  Option.get !out
-
-(* forward-processing helpers *)
-let write rig tid n value =
-  Vm.pin rig.vm (obj n) ~access:`Random;
-  let old_value = Vm.read rig.vm (obj n) ~access:`Random in
-  Vm.write rig.vm (obj n) value;
-  ignore (Recovery_mgr.log_value rig.rm ~tid ~obj:(obj n) ~old_value ~new_value:value);
-  Vm.unpin rig.vm (obj n)
-
-let commit rig tid =
-  let lsn = Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit tid) in
-  Recovery_mgr.force_through rig.rm lsn
+let make_rig = make_rig ~pages:8
 
 let read_disk rig n =
   let (pid : Disk.page_id) = List.hd (Object_id.pages (obj n)) in
   let page = Disk.read_nocharge rig.disk pid in
   Page.sub page ~off:(8 * n mod Page.size) ~len:8
-
-let v8 s = Printf.sprintf "%-8s" s
 
 let test_committed_redone () =
   let rig = make_rig () in

@@ -462,25 +462,7 @@ let run_convergence_case ~loss ~seed () =
   Cluster.run c;
   let entries = Recorder.entries recorder in
   Recorder.detach recorder;
-  let outcomes : (string, bool list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ({ event; _ } : Recorder.entry) ->
-      let note tid committed =
-        let key = Tabs_wal.Tid.to_string tid in
-        let prev = Option.value (Hashtbl.find_opt outcomes key) ~default:[] in
-        Hashtbl.replace outcomes key (committed :: prev)
-      in
-      match event with
-      | Tabs_tm.Txn_mgr.Txn_commit { tid; _ } -> note tid true
-      | Tabs_tm.Txn_mgr.Txn_abort { tid; _ } -> note tid false
-      | _ -> ())
-    entries;
-  let converged =
-    Hashtbl.fold
-      (fun _ recorded ok ->
-        ok && not (List.mem true recorded && List.mem false recorded))
-      outcomes true
-  in
+  let converged = Crash_harness.outcomes_agree entries in
   let atomic =
     Cluster.run_fiber c ~node:0 (fun () ->
         List.for_all
@@ -492,18 +474,10 @@ let run_convergence_case ~loss ~seed () =
                 a = b && b = c' && (a = 0 || a = 100 + i)))
           (List.init conv_txns (fun i -> i)))
   in
-  let nothing_in_doubt =
-    List.for_all
-      (fun node -> Tabs_tm.Txn_mgr.in_doubt (Node.tm node) = [])
-      (Cluster.nodes c)
-  in
+  let nothing_in_doubt = Crash_harness.nothing_in_doubt (Cluster.nodes c) in
   let no_leaked_locks =
-    List.for_all
-      (fun (_, inst) ->
-        Tabs_lock.Lock_manager.total_holds
-          (Server_lib.lock_manager (Int_array_server.server inst))
-        = 0)
-      (Sharded.Int_array.instances arr)
+    Crash_harness.no_locks_held
+      (List.map snd (Sharded.Int_array.instances arr))
   in
   let spans_balanced = Span.balanced (Span.of_entries entries) in
   converged && atomic && nothing_in_doubt && no_leaked_locks
