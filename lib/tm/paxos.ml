@@ -314,7 +314,14 @@ and run_takeover t tid ~slot =
                 false
             | None, true ->
                 (* coordinator voted Prepared but no acceptor knows the
-                   instance set yet: retry until one does *)
+                   instance set yet: the ballot-0 leader announces it
+                   again (every acceptor may have lost the first
+                   announcement), then retry until one does *)
+                (match Hashtbl.find_opt t.leaders tid with
+                | Some l ->
+                    broadcast t ~dests:t.acceptors
+                      (Px_begin { tid; parts = l.l_parts })
+                | None -> ());
                 Engine.delay (t.takeover_retry + (slot * 300_000));
                 attempt (n + 1)
           end
