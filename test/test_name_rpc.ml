@@ -149,6 +149,27 @@ let test_rpc_unknown_server () =
   in
   Alcotest.(check string) "unknown server reported" "error" got
 
+let test_rpc_unknown_op () =
+  let c = Cluster.create ~nodes:2 () in
+  let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
+  ignore (Account_server.create (Node.env n1) ~name:"b1" ~segment:1 ~accounts:4 ());
+  let tm = Node.tm n0 in
+  let got =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        let tid = Txn_lib.begin_transaction tm () in
+        let r =
+          try
+            ignore
+              (Rpc.call (Node.rpc n0) ~dest:1 ~server:"b1" ~tid ~op:"embezzle"
+                 ~arg:"");
+            "no-error"
+          with Errors.Server_error _ -> "error"
+        in
+        Txn_lib.abort_transaction tm tid;
+        r)
+  in
+  Alcotest.(check string) "unknown op reported" "error" got
+
 let test_rpc_timeout_on_dead_node () =
   let c = Cluster.create ~nodes:2 () in
   let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
@@ -204,6 +225,7 @@ let suites =
         quick "remote cost" test_rpc_remote_cost;
         quick "error propagation" test_rpc_error_propagates;
         quick "unknown server" test_rpc_unknown_server;
+        quick "unknown op" test_rpc_unknown_op;
         quick "timeout on dead node" test_rpc_timeout_on_dead_node;
         quick "aborted txn rejected" test_rpc_aborted_txn_rejected;
       ] );
