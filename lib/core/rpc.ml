@@ -112,3 +112,24 @@ let create_registry engine ~node ~cm =
           | None -> ())
       | _ -> ());
   t
+
+(* Typed operations --------------------------------------------------- *)
+
+type ('a, 'r) op = { name : string; arg : 'a Codec.t; reply : 'r Codec.t }
+
+let op name arg reply = { name; arg; reply }
+
+let invoke t ~dest ~server tid op a =
+  Codec.decode op.reply
+    (call t ~dest ~server ~tid ~op:op.name ~arg:(Codec.encode op.arg a))
+
+let handle op f =
+  (op.name, fun tid arg -> Codec.encode op.reply (f tid (Codec.decode op.arg arg)))
+
+let serve handlers =
+  let table = Hashtbl.create 8 in
+  List.iter (fun (name, h) -> Hashtbl.replace table name h) handlers;
+  fun ~tid ~op ~arg ->
+    match Hashtbl.find_opt table op with
+    | Some h -> h tid arg
+    | None -> raise (Errors.Server_error ("unknown op " ^ op))

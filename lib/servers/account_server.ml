@@ -23,50 +23,33 @@ let check_range t i =
   if i < 0 || i >= t.n_accounts then
     raise (Errors.Server_error "NoSuchAccount")
 
-let decode_slot s = Int64.to_int (String.get_int64_le s 0)
+(* A balance is an 8-byte slot *)
+let read_slot t obj = Codec.(decode int) (Server_lib.read_object t.server obj)
 
-let encode_slot v =
-  let b = Bytes.create slot_size in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Bytes.to_string b
+let write_slot t obj v = Server_lib.write_object t.server obj (Codec.(encode int) v)
 
 (* A transition-logged adjustment: a list of (account, old, new)
    absolute balances. Applying either side is idempotent. *)
-let encode_adjustment entries =
-  let w = Codec.Writer.create () in
-  Codec.Writer.list w
-    (fun w (i, v) ->
-      Codec.Writer.int w i;
-      Codec.Writer.int w v)
-    entries;
-  Codec.Writer.contents w
-
-let decode_adjustment s =
-  let r = Codec.Reader.of_string s in
-  Codec.Reader.list r (fun r ->
-      let i = Codec.Reader.int r in
-      let v = Codec.Reader.int r in
-      (i, v))
+let adjustment = Codec.(list (pair int int))
 
 let balance t tid i =
   Server_lib.enter_operation t.server tid;
   check_range t i;
   let obj = account_obj t i in
   Server_lib.lock_object t.server tid obj Mode.Read;
-  decode_slot (Server_lib.read_object t.server obj)
+  read_slot t obj
 
 (* Apply an adjustment through one operation log record. Precondition:
    all objects write-locked by [tid]. *)
 let apply_adjustment t tid entries =
   let objs = List.map (fun (i, _, _) -> account_obj t i) entries in
   List.iter (fun obj -> Server_lib.pin_object t.server obj) objs;
-  List.iter2
-    (fun obj (_, _, new_value) ->
-      Server_lib.write_object t.server obj (encode_slot new_value))
-    objs entries;
+  List.iter2 (fun obj (_, _, new_value) -> write_slot t obj new_value) objs entries;
   Server_lib.log_operation t.server tid ~op:"adjust"
-    ~undo_arg:(encode_adjustment (List.map (fun (i, old_v, _) -> (i, old_v)) entries))
-    ~redo_arg:(encode_adjustment (List.map (fun (i, _, new_v) -> (i, new_v)) entries))
+    ~undo_arg:
+      (Codec.encode adjustment (List.map (fun (i, old_v, _) -> (i, old_v)) entries))
+    ~redo_arg:
+      (Codec.encode adjustment (List.map (fun (i, _, new_v) -> (i, new_v)) entries))
     ~objs ();
   List.iter (fun obj -> Server_lib.unpin_object t.server obj) objs
 
@@ -75,7 +58,7 @@ let deposit t tid i amount =
   check_range t i;
   let obj = account_obj t i in
   Server_lib.lock_object t.server tid obj Mode.Write;
-  let old_value = decode_slot (Server_lib.read_object t.server obj) in
+  let old_value = read_slot t obj in
   apply_adjustment t tid [ (i, old_value, old_value + amount) ]
 
 (* The debit half of a cross-server transfer: like [deposit] of a
@@ -89,7 +72,7 @@ let withdraw t tid i amount =
   if amount < 0 then raise (Errors.Server_error "NegativeAmount");
   let obj = account_obj t i in
   Server_lib.lock_object t.server tid obj Mode.Write;
-  let old_value = decode_slot (Server_lib.read_object t.server obj) in
+  let old_value = read_slot t obj in
   if old_value < amount then raise (Errors.Server_error "InsufficientFunds");
   apply_adjustment t tid [ (i, old_value, old_value - amount) ]
 
@@ -102,8 +85,8 @@ let transfer t tid ~from_ ~to_ amount =
   let first = min from_ to_ and second = max from_ to_ in
   Server_lib.lock_object t.server tid (account_obj t first) Mode.Write;
   Server_lib.lock_object t.server tid (account_obj t second) Mode.Write;
-  let from_balance = decode_slot (Server_lib.read_object t.server (account_obj t from_)) in
-  let to_balance = decode_slot (Server_lib.read_object t.server (account_obj t to_)) in
+  let from_balance = read_slot t (account_obj t from_) in
+  let to_balance = read_slot t (account_obj t to_) in
   if from_balance < amount then raise (Errors.Server_error "InsufficientFunds");
   (* one multi-page operation record covers both balances *)
   apply_adjustment t tid
@@ -123,11 +106,11 @@ let credit t tid i amount =
   let obj = account_obj t i in
   Server_lib.lock_object t.server tid obj (Mode.Typed "credit");
   Server_lib.pin_object t.server obj;
-  let balance = decode_slot (Server_lib.read_object t.server obj) in
-  Server_lib.write_object t.server obj (encode_slot (balance + amount));
+  let balance = read_slot t obj in
+  write_slot t obj (balance + amount);
   Server_lib.log_operation t.server tid ~op:"credit"
-    ~undo_arg:(encode_adjustment [ (i, -amount) ])
-    ~redo_arg:(encode_adjustment [ (i, amount) ])
+    ~undo_arg:(Codec.encode adjustment [ (i, -amount) ])
+    ~redo_arg:(Codec.encode adjustment [ (i, amount) ])
     ~objs:[ obj ] ();
   Server_lib.unpin_object t.server obj
 
@@ -140,19 +123,19 @@ let install_handlers t =
       (fun (i, v) ->
         let obj = account_obj t i in
         Server_lib.pin_object t.server obj;
-        Server_lib.write_object t.server obj (encode_slot v);
+        write_slot t obj v;
         Server_lib.unpin_object t.server obj)
-      (decode_adjustment arg)
+      (Codec.decode adjustment arg)
   in
   let apply_delta ~arg =
     List.iter
       (fun (i, d) ->
         let obj = account_obj t i in
         Server_lib.pin_object t.server obj;
-        let v = decode_slot (Server_lib.read_object t.server obj) in
-        Server_lib.write_object t.server obj (encode_slot (v + d));
+        let v = read_slot t obj in
+        write_slot t obj (v + d);
         Server_lib.unpin_object t.server obj)
-      (decode_adjustment arg)
+      (Codec.decode adjustment arg)
   in
   Server_lib.register_operation t.server ~op:"adjust" ~redo:write_absolute
     ~undo:write_absolute;
@@ -161,50 +144,15 @@ let install_handlers t =
 
 (* RPC plumbing ------------------------------------------------------------ *)
 
-let encode_int v =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w v;
-  Codec.Writer.contents w
+let balance_op = Rpc.op "balance" Codec.int Codec.int
 
-let encode_int2 a b =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w a;
-  Codec.Writer.int w b;
-  Codec.Writer.contents w
+let deposit_op = Rpc.op "deposit" Codec.(pair int int) Codec.unit
 
-let encode_int3 a b c =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w a;
-  Codec.Writer.int w b;
-  Codec.Writer.int w c;
-  Codec.Writer.contents w
+let credit_op = Rpc.op "credit" Codec.(pair int int) Codec.unit
 
-let dispatch t ~tid ~op ~arg =
-  let r = Codec.Reader.of_string arg in
-  match op with
-  | "balance" -> encode_int (balance t tid (Codec.Reader.int r))
-  | "deposit" ->
-      let i = Codec.Reader.int r in
-      let amount = Codec.Reader.int r in
-      deposit t tid i amount;
-      ""
-  | "credit" ->
-      let i = Codec.Reader.int r in
-      let amount = Codec.Reader.int r in
-      credit t tid i amount;
-      ""
-  | "withdraw" ->
-      let i = Codec.Reader.int r in
-      let amount = Codec.Reader.int r in
-      withdraw t tid i amount;
-      ""
-  | "transfer" ->
-      let from_ = Codec.Reader.int r in
-      let to_ = Codec.Reader.int r in
-      let amount = Codec.Reader.int r in
-      transfer t tid ~from_ ~to_ amount;
-      ""
-  | other -> raise (Errors.Server_error ("accounts: unknown op " ^ other))
+let withdraw_op = Rpc.op "withdraw" Codec.(pair int int) Codec.unit
+
+let transfer_op = Rpc.op "transfer" Codec.(triple int int int) Codec.unit
 
 (* "credit" commutes with itself and nothing else *)
 let compatible = Mode.with_typed [ ("credit", "credit") ]
@@ -214,23 +162,27 @@ let create env ~name ~segment ~accounts () =
   let server = Server_lib.create env ~name ~segment ~pages ~compatible () in
   let t = { server; n_accounts = accounts } in
   install_handlers t;
-  Server_lib.accept_requests server (dispatch t);
+  Server_lib.accept_requests server
+    (Rpc.serve
+       [
+         Rpc.handle balance_op (fun tid i -> balance t tid i);
+         Rpc.handle deposit_op (fun tid (i, amount) -> deposit t tid i amount);
+         Rpc.handle credit_op (fun tid (i, amount) -> credit t tid i amount);
+         Rpc.handle withdraw_op (fun tid (i, amount) -> withdraw t tid i amount);
+         Rpc.handle transfer_op (fun tid (from_, to_, amount) ->
+             transfer t tid ~from_ ~to_ amount);
+       ]);
   Server_lib.register_name server ~name ~object_id:"accounts";
   t
 
 let call_balance rpc ~dest ~server tid i =
-  Codec.Reader.int
-    (Codec.Reader.of_string
-       (Rpc.call rpc ~dest ~server ~tid ~op:"balance" ~arg:(encode_int i)))
+  Rpc.invoke rpc ~dest ~server tid balance_op i
 
 let call_deposit rpc ~dest ~server tid i amount =
-  ignore (Rpc.call rpc ~dest ~server ~tid ~op:"deposit" ~arg:(encode_int2 i amount))
+  Rpc.invoke rpc ~dest ~server tid deposit_op (i, amount)
 
 let call_withdraw rpc ~dest ~server tid i amount =
-  ignore
-    (Rpc.call rpc ~dest ~server ~tid ~op:"withdraw" ~arg:(encode_int2 i amount))
+  Rpc.invoke rpc ~dest ~server tid withdraw_op (i, amount)
 
 let call_transfer rpc ~dest ~server tid ~from_ ~to_ amount =
-  ignore
-    (Rpc.call rpc ~dest ~server ~tid ~op:"transfer"
-       ~arg:(encode_int3 from_ to_ amount))
+  Rpc.invoke rpc ~dest ~server tid transfer_op (from_, to_, amount)

@@ -432,42 +432,11 @@ let check_invariants t tid =
 
 (* RPC plumbing --------------------------------------------------------------------- *)
 
-let encode_kv key value =
-  let w = Codec.Writer.create () in
-  Codec.Writer.string w key;
-  Codec.Writer.string w value;
-  Codec.Writer.contents w
+let insert_op = Rpc.op "insert" Codec.(pair string string) Codec.unit
 
-let encode_k key =
-  let w = Codec.Writer.create () in
-  Codec.Writer.string w key;
-  Codec.Writer.contents w
+let lookup_op = Rpc.op "lookup" Codec.string Codec.(option string)
 
-let dispatch t ~tid ~op ~arg =
-  let r = Codec.Reader.of_string arg in
-  match op with
-  | "insert" ->
-      let key = Codec.Reader.string r in
-      let value = Codec.Reader.string r in
-      insert t tid ~key ~value;
-      ""
-  | "lookup" -> (
-      let key = Codec.Reader.string r in
-      match lookup t tid ~key with
-      | Some v ->
-          let w = Codec.Writer.create () in
-          Codec.Writer.option w Codec.Writer.string (Some v);
-          Codec.Writer.contents w
-      | None ->
-          let w = Codec.Writer.create () in
-          Codec.Writer.option w Codec.Writer.string None;
-          Codec.Writer.contents w)
-  | "delete" ->
-      let key = Codec.Reader.string r in
-      let w = Codec.Writer.create () in
-      Codec.Writer.bool w (delete t tid ~key);
-      Codec.Writer.contents w
-  | other -> raise (Errors.Server_error ("btree: unknown op " ^ other))
+let delete_op = Rpc.op "delete" Codec.string Codec.bool
 
 let create env ~name ~segment ?(pages = 512) () =
   let server = Server_lib.create env ~name ~segment ~pages () in
@@ -483,18 +452,21 @@ let create env ~name ~segment ?(pages = 512) () =
     set_meta_next_unalloc meta 1;
     Disk.write_nocharge disk meta_pid meta ~seqno:0
   end;
-  Server_lib.accept_requests server (dispatch t);
+  Server_lib.accept_requests server
+    (Rpc.serve
+       [
+         Rpc.handle insert_op (fun tid (key, value) -> insert t tid ~key ~value);
+         Rpc.handle lookup_op (fun tid key -> lookup t tid ~key);
+         Rpc.handle delete_op (fun tid key -> delete t tid ~key);
+       ]);
   Server_lib.register_name server ~name ~object_id:"btree";
   t
 
 let call_insert rpc ~dest ~server tid ~key ~value =
-  ignore (Rpc.call rpc ~dest ~server ~tid ~op:"insert" ~arg:(encode_kv key value))
+  Rpc.invoke rpc ~dest ~server tid insert_op (key, value)
 
 let call_lookup rpc ~dest ~server tid ~key =
-  let reply = Rpc.call rpc ~dest ~server ~tid ~op:"lookup" ~arg:(encode_k key) in
-  let r = Codec.Reader.of_string reply in
-  Codec.Reader.option r Codec.Reader.string
+  Rpc.invoke rpc ~dest ~server tid lookup_op key
 
 let call_delete rpc ~dest ~server tid ~key =
-  let reply = Rpc.call rpc ~dest ~server ~tid ~op:"delete" ~arg:(encode_k key) in
-  Codec.Reader.bool (Codec.Reader.of_string reply)
+  Rpc.invoke rpc ~dest ~server tid delete_op key

@@ -50,18 +50,13 @@ let content_obj t a ~off ~len =
     ~offset:((content_page a * Page.size) + off)
     ~length:len
 
-let read_int t obj = Int64.to_int (String.get_int64_le (Server_lib.read_object t.server obj) 0)
-
-let encode_int v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Bytes.to_string b
+let read_int t obj = Codec.(decode int) (Server_lib.read_object t.server obj)
 
 (* value-logged single-int write under a given transaction *)
 let put_int t tid obj v =
   Server_lib.lock_object t.server tid obj Mode.Write;
   Server_lib.pin_and_buffer t.server tid obj;
-  Server_lib.write_object t.server obj (encode_int v);
+  Server_lib.write_object t.server obj (Codec.(encode int) v);
   Server_lib.log_and_unpin t.server tid obj
 
 let state_aborted = 0
@@ -310,28 +305,15 @@ let render_text t =
   Buffer.add_string buffer ("+" ^ String.make 60 '-');
   Buffer.contents buffer
 
-(* Dispatch -------------------------------------------------------------------- *)
+(* RPC plumbing ------------------------------------------------------------ *)
 
-let dispatch t ~tid ~op ~arg =
-  let r = Codec.Reader.of_string arg in
-  match op with
-  | "writeln" ->
-      let a = Codec.Reader.int r in
-      let text = Codec.Reader.string r in
-      writeln_to_area t tid a text;
-      ""
-  | "write" ->
-      let a = Codec.Reader.int r in
-      let text = Codec.Reader.string r in
-      write_to_area t tid a text;
-      ""
-  | "read_line" ->
-      let a = Codec.Reader.int r in
-      read_line_from_area t tid a
-  | "read_char" ->
-      let a = Codec.Reader.int r in
-      String.make 1 (read_char_from_area t tid a)
-  | other -> raise (Errors.Server_error ("io: unknown op " ^ other))
+let writeln_op = Rpc.op "writeln" Codec.(pair int string) Codec.unit
+
+let write_op = Rpc.op "write" Codec.(pair int string) Codec.unit
+
+let read_line_op = Rpc.op "read_line" Codec.int Codec.string
+
+let read_char_op = Rpc.op "read_char" Codec.int Codec.string
 
 let create env ~name ~segment () =
   let pages = 9 + (content_pages_per_area * areas) in
@@ -346,6 +328,14 @@ let create env ~name ~segment () =
       partial = Hashtbl.create 8;
     }
   in
-  Server_lib.accept_requests server (dispatch t);
+  Server_lib.accept_requests server
+    (Rpc.serve
+       [
+         Rpc.handle writeln_op (fun tid (a, text) -> writeln_to_area t tid a text);
+         Rpc.handle write_op (fun tid (a, text) -> write_to_area t tid a text);
+         Rpc.handle read_line_op (fun tid a -> read_line_from_area t tid a);
+         Rpc.handle read_char_op (fun tid a ->
+             String.make 1 (read_char_from_area t tid a));
+       ]);
   Server_lib.register_name server ~name ~object_id:"display";
   t

@@ -34,25 +34,16 @@ let element_obj t index =
     ~offset:((page * Page.size) + (within * element_size))
     ~length:element_size
 
-let decode_int64 s off = Int64.to_int (String.get_int64_le s off)
+(* An element is its InUse flag and its contents, two 8-byte ints *)
+let element =
+  Codec.(map (pair int int))
+    ~read:(fun (in_use, value) -> (in_use <> 0, value))
+    ~write:(fun (in_use, value) -> (Bool.to_int in_use, value))
 
-let decode_element s = (decode_int64 s 0 <> 0, decode_int64 s 8)
-
-let encode_element ~in_use value =
-  let b = Bytes.create element_size in
-  Bytes.set_int64_le b 0 (if in_use then 1L else 0L);
-  Bytes.set_int64_le b 8 (Int64.of_int value);
-  Bytes.to_string b
-
-let encode_head v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Bytes.to_string b
-
-let read_head t = decode_int64 (Server_lib.read_object t.server (head_obj t)) 0
+let read_head t = Codec.(decode int) (Server_lib.read_object t.server (head_obj t))
 
 let read_element t index =
-  decode_element (Server_lib.read_object t.server (element_obj t index))
+  Codec.decode element (Server_lib.read_object t.server (element_obj t index))
 
 let tail t = t.tail
 
@@ -99,7 +90,7 @@ let collect_garbage t tid =
   if h' > h && Server_lib.conditionally_lock_object t.server tid (head_obj t) Mode.Write
   then begin
     Server_lib.pin_and_buffer t.server tid (head_obj t);
-    Server_lib.write_object t.server (head_obj t) (encode_head h');
+    Server_lib.write_object t.server (head_obj t) (Codec.(encode int) h');
     Server_lib.log_and_unpin t.server tid (head_obj t)
   end
 
@@ -116,7 +107,7 @@ let enqueue t tid value =
   let obj = element_obj t index in
   Server_lib.lock_object t.server tid obj Mode.Write;
   Server_lib.pin_and_buffer t.server tid obj;
-  Server_lib.write_object t.server obj (encode_element ~in_use:true value);
+  Server_lib.write_object t.server obj (Codec.encode element (true, value));
   Server_lib.log_and_unpin t.server tid obj
 
 (* Scan from the head for an element that is unlocked and InUse; lock
@@ -142,7 +133,7 @@ let dequeue t tid =
           else begin
             Server_lib.pin_and_buffer t.server tid obj;
             Server_lib.write_object t.server obj
-              (encode_element ~in_use:false value);
+              (Codec.encode element (false, value));
             Server_lib.log_and_unpin t.server tid obj;
             value
           end
@@ -165,37 +156,28 @@ let is_queue_empty t tid =
 
 (* RPC plumbing --------------------------------------------------------- *)
 
-let encode_int v =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w v;
-  Codec.Writer.contents w
+let enqueue_op = Rpc.op "enqueue" Codec.int Codec.unit
 
-let decode_int s = Codec.Reader.int (Codec.Reader.of_string s)
+let dequeue_op = Rpc.op "dequeue" Codec.unit Codec.int
 
-let encode_bool v =
-  let w = Codec.Writer.create () in
-  Codec.Writer.bool w v;
-  Codec.Writer.contents w
-
-let dispatch t ~tid ~op ~arg =
-  match op with
-  | "enqueue" ->
-      enqueue t tid (decode_int arg);
-      ""
-  | "dequeue" -> encode_int (dequeue t tid)
-  | "is_empty" -> encode_bool (is_queue_empty t tid)
-  | other -> raise (Errors.Server_error ("weak queue: unknown op " ^ other))
+let is_empty_op = Rpc.op "is_empty" Codec.unit Codec.bool
 
 let create env ~name ~segment ~capacity () =
   let pages = 1 + ((capacity + elements_per_page - 1) / elements_per_page) in
   let server = Server_lib.create env ~name ~segment ~pages () in
   let t = { server; cap = capacity; tail = 0; tail_state = Tail_invalid } in
-  Server_lib.accept_requests server (dispatch t);
+  Server_lib.accept_requests server
+    (Rpc.serve
+       [
+         Rpc.handle enqueue_op (fun tid v -> enqueue t tid v);
+         Rpc.handle dequeue_op (fun tid () -> dequeue t tid);
+         Rpc.handle is_empty_op (fun tid () -> is_queue_empty t tid);
+       ]);
   Server_lib.register_name server ~name ~object_id:"queue";
   t
 
 let call_enqueue rpc ~dest ~server tid v =
-  ignore (Rpc.call rpc ~dest ~server ~tid ~op:"enqueue" ~arg:(encode_int v))
+  Rpc.invoke rpc ~dest ~server tid enqueue_op v
 
 let call_dequeue rpc ~dest ~server tid =
-  decode_int (Rpc.call rpc ~dest ~server ~tid ~op:"dequeue" ~arg:"")
+  Rpc.invoke rpc ~dest ~server tid dequeue_op ()

@@ -1,30 +1,5 @@
 module Writer = struct
   type t = Buffer.t
-
-  let create () = Buffer.create 64
-
-  let int t v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int v);
-    Buffer.add_bytes t b
-
-  let string t s =
-    int t (String.length s);
-    Buffer.add_string t s
-
-  let bool t v = Buffer.add_char t (if v then '\001' else '\000')
-
-  let list t f xs =
-    int t (List.length xs);
-    List.iter (f t) xs
-
-  let option t f = function
-    | None -> bool t false
-    | Some v ->
-        bool t true;
-        f t v
-
-  let contents = Buffer.contents
 end
 
 module Reader = struct
@@ -32,41 +7,118 @@ module Reader = struct
 
   exception Malformed of string
 
-  let of_string data = { data; pos = 0 }
-
   let need t n =
     if t.pos + n > String.length t.data then
       raise (Malformed "truncated record")
-
-  let int t =
-    need t 8;
-    let v = Int64.to_int (String.get_int64_le t.data t.pos) in
-    t.pos <- t.pos + 8;
-    v
-
-  let string t =
-    let len = int t in
-    if len < 0 then raise (Malformed "negative length");
-    need t len;
-    let s = String.sub t.data t.pos len in
-    t.pos <- t.pos + len;
-    s
-
-  let bool t =
-    need t 1;
-    let c = t.data.[t.pos] in
-    t.pos <- t.pos + 1;
-    match c with
-    | '\000' -> false
-    | '\001' -> true
-    | _ -> raise (Malformed "bad boolean")
-
-  let list t f =
-    let n = int t in
-    if n < 0 then raise (Malformed "negative list length");
-    List.init n (fun _ -> f t)
-
-  let option t f = if bool t then Some (f t) else None
-
-  let at_end t = t.pos = String.length t.data
 end
+
+type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
+
+let int =
+  {
+    write = (fun w v -> Buffer.add_int64_le w (Int64.of_int v));
+    read =
+      (fun r ->
+        Reader.need r 8;
+        let v = Int64.to_int (String.get_int64_le r.data r.pos) in
+        r.pos <- r.pos + 8;
+        v);
+  }
+
+let string =
+  {
+    write =
+      (fun w s ->
+        int.write w (String.length s);
+        Buffer.add_string w s);
+    read =
+      (fun r ->
+        let len = int.read r in
+        if len < 0 then raise (Reader.Malformed "negative length");
+        Reader.need r len;
+        let s = String.sub r.data r.pos len in
+        r.pos <- r.pos + len;
+        s);
+  }
+
+let bool =
+  {
+    write = (fun w v -> Buffer.add_char w (if v then '\001' else '\000'));
+    read =
+      (fun r ->
+        Reader.need r 1;
+        let c = r.data.[r.pos] in
+        r.pos <- r.pos + 1;
+        match c with
+        | '\000' -> false
+        | '\001' -> true
+        | _ -> raise (Reader.Malformed "bad boolean"));
+  }
+
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
+
+let list c =
+  {
+    write =
+      (fun w xs ->
+        int.write w (List.length xs);
+        List.iter (c.write w) xs);
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then raise (Reader.Malformed "negative list length");
+        List.init n (fun _ -> c.read r));
+  }
+
+let option c =
+  {
+    write =
+      (fun w -> function
+        | None -> bool.write w false
+        | Some v ->
+            bool.write w true;
+            c.write w v);
+    read = (fun r -> if bool.read r then Some (c.read r) else None);
+  }
+
+let pair a b =
+  {
+    write =
+      (fun w (x, y) ->
+        a.write w x;
+        b.write w y);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        (x, y));
+  }
+
+let triple a b c =
+  {
+    write =
+      (fun w (x, y, z) ->
+        a.write w x;
+        b.write w y;
+        c.write w z);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        let z = c.read r in
+        (x, y, z));
+  }
+
+let map c ~read ~write =
+  { write = (fun w v -> c.write w (write v)); read = (fun r -> read (c.read r)) }
+
+let encode c v =
+  let w = Buffer.create 64 in
+  c.write w v;
+  Buffer.contents w
+
+let decode c s =
+  let r = { Reader.data = s; pos = 0 } in
+  let v = c.read r in
+  if r.pos <> String.length s then raise (Reader.Malformed "trailing bytes");
+  v

@@ -1,43 +1,50 @@
-(** Minimal binary codec for log records.
+(** One description per byte format.
 
-    Hand-rolled rather than [Marshal] so that record encodings are stable,
-    inspectable, and covered by round-trip property tests. *)
+    A ['a t] holds the writer and the reader of one format side by side,
+    so an encoder and its decoder cannot drift apart. Log records, page
+    slots and data-server stubs are all built from these values.
+    Hand-rolled rather than [Marshal] so that encodings are stable,
+    inspectable, and covered by round-trip and byte-golden tests. *)
 
 module Writer : sig
   type t
-
-  val create : unit -> t
-
-  val int : t -> int -> unit
-
-  val string : t -> string -> unit
-
-  val bool : t -> bool -> unit
-
-  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-
-  val option : t -> (t -> 'a -> unit) -> 'a option -> unit
-
-  val contents : t -> string
 end
 
 module Reader : sig
   type t
 
   exception Malformed of string
-
-  val of_string : string -> t
-
-  val int : t -> int
-
-  val string : t -> string
-
-  val bool : t -> bool
-
-  val list : t -> (t -> 'a) -> 'a list
-
-  val option : t -> (t -> 'a) -> 'a option
-
-  (** [at_end t] holds when every byte has been consumed. *)
-  val at_end : t -> bool
 end
+
+type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
+
+(** Eight bytes, little-endian. *)
+val int : int t
+
+(** An [int] length, then the bytes. *)
+val string : string t
+
+(** One byte, 0 or 1. *)
+val bool : bool t
+
+(** No bytes. *)
+val unit : unit t
+
+(** An [int] count, then the elements. *)
+val list : 'a t -> 'a list t
+
+(** A [bool] presence flag, then the value. *)
+val option : 'a t -> 'a option t
+
+val pair : 'a t -> 'b t -> ('a * 'b) t
+
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
+
+(** [map c ~read ~write] carries a ['b] as [c]'s bytes: [write] turns
+    it into an ['a] before writing, [read] turns the read ['a] back. *)
+val map : 'a t -> read:('a -> 'b) -> write:('b -> 'a) -> 'b t
+
+val encode : 'a t -> 'a -> string
+
+(** Raises [Reader.Malformed] on truncated input or trailing bytes. *)
+val decode : 'a t -> string -> 'a

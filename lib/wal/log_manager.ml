@@ -7,20 +7,6 @@ type Trace.event +=
   | Wal_append of { lsn : lsn; tid : Tid.t option; kind : string }
   | Log_force of { upto : lsn; records : int; bytes : int; pages : int }
 
-let record_kind = function
-  | Record.Update_value _ -> "update_value"
-  | Record.Update_operation _ -> "update_operation"
-  | Record.Txn_begin _ -> "begin"
-  | Record.Txn_commit _ -> "commit"
-  | Record.Txn_abort _ -> "abort"
-  | Record.Txn_prepare _ -> "prepare"
-  | Record.Txn_end _ -> "end"
-  | Record.Checkpoint _ -> "checkpoint"
-  | Record.Paxos_promise _ -> "paxos_promise"
-  | Record.Paxos_accept _ -> "paxos_accept"
-  | Record.Paxos_decision _ -> "paxos_decision"
-  | Record.Dependency _ -> "dependency"
-
 (* The volatile buffer holds exactly the contiguous LSN range
    [buf_first, buf_first + buf_len) — everything appended but not yet
    forced — as a circular array indexed by LSN offset, so append, read,
@@ -167,7 +153,7 @@ let push t record =
   | None -> ());
   if Engine.tracing t.engine then
     Engine.emit t.engine
-      (Wal_append { lsn; tid = Record.tid_of record; kind = record_kind record });
+      (Wal_append { lsn; tid = Record.tid_of record; kind = Record.kind record });
   lsn
 
 let append t record =

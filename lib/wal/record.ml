@@ -64,223 +64,157 @@ let tid_of = function
   | Dependency d -> Some d.tid
   | Checkpoint _ | Paxos_promise _ | Paxos_accept _ | Paxos_decision _ -> None
 
+let kind = function
+  | Update_value _ -> "update_value"
+  | Update_operation _ -> "update_operation"
+  | Txn_begin _ -> "begin"
+  | Txn_commit _ -> "commit"
+  | Txn_abort _ -> "abort"
+  | Txn_prepare _ -> "prepare"
+  | Txn_end _ -> "end"
+  | Checkpoint _ -> "checkpoint"
+  | Paxos_promise _ -> "paxos_promise"
+  | Paxos_accept _ -> "paxos_accept"
+  | Paxos_decision _ -> "paxos_decision"
+  | Dependency _ -> "dependency"
+
 (* Encoding --------------------------------------------------------- *)
 
-let write_tid w (tid : Tid.t) =
-  Codec.Writer.int w tid.node;
-  Codec.Writer.int w tid.seq;
-  Codec.Writer.list w Codec.Writer.int tid.path
+(* The leaf types every record carries are written field by field: a
+   tuple [map] would allocate a tuple per value on every log force. *)
+let tid : Tid.t Codec.t =
+  let path = Codec.(list int) in
+  {
+    write =
+      (fun w (t : Tid.t) ->
+        Codec.int.write w t.node;
+        Codec.int.write w t.seq;
+        path.write w t.path);
+    read =
+      (fun r ->
+        let node = Codec.int.read r in
+        let seq = Codec.int.read r in
+        { node; seq; path = path.read r });
+  }
 
-let read_tid r : Tid.t =
-  let node = Codec.Reader.int r in
-  let seq = Codec.Reader.int r in
-  let path = Codec.Reader.list r Codec.Reader.int in
-  { node; seq; path }
+let obj : Object_id.t Codec.t =
+  {
+    write =
+      (fun w (o : Object_id.t) ->
+        Codec.int.write w o.segment;
+        Codec.int.write w o.offset;
+        Codec.int.write w o.length);
+    read =
+      (fun r ->
+        let segment = Codec.int.read r in
+        let offset = Codec.int.read r in
+        { segment; offset; length = Codec.int.read r });
+  }
 
-let write_obj w (obj : Object_id.t) =
-  Codec.Writer.int w obj.segment;
-  Codec.Writer.int w obj.offset;
-  Codec.Writer.int w obj.length
+let page : Disk.page_id Codec.t =
+  {
+    write =
+      (fun w (p : Disk.page_id) ->
+        Codec.int.write w p.segment;
+        Codec.int.write w p.page);
+    read =
+      (fun r ->
+        let segment = Codec.int.read r in
+        { segment; page = Codec.int.read r });
+  }
 
-let read_obj r : Object_id.t =
-  let segment = Codec.Reader.int r in
-  let offset = Codec.Reader.int r in
-  let length = Codec.Reader.int r in
-  { segment; offset; length }
+(* Paxos acceptor flags are logged as 8-byte ints, not 1-byte bools *)
+let flag = Codec.(map int) ~read:(fun n -> n <> 0) ~write:Bool.to_int
 
-let write_page w (p : Disk.page_id) =
-  Codec.Writer.int w p.segment;
-  Codec.Writer.int w p.page
+let update_value =
+  Codec.(map (pair (triple tid obj string) (pair string (option int))))
+    ~read:(fun ((tid, obj, old_value), (new_value, prev)) ->
+      { tid; obj; old_value; new_value; prev })
+    ~write:(fun (u : update_value) ->
+      ((u.tid, u.obj, u.old_value), (u.new_value, u.prev)))
 
-let read_page r : Disk.page_id =
-  let segment = Codec.Reader.int r in
-  let page = Codec.Reader.int r in
-  { segment; page }
+let update_operation =
+  Codec.(
+    map
+      (triple (triple tid string string) (pair string string)
+         (pair (list page) (option int))))
+    ~read:(fun ((tid, server, operation), (undo_arg, redo_arg), (pages, prev)) ->
+      { tid; server; operation; undo_arg; redo_arg; pages; prev })
+    ~write:(fun (u : update_operation) ->
+      ( (u.tid, u.server, u.operation),
+        (u.undo_arg, u.redo_arg),
+        (u.pages, u.prev) ))
 
-let encode t =
-  let w = Codec.Writer.create () in
-  (match t with
-  | Update_value u ->
-      Codec.Writer.int w 0;
-      write_tid w u.tid;
-      write_obj w u.obj;
-      Codec.Writer.string w u.old_value;
-      Codec.Writer.string w u.new_value;
-      Codec.Writer.option w Codec.Writer.int u.prev
-  | Update_operation u ->
-      Codec.Writer.int w 1;
-      write_tid w u.tid;
-      Codec.Writer.string w u.server;
-      Codec.Writer.string w u.operation;
-      Codec.Writer.string w u.undo_arg;
-      Codec.Writer.string w u.redo_arg;
-      Codec.Writer.list w write_page u.pages;
-      Codec.Writer.option w Codec.Writer.int u.prev
-  | Txn_begin tid ->
-      Codec.Writer.int w 2;
-      write_tid w tid
-  | Txn_commit tid ->
-      Codec.Writer.int w 3;
-      write_tid w tid
-  | Txn_abort tid ->
-      Codec.Writer.int w 4;
-      write_tid w tid
-  | Txn_prepare (tid, coordinator) ->
-      Codec.Writer.int w 5;
-      write_tid w tid;
-      Codec.Writer.int w coordinator
-  | Txn_end tid ->
-      Codec.Writer.int w 6;
-      write_tid w tid
-  | Checkpoint c ->
-      Codec.Writer.int w 7;
-      Codec.Writer.list w
-        (fun w (p, lsn) ->
-          write_page w p;
-          Codec.Writer.int w lsn)
-        c.dirty_pages;
-      Codec.Writer.list w
-        (fun w (tid, lsn) ->
-          write_tid w tid;
-          Codec.Writer.option w Codec.Writer.int lsn)
-        c.active_txns;
-      Codec.Writer.list w
-        (fun w (tid, coordinator) ->
-          write_tid w tid;
-          Codec.Writer.int w coordinator)
-        c.prepared
-  | Paxos_promise p ->
-      Codec.Writer.int w 8;
-      write_tid w p.tid;
-      Codec.Writer.int w p.ballot
-  | Paxos_accept a ->
-      Codec.Writer.int w 9;
-      write_tid w a.tid;
-      Codec.Writer.int w a.part;
-      Codec.Writer.int w a.ballot;
-      Codec.Writer.int w (if a.yes then 1 else 0)
-  | Paxos_decision d ->
-      Codec.Writer.int w 10;
-      write_tid w d.tid;
-      Codec.Writer.int w (if d.committed then 1 else 0)
-  | Dependency d ->
-      Codec.Writer.int w 11;
-      write_tid w d.tid;
-      Codec.Writer.int w d.update_lsn;
-      Codec.Writer.list w
-        (fun w (obj, lsn) ->
-          write_obj w obj;
-          Codec.Writer.int w lsn)
-        d.preds);
-  Codec.Writer.contents w
+let checkpoint =
+  Codec.(
+    map
+      (triple
+         (list (pair page int))
+         (list (pair tid (option int)))
+         (list (pair tid int))))
+    ~read:(fun (dirty_pages, active_txns, prepared) ->
+      { dirty_pages; active_txns; prepared })
+    ~write:(fun c -> (c.dirty_pages, c.active_txns, c.prepared))
 
-let decode s =
-  let r = Codec.Reader.of_string s in
-  let t =
-    match Codec.Reader.int r with
-    | 0 ->
-        let tid = read_tid r in
-        let obj = read_obj r in
-        let old_value = Codec.Reader.string r in
-        let new_value = Codec.Reader.string r in
-        let prev = Codec.Reader.option r Codec.Reader.int in
-        Update_value { tid; obj; old_value; new_value; prev }
-    | 1 ->
-        let tid = read_tid r in
-        let server = Codec.Reader.string r in
-        let operation = Codec.Reader.string r in
-        let undo_arg = Codec.Reader.string r in
-        let redo_arg = Codec.Reader.string r in
-        let pages = Codec.Reader.list r read_page in
-        let prev = Codec.Reader.option r Codec.Reader.int in
-        Update_operation { tid; server; operation; undo_arg; redo_arg; pages; prev }
-    | 2 -> Txn_begin (read_tid r)
-    | 3 -> Txn_commit (read_tid r)
-    | 4 -> Txn_abort (read_tid r)
-    | 5 ->
-        let tid = read_tid r in
-        let coordinator = Codec.Reader.int r in
-        Txn_prepare (tid, coordinator)
-    | 6 -> Txn_end (read_tid r)
-    | 7 ->
-        let dirty_pages =
-          Codec.Reader.list r (fun r ->
-              let p = read_page r in
-              let lsn = Codec.Reader.int r in
-              (p, lsn))
-        in
-        let active_txns =
-          Codec.Reader.list r (fun r ->
-              let tid = read_tid r in
-              let lsn = Codec.Reader.option r Codec.Reader.int in
-              (tid, lsn))
-        in
-        let prepared =
-          Codec.Reader.list r (fun r ->
-              let tid = read_tid r in
-              let coordinator = Codec.Reader.int r in
-              (tid, coordinator))
-        in
-        Checkpoint { dirty_pages; active_txns; prepared }
-    | 8 ->
-        let tid = read_tid r in
-        let ballot = Codec.Reader.int r in
-        Paxos_promise { tid; ballot }
-    | 9 ->
-        let tid = read_tid r in
-        let part = Codec.Reader.int r in
-        let ballot = Codec.Reader.int r in
-        let yes = Codec.Reader.int r <> 0 in
-        Paxos_accept { tid; part; ballot; yes }
-    | 10 ->
-        let tid = read_tid r in
-        let committed = Codec.Reader.int r <> 0 in
-        Paxos_decision { tid; committed }
-    | 11 ->
-        let tid = read_tid r in
-        let update_lsn = Codec.Reader.int r in
-        let preds =
-          Codec.Reader.list r (fun r ->
-              let obj = read_obj r in
-              let lsn = Codec.Reader.int r in
-              (obj, lsn))
-        in
-        Dependency { tid; update_lsn; preds }
-    | n -> raise (Codec.Reader.Malformed (Printf.sprintf "unknown tag %d" n))
+let dependency =
+  Codec.(triple tid int (list (pair obj int)))
+  |> Codec.map
+       ~read:(fun (tid, update_lsn, preds) -> { tid; update_lsn; preds })
+       ~write:(fun (d : dependency) -> (d.tid, d.update_lsn, d.preds))
+
+let tid_int = Codec.(pair tid int)
+
+let accept = Codec.(pair (triple tid int int) flag)
+
+let decision = Codec.pair tid flag
+
+(* A tag, then the constructor's payload. *)
+let codec : t Codec.t =
+  let tagged tag (c : _ Codec.t) w v =
+    Codec.int.write w tag;
+    c.write w v
   in
-  if not (Codec.Reader.at_end r) then
-    raise (Codec.Reader.Malformed "trailing bytes");
-  t
+  {
+    write =
+      (fun w -> function
+        | Update_value u -> tagged 0 update_value w u
+        | Update_operation u -> tagged 1 update_operation w u
+        | Txn_begin t -> tagged 2 tid w t
+        | Txn_commit t -> tagged 3 tid w t
+        | Txn_abort t -> tagged 4 tid w t
+        | Txn_prepare (t, coordinator) -> tagged 5 tid_int w (t, coordinator)
+        | Txn_end t -> tagged 6 tid w t
+        | Checkpoint c -> tagged 7 checkpoint w c
+        | Paxos_promise p -> tagged 8 tid_int w (p.tid, p.ballot)
+        | Paxos_accept a -> tagged 9 accept w ((a.tid, a.part, a.ballot), a.yes)
+        | Paxos_decision d -> tagged 10 decision w (d.tid, d.committed)
+        | Dependency d -> tagged 11 dependency w d);
+    read =
+      (fun r ->
+        match Codec.int.read r with
+        | 0 -> Update_value (update_value.read r)
+        | 1 -> Update_operation (update_operation.read r)
+        | 2 -> Txn_begin (tid.read r)
+        | 3 -> Txn_commit (tid.read r)
+        | 4 -> Txn_abort (tid.read r)
+        | 5 ->
+            let t, coordinator = tid_int.read r in
+            Txn_prepare (t, coordinator)
+        | 6 -> Txn_end (tid.read r)
+        | 7 -> Checkpoint (checkpoint.read r)
+        | 8 ->
+            let tid, ballot = tid_int.read r in
+            Paxos_promise { tid; ballot }
+        | 9 ->
+            let (tid, part, ballot), yes = accept.read r in
+            Paxos_accept { tid; part; ballot; yes }
+        | 10 ->
+            let tid, committed = decision.read r in
+            Paxos_decision { tid; committed }
+        | 11 -> Dependency (dependency.read r)
+        | n -> raise (Codec.Reader.Malformed (Printf.sprintf "unknown tag %d" n)));
+  }
 
-let pp fmt = function
-  | Update_value u ->
-      Format.fprintf fmt "@[value-update %a %a (%d->%d bytes)@]" Tid.pp u.tid
-        Object_id.pp u.obj
-        (String.length u.old_value)
-        (String.length u.new_value)
-  | Update_operation u ->
-      Format.fprintf fmt "@[op-update %a %s.%s@]" Tid.pp u.tid u.server
-        u.operation
-  | Txn_begin tid -> Format.fprintf fmt "begin %a" Tid.pp tid
-  | Txn_commit tid -> Format.fprintf fmt "commit %a" Tid.pp tid
-  | Txn_abort tid -> Format.fprintf fmt "abort %a" Tid.pp tid
-  | Txn_prepare (tid, c) -> Format.fprintf fmt "prepare %a coord=%d" Tid.pp tid c
-  | Txn_end tid -> Format.fprintf fmt "end %a" Tid.pp tid
-  | Checkpoint c ->
-      Format.fprintf fmt
-        "checkpoint (%d dirty pages, %d active txns, %d prepared)"
-        (List.length c.dirty_pages)
-        (List.length c.active_txns)
-        (List.length c.prepared)
-  | Paxos_promise p ->
-      Format.fprintf fmt "paxos-promise %a b=%d" Tid.pp p.tid p.ballot
-  | Paxos_accept a ->
-      Format.fprintf fmt "paxos-accept %a part=%d b=%d %s" Tid.pp a.tid a.part
-        a.ballot
-        (if a.yes then "prepared" else "aborted")
-  | Paxos_decision d ->
-      Format.fprintf fmt "paxos-decision %a %s" Tid.pp d.tid
-        (if d.committed then "commit" else "abort")
-  | Dependency d ->
-      Format.fprintf fmt "dependency %a for %d (%d preds)" Tid.pp d.tid
-        d.update_lsn (List.length d.preds)
+let encode = Codec.encode codec
+
+let decode = Codec.decode codec

@@ -89,9 +89,10 @@ type t =
 (** [tid_of t] is the transaction a record belongs to, if any. *)
 val tid_of : t -> Tid.t option
 
+(** [kind t] names the record's constructor, as traces show it. *)
+val kind : t -> string
+
 val encode : t -> string
 
 (** Raises [Codec.Reader.Malformed] on corrupt input. *)
 val decode : string -> t
-
-val pp : Format.formatter -> t -> unit
