@@ -16,6 +16,9 @@ type wal_hooks = {
   after_page_out : Disk.page_id -> unit;
 }
 
+(* Resident frames form a circular doubly linked LRU list through a
+   sentinel: [sentinel.newer] is the least recently used frame. A frame
+   out of the list links to itself. *)
 type frame = {
   pid : Disk.page_id;
   mutable data : Page.t;
@@ -23,8 +26,11 @@ type frame = {
   mutable pins : int;
   mutable rec_lsn : int option;
   mutable last_lsn : int;
-  mutable touched : int; (* LRU stamp *)
+  mutable older : frame;
+  mutable newer : frame;
 }
+
+module Pid_map = Map.Make (struct type t = Disk.page_id let compare = compare end)
 
 type t = {
   engine : Engine.t;
@@ -32,11 +38,19 @@ type t = {
   frames : int;
   profile : Profile.t;
   table : (Disk.page_id, frame) Hashtbl.t;
+  sentinel : frame; (* of the LRU list *)
+  mutable dirty_set : frame Pid_map.t;
   mutable hooks : wal_hooks option;
   mutable on_fault : (Disk.page_id -> unit) option;
-  mutable tick : int;
   mutable fault_count : int;
 }
+
+let unlinked pid data ~last_lsn =
+  let rec f =
+    { pid; data; dirty = false; pins = 0; rec_lsn = None; last_lsn;
+      older = f; newer = f }
+  in
+  f
 
 let attach engine disk ~frames ?(profile = Profile.Classic) () =
   if frames < 1 then invalid_arg "Vm.attach: frames < 1";
@@ -46,9 +60,10 @@ let attach engine disk ~frames ?(profile = Profile.Classic) () =
     frames;
     profile;
     table = Hashtbl.create (2 * frames);
+    sentinel = unlinked { Disk.segment = -1; page = -1 } Bytes.empty ~last_lsn:0;
+    dirty_set = Pid_map.empty;
     hooks = None;
     on_fault = None;
-    tick = 0;
     fault_count = 0;
   }
 
@@ -78,9 +93,19 @@ let protocol_notice t =
   | Profile.Classic -> Engine.record_only t.engine Cost_model.Small_contiguous_message
   | Profile.Integrated -> Engine.elide t.engine Cost_model.Small_contiguous_message
 
+let unlink frame =
+  frame.older.newer <- frame.newer;
+  frame.newer.older <- frame.older;
+  frame.older <- frame;
+  frame.newer <- frame
+
+(* Move [frame] to the most recently used end. *)
 let touch t frame =
-  t.tick <- t.tick + 1;
-  frame.touched <- t.tick
+  unlink frame;
+  frame.older <- t.sentinel.older;
+  frame.newer <- t.sentinel;
+  t.sentinel.older.newer <- frame;
+  t.sentinel.older <- frame
 
 (* Section 3.2.1's write-ahead protocol around every page-out of a
    recoverable-segment page: the kernel announces the intended write,
@@ -107,6 +132,7 @@ let page_out t frame =
   Disk.write t.disk frame.pid image ~seqno;
   (* updates that arrived during the transfer keep the frame dirty *)
   if frame.last_lsn = seqno && Page.equal frame.data image then begin
+    if frame.dirty then t.dirty_set <- Pid_map.remove frame.pid t.dirty_set;
     frame.dirty <- false;
     frame.rec_lsn <- None
   end;
@@ -122,25 +148,23 @@ let page_out t frame =
            elapsed = Engine.now t.engine - started;
          })
 
+(* The victim is the least recently used unpinned frame. *)
 let rec evict_victim t =
-  let victim =
-    Hashtbl.fold
-      (fun _ frame best ->
-        if frame.pins > 0 then best
-        else
-          match best with
-          | None -> Some frame
-          | Some b -> if frame.touched < b.touched then Some frame else best)
-      t.table None
+  let rec oldest_unpinned frame =
+    if frame == t.sentinel then failwith "Vm: all frames pinned, cannot evict"
+    else if frame.pins = 0 then frame
+    else oldest_unpinned frame.newer
   in
-  match victim with
-  | None -> failwith "Vm: all frames pinned, cannot evict"
-  | Some frame ->
-      if frame.dirty then page_out t frame;
-      (* the page-out suspends: a coroutine may have pinned or re-dirtied
-         the frame meanwhile, making it ineligible after all *)
-      if frame.pins = 0 && not frame.dirty then Hashtbl.remove t.table frame.pid
-      else evict_victim t
+  let frame = oldest_unpinned t.sentinel.newer in
+  if frame.dirty then page_out t frame;
+  (* the page-out suspends: a coroutine may have pinned or re-dirtied
+     the frame meanwhile, making it ineligible after all, or evicted it
+     already, in which case it has left the list and the table *)
+  if frame.pins > 0 || frame.dirty then evict_victim t
+  else if frame.newer != frame then begin
+    unlink frame;
+    Hashtbl.remove t.table frame.pid
+  end
 
 let fault t pid ~access =
   (* Instant restart's redo-on-first-touch gate: the Recovery Manager
@@ -163,17 +187,7 @@ let fault t pid ~access =
           touch t frame;
           frame
       | None ->
-          let frame =
-            {
-              pid;
-              data;
-              dirty = false;
-              pins = 0;
-              rec_lsn = None;
-              last_lsn = Disk.seqno t.disk pid;
-              touched = 0;
-            }
-          in
+          let frame = unlinked pid data ~last_lsn:(Disk.seqno t.disk pid) in
           touch t frame;
           Hashtbl.add t.table pid frame;
           frame)
@@ -196,6 +210,7 @@ let read t obj ~access =
 let mark_dirty t frame =
   if not frame.dirty then begin
     frame.dirty <- true;
+    t.dirty_set <- Pid_map.add frame.pid frame t.dirty_set;
     protocol_notice t;
     match t.hooks with
     | Some h -> h.on_first_dirty frame.pid
@@ -276,13 +291,9 @@ let note_rec_lsn t pid ~lsn =
   | Some frame -> lower_rec_lsn frame lsn
 
 let dirty_pages t =
-  Hashtbl.fold
-    (fun pid frame acc ->
-      if frame.dirty then
-        (pid, Option.value frame.rec_lsn ~default:frame.last_lsn) :: acc
-      else acc)
-    t.table []
-  |> List.sort compare
+  List.map
+    (fun (pid, f) -> (pid, Option.value f.rec_lsn ~default:f.last_lsn))
+    (Pid_map.bindings t.dirty_set)
 
 let flush_page t pid =
   match Hashtbl.find_opt t.table pid with
@@ -294,6 +305,10 @@ let flush_all t =
   List.iter (flush_page t) dirty
 
 let resident t = Hashtbl.length t.table
+
+let lru t =
+  let rec go f acc = if f == t.sentinel then acc else go f.older (f.pid :: acc) in
+  go t.sentinel.older []
 
 let pinned t =
   Hashtbl.fold (fun _ f acc -> if f.pins > 0 then acc + 1 else acc) t.table 0

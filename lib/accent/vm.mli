@@ -123,5 +123,8 @@ val resident : t -> int
 
 val pinned : t -> int
 
+(** [lru t] lists the resident pages least recently used first. *)
+val lru : t -> Tabs_storage.Disk.page_id list
+
 (** Count of demand-paging faults served, for tests and benchmarks. *)
 val faults : t -> int

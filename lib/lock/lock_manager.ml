@@ -22,7 +22,6 @@ type Trace.event +=
 type waiter = {
   w_tid : Tid.t;
   w_mode : Mode.t;
-  w_key : Object_id.t;
   w_since : int; (* virtual time the wait began *)
   w_queue : outcome Engine.Waitq.t;
   mutable w_cancelled : bool;
@@ -32,22 +31,25 @@ type waiter = {
    O(1) — and its carcass is dropped when it reaches the front of the
    queue, instead of filtering the whole queue on every cancellation or
    release. [live] counts the non-cancelled waiters so the conditional
-   path and statistics never need a scan either. *)
+   path and statistics never need a scan either. An entry leaves the
+   table once it has no holds and no live waiter, carcasses and all. *)
 type entry = {
+  key : Object_id.t;
   mutable holds : (Tid.t * Mode.t list) list;
   waiters : waiter Queue.t;
   mutable live : int;
 }
 
-module Key = struct
-  type t = Object_id.t
+module Table = Hashtbl.Make (Object_id)
 
-  let equal = Object_id.equal
+let same_family (a : Tid.t) (b : Tid.t) = a.node = b.node && a.seq = b.seq
 
-  let hash = Object_id.hash
-end
-
-module Table = Hashtbl.Make (Key)
+(* Keyed by family: any member of a family finds its slot. *)
+module Family = Hashtbl.Make (struct
+  type t = Tid.t
+  let equal = same_family
+  let hash (t : Tid.t) = Hashtbl.hash t.seq + (t.node * 65599)
+end)
 
 type t = {
   engine : Engine.t;
@@ -55,6 +57,7 @@ type t = {
   default_timeout : int;
   detect_deadlocks : bool;
   table : entry Table.t;
+  families : entry list Family.t; (* what each family holds, see [family] *)
   mutable timeout_count : int;
   mutable deadlock_count : int;
 }
@@ -67,6 +70,7 @@ let create ?(compatible = Mode.standard) ?(default_timeout = 10_000_000)
     default_timeout;
     detect_deadlocks;
     table = Table.create 64;
+    families = Family.create 64;
     timeout_count = 0;
     deadlock_count = 0;
   }
@@ -75,7 +79,7 @@ let entry t key =
   match Table.find_opt t.table key with
   | Some e -> e
   | None ->
-      let e = { holds = []; waiters = Queue.create (); live = 0 } in
+      let e = { key; holds = []; waiters = Queue.create (); live = 0 } in
       Table.add t.table key e;
       e
 
@@ -89,17 +93,29 @@ let admissible t entry tid mode =
       || List.for_all (fun m -> t.compatible m mode) modes)
     entry.holds
 
-let add_hold entry tid mode =
-  let rec go = function
-    | [] -> [ (tid, [ mode ]) ]
+(* The entries [tid]'s family holds, the most recently filed first. *)
+let family t tid = Option.value (Family.find_opt t.families tid) ~default:[]
+
+(* [tid] gains [mode] on [entry]. The first hold of [tid]'s family on
+   the entry files it under the family: the one place the index grows,
+   and the membership test is the scan of the entry's own holds. *)
+let add_hold t entry tid mode =
+  let rec go fresh = function
+    | [] ->
+        if fresh then Family.replace t.families tid (entry :: family t tid);
+        [ (tid, [ mode ]) ]
     | (holder, modes) :: rest when Tid.equal holder tid ->
         let modes =
           if List.exists (Mode.equal mode) modes then modes else mode :: modes
         in
         (holder, modes) :: rest
-    | pair :: rest -> pair :: go rest
+    | ((holder, _) as pair) :: rest ->
+        pair :: go (fresh && not (same_family holder tid)) rest
   in
-  entry.holds <- go entry.holds
+  entry.holds <- go true entry.holds
+
+let forget_if_idle t entry =
+  if entry.holds = [] && entry.live = 0 then Table.remove t.table entry.key
 
 (* Grant waiters from the front of the FIFO while admissible; stop at the
    first live blocked waiter to avoid starvation. Cancelled carcasses
@@ -123,13 +139,13 @@ let grant_waiters t entry =
              [live] decrement happens in its own timeout branch.) *)
           if Engine.Waitq.signal w.w_queue ~engine:t.engine Granted then begin
             entry.live <- entry.live - 1;
-            add_hold entry w.w_tid w.w_mode;
+            add_hold t entry w.w_tid w.w_mode;
             if Engine.tracing t.engine then
               Engine.emit t.engine
                 (Lock_granted
                    {
                      tid = w.w_tid;
-                     obj = w.w_key;
+                     obj = entry.key;
                      mode = w.w_mode;
                      waited = Engine.now t.engine - w.w_since;
                    })
@@ -144,7 +160,7 @@ let try_lock t tid key mode =
   (* Strict FIFO: a conditional request defers to queued live waiters;
      cancelled ghosts (live excluded) cannot refuse it. *)
   if e.live = 0 && admissible t e tid mode then begin
-    add_hold e tid mode;
+    add_hold t e tid mode;
     true
   end
   else false
@@ -208,7 +224,6 @@ let lock t tid key mode ?timeout () =
       {
         w_tid = tid;
         w_mode = mode;
-        w_key = key;
         w_since = Engine.now t.engine;
         w_queue = Engine.Waitq.create ();
         w_cancelled = false;
@@ -235,6 +250,7 @@ let lock t tid key mode ?timeout () =
                { tid; obj = key; mode; waited = Engine.now t.engine - w.w_since });
         (* The cancelled waiter may have been blocking others. *)
         grant_waiters t e;
+        forget_if_idle t e;
         Timed_out
   end
 
@@ -244,49 +260,60 @@ let is_locked t key =
   | Some e -> e.holds <> []
 
 let held_by t tid =
-  Table.fold
-    (fun key e acc ->
-      if List.exists (fun (h, _) -> Tid.equal h tid) e.holds then key :: acc
-      else acc)
-    t.table []
+  List.filter_map
+    (fun e -> if List.mem_assoc tid e.holds then Some e.key else None)
+    (family t tid)
 
-let release_all t tid =
-  Table.iter
-    (fun _ e ->
-      let before = List.length e.holds in
-      e.holds <- List.filter (fun (h, _) -> not (Tid.equal h tid)) e.holds;
-      if List.length e.holds <> before then grant_waiters t e)
-    t.table
+(* The one walk behind every unlock: over the entries [tid]'s family
+   holds, drop each hold whose holder satisfies [drop]. With [heir] the
+   dropped modes pass to it (a subtransaction's commit) and no waiter is
+   granted; otherwise eligible waiters are. The family keeps the entries
+   it still holds, behind any that a waiter of the family granted here
+   re-filed through [add_hold]. *)
+let release t tid ~drop ~heir =
+  let walked = family t tid in
+  Family.remove t.families tid;
+  let kept =
+    List.filter
+      (fun e ->
+        (not (List.exists (fun (h, _) -> drop h) e.holds))
+        || begin
+             Option.iter
+               (fun p ->
+                 List.iter
+                   (fun (h, ms) -> if drop h then List.iter (add_hold t e p) ms)
+                   e.holds)
+               heir;
+             e.holds <- List.filter (fun (h, _) -> not (drop h)) e.holds;
+             let held = List.exists (fun (h, _) -> same_family h tid) e.holds in
+             if heir = None then grant_waiters t e;
+             forget_if_idle t e;
+             held
+           end)
+      walked
+  in
+  match family t tid @ kept with
+  | [] -> ()
+  | keys -> Family.replace t.families tid keys
+
+let release_all t tid = release t tid ~drop:(Tid.equal tid) ~heir:None
 
 let release_subtree t root =
-  let in_subtree (h, _) = Tid.is_ancestor ~ancestor:root h in
-  Table.iter
-    (fun _ e ->
-      let before = List.length e.holds in
-      e.holds <- List.filter (fun hold -> not (in_subtree hold)) e.holds;
-      if List.length e.holds <> before then grant_waiters t e)
-    t.table
+  release t root ~drop:(fun h -> Tid.is_ancestor ~ancestor:root h) ~heir:None
 
-let release_family t top = release_subtree t (Tid.top_level top)
+let release_family t top = release t top ~drop:(same_family top) ~heir:None
 
 let transfer_to_parent t tid =
   match Tid.parent tid with
   | None -> invalid_arg "Lock_manager.transfer_to_parent: top-level tid"
-  | Some parent ->
-      Table.iter
-        (fun _ e ->
-          match List.find_opt (fun (h, _) -> Tid.equal h tid) e.holds with
-          | None -> ()
-          | Some (_, modes) ->
-              e.holds <-
-                List.filter (fun (h, _) -> not (Tid.equal h tid)) e.holds;
-              List.iter (fun m -> add_hold e parent m) modes)
-        t.table
+  | Some parent -> release t tid ~drop:(Tid.equal tid) ~heir:(Some parent)
 
 let total_holds t =
   Table.fold (fun _ e acc -> acc + List.length e.holds) t.table 0
 
 let waiting t = Table.fold (fun _ e acc -> acc + e.live) t.table 0
+
+let entries t = Table.length t.table
 
 let timeouts t = t.timeout_count
 

@@ -105,6 +105,9 @@ val total_holds : t -> int
 (** [waiting t] counts live (non-cancelled) queued waiters. *)
 val waiting : t -> int
 
+(** [entries t] counts the keys with a hold or a live waiter. *)
+val entries : t -> int
+
 (** Number of lock requests that have timed out (deadlock statistic). *)
 val timeouts : t -> int
 

@@ -157,6 +157,162 @@ let test_vm_single_frame_pool () =
       Alcotest.(check string) "refault reads it" "aaaa"
         (Vm.read vm (page 0) ~access:`Random))
 
+(* The LRU list and dirty set against Vm_reference's folds ----------------- *)
+
+type vm_action =
+  | V_read of int
+  | V_update of int * int (* page, virtual time held pinned *)
+  | V_flush of int
+  | V_pause of int
+
+(* One buffer pool as the script sees it; [observe] returns what the
+   two implementations must agree on after every step. *)
+type pool = {
+  v_read : Object_id.t -> string;
+  v_update : Object_id.t -> string -> lsn:int -> hold:int -> unit;
+  v_flush : Disk.page_id -> unit;
+  observe :
+    unit -> Disk.page_id list * (Disk.page_id * int) list * int * int;
+}
+
+let real_pool e disk ~frames ~before_page_out =
+  let vm = Vm.attach e disk ~frames () in
+  Vm.set_wal_hooks vm
+    {
+      Vm.on_first_dirty = ignore;
+      before_page_out = (fun _ -> before_page_out ());
+      after_page_out = ignore;
+    };
+  let observe () =
+    let lru = Vm.lru vm and dirty = Vm.dirty_pages vm in
+    (* the list's own bookkeeping: every resident frame linked once *)
+    if List.length lru <> Vm.resident vm then Alcotest.fail "LRU length <> resident";
+    if List.length (List.sort_uniq compare lru) <> List.length lru then
+      Alcotest.fail "a frame linked twice";
+    if List.length dirty > Vm.resident vm then Alcotest.fail "dirty set > resident";
+    (lru, dirty, Vm.resident vm, Vm.faults vm)
+  in
+  {
+    v_read = (fun o -> Vm.read vm o ~access:`Random);
+    v_update =
+      (fun o v ~lsn ~hold ->
+        Vm.pin vm o ~access:`Random;
+        Vm.write vm o v;
+        Vm.note_update vm o ~lsn;
+        Engine.delay hold;
+        Vm.unpin vm o);
+    v_flush = Vm.flush_page vm;
+    observe;
+  }
+
+let reference_pool e disk ~frames ~before_page_out =
+  let vm = Vm_reference.attach e disk ~frames ~before_page_out in
+  {
+    v_read = Vm_reference.read vm;
+    v_update =
+      (fun o v ~lsn ~hold ->
+        Vm_reference.pin vm o;
+        Vm_reference.write vm o v;
+        Vm_reference.note_update vm o ~lsn;
+        Engine.delay hold;
+        Vm_reference.unpin vm o);
+    v_flush = Vm_reference.flush_page vm;
+    observe =
+      (fun () ->
+        Vm_reference.
+          (lru vm, dirty_pages vm, resident vm, faults vm));
+  }
+
+(* Run the fibers' scripts on one pool; [forces] are the successive
+   delays of the before-page-out hook (the log force), cycled. Returns
+   every step's outcome and observation in the order the steps ran. *)
+let run_pool make ~frames ~forces fibers =
+  let e = Engine.create () in
+  let disk = Disk.create e in
+  Disk.ensure_segment disk 1 ~pages:16;
+  let calls = ref 0 in
+  let before_page_out () =
+    let d = List.nth forces (!calls mod List.length forces) in
+    incr calls;
+    Engine.delay d
+  in
+  let pool = make e disk ~frames ~before_page_out in
+  let log = ref [] and lsn = ref 0 in
+  let page n = obj ~segment:1 ~offset:(n * Page.size) ~length:4 in
+  List.iteri
+    (fun i (start, script) ->
+      ignore
+        (Engine.spawn e (fun () ->
+             Engine.delay start;
+             List.iteri
+               (fun step action ->
+                 let result =
+                   match action with
+                   | V_read p -> pool.v_read (page p)
+                   | V_update (p, hold) ->
+                       incr lsn;
+                       let v = Printf.sprintf "%04d" !lsn in
+                       pool.v_update (page p) v ~lsn:!lsn ~hold;
+                       v
+                   | V_flush p ->
+                       pool.v_flush { Disk.segment = 1; page = p };
+                       ""
+                   | V_pause d ->
+                       Engine.delay d;
+                       ""
+                 in
+                 log := (Engine.now e, i, step, result, pool.observe ()) :: !log)
+               script)))
+    fibers;
+  let _ = Engine.run e in
+  List.rev !log
+
+let vm_script_gen =
+  QCheck.Gen.(
+    let page = int_bound 5 and ms n = map (fun k -> k * 1_000) (int_bound n) in
+    let action =
+      frequency
+        [
+          (3, map (fun p -> V_read p) page);
+          (3, map2 (fun p h -> V_update (p, h)) page (ms 60));
+          (1, map (fun p -> V_flush p) page);
+          (1, map (fun d -> V_pause d) (ms 60));
+        ]
+    in
+    pair
+      (list_size (int_range 1 4) (ms 120))
+      (list_size (int_range 1 3) (pair (ms 60) (list_size (int_range 1 8) action))))
+
+let prop_vm_matches_reference =
+  QCheck.Test.make ~name:"LRU victim and dirty set match the folds" ~count:300
+    (QCheck.make vm_script_gen) (fun (forces, fibers) ->
+      (* one frame more than there are fibers: each pins at most one
+         page, so some frame is always evictable *)
+      let frames = List.length fibers + 1 in
+      run_pool real_pool ~frames ~forces fibers
+      = run_pool reference_pool ~frames ~forces fibers)
+
+(* Two fibers evict the same dirty frame at once, the second page-out
+   held up by a slow log force; meanwhile a third fiber faults the page
+   back in and pins it. The late evictor must leave the new frame be. *)
+let test_vm_double_eviction_refault () =
+  let forces = [ 0; 100_000 ] in
+  let fibers =
+    [
+      (0, [ V_update (0, 0) ]);
+      (40_000, [ V_read 1 ]);
+      (41_000, [ V_read 2 ]);
+      (90_000, [ V_update (0, 200_000); V_read 0 ]);
+    ]
+  in
+  let real = run_pool real_pool ~frames:1 ~forces fibers in
+  Alcotest.(check bool) "matches the reference" true
+    (real = run_pool reference_pool ~frames:1 ~forces fibers);
+  let _, _, _, result, (lru, _, _, _) = List.nth real (List.length real - 1) in
+  Alcotest.(check string) "re-faulted page kept its update" "0002" result;
+  Alcotest.(check bool) "page 0 still resident" true
+    (List.mem { Disk.segment = 1; page = 0 } lru)
+
 let suites =
   [
     ( "accent.vm",
@@ -169,5 +325,7 @@ let suites =
         quick "dirty page list" test_vm_dirty_page_list;
         quick "multi-page object" test_vm_multipage_object;
         quick "single-frame pool" test_vm_single_frame_pool;
+        quick "double eviction and re-fault" test_vm_double_eviction_refault;
+        QCheck_alcotest.to_alcotest prop_vm_matches_reference;
       ] );
   ]

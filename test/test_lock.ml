@@ -484,6 +484,193 @@ let test_detector_no_false_positives () =
   Alcotest.(check int) "no false positive" 2 !granted;
   Alcotest.(check int) "none detected" 0 (Lock_manager.deadlocks_detected lm)
 
+(* The family index against Lock_reference's table scans ------------------ *)
+
+type lock_action =
+  | L_lock of int * Mode.t * int (* key, mode, timeout *)
+  | L_try of int * Mode.t
+  | L_pause of int
+  | L_finish (* a subtransaction passes its locks up; a top-level one drops them *)
+  | L_release_subtree
+  | L_release_family
+
+(* One lock manager as the script sees it. *)
+type manager = {
+  m_lock : Tid.t -> Object_id.t -> Mode.t -> timeout:int -> Lock_manager.outcome;
+  m_try : Tid.t -> Object_id.t -> Mode.t -> bool;
+  m_held_by : Tid.t -> Object_id.t list;
+  m_is_locked : Object_id.t -> bool;
+  m_release_all : Tid.t -> unit;
+  m_release_subtree : Tid.t -> unit;
+  m_release_family : Tid.t -> unit;
+  m_transfer : Tid.t -> unit;
+  m_total_holds : unit -> int;
+  m_waiting : unit -> int;
+}
+
+let real_manager lm =
+  Lock_manager.
+    {
+      m_lock = (fun tid key mode ~timeout -> lock lm tid key mode ~timeout ());
+      m_try = try_lock lm;
+      m_held_by = held_by lm;
+      m_is_locked = is_locked lm;
+      m_release_all = release_all lm;
+      m_release_subtree = release_subtree lm;
+      m_release_family = release_family lm;
+      m_transfer = transfer_to_parent lm;
+      m_total_holds = (fun () -> total_holds lm);
+      m_waiting = (fun () -> waiting lm);
+    }
+
+let reference_manager lm =
+  Lock_reference.
+    {
+      m_lock = lock lm;
+      m_try = try_lock lm;
+      m_held_by = held_by lm;
+      m_is_locked = is_locked lm;
+      m_release_all = release_all lm;
+      m_release_subtree = release_subtree lm;
+      m_release_family = release_family lm;
+      m_transfer = transfer_to_parent lm;
+      m_total_holds = (fun () -> total_holds lm);
+      m_waiting = (fun () -> waiting lm);
+    }
+
+(* Two families, each a top-level transaction, two children and a
+   grandchild, over four keys. *)
+let model_tids =
+  List.concat_map
+    (fun n ->
+      let top = tid n in
+      let c0 = Tid.child top ~index:0 in
+      [ top; c0; Tid.child top ~index:1; Tid.child c0 ~index:0 ])
+    [ 1; 2 ]
+
+let model_keys = List.init 4 obj
+
+(* Everything both managers must agree on: each transaction's keys,
+   which keys are locked, and the two counts. *)
+let observe m =
+  ( List.map
+      (fun t -> List.sort compare (List.map (fun (k : Object_id.t) -> k.offset) (m.m_held_by t)))
+      model_tids,
+    List.map m.m_is_locked model_keys,
+    m.m_total_holds (),
+    m.m_waiting () )
+
+(* Run the fibers' scripts on one manager, then drain every family.
+   The log holds each step's outcome and observation in the order the
+   steps ran, so it also pins the order waiters are granted in. *)
+let run_manager make fibers =
+  let e = Engine.create () in
+  let m, after_drain = make e in
+  let log = ref [] in
+  let note entry = log := (Engine.now e, entry, observe m) :: !log in
+  List.iteri
+    (fun i (who, start, script) ->
+      let who = List.nth model_tids who in
+      ignore
+        (Engine.spawn e (fun () ->
+             Engine.delay start;
+             List.iteri
+               (fun step action ->
+                 let outcome =
+                   match action with
+                   | L_lock (k, mode, timeout) -> (
+                       match m.m_lock who (obj k) mode ~timeout with
+                       | Lock_manager.Granted -> "granted"
+                       | Lock_manager.Timed_out -> "timed out"
+                       | Lock_manager.Deadlocked -> "deadlocked")
+                   | L_try (k, mode) -> string_of_bool (m.m_try who (obj k) mode)
+                   | L_pause d ->
+                       Engine.delay d;
+                       ""
+                   | L_finish ->
+                       if Tid.is_top who then m.m_release_all who
+                       else m.m_transfer who;
+                       ""
+                   | L_release_subtree ->
+                       m.m_release_subtree who;
+                       ""
+                   | L_release_family ->
+                       m.m_release_family who;
+                       ""
+                 in
+                 note (Printf.sprintf "%d.%d %s" i step outcome))
+               script)))
+    fibers;
+  let _ = Engine.run e in
+  List.iter m.m_release_family [ tid 1; tid 2 ];
+  note "drained";
+  (List.rev !log, after_drain ())
+
+(* Times are multiples of 10 so that time-outs often fall on the instant
+   of a release or of another time-out. *)
+let lock_script_gen =
+  QCheck.Gen.(
+    let key = int_bound 3 and mode = oneofl [ Mode.Read; Mode.Write ] in
+    let ticks n = map (fun k -> 10 * k) (int_bound n) in
+    let action =
+      frequency
+        [
+          (5, map3 (fun k m t -> L_lock (k, m, 10 + t)) key mode (ticks 3));
+          (2, map2 (fun k m -> L_try (k, m)) key mode);
+          (2, map (fun d -> L_pause d) (ticks 3));
+          (1, return L_finish);
+          (1, return L_release_subtree);
+          (1, return L_release_family);
+        ]
+    in
+    list_size (int_range 1 6)
+      (triple
+         (int_bound (List.length model_tids - 1))
+         (ticks 2)
+         (list_size (int_range 1 8) action)))
+
+let prop_lock_matches_reference =
+  QCheck.Test.make ~name:"family index matches the table-scan model" ~count:500
+    (QCheck.make lock_script_gen) (fun fibers ->
+      let real, entries =
+        run_manager
+          (fun e ->
+            let lm = Lock_manager.create e () in
+            (real_manager lm, fun () -> Lock_manager.entries lm))
+          fibers
+      in
+      let reference, _ =
+        run_manager (fun e -> (reference_manager (Lock_reference.create e), Fun.const 0)) fibers
+      in
+      (* drained: no entry is left behind, not even a waiter carcass *)
+      real = reference && entries = 0)
+
+(* A sibling granted during its family's unlock re-files the key, which
+   then comes first in the family's next unlock: at 30 the stranger
+   queued on key 0 runs before the one queued on key 1. *)
+let test_refiled_key_unlocks_first () =
+  let w k = L_lock (k, Mode.Write, 100) in
+  let fibers =
+    [
+      (1, 0, [ w 0; L_pause 20; L_release_subtree ]);
+      (2, 5, [ w 0 ]);
+      (0, 0, [ w 1; L_pause 30; L_release_family ]);
+      (4, 10, [ w 1 ]);
+      (6, 10, [ w 0 ]);
+    ]
+  in
+  let run make = fst (run_manager make fibers) in
+  let real = run (fun e -> (real_manager (Lock_manager.create e ()), Fun.const 0)) in
+  let grants =
+    List.filter_map
+      (fun (time, step, _) -> if time = 30 then Some step else None)
+      real
+  in
+  Alcotest.(check (list string)) "grant order at the unlock"
+    [ "2.1 "; "2.2 "; "4.0 granted"; "3.0 granted" ] grants;
+  Alcotest.(check bool) "matches the model" true
+    (real = run (fun e -> (reference_manager (Lock_reference.create e), Fun.const 0)))
+
 let suites =
   [
     ( "lock.mode",
@@ -519,5 +706,10 @@ let suites =
         quick "ancestor passes" test_subtxn_parent_not_blocking;
         quick "transfer to parent" test_subtxn_transfer_to_parent;
         quick "abort releases" test_subtxn_abort_releases;
+      ] );
+    ( "lock.model",
+      [
+        quick "re-filed key unlocks first" test_refiled_key_unlocks_first;
+        QCheck_alcotest.to_alcotest prop_lock_matches_reference;
       ] );
   ]

@@ -168,6 +168,45 @@ let test_relock_ignores_other_segments () =
     (Server_lib.is_object_locked server
        (Server_lib.create_object_id server ~offset:0 ~length:8))
 
+(* Bounded volatile state: after N commits on distinct keys and after 4N
+   more, the lock table and the buffer pool's bookkeeping hold only what
+   is live, never a trace of the keys and pages the server has seen. *)
+let test_state_bounded_by_live () =
+  let frames = 16 and n = 150 in
+  let c = Cluster.create ~nodes:1 ~frames () in
+  let node = Cluster.node c 0 in
+  let arr =
+    Tabs_servers.Int_array_server.create (Node.env node) ~name:"cells" ~segment:7
+      ~cells:(Tabs_servers.Int_array_server.cells_per_page * 5 * n)
+      ()
+  in
+  let locks = Server_lib.lock_manager (Tabs_servers.Int_array_server.server arr) in
+  let vm = Node.vm node in
+  (* commit [count] transactions from [first], each writing a cell on a
+     page of its own *)
+  let commits first count =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        for k = first to first + count - 1 do
+          Txn_lib.execute_transaction (Node.tm node) (fun tid ->
+              Tabs_servers.Int_array_server.set arr tid
+                (k * Tabs_servers.Int_array_server.cells_per_page)
+                k)
+        done)
+  in
+  let check after =
+    let lru = Tabs_accent.Vm.lru vm and resident = Tabs_accent.Vm.resident vm in
+    Alcotest.(check int) (after ^ ": no lock entry outlives its family") 0
+      (Lock_manager.entries locks);
+    Alcotest.(check int) (after ^ ": LRU length = resident") resident (List.length lru);
+    Alcotest.(check bool) (after ^ ": resident within the pool") true (resident <= frames);
+    Alcotest.(check bool) (after ^ ": dirty set within resident") true
+      (List.length (Tabs_accent.Vm.dirty_pages vm) <= resident)
+  in
+  commits 0 n;
+  check "after N";
+  commits n (4 * n);
+  check "after N + 4N"
+
 let suites =
   [
     ( "server_lib",
@@ -180,5 +219,6 @@ let suites =
         quick "execute_transaction aborts" test_execute_transaction_aborts_on_raise;
         quick "relock in doubt" test_relock_in_doubt;
         quick "relock foreign segment" test_relock_ignores_other_segments;
+        quick "state bounded by live state" test_state_bounded_by_live;
       ] );
   ]
