@@ -18,10 +18,12 @@ type wal_hooks = {
 
 (* Resident frames form a circular doubly linked LRU list through a
    sentinel: [sentinel.newer] is the least recently used frame. A frame
-   out of the list links to itself. *)
+   out of the list links to itself. A [shared] frame's [data] may be an
+   image the disk holds too, so [write] copies it first. *)
 type frame = {
   pid : Disk.page_id;
-  mutable data : Page.t;
+  mutable data : bytes;
+  mutable shared : bool;
   mutable dirty : bool;
   mutable pins : int;
   mutable rec_lsn : int option;
@@ -47,8 +49,8 @@ type t = {
 
 let unlinked pid data ~last_lsn =
   let rec f =
-    { pid; data; dirty = false; pins = 0; rec_lsn = None; last_lsn;
-      older = f; newer = f }
+    { pid; data = Bytes.unsafe_of_string data; shared = true; dirty = false;
+      pins = 0; rec_lsn = None; last_lsn; older = f; newer = f }
   in
   f
 
@@ -60,7 +62,7 @@ let attach engine disk ~frames ?(profile = Profile.Classic) () =
     frames;
     profile;
     table = Hashtbl.create (2 * frames);
-    sentinel = unlinked { Disk.segment = -1; page = -1 } Bytes.empty ~last_lsn:0;
+    sentinel = unlinked { Disk.segment = -1; page = -1 } "" ~last_lsn:0;
     dirty_set = Pid_map.empty;
     hooks = None;
     on_fault = None;
@@ -120,9 +122,10 @@ let page_out t frame =
      the log force, and the disk write all suspend this fiber, and a
      writing coroutine may pin and update the frame meanwhile; such an
      update's record may not be forced yet, so it must wait for a later
-     page-out rather than ride along. *)
+     page-out rather than ride along: sharing makes it write a copy. *)
   let seqno = frame.last_lsn in
-  let image = Page.copy frame.data in
+  let image = Bytes.unsafe_to_string frame.data in
+  frame.shared <- true;
   (match t.hooks with
   | Some h -> h.before_page_out frame.pid
   | None -> ());
@@ -131,7 +134,8 @@ let page_out t frame =
   protocol_msg t;
   Disk.write t.disk frame.pid image ~seqno;
   (* updates that arrived during the transfer keep the frame dirty *)
-  if frame.last_lsn = seqno && Page.equal frame.data image then begin
+  let data = Bytes.unsafe_to_string frame.data in
+  if frame.last_lsn = seqno && Page.equal data image then begin
     if frame.dirty then t.dirty_set <- Pid_map.remove frame.pid t.dirty_set;
     frame.dirty <- false;
     frame.rec_lsn <- None
@@ -202,8 +206,7 @@ let read t obj ~access =
       let page_base = pid.page * Page.size in
       let first = max obj.offset page_base in
       let last = min (obj.offset + obj.length) (page_base + Page.size) in
-      Buffer.add_string buffer
-        (Page.sub frame.data ~off:(first - page_base) ~len:(last - first)))
+      Buffer.add_subbytes buffer frame.data (first - page_base) (last - first))
     (object_pages obj);
   Buffer.contents buffer
 
@@ -233,6 +236,10 @@ let write t obj value =
       let last = min (obj.offset + obj.length) (page_base + Page.size) in
       mark_dirty t frame;
       touch t frame;
+      if frame.shared then begin
+        frame.data <- Bytes.copy frame.data;
+        frame.shared <- false
+      end;
       Page.blit_string
         (String.sub value (first - obj.offset) (last - first))
         frame.data ~off:(first - page_base))

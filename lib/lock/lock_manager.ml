@@ -265,11 +265,11 @@ let held_by t tid =
     (family t tid)
 
 (* The one walk behind every unlock: over the entries [tid]'s family
-   holds, drop each hold whose holder satisfies [drop]. With [heir] the
-   dropped modes pass to it (a subtransaction's commit) and no waiter is
-   granted; otherwise eligible waiters are. The family keeps the entries
-   it still holds, behind any that a waiter of the family granted here
-   re-filed through [add_hold]. *)
+   holds, drop each hold whose holder satisfies [drop], passing its modes
+   to [heir] if any (a subtransaction's commit), then grant the entry's
+   admissible waiters (a sibling queued behind a committing child may now
+   be one). The family keeps the entries it still holds, behind any that
+   a waiter of the family granted here re-filed through [add_hold]. *)
 let release t tid ~drop ~heir =
   let walked = family t tid in
   Family.remove t.families tid;
@@ -286,7 +286,7 @@ let release t tid ~drop ~heir =
                heir;
              e.holds <- List.filter (fun (h, _) -> not (drop h)) e.holds;
              let held = List.exists (fun (h, _) -> same_family h tid) e.holds in
-             if heir = None then grant_waiters t e;
+             grant_waiters t e;
              forget_if_idle t e;
              held
            end)

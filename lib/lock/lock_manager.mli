@@ -94,7 +94,8 @@ val release_family : t -> Tabs_wal.Tid.t -> unit
 
 (** [transfer_to_parent t tid] passes the subtransaction's locks to its
     parent when it finishes (merging with locks the parent already
-    holds). Raises [Invalid_argument] on a top-level tid. *)
+    holds) and grants the waiters this admits, such as a sibling queued
+    behind [tid]. Raises [Invalid_argument] on a top-level tid. *)
 val transfer_to_parent : t -> Tabs_wal.Tid.t -> unit
 
 (** [total_holds t] counts (holder, key) hold entries across the whole

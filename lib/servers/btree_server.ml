@@ -448,10 +448,9 @@ let create env ~name ~segment ?(pages = 512) () =
   let disk = Tabs_accent.Vm.disk env.Server_lib.vm in
   let meta_pid = { Disk.segment; page = 0 } in
   let meta = Disk.read_nocharge disk meta_pid in
-  if get_i meta 16 = 0 then begin
-    set_meta_next_unalloc meta 1;
-    Disk.write_nocharge disk meta_pid meta ~seqno:0
-  end;
+  if Page.get_int meta ~off:16 = 0 then
+    Disk.write_nocharge disk meta_pid ~seqno:0
+      (Page.update meta (fun b -> set_meta_next_unalloc b 1));
   Server_lib.accept_requests server
     (Rpc.serve
        [

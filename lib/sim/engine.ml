@@ -239,8 +239,8 @@ module Waitq = struct
   (* [state] is true once the waiter has been woken or timed out; stale
      entries are skipped by [signal]. *)
 
-  (* Circular buffer of waiters in arrival order, plus a [live] count
-     maintained by [wake] so [waiters] is O(1). *)
+  (* Circular buffer of waiters in arrival order, empty until the first
+     push, plus a [live] count maintained by [wake]: [waiters] is O(1). *)
   type 'a t = {
     mutable ring : 'a waiter array;
     mutable head : int;
@@ -251,11 +251,11 @@ module Waitq = struct
   let vacant : unit -> 'a = fun () -> Obj.magic 0
 
   let create () =
-    { ring = Array.make 16 (vacant ()); head = 0; count = 0; live = 0 }
+    { ring = [||]; head = 0; count = 0; live = 0 }
 
   let ring_grow q =
     let cap = Array.length q.ring in
-    let ring = Array.make (2 * cap) (vacant ()) in
+    let ring = Array.make (max 1 (2 * cap)) (vacant ()) in
     for i = 0 to q.count - 1 do
       ring.(i) <- q.ring.((q.head + i) land (cap - 1))
     done;

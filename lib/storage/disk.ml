@@ -4,9 +4,12 @@ type segment_id = int
 
 type page_id = { segment : segment_id; page : int }
 
-type sector = { mutable data : Page.t; mutable seqno : int }
-
-type segment = { mutable sectors : sector array }
+(* [data.(i)] and [seqnos.(i)] are sector [i]'s image and header. A
+   never-written sector holds the shared zero image and reports sequence
+   number -1: the first log record is LSN 0, so 0 would be
+   indistinguishable from "written covering LSN 0" to the recovery
+   gates. *)
+type segment = { mutable data : Page.t array; mutable seqnos : int array }
 
 type t = {
   engine : Engine.t;
@@ -16,76 +19,58 @@ type t = {
 
 let create engine = { engine; segments = Hashtbl.create 16; writes = 0 }
 
-(* A never-written sector reports sequence number -1: the first log
-   record is LSN 0, so 0 would be indistinguishable from "written
-   covering LSN 0" to the recovery gates. *)
-let fresh_sector () = { data = Page.zero (); seqno = -1 }
-
 let ensure_segment t seg ~pages =
   match Hashtbl.find_opt t.segments seg with
   | None ->
       Hashtbl.add t.segments seg
-        { sectors = Array.init pages (fun _ -> fresh_sector ()) }
+        { data = Array.make pages Page.zero; seqnos = Array.make pages (-1) }
   | Some s ->
-      let old = Array.length s.sectors in
-      if pages > old then begin
-        let sectors = Array.init pages (fun i ->
-            if i < old then s.sectors.(i) else fresh_sector ())
-        in
-        s.sectors <- sectors
+      let more = pages - Array.length s.data in
+      if more > 0 then begin
+        s.data <- Array.append s.data (Array.make more Page.zero);
+        s.seqnos <- Array.append s.seqnos (Array.make more (-1))
       end
 
 let segment_pages t seg =
   match Hashtbl.find_opt t.segments seg with
   | None -> 0
-  | Some s -> Array.length s.sectors
+  | Some s -> Array.length s.data
 
-let sector t pid =
+let segment t pid =
   match Hashtbl.find_opt t.segments pid.segment with
   | None -> invalid_arg "Disk: unknown segment"
   | Some s ->
-      if pid.page < 0 || pid.page >= Array.length s.sectors then
+      if pid.page < 0 || pid.page >= Array.length s.data then
         invalid_arg "Disk: page out of segment bounds";
-      s.sectors.(pid.page)
+      s
+
+let read_nocharge t pid = (segment t pid).data.(pid.page)
 
 let read t pid ~access =
-  let prim =
-    match access with
+  Engine.charge t.engine
+    (match access with
     | `Random -> Cost_model.Random_paged_io
-    | `Sequential -> Cost_model.Sequential_read
-  in
-  Engine.charge t.engine prim;
-  Page.copy (sector t pid).data
+    | `Sequential -> Cost_model.Sequential_read);
+  read_nocharge t pid
+
+let write_nocharge t pid page ~seqno =
+  let s = segment t pid in
+  s.data.(pid.page) <- page;
+  s.seqnos.(pid.page) <- seqno;
+  t.writes <- t.writes + 1
 
 let write t pid page ~seqno =
   Engine.charge t.engine Cost_model.Random_paged_io;
-  let s = sector t pid in
-  s.data <- Page.copy page;
-  s.seqno <- seqno;
-  t.writes <- t.writes + 1
+  write_nocharge t pid page ~seqno
 
-let read_nocharge t pid = Page.copy (sector t pid).data
+let seqno t pid = (segment t pid).seqnos.(pid.page)
 
-let write_nocharge t pid page ~seqno =
-  let s = sector t pid in
-  s.data <- Page.copy page;
-  s.seqno <- seqno;
-  t.writes <- t.writes + 1
-
-let seqno t pid = (sector t pid).seqno
-
+(* Images are immutable, so a copy shares them. *)
 let copy t ~engine =
-  let fresh = { engine; segments = Hashtbl.create 16; writes = t.writes } in
-  Hashtbl.iter
-    (fun seg s ->
-      Hashtbl.add fresh.segments seg
-        {
-          sectors =
-            Array.map
-              (fun sec -> { data = Page.copy sec.data; seqno = sec.seqno })
-              s.sectors;
-        })
-    t.segments;
-  fresh
+  let segments = Hashtbl.copy t.segments in
+  Hashtbl.filter_map_inplace
+    (fun _ s -> Some { data = Array.copy s.data; seqnos = Array.copy s.seqnos })
+    segments;
+  { t with engine; segments }
 
 let pages_written t = t.writes

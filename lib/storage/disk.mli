@@ -6,7 +6,7 @@
     page — the hook required by operation logging (Section 3.2.1).
 
     Reads and writes charge demand-paging I/O costs to the calling
-    fiber. *)
+    fiber and copy nothing: a read returns the sector's immutable image. *)
 
 type segment_id = int
 
@@ -20,7 +20,8 @@ type t
 val create : Tabs_sim.Engine.t -> t
 
 (** [ensure_segment t seg ~pages] creates segment [seg] with [pages]
-    zeroed pages if absent; growing an existing segment keeps old data. *)
+    zeroed pages if absent, all sharing {!Page.zero}; growing an existing
+    segment keeps old data. *)
 val ensure_segment : t -> segment_id -> pages:int -> unit
 
 (** [segment_pages t seg] is the current size of [seg] in pages, 0 if
@@ -48,9 +49,9 @@ val write_nocharge : t -> page_id -> Page.t -> seqno:int -> unit
     distinguishable). *)
 val seqno : t -> page_id -> int
 
-(** [copy t ~engine] is an independent deep copy charging its I/O to
-    [engine] — a frozen image of the disk at a crash instant, for tests
-    that replay recovery against it. *)
+(** [copy t ~engine] is an independent copy charging its I/O to [engine]
+    — a frozen image of the disk at a crash instant, for tests that
+    replay recovery against it. It shares the (immutable) page images. *)
 val copy : t -> engine:Tabs_sim.Engine.t -> t
 
 (** Number of pages ever written, a convenience for tests. *)

@@ -1,22 +1,23 @@
 let size = 512
 
-type t = bytes
+type t = string
 
-let zero () = Bytes.make size '\000'
+let zero = String.make size '\000'
 
-let copy = Bytes.copy
+let update t f =
+  let b = Bytes.of_string t in
+  f b;
+  Bytes.unsafe_to_string b
 
-let blit_string s t ~off =
+let blit_string s b ~off =
   if off < 0 || off + String.length s > size then
     invalid_arg "Page.blit_string: out of page bounds";
-  Bytes.blit_string s 0 t off (String.length s)
+  Bytes.blit_string s 0 b off (String.length s)
 
 let sub t ~off ~len =
   if off < 0 || off + len > size then invalid_arg "Page.sub: out of page bounds";
-  Bytes.sub_string t off len
+  String.sub t off len
 
-let get_int t ~off = Int64.to_int (Bytes.get_int64_le t off)
+let get_int t ~off = Int64.to_int (String.get_int64_le t off)
 
-let set_int t ~off v = Bytes.set_int64_le t off (Int64.of_int v)
-
-let equal = Bytes.equal
+let equal = String.equal

@@ -35,9 +35,8 @@ let truncate_prefix t ~keep_from =
       t.bytes <- t.bytes - String.length t.records.(i)
     done;
     let remaining = t.count - drop in
-    let fresh = Array.make (max 64 (Array.length t.records)) "" in
-    Array.blit t.records drop fresh 0 remaining;
-    t.records <- fresh;
+    Array.blit t.records drop t.records 0 remaining;
+    Array.fill t.records remaining drop "";
     t.first <- t.first + drop;
     t.count <- remaining
   end

@@ -167,7 +167,8 @@ let release_subtree t root =
 let release_family t top = release_subtree t (Tid.top_level top)
 
 (* The parent takes the modes before the child's hold goes, so the
-   family never stops holding the key. *)
+   family never stops holding the key; then the entry grants the waiters
+   the parent's holds admit, such as a sibling queued behind the child. *)
 let transfer_to_parent t tid =
   let parent = Option.get (Tid.parent tid) in
   List.iter
@@ -176,7 +177,8 @@ let transfer_to_parent t tid =
       | None -> ()
       | Some (_, modes) ->
           List.iter (fun m -> add_hold t e parent m) modes;
-          e.holds <- List.filter (fun (h, _) -> not (Tid.equal h tid)) e.holds)
+          e.holds <- List.filter (fun (h, _) -> not (Tid.equal h tid)) e.holds;
+          grant_waiters t e)
     (family_entries t tid)
 
 let total_holds t =

@@ -157,23 +157,52 @@ let test_vm_single_frame_pool () =
       Alcotest.(check string) "refault reads it" "aaaa"
         (Vm.read vm (page 0) ~access:`Random))
 
+let test_vm_flushed_image_kept () =
+  (* the disk keeps the image a page-out handed it when the frame is
+     written again *)
+  in_fiber (fun e ->
+      let vm = make_vm e in
+      let o = obj ~segment:1 ~offset:0 ~length:2 in
+      let pid = { Disk.segment = 1; page = 0 } in
+      let update v lsn =
+        Vm.pin vm o ~access:`Random;
+        Vm.write vm o v;
+        Vm.note_update vm o ~lsn;
+        Vm.unpin vm o
+      in
+      update "v1" 1;
+      Vm.flush_page vm pid;
+      update "v2" 2;
+      Alcotest.(check string) "disk keeps v1" "v1"
+        (Page.sub (Disk.read_nocharge (Vm.disk vm) pid) ~off:0 ~len:2);
+      Alcotest.(check string) "frame has v2" "v2" (Vm.read vm o ~access:`Random);
+      Alcotest.(check (list (pair int int))) "dirty again" [ (0, 2) ]
+        (List.map (fun ((p : Disk.page_id), l) -> (p.page, l)) (Vm.dirty_pages vm)))
+
 (* The LRU list and dirty set against Vm_reference's folds ----------------- *)
 
 type vm_action =
   | V_read of int
   | V_update of int * int (* page, virtual time held pinned *)
+  | V_rewrite of int * int (* V_update of the bytes read, logging nothing *)
   | V_flush of int
   | V_pause of int
 
 (* One buffer pool as the script sees it; [observe] returns what the
-   two implementations must agree on after every step. *)
+   two implementations must agree on after every step: the LRU order,
+   the dirty set, the resident and fault counts and each resident
+   page's bytes. *)
 type pool = {
   v_read : Object_id.t -> string;
-  v_update : Object_id.t -> string -> lsn:int -> hold:int -> unit;
+  v_update : Object_id.t -> string -> lsn:int option -> hold:int -> unit;
   v_flush : Disk.page_id -> unit;
   observe :
-    unit -> Disk.page_id list * (Disk.page_id * int) list * int * int;
+    unit ->
+    Disk.page_id list * (Disk.page_id * int) list * int * int * string list;
 }
+
+let whole_page (pid : Disk.page_id) =
+  obj ~segment:pid.segment ~offset:(pid.page * Page.size) ~length:Page.size
 
 let real_pool e disk ~frames ~before_page_out =
   let vm = Vm.attach e disk ~frames () in
@@ -190,7 +219,10 @@ let real_pool e disk ~frames ~before_page_out =
     if List.length (List.sort_uniq compare lru) <> List.length lru then
       Alcotest.fail "a frame linked twice";
     if List.length dirty > Vm.resident vm then Alcotest.fail "dirty set > resident";
-    (lru, dirty, Vm.resident vm, Vm.faults vm)
+    (* reading the resident pages least recently used first leaves the
+       LRU order as it was *)
+    let data = List.map (fun p -> Vm.read vm (whole_page p) ~access:`Random) lru in
+    (lru, dirty, Vm.resident vm, Vm.faults vm, data)
   in
   {
     v_read = (fun o -> Vm.read vm o ~access:`Random);
@@ -198,7 +230,7 @@ let real_pool e disk ~frames ~before_page_out =
       (fun o v ~lsn ~hold ->
         Vm.pin vm o ~access:`Random;
         Vm.write vm o v;
-        Vm.note_update vm o ~lsn;
+        Option.iter (fun lsn -> Vm.note_update vm o ~lsn) lsn;
         Engine.delay hold;
         Vm.unpin vm o);
     v_flush = Vm.flush_page vm;
@@ -213,19 +245,21 @@ let reference_pool e disk ~frames ~before_page_out =
       (fun o v ~lsn ~hold ->
         Vm_reference.pin vm o;
         Vm_reference.write vm o v;
-        Vm_reference.note_update vm o ~lsn;
+        Option.iter (fun lsn -> Vm_reference.note_update vm o ~lsn) lsn;
         Engine.delay hold;
         Vm_reference.unpin vm o);
     v_flush = Vm_reference.flush_page vm;
     observe =
       (fun () ->
-        Vm_reference.
-          (lru vm, dirty_pages vm, resident vm, faults vm));
+        let order = Vm_reference.lru vm in
+        let data = List.map (fun p -> Vm_reference.read vm (whole_page p)) order in
+        Vm_reference.(order, dirty_pages vm, resident vm, faults vm, data));
   }
 
 (* Run the fibers' scripts on one pool; [forces] are the successive
    delays of the before-page-out hook (the log force), cycled. Returns
-   every step's outcome and observation in the order the steps ran. *)
+   every step's outcome, the pool's observation and the disk's images
+   and sequence numbers, in the order the steps ran. *)
 let run_pool make ~frames ~forces fibers =
   let e = Engine.create () in
   let disk = Disk.create e in
@@ -239,6 +273,11 @@ let run_pool make ~frames ~forces fibers =
   let pool = make e disk ~frames ~before_page_out in
   let log = ref [] and lsn = ref 0 in
   let page n = obj ~segment:1 ~offset:(n * Page.size) ~length:4 in
+  let on_disk () =
+    List.init 16 (fun page ->
+        let pid = { Disk.segment = 1; page } in
+        (Disk.read_nocharge disk pid, Disk.seqno disk pid))
+  in
   List.iteri
     (fun i (start, script) ->
       ignore
@@ -252,7 +291,11 @@ let run_pool make ~frames ~forces fibers =
                    | V_update (p, hold) ->
                        incr lsn;
                        let v = Printf.sprintf "%04d" !lsn in
-                       pool.v_update (page p) v ~lsn:!lsn ~hold;
+                       pool.v_update (page p) v ~lsn:(Some !lsn) ~hold;
+                       v
+                   | V_rewrite (p, hold) ->
+                       let v = pool.v_read (page p) in
+                       pool.v_update (page p) v ~lsn:None ~hold;
                        v
                    | V_flush p ->
                        pool.v_flush { Disk.segment = 1; page = p };
@@ -261,7 +304,9 @@ let run_pool make ~frames ~forces fibers =
                        Engine.delay d;
                        ""
                  in
-                 log := (Engine.now e, i, step, result, pool.observe ()) :: !log)
+                 log :=
+                   (Engine.now e, i, step, result, pool.observe (), on_disk ())
+                   :: !log)
                script)))
     fibers;
   let _ = Engine.run e in
@@ -292,6 +337,60 @@ let prop_vm_matches_reference =
       run_pool real_pool ~frames ~forces fibers
       = run_pool reference_pool ~frames ~forces fibers)
 
+(* Page-outs racing writes to the same frames: three pages, log forces
+   up to 120 ms, and rewrites of the bytes already there. The frames
+   share their images with the disk; the reference copies at every
+   fault and page-out. *)
+let page_race_gen =
+  QCheck.Gen.(
+    let page = int_bound 2 and ms n = map (fun k -> k * 1_000) (int_bound n) in
+    let action =
+      frequency
+        [
+          (2, map (fun p -> V_read p) page);
+          (3, map2 (fun p h -> V_update (p, h)) page (ms 60));
+          (2, map2 (fun p h -> V_rewrite (p, h)) page (ms 60));
+          (2, map (fun p -> V_flush p) page);
+          (1, map (fun d -> V_pause d) (ms 40));
+        ]
+    in
+    pair
+      (list_size (int_range 1 4) (ms 120))
+      (list_size (int_range 2 4)
+         (pair (ms 40) (list_size (int_range 1 10) action))))
+
+let prop_vm_images_match_copying_reference =
+  QCheck.Test.make ~name:"shared page images match the copying reference"
+    ~count:300 (QCheck.make page_race_gen) (fun (forces, fibers) ->
+      let frames = List.length fibers + 1 in
+      run_pool real_pool ~frames ~forces fibers
+      = run_pool reference_pool ~frames ~forces fibers)
+
+(* A page-out held up by a 100 ms log force; at 50 ms another fiber
+   writes the frame. The disk gets the image the page-out announced,
+   and the frame stays dirty unless the write left its bytes as they
+   were. *)
+let test_vm_write_during_page_out () =
+  let run second =
+    let fibers = [ (0, [ V_update (0, 0); V_flush 0 ]); (50_000, [ second ]) ] in
+    let real = run_pool real_pool ~frames:2 ~forces:[ 100_000 ] fibers in
+    Alcotest.(check bool) "matches the reference" true
+      (real = run_pool reference_pool ~frames:2 ~forces:[ 100_000 ] fibers);
+    let _, _, _, _, (_, dirty, _, _, data), disk =
+      List.nth real (List.length real - 1)
+    in
+    let head page = Page.sub page ~off:0 ~len:4 in
+    (head (fst (List.hd disk)), dirty, head (List.hd data))
+  in
+  let disk, dirty, frame = run (V_update (0, 0)) in
+  Alcotest.(check string) "announced image on disk" "0001" disk;
+  Alcotest.(check string) "frame has the racing write" "0002" frame;
+  Alcotest.(check int) "frame still dirty" 1 (List.length dirty);
+  let disk, dirty, frame = run (V_rewrite (0, 0)) in
+  Alcotest.(check string) "same bytes on disk" "0001" disk;
+  Alcotest.(check string) "and in the frame" "0001" frame;
+  Alcotest.(check int) "identical write leaves the frame clean" 0 (List.length dirty)
+
 (* Two fibers evict the same dirty frame at once, the second page-out
    held up by a slow log force; meanwhile a third fiber faults the page
    back in and pins it. The late evictor must leave the new frame be. *)
@@ -308,7 +407,7 @@ let test_vm_double_eviction_refault () =
   let real = run_pool real_pool ~frames:1 ~forces fibers in
   Alcotest.(check bool) "matches the reference" true
     (real = run_pool reference_pool ~frames:1 ~forces fibers);
-  let _, _, _, result, (lru, _, _, _) = List.nth real (List.length real - 1) in
+  let _, _, _, result, (lru, _, _, _, _), _ = List.nth real (List.length real - 1) in
   Alcotest.(check string) "re-faulted page kept its update" "0002" result;
   Alcotest.(check bool) "page 0 still resident" true
     (List.mem { Disk.segment = 1; page = 0 } lru)
@@ -326,6 +425,9 @@ let suites =
         quick "multi-page object" test_vm_multipage_object;
         quick "single-frame pool" test_vm_single_frame_pool;
         quick "double eviction and re-fault" test_vm_double_eviction_refault;
+        quick "flushed image kept" test_vm_flushed_image_kept;
+        quick "write during page-out" test_vm_write_during_page_out;
         QCheck_alcotest.to_alcotest prop_vm_matches_reference;
+        QCheck_alcotest.to_alcotest prop_vm_images_match_copying_reference;
       ] );
   ]

@@ -236,6 +236,33 @@ let test_subtxn_transfer_to_parent () =
   in
   Alcotest.(check bool) "stranger still excluded" true !stranger_blocked
 
+(* A sibling queued behind a child becomes admissible when the child
+   commits into the parent: it is granted at the commit, not left to
+   time out. *)
+let test_subtxn_commit_grants_sibling () =
+  let top = tid 1 in
+  let c0 = Tid.child top ~index:0 and c1 = Tid.child top ~index:1 in
+  let outcome = ref None in
+  let _ =
+    run_fibers
+      [
+        (fun _ lm ->
+          ignore (Lock_manager.lock lm c0 (obj 0) Mode.Write ());
+          Engine.delay 10;
+          Lock_manager.transfer_to_parent lm c0);
+        (fun e lm ->
+          Engine.delay 5;
+          let r = Lock_manager.lock lm c1 (obj 0) Mode.Write ~timeout:1_000 () in
+          outcome := Some (r, Engine.now e));
+      ]
+  in
+  match !outcome with
+  | Some (Lock_manager.Granted, at) ->
+      Alcotest.(check int) "granted at the commit" 10 at
+  | Some ((Lock_manager.Timed_out | Lock_manager.Deadlocked), at) ->
+      Alcotest.failf "sibling refused at %d us" at
+  | None -> Alcotest.fail "sibling never answered"
+
 let test_subtxn_abort_releases () =
   let top = tid 1 in
   let sub = Tid.child top ~index:0 in
@@ -705,6 +732,7 @@ let suites =
         quick "sibling conflict" test_subtxn_sibling_conflict;
         quick "ancestor passes" test_subtxn_parent_not_blocking;
         quick "transfer to parent" test_subtxn_transfer_to_parent;
+        quick "commit grants queued sibling" test_subtxn_commit_grants_sibling;
         quick "abort releases" test_subtxn_abort_releases;
       ] );
     ( "lock.model",

@@ -12,26 +12,30 @@ let in_fiber f =
   let _ = Engine.run e in
   match !result with Some v -> v | None -> Alcotest.fail "fiber did not finish"
 
+(* A zero page with [s] at offset 0. *)
+let page_of s = Page.update Page.zero (fun b -> Page.blit_string s b ~off:0)
+
 let test_page_roundtrip () =
-  let p = Page.zero () in
-  Page.blit_string "hello" p ~off:100;
+  let p =
+    Page.update Page.zero (fun b ->
+        Page.blit_string "hello" b ~off:100;
+        Bytes.set_int64_le b 8 123456789L)
+  in
   Alcotest.(check string) "read back" "hello" (Page.sub p ~off:100 ~len:5);
-  Page.set_int p ~off:8 123456789;
-  Alcotest.(check int) "int roundtrip" 123456789 (Page.get_int p ~off:8)
+  Alcotest.(check int) "int roundtrip" 123456789 (Page.get_int p ~off:8);
+  Alcotest.(check bool) "the zero image is untouched" true
+    (Page.equal Page.zero (String.make Page.size '\000'))
 
 let test_page_bounds () =
-  let p = Page.zero () in
   Alcotest.check_raises "overflow write"
     (Invalid_argument "Page.blit_string: out of page bounds") (fun () ->
-      Page.blit_string "xy" p ~off:511)
+      ignore (Page.update Page.zero (fun b -> Page.blit_string "xy" b ~off:511)))
 
 let test_disk_persistence () =
   in_fiber (fun e ->
       let d = Disk.create e in
       Disk.ensure_segment d 1 ~pages:4;
-      let page = Page.zero () in
-      Page.blit_string "data" page ~off:0;
-      Disk.write d { segment = 1; page = 2 } page ~seqno:7;
+      Disk.write d { segment = 1; page = 2 } (page_of "data") ~seqno:7;
       let back = Disk.read d { segment = 1; page = 2 } ~access:`Random in
       Alcotest.(check string) "contents" "data" (Page.sub back ~off:0 ~len:4);
       Alcotest.(check int) "seqno stored" 7 (Disk.seqno d { segment = 1; page = 2 }))
@@ -52,9 +56,7 @@ let test_disk_grow_preserves () =
   in_fiber (fun e ->
       let d = Disk.create e in
       Disk.ensure_segment d 9 ~pages:2;
-      let page = Page.zero () in
-      Page.blit_string "keep" page ~off:0;
-      Disk.write_nocharge d { segment = 9; page = 1 } page ~seqno:3;
+      Disk.write_nocharge d { segment = 9; page = 1 } (page_of "keep") ~seqno:3;
       Disk.ensure_segment d 9 ~pages:10;
       Alcotest.(check int) "grown" 10 (Disk.segment_pages d 9);
       let back = Disk.read_nocharge d { segment = 9; page = 1 } in
@@ -67,6 +69,37 @@ let test_disk_bounds () =
       Alcotest.check_raises "out of bounds"
         (Invalid_argument "Disk: page out of segment bounds") (fun () ->
           ignore (Disk.read_nocharge d { segment = 1; page = 5 })))
+
+let test_disk_copy_independent () =
+  let e = Engine.create () in
+  let src = Disk.create e in
+  Disk.ensure_segment src 1 ~pages:2;
+  let pid = { Disk.segment = 1; page = 0 } in
+  Disk.write_nocharge src pid (page_of "v1") ~seqno:1;
+  let dst = Disk.copy src ~engine:(Engine.create ()) in
+  Disk.write_nocharge src pid (page_of "v2") ~seqno:2;
+  Disk.ensure_segment src 1 ~pages:8;
+  Disk.write_nocharge dst { pid with page = 1 } (page_of "w1") ~seqno:3;
+  let text d pid = Page.sub (Disk.read_nocharge d pid) ~off:0 ~len:2 in
+  Alcotest.(check string) "copy keeps v1" "v1" (text dst pid);
+  Alcotest.(check int) "copy keeps its seqno" 1 (Disk.seqno dst pid);
+  Alcotest.(check int) "copy keeps its size" 2 (Disk.segment_pages dst 1);
+  Alcotest.(check string) "source has v2" "v2" (text src pid);
+  Alcotest.(check string) "source page 1 unwritten" "\000\000"
+    (text src { pid with page = 1 })
+
+(* Never-written sectors share one zero image: a segment costs a few
+   words per sector, not a page each. *)
+let test_disk_segment_cost () =
+  let d = Disk.create (Engine.create ()) in
+  let words () = Obj.reachable_words (Obj.repr d) in
+  let before = words () in
+  let pages = 100_000 in
+  Disk.ensure_segment d 1 ~pages;
+  let cost = words () - before in
+  if cost > 3 * pages then
+    Alcotest.failf "%d words for %d sectors (a page is %d words)" cost pages
+      (Page.size * 8 / Sys.word_size)
 
 let test_stable_append_read () =
   let s = Stable.create () in
@@ -106,6 +139,8 @@ let suites =
         quick "io costs" test_disk_costs;
         quick "grow preserves" test_disk_grow_preserves;
         quick "bounds" test_disk_bounds;
+        quick "copy is independent" test_disk_copy_independent;
+        quick "segment cost per sector" test_disk_segment_cost;
       ] );
     ( "storage.stable",
       [

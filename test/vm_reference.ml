@@ -4,7 +4,10 @@
    whole table, sorted. It is the specification the LRU list and dirty
    set are checked against in test_accent.ml. Costs are charged exactly
    as in Vm on a Classic node, with [before_page_out] standing for the
-   WAL hook of the same name, so both run to the same virtual schedule. *)
+   WAL hook of the same name, so both run to the same virtual schedule.
+   Frames hold private copies: a fault copies the disk's image and a
+   page-out copies the frame, the specification Vm's shared images are
+   checked against. *)
 
 open Tabs_sim
 open Tabs_storage
@@ -12,7 +15,7 @@ open Tabs_wal
 
 type frame = {
   pid : Disk.page_id;
-  mutable data : Page.t;
+  mutable data : bytes;
   mutable dirty : bool;
   mutable pins : int;
   mutable rec_lsn : int option;
@@ -50,11 +53,11 @@ let msg t = Engine.charge t.engine Cost_model.Small_contiguous_message
 let page_out t frame =
   msg t;
   let seqno = frame.last_lsn in
-  let image = Page.copy frame.data in
+  let image = Bytes.to_string frame.data in
   t.before_page_out ();
   msg t;
   Disk.write t.disk frame.pid image ~seqno;
-  if frame.last_lsn = seqno && Page.equal frame.data image then begin
+  if frame.last_lsn = seqno && Page.equal (Bytes.to_string frame.data) image then begin
     frame.dirty <- false;
     frame.rec_lsn <- None
   end;
@@ -93,7 +96,7 @@ let fault t pid =
   | None -> (
       if Hashtbl.length t.table >= t.frames then evict_victim t;
       t.fault_count <- t.fault_count + 1;
-      let data = Disk.read t.disk pid ~access:`Random in
+      let data = Bytes.of_string (Disk.read t.disk pid ~access:`Random) in
       match Hashtbl.find_opt t.table pid with
       | Some frame ->
           touch t frame;
@@ -118,8 +121,8 @@ let read t (obj : Object_id.t) =
   match Object_id.pages obj with
   | [ pid ] ->
       let frame = fault t pid in
-      Page.sub frame.data ~off:(obj.offset - (pid.page * Page.size))
-        ~len:obj.length
+      Bytes.sub_string frame.data (obj.offset - (pid.page * Page.size))
+        obj.length
   | _ -> invalid_arg "Vm_reference.read: one-page objects only"
 
 let pin t obj =
