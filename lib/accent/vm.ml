@@ -183,7 +183,7 @@ let fault t pid ~access =
   | None -> (
       if Hashtbl.length t.table >= t.frames then evict_victim t;
       t.fault_count <- t.fault_count + 1;
-      let data = Disk.read t.disk pid ~access in
+      let data, last_lsn = Disk.read t.disk pid ~access in
       (* the disk read suspends this fiber: another coroutine may have
          faulted the same page meanwhile — never table it twice *)
       match Hashtbl.find_opt t.table pid with
@@ -191,7 +191,7 @@ let fault t pid ~access =
           touch t frame;
           frame
       | None ->
-          let frame = unlinked pid data ~last_lsn:(Disk.seqno t.disk pid) in
+          let frame = unlinked pid data ~last_lsn in
           touch t frame;
           Hashtbl.add t.table pid frame;
           frame)

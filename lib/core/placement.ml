@@ -1,27 +1,45 @@
 type range = { lo : int; hi : int } (* [lo, hi), indexed by shard *)
 
-type strategy = Ranged of range array | Hashed
+(* [bound] is one past the last key: the last non-empty range's [hi].
+   With more shards than keys the trailing ranges are empty ([lo = hi]),
+   and quoting [ranges.(n-1).hi] would misreport the valid key space. *)
+type strategy = Ranged of { ranges : range array; bound : int } | Hashed
 
-type keyspace = { logical : string; strategy : strategy }
+type location = { shard : int; node : int; instance : string; base : int }
+
+(* [locations.(s)] routes to shard [s]. The topology is immutable, so
+   each record is built once and every lookup returns it. *)
+type keyspace = { strategy : strategy; locations : location array }
 
 type t = {
   topology : Topology.t;
   keyspaces : (string, keyspace) Hashtbl.t;
 }
 
-type location = { shard : int; node : int; instance : string; base : int }
-
 let create topology = { topology; keyspaces = Hashtbl.create 8 }
 
 let keyspace t server =
-  match Hashtbl.find_opt t.keyspaces server with
-  | Some ks -> ks
-  | None -> invalid_arg (Printf.sprintf "Placement: keyspace %s not placed" server)
+  match Hashtbl.find t.keyspaces server with
+  | ks -> ks
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Placement: keyspace %s not placed" server)
+
+let instance_name t ~server ~shard =
+  Printf.sprintf "%s.%s" server (Topology.shard_name t.topology shard)
 
 let add_keyspace t server strategy =
   if Hashtbl.mem t.keyspaces server then
     invalid_arg (Printf.sprintf "Placement: keyspace %s already placed" server);
-  Hashtbl.replace t.keyspaces server { logical = server; strategy }
+  let location shard =
+    {
+      shard;
+      node = Topology.node_of_shard t.topology shard;
+      instance = instance_name t ~server ~shard;
+      base = (match strategy with Ranged r -> r.ranges.(shard).lo | Hashed -> 0);
+    }
+  in
+  let locations = Array.init (Topology.shards t.topology) location in
+  Hashtbl.replace t.keyspaces server { strategy; locations }
 
 let partition t ~server ~keys =
   if keys <= 0 then invalid_arg "Placement.partition: keys <= 0";
@@ -37,78 +55,53 @@ let partition t ~server ~keys =
         lo := r.hi;
         r)
   in
-  add_keyspace t server (Ranged ranges)
-
-let partition_hashed t ~server = add_keyspace t server Hashed
-
-let instance_name t ~server ~shard =
-  Printf.sprintf "%s.%s" server (Topology.shard_name t.topology shard)
-
-(* FNV-1a, truncated to OCaml's positive int range: deterministic across
-   runs and OCaml versions, unlike [Hashtbl.hash]. *)
-let fnv1a s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  (* Int64.to_int keeps the low 63 bits, so bit 62 of the shifted hash
-     would land in the sign bit; mask it off to stay non-negative *)
-  Int64.to_int (Int64.shift_right_logical !h 1) land max_int
-
-let shard_of_ranged server ranges key =
-  let n = Array.length ranges in
-  (* the true bound is the last non-empty range's [hi]: with more shards
-     than keys the trailing ranges are empty ([lo = hi]), and quoting
-     [ranges.(n-1).hi] would misreport the valid key space *)
   let bound =
     Array.fold_left (fun b r -> if r.hi > r.lo then max b r.hi else b) 0 ranges
   in
-  if key < 0 || key >= bound then
+  add_keyspace t server (Ranged { ranges; bound })
+
+let partition_hashed t ~server = add_keyspace t server Hashed
+
+(* FNV-1a over 64 bits, keeping bits 1..62: deterministic across runs
+   and OCaml versions, unlike [Hashtbl.hash]. The low 63 bits of a
+   64-bit xor or product depend only on the operands' low 63 bits, so
+   OCaml's 63-bit ints compute them exactly without boxing an [Int64];
+   the offset basis 0xcbf29ce484222325 is written modulo 2^63. *)
+let fnv1a s =
+  let h = ref 0x4bf29ce484222325 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code s.[i]) * 0x100000001b3
+  done;
+  !h lsr 1
+
+(* binary search for the covering range (empty ranges never cover) *)
+let rec find_range server ranges key lo hi =
+  if lo > hi then
     invalid_arg
-      (Printf.sprintf "Placement: key %d outside keyspace %s [0, %d)" key
-         server bound);
-  (* binary search for the covering range (empty ranges never cover) *)
-  let rec find lo hi =
-    if lo > hi then
-      invalid_arg
-        (Printf.sprintf "Placement: key %d uncovered in keyspace %s" key server)
-    else begin
-      let mid = (lo + hi) / 2 in
-      let r = ranges.(mid) in
-      if key < r.lo then find lo (mid - 1)
-      else if key >= r.hi then find (mid + 1) hi
-      else mid
-    end
-  in
-  find 0 (n - 1)
-
-let shard_of t ~server ~key =
-  match (keyspace t server).strategy with
-  | Ranged ranges -> shard_of_ranged server ranges key
-  | Hashed -> invalid_arg (server ^ ": hashed keyspace, use locate_hashed")
-
-let make_location t ~server ~shard ~base =
-  {
-    shard;
-    node = Topology.node_of_shard t.topology shard;
-    instance = instance_name t ~server ~shard;
-    base;
-  }
+      (Printf.sprintf "Placement: key %d uncovered in keyspace %s" key server);
+  let mid = (lo + hi) / 2 in
+  let r = ranges.(mid) in
+  if key < r.lo then find_range server ranges key lo (mid - 1)
+  else if key >= r.hi then find_range server ranges key (mid + 1) hi
+  else mid
 
 let locate t ~server ~key =
-  match (keyspace t server).strategy with
-  | Ranged ranges ->
-      let shard = shard_of_ranged server ranges key in
-      make_location t ~server ~shard ~base:ranges.(shard).lo
+  let ks = keyspace t server in
+  match ks.strategy with
+  | Ranged { ranges; bound } ->
+      if key < 0 || key >= bound then
+        invalid_arg
+          (Printf.sprintf "Placement: key %d outside keyspace %s [0, %d)" key
+             server bound);
+      ks.locations.(find_range server ranges key 0 (Array.length ranges - 1))
   | Hashed -> invalid_arg (server ^ ": hashed keyspace, use locate_hashed")
 
+let shard_of t ~server ~key = (locate t ~server ~key).shard
+
 let locate_hashed t ~server ~key =
-  match (keyspace t server).strategy with
-  | Hashed ->
-      let shard = fnv1a key mod Topology.shards t.topology in
-      make_location t ~server ~shard ~base:0
+  let ks = keyspace t server in
+  match ks.strategy with
+  | Hashed -> ks.locations.(fnv1a key mod Array.length ks.locations)
   | Ranged _ -> invalid_arg (server ^ ": ranged keyspace, use locate")
 
 let shards_of t ~server ~keys =
@@ -116,24 +109,21 @@ let shards_of t ~server ~keys =
 
 let ranges t ~server =
   match (keyspace t server).strategy with
-  | Ranged ranges ->
+  | Ranged { ranges; _ } ->
       Array.to_list (Array.mapi (fun s r -> (s, r.lo, r.hi)) ranges)
   | Hashed -> invalid_arg (server ^ ": hashed keyspace has no ranges")
 
 let publish t ns ~server ~only_node =
-  match (keyspace t server).strategy with
-  | Ranged rs ->
-      Array.iteri
-        (fun shard r ->
-          let node = Topology.node_of_shard t.topology shard in
-          let wanted =
-            match only_node with None -> true | Some n -> n = node
-          in
+  let ks = keyspace t server in
+  match ks.strategy with
+  | Ranged { ranges; _ } ->
+      Array.iter2
+        (fun loc r ->
+          let wanted = Option.fold ~none:true ~some:(( = ) loc.node) only_node in
           if wanted && r.hi > r.lo then
             Tabs_name.Name_server.register_range ns ~name:server
-              ~server:(instance_name t ~server ~shard)
-              ~lo:r.lo ~hi:r.hi)
-        rs
+              ~server:loc.instance ~lo:r.lo ~hi:r.hi)
+        ks.locations ranges
   | Hashed ->
       (* hashed slices own no contiguous range; nothing to advertise *)
       ()

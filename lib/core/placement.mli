@@ -38,8 +38,10 @@ val partition_hashed : t -> server:string -> unit
     shard's slice, ["<server>.s<shard>"]. *)
 val instance_name : t -> server:string -> shard:int -> string
 
-(** [locate t ~server ~key] routes an integer key. Raises
-    [Invalid_argument] on an unplaced keyspace or out-of-range key. *)
+(** [locate t ~server ~key] routes an integer key to its shard's
+    location, built once when the keyspace was placed: the lookup
+    allocates nothing. Raises [Invalid_argument] on an unplaced keyspace
+    or out-of-range key. *)
 val locate : t -> server:string -> key:int -> location
 
 (** [locate_hashed t ~server ~key] routes a string key of a hashed

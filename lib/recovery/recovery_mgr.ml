@@ -811,7 +811,7 @@ let replay_eagerly t g apply =
 (* Instant: replay one parked page's closure, then retire every page it
    completed — cross-page closures can complete neighbours too. *)
 let recover_page t st pid ~via =
-  st.owner <- Engine.fiber_id ();
+  st.owner <- Engine.fiber_id t.engine;
   let records = Parallel_redo.drain_page st.graph pid ~apply:st.apply in
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
   let completed = Parallel_redo.settle st.graph in
@@ -843,7 +843,7 @@ let ondemand_gate t pid =
   match t.ondemand with
   | None -> ()
   | Some st ->
-      if st.owner <> Engine.fiber_id () then begin
+      if st.owner <> Engine.fiber_id t.engine then begin
         while st.owner >= 0 do
           Engine.Waitq.wait st.latch
         done;

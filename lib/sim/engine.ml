@@ -5,9 +5,12 @@
      loops use the non-allocating [min_key]/[pop] pair;
    - node crash epochs are a flat int array indexed by node id, so the
      per-resume liveness check is two loads;
-   - [current_node] caches the node of the running fiber so that
-     {!charge}'s per-node attribution is a field read instead of a
-     [Get_fiber] effect (a heap-allocated continuation round-trip);
+   - a suspension is one effect, whose handler passes the suspending
+     fiber to the registration closure;
+   - [current_node] and [current_fiber] record the running step's fiber
+     as two ints: {!charge} and {!fiber_id} read them, and writing them
+     costs no write barrier;
+   - CPU counters are a short list: no process name is hashed;
    - wait queues are circular buffers with an O(1) live count. *)
 
 exception Killed
@@ -17,11 +20,12 @@ type t = {
   events : (unit -> unit) Event_queue.t;
   metrics : Metrics.t;
   mutable model : Cost_model.t;
-  cpu : (string, int ref) Hashtbl.t;
+  mutable cpu : (string * int ref) list;
   mutable epochs : int array; (* indexed by node id *)
   mutable next_fiber : int;
   mutable tracer : Trace.sink option;
   mutable current_node : int; (* node of the running fiber; -1 = none *)
+  mutable current_fiber : int; (* id of the running fiber; -1 = none *)
   mutable events_processed : int;
 }
 
@@ -34,11 +38,12 @@ let create ?(cost_model = Cost_model.measured) () =
     events = Event_queue.create ();
     metrics = Metrics.create ();
     model = cost_model;
-    cpu = Hashtbl.create 8;
+    cpu = [];
     epochs = [||];
     next_fiber = 0;
     tracer = None;
     current_node = -1;
+    current_fiber = -1;
     events_processed = 0;
   }
 
@@ -80,31 +85,33 @@ let crash_node t node =
 let fiber_dead f =
   f.node_id >= 0 && node_epoch f.engine f.node_id <> f.epoch
 
-(* Effects: [Suspend reg] hands the fiber's continuation to [reg], which
-   stores it (in a wait queue or a timer event) for later resumption.
-   [Get_fiber] retrieves the fiber's own identity for scheduling. *)
+(* [Suspend reg] hands the suspending fiber and its continuation to
+   [reg], which stores them (in a wait queue or a timer event) for later
+   resumption. *)
 type _ Effect.t +=
-  | Suspend : (('a, unit) Effect.Deep.continuation -> unit) -> 'a Effect.t
-  | Get_fiber : fiber Effect.t
+  | Suspend : (fiber -> ('a, unit) Effect.Deep.continuation -> unit) -> 'a Effect.t
 
-(* [current_node] is set for the duration of a fiber step (continue /
-   discontinue / initial match_with) and cleared when the step returns
-   — i.e. when the fiber suspends or finishes. Steps never nest:
-   everything a running fiber triggers (spawns, wakeups) is deferred
-   through the event queue. An exception escaping a step aborts the
-   whole run, so no unwind protection is needed here. *)
-let resume (fiber : fiber) k v =
-  let eng = fiber.engine in
-  if fiber_dead fiber then begin
-    eng.current_node <- fiber.node_id;
-    (try Effect.Deep.discontinue k Killed with Killed -> ());
-    eng.current_node <- -1
-  end
-  else begin
-    eng.current_node <- fiber.node_id;
-    Effect.Deep.continue k v;
-    eng.current_node <- -1
-  end
+(* [current_node] and [current_fiber] are set for the duration of a
+   fiber step (continue / discontinue / initial match_with) and cleared
+   when the step returns — i.e. when the fiber suspends or finishes.
+   Steps never nest: everything a running fiber triggers (spawns,
+   wakeups) is deferred through the event queue. An exception escaping
+   a step aborts the whole run, so no unwind protection is needed
+   here. *)
+let enter fiber =
+  fiber.engine.current_node <- fiber.node_id;
+  fiber.engine.current_fiber <- fiber.id
+
+let leave t =
+  t.current_node <- -1;
+  t.current_fiber <- -1
+
+let resume fiber k v =
+  enter fiber;
+  if fiber_dead fiber then
+    (try Effect.Deep.discontinue k Killed with Killed -> ())
+  else Effect.Deep.continue k v;
+  leave fiber.engine
 
 let spawn t ?node fn =
   let node_id =
@@ -131,21 +138,15 @@ let spawn t ?node fn =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Suspend reg ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  reg k)
-          | Get_fiber ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k fiber)
+              Some (fun (k : (a, unit) Effect.Deep.continuation) -> reg fiber k)
           | _ -> None);
     }
   in
   at t ~delay:0 (fun () ->
       if not (fiber_dead fiber) then begin
-        t.current_node <- fiber.node_id;
+        enter fiber;
         Effect.Deep.match_with fn () handler;
-        t.current_node <- -1
+        leave t
       end);
   fiber
 
@@ -181,17 +182,16 @@ let run_until t ~time =
   done;
   if t.now < time then t.now <- time
 
-let self () = Effect.perform Get_fiber
-
-let fiber_id () = (self ()).id
+let fiber_id t =
+  if t.current_fiber < 0 then invalid_arg "Engine.fiber_id: not inside a fiber";
+  t.current_fiber
 
 let delay micros =
   if micros < 0 then invalid_arg "Engine.delay: negative";
-  let fiber = self () in
-  let engine = fiber.engine in
   Effect.perform
     (Suspend
-       (fun k -> at engine ~delay:micros (fun () -> resume fiber k ())))
+       (fun fiber k ->
+         at fiber.engine ~delay:micros (fun () -> resume fiber k ())))
 
 let record_only t prim = Metrics.record t.metrics prim
 
@@ -199,7 +199,7 @@ let elide t prim = Metrics.record_elided t.metrics prim
 
 (* Per-node rollup: charges paid inside a node-bound fiber are also
    attributed to that node (observational only — no cost, no delay).
-   Reads the cached [current_node] rather than performing [Get_fiber]. *)
+   Reads the recorded [current_node]: no effect per charge. *)
 let attribute t prim ~num ~den =
   let node = t.current_node in
   if node >= 0 then Metrics.record_node t.metrics ~node prim ~num ~den
@@ -215,11 +215,11 @@ let charge_fraction t prim ~num ~den =
   delay (Cost_model.cost t.model prim * num / den)
 
 let cpu_counter t process =
-  match Hashtbl.find_opt t.cpu process with
-  | Some r -> r
-  | None ->
+  match List.assoc process t.cpu with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
-      Hashtbl.add t.cpu process r;
+      t.cpu <- (process, r) :: t.cpu;
       r
 
 let note_cpu t ~process micros =
@@ -232,7 +232,7 @@ let charge_cpu t ~process micros =
 
 let cpu_time t ~process = !(cpu_counter t process)
 
-let reset_cpu t = Hashtbl.iter (fun _ r -> r := 0) t.cpu
+let reset_cpu t = List.iter (fun (_, r) -> r := 0) t.cpu
 
 module Waitq = struct
   type 'a waiter = { state : bool ref; wake : 'a option -> unit }
@@ -285,18 +285,16 @@ module Waitq = struct
     wake
 
   let wait q =
-    let fiber = self () in
     match
-      Effect.perform (Suspend (fun k -> let _wake = enqueue q fiber k in ()))
+      Effect.perform (Suspend (fun fiber k -> let _wake = enqueue q fiber k in ()))
     with
     | Some v -> v
     | None -> assert false (* no timer can fire for a plain wait *)
 
   let wait_timeout q ~engine ~timeout =
-    let fiber = self () in
     Effect.perform
       (Suspend
-         (fun k ->
+         (fun fiber k ->
            let wake = enqueue q fiber k in
            at engine ~delay:timeout (fun () -> wake None)))
 

@@ -130,11 +130,12 @@ val cpu_time : t -> process:string -> int
 (** [reset_cpu t] zeroes all CPU accumulators. *)
 val reset_cpu : t -> unit
 
-(** [fiber_id ()] is the calling fiber's engine-unique identifier
-    (deterministic: ids come from a per-engine spawn counter). Used as
-    an owner token by re-entrant latches such as the instant-restart
-    per-page replay. *)
-val fiber_id : unit -> int
+(** [fiber_id t] is the engine-unique identifier of the fiber of [t]
+    that is running (deterministic: ids come from a per-engine spawn
+    counter). Used as an owner token by re-entrant latches such as the
+    instant-restart per-page replay. Raises [Invalid_argument] outside a
+    fiber of [t]. *)
+val fiber_id : t -> int
 
 (** {2 Wait queues}
 

@@ -2,9 +2,10 @@
 
     Used as the far tier of the simulation engine's event queue; ties
     are broken by insertion order ([seq]) so that the simulation is
-    deterministic. The layout is struct-of-arrays (unboxed int key and
-    seq arrays beside a value array), and the [min_key] / [min_seq] /
-    [pop] / [push_seq] quartet never allocates. *)
+    deterministic. The heap itself is int arrays (key, seq, and the
+    slot of a separate value table), so a sift moves only ints; the
+    [min_key] / [min_seq] / [pop] / [push_seq] quartet never
+    allocates. *)
 
 type 'a t
 

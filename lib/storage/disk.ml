@@ -37,21 +37,23 @@ let segment_pages t seg =
   | Some s -> Array.length s.data
 
 let segment t pid =
-  match Hashtbl.find_opt t.segments pid.segment with
-  | None -> invalid_arg "Disk: unknown segment"
-  | Some s ->
+  match Hashtbl.find t.segments pid.segment with
+  | exception Not_found -> invalid_arg "Disk: unknown segment"
+  | s ->
       if pid.page < 0 || pid.page >= Array.length s.data then
         invalid_arg "Disk: page out of segment bounds";
       s
 
 let read_nocharge t pid = (segment t pid).data.(pid.page)
 
+(* One segment lookup for both halves of the sector. *)
 let read t pid ~access =
   Engine.charge t.engine
     (match access with
     | `Random -> Cost_model.Random_paged_io
     | `Sequential -> Cost_model.Sequential_read);
-  read_nocharge t pid
+  let s = segment t pid in
+  (s.data.(pid.page), s.seqnos.(pid.page))
 
 let write_nocharge t pid page ~seqno =
   let s = segment t pid in

@@ -28,10 +28,11 @@ val ensure_segment : t -> segment_id -> pages:int -> unit
     absent. *)
 val segment_pages : t -> segment_id -> int
 
-(** [read t pid ~access] reads a page, charging one
+(** [read t pid ~access] reads a page and the sequence number written
+    with it (see {!seqno}), charging one
     {!Tabs_sim.Cost_model.Random_paged_io} or [Sequential_read]
     according to [access]. Must run inside a fiber. *)
-val read : t -> page_id -> access:[ `Random | `Sequential ] -> Page.t
+val read : t -> page_id -> access:[ `Random | `Sequential ] -> Page.t * int
 
 (** [write t pid page ~seqno] writes the page and atomically records
     [seqno] in the sector header, charging one random paged I/O. *)

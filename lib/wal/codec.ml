@@ -112,10 +112,25 @@ let triple a b c =
 let map c ~read ~write =
   { write = (fun w v -> c.write w (write v)); read = (fun r -> read (c.read r)) }
 
+(* One buffer serves every top-level encode. A writer that encodes
+   re-entrantly finds it taken and gets a fresh one; a writer that
+   raises hands it back before the exception propagates. *)
+let scratch = Buffer.create 256
+
+let scratch_taken = ref false
+
 let encode c v =
-  let w = Buffer.create 64 in
-  c.write w v;
-  Buffer.contents w
+  let nested = !scratch_taken in
+  let w = if nested then Buffer.create 64 else scratch in
+  Buffer.clear w;
+  scratch_taken := true;
+  match c.write w v with
+  | () ->
+      scratch_taken := nested;
+      Buffer.contents w
+  | exception e ->
+      scratch_taken := nested;
+      raise e
 
 let decode c s =
   let r = { Reader.data = s; pos = 0 } in

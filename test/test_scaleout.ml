@@ -100,6 +100,62 @@ let test_placement_hashed () =
   Alcotest.(check bool) "hash spreads over shards" true
     (List.length shards > 1)
 
+(* Every location is built once, when the keyspace is placed. For
+   every key of a ranged and a hashed keyspace, [locate] must equal a
+   record built per call the way the routing used to: the hosting node,
+   [instance_name] and the range base — for hashed keys, the shard of
+   the boxed-[Int64] FNV-1a. Out-of-range keys still raise, and a
+   lookup allocates nothing. *)
+let fnv1a_int64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Int64.to_int (Int64.shift_right_logical !h 1) land max_int
+
+let test_placement_locations_built_once () =
+  let topo = Topology.create [| 0; 1; 0 |] in
+  let p = Placement.create topo in
+  Placement.partition p ~server:"k" ~keys:100;
+  Placement.partition_hashed p ~server:"bt";
+  let reference server shard base =
+    {
+      Placement.shard;
+      node = Topology.node_of_shard topo shard;
+      instance = Placement.instance_name p ~server ~shard;
+      base;
+    }
+  in
+  let ranges = Placement.ranges p ~server:"k" in
+  for key = 0 to 99 do
+    let shard, lo, _ = List.find (fun (_, lo, hi) -> lo <= key && key < hi) ranges in
+    if Placement.locate p ~server:"k" ~key <> reference "k" shard lo then
+      Alcotest.failf "ranged key %d misrouted" key
+  done;
+  let keys = Array.init 1_000 (fun i -> Printf.sprintf "key-%d%s" i (String.make (i mod 13) 'x')) in
+  Array.iter
+    (fun key ->
+      if Placement.locate_hashed p ~server:"bt" ~key <> reference "bt" (fnv1a_int64 key mod 3) 0
+      then Alcotest.failf "hashed key %S misrouted" key)
+    keys;
+  Alcotest.(check_raises) "out of range"
+    (Invalid_argument "Placement: key 100 outside keyspace k [0, 100)")
+    (fun () -> ignore (Placement.locate p ~server:"k" ~key:100));
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for key = 0 to 99 do
+      ignore (Sys.opaque_identity (Placement.locate p ~server:"k" ~key))
+    done;
+    for i = 0 to Array.length keys - 1 do
+      ignore (Sys.opaque_identity (Placement.locate_hashed p ~server:"bt" ~key:keys.(i)))
+    done
+  done;
+  (* 110,000 lookups; the words are the two [Gc.minor_words] boxes *)
+  let words = Gc.minor_words () -. before in
+  if words > 16. then Alcotest.failf "110,000 lookups allocated %.0f words" words
+
 (* placement-aware directory ----------------------------------------------- *)
 
 let test_range_entries () =
@@ -501,6 +557,7 @@ let suites =
       [
         quick "topology units" test_topology_units;
         quick "placement ranges and locate" test_placement_ranges;
+        quick "placement locations built once" test_placement_locations_built_once;
         quick "placement with more shards than keys"
           test_placement_more_shards_than_keys;
         quick "placement hashed keyspaces" test_placement_hashed;

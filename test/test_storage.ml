@@ -36,8 +36,9 @@ let test_disk_persistence () =
       let d = Disk.create e in
       Disk.ensure_segment d 1 ~pages:4;
       Disk.write d { segment = 1; page = 2 } (page_of "data") ~seqno:7;
-      let back = Disk.read d { segment = 1; page = 2 } ~access:`Random in
+      let back, seqno = Disk.read d { segment = 1; page = 2 } ~access:`Random in
       Alcotest.(check string) "contents" "data" (Page.sub back ~off:0 ~len:4);
+      Alcotest.(check int) "seqno read with the page" 7 seqno;
       Alcotest.(check int) "seqno stored" 7 (Disk.seqno d { segment = 1; page = 2 }))
 
 let test_disk_costs () =

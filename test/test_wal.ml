@@ -427,6 +427,35 @@ let test_log_truncate () =
       Log_manager.iter_backward log ~from:9 ~f:(fun _ _ -> incr seen; `Continue);
       Alcotest.(check int) "backward scan sees live only" 4 !seen)
 
+(* [Codec.encode] reuses one buffer. A writer that encodes re-entrantly
+   gets a fresh buffer, and a writer that raises — nested or not — leaves
+   the buffer usable: every result equals the bytes of the same values
+   encoded one top-level call at a time. *)
+let test_codec_reentrant () =
+  let inner = Codec.(pair int string) in
+  let boom = Codec.map Codec.int ~read:Fun.id ~write:(fun _ -> failwith "boom") in
+  let nested =
+    Codec.map Codec.string ~read:(Codec.decode inner) ~write:(fun v ->
+        (try ignore (Codec.encode Codec.(pair int boom) (1, 2)) with Failure _ -> ());
+        Codec.encode inner v)
+  in
+  let flat = Codec.(pair int string) in
+  let expected =
+    Codec.encode (Codec.pair flat Codec.int) ((5, Codec.encode inner (7, "seven")), 9)
+  in
+  Alcotest.(check string) "re-entrant encode"
+    expected
+    (Codec.encode Codec.(pair (pair int nested) int) ((5, (7, "seven")), 9));
+  Alcotest.(check bool) "raises" true
+    (match Codec.encode Codec.(pair string boom) ("partial", 0) with
+    | _ -> false
+    | exception Failure _ -> true);
+  Alcotest.(check string) "after a raise" "\003\000\000\000\000\000\000\000"
+    (Codec.encode Codec.int 3);
+  Alcotest.(check string) "re-entrant after a raise"
+    expected
+    (Codec.encode Codec.(pair (pair int nested) int) ((5, (7, "seven")), 9))
+
 let suites =
   [
     ( "wal.tid",
@@ -443,6 +472,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;
         quick "record byte goldens" test_record_byte_goldens;
         quick "slot byte goldens" test_slot_byte_goldens;
+        quick "re-entrant and raising writers" test_codec_reentrant;
       ] );
     ( "wal.log",
       [

@@ -96,7 +96,8 @@ let fault t pid =
   | None -> (
       if Hashtbl.length t.table >= t.frames then evict_victim t;
       t.fault_count <- t.fault_count + 1;
-      let data = Bytes.of_string (Disk.read t.disk pid ~access:`Random) in
+      let image, seqno = Disk.read t.disk pid ~access:`Random in
+      let data = Bytes.of_string image in
       match Hashtbl.find_opt t.table pid with
       | Some frame ->
           touch t frame;
@@ -109,7 +110,7 @@ let fault t pid =
               dirty = false;
               pins = 0;
               rec_lsn = None;
-              last_lsn = Disk.seqno t.disk pid;
+              last_lsn = seqno;
               touched = 0;
             }
           in
