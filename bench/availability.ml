@@ -90,8 +90,7 @@ let run_arm ~label ~commit_protocol ~seed ?(nodes = default_nodes)
                      Int_array_server.set !(holders.(id)) tid hot_cell !i);
                  incr commits
                with
-              | Errors.Lock_timeout _ | Errors.Deadlock _
-              | Errors.Transaction_is_aborted _ ->
+              | Errors.Lock_timeout _ | Errors.Transaction_is_aborted _ ->
                   ());
               Engine.delay 10_000
             done))
@@ -110,8 +109,8 @@ let run_arm ~label ~commit_protocol ~seed ?(nodes = default_nodes)
                      ~server:(server_name dest) tid hot_cell (1000 + !j)
                  done)
            with
-          | Errors.Lock_timeout _ | Errors.Deadlock _
-          | Errors.Transaction_is_aborted _ | Rpc.Rpc_timeout _ ->
+          | Errors.Lock_timeout _ | Errors.Transaction_is_aborted _
+          | Rpc.Rpc_timeout _ ->
               ());
           Engine.delay 50_000
         done)

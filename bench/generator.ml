@@ -140,7 +140,6 @@ let run ?group_commit ?checkpointing ?comm_batching ?profile config =
                 cross_lat := lat :: !cross_lat
               end
           | exception Errors.Lock_timeout _ -> incr aborted
-          | exception Errors.Deadlock _ -> incr aborted
           | exception Errors.Transaction_is_aborted _ -> incr aborted
           | exception Rpc.Rpc_timeout _ -> incr aborted);
           outstanding.(gateway) <- outstanding.(gateway) - 1)

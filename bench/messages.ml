@@ -59,7 +59,6 @@ let run_point ?comm_batching ~workers () =
           with
           | () -> ()
           | exception Errors.Lock_timeout _ -> incr aborted
-          | exception Errors.Deadlock _ -> incr aborted
           | exception Errors.Transaction_is_aborted _ -> incr aborted
         done)
   done;

@@ -129,7 +129,6 @@ let run_chaos ~instant =
               then victim_first_commit := Some now;
               latencies := (now - t0) :: !latencies
           | exception Errors.Lock_timeout _ -> incr aborted
-          | exception Errors.Deadlock _ -> incr aborted
           | exception Errors.Transaction_is_aborted _ -> incr aborted
           | exception Rpc.Rpc_timeout _ -> incr aborted);
           outstanding.(gateway) <- outstanding.(gateway) - 1)

@@ -259,10 +259,10 @@ let print_simperf () =
         ~ref_words_per_txn:67.2 run_scaleout_core;
       run_arm ~name:"tabs_messages" ~kind:"full_stack"
         ~pinned:{ txns = 144; events = 13_601 }
-        ~ref_words_per_txn:4_315.5 run_tabs_messages;
+        ~ref_words_per_txn:4_182.1 run_tabs_messages;
       run_arm ~name:"tabs_scaleout" ~kind:"full_stack"
         ~pinned:{ txns = 1_996; events = 76_574 }
-        ~ref_words_per_txn:2_034.6 run_tabs_scaleout;
+        ~ref_words_per_txn:1_948.3 run_tabs_scaleout;
     ]
   in
   Printf.printf "\nSimulator-core throughput, one run per arm:\n";

@@ -66,7 +66,6 @@ let run_point ?group_commit ~contended ~workers () =
           with
           | () -> incr committed
           | exception Errors.Lock_timeout _ -> incr aborted
-          | exception Errors.Deadlock _ -> incr aborted
           | exception Errors.Transaction_is_aborted _ -> incr aborted
         done)
   done;

@@ -12,8 +12,7 @@ type Trace.event +=
 
 type wal_hooks = {
   on_first_dirty : Disk.page_id -> unit;
-  before_page_out : Disk.page_id -> unit;
-  after_page_out : Disk.page_id -> unit;
+  before_page_out : seqno:int -> unit;
 }
 
 (* Resident frames form a circular doubly linked LRU list through a
@@ -110,10 +109,11 @@ let touch t frame =
   t.sentinel.older <- frame
 
 (* Section 3.2.1's write-ahead protocol around every page-out of a
-   recoverable-segment page: the kernel announces the intended write,
-   the Recovery Manager forces the log through the page's last record
-   (the [before_page_out] hook) and answers with the sector sequence
-   number to stamp, and the kernel reports completion. *)
+   recoverable-segment page: the kernel announces the intended write
+   with the sector sequence number it will stamp (the frame's last
+   noted LSN), the Recovery Manager forces the log through that record
+   (the [before_page_out] hook) and answers, and the kernel reports
+   completion. *)
 let page_out t frame =
   let started = Engine.now t.engine in
   protocol_msg t;
@@ -127,7 +127,7 @@ let page_out t frame =
   let image = Bytes.unsafe_to_string frame.data in
   frame.shared <- true;
   (match t.hooks with
-  | Some h -> h.before_page_out frame.pid
+  | Some h -> h.before_page_out ~seqno
   | None -> ());
   (* the Recovery Manager's go-ahead, carrying the sector sequence
      number for the kernel to write atomically *)
@@ -141,7 +141,6 @@ let page_out t frame =
     frame.rec_lsn <- None
   end;
   protocol_msg t;
-  (match t.hooks with Some h -> h.after_page_out frame.pid | None -> ());
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Page_out

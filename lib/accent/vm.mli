@@ -35,10 +35,12 @@ type Tabs_sim.Trace.event +=
     protocol messages around them according to its profile. *)
 type wal_hooks = {
   on_first_dirty : Tabs_storage.Disk.page_id -> unit;
-  before_page_out : Tabs_storage.Disk.page_id -> unit;
-      (** must force the log far enough for this page before returning;
-          runs in the faulting fiber *)
-  after_page_out : Tabs_storage.Disk.page_id -> unit;
+  before_page_out : seqno:int -> unit;
+      (** must force the log through record [seqno] before returning:
+          [seqno] is the highest LSN noted for the page, the sector
+          sequence number the kernel is about to stamp (below the log's
+          flushed LSN when every such record is already stable). Runs
+          in the faulting fiber. *)
 }
 
 (** [attach engine disk ~frames ?profile ()] maps the node's disk with a

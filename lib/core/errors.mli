@@ -13,11 +13,9 @@ exception Server_error of string
     signal; the usual reaction is to abort the transaction. *)
 exception Lock_timeout of Tabs_wal.Object_id.t
 
-(** Raised when the lock manager's waits-for-graph detector (when
-    enabled) refuses a request that would close a cycle. Like
-    {!Lock_timeout}, the usual reaction is to abort; the two are kept
-    distinct so abort accounting can tell a proven deadlock from a
-    timeout. *)
+(** Nothing in the library raises it: deadlock is resolved by lock
+    time-outs alone ({!Lock_timeout}). It stays declared for clients
+    that still catch it. *)
 exception Deadlock of Tabs_wal.Object_id.t
 
 (** Raised by {!Cluster.run_fiber} when the driven fiber was killed by a

@@ -8,7 +8,6 @@ type reply =
   | Rpc_ok of string
   | Rpc_aborted of Tid.t
   | Rpc_lock_timeout of Object_id.t
-  | Rpc_deadlock of Object_id.t
   | Rpc_error of string
 
 type Network.payload +=
@@ -45,14 +44,12 @@ let run_dispatch t ~server ~tid ~op ~arg =
       try Rpc_ok (dispatch ~tid ~op ~arg) with
       | Errors.Transaction_is_aborted aborted_tid -> Rpc_aborted aborted_tid
       | Errors.Lock_timeout obj -> Rpc_lock_timeout obj
-      | Errors.Deadlock obj -> Rpc_deadlock obj
       | Errors.Server_error msg -> Rpc_error msg)
 
 let unwrap = function
   | Rpc_ok result -> result
   | Rpc_aborted tid -> raise (Errors.Transaction_is_aborted tid)
   | Rpc_lock_timeout obj -> raise (Errors.Lock_timeout obj)
-  | Rpc_deadlock obj -> raise (Errors.Deadlock obj)
   | Rpc_error msg -> raise (Errors.Server_error msg)
 
 let call t ~dest ~server ~tid ~op ~arg =

@@ -130,7 +130,6 @@ let lock_object t tid obj mode =
   match Lock_manager.lock t.locks tid obj mode () with
   | Lock_manager.Granted -> ()
   | Lock_manager.Timed_out -> raise (Errors.Lock_timeout obj)
-  | Lock_manager.Deadlocked -> raise (Errors.Deadlock obj)
 
 let conditionally_lock_object t tid obj mode =
   Lock_manager.try_lock t.locks tid obj mode

@@ -17,7 +17,6 @@ let abort_transaction tm tid = Txn_mgr.abort tm tid
    trace stream's abort-reason taxonomy. *)
 let abort_reason_of = function
   | Errors.Lock_timeout _ -> Trace.Lock_timeout
-  | Errors.Deadlock _ -> Trace.Deadlock
   | Rpc.Rpc_timeout _ -> Trace.Comm_failure
   | _ -> Trace.Explicit
 

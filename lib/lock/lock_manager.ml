@@ -1,7 +1,7 @@
 open Tabs_sim
 open Tabs_wal
 
-type outcome = Granted | Timed_out | Deadlocked
+type outcome = Granted | Timed_out
 
 type Trace.event +=
   | Lock_wait of { tid : Tid.t; obj : Object_id.t; mode : Mode.t }
@@ -55,24 +55,20 @@ type t = {
   engine : Engine.t;
   compatible : Mode.compat;
   default_timeout : int;
-  detect_deadlocks : bool;
   table : entry Table.t;
   families : entry list Family.t; (* what each family holds, see [family] *)
   mutable timeout_count : int;
-  mutable deadlock_count : int;
 }
 
 let create ?(compatible = Mode.standard) ?(default_timeout = 10_000_000)
-    ?(detect_deadlocks = false) engine () =
+    engine () =
   {
     engine;
     compatible;
     default_timeout;
-    detect_deadlocks;
     table = Table.create 64;
     families = Family.create 64;
     timeout_count = 0;
-    deadlock_count = 0;
   }
 
 let entry t key =
@@ -165,59 +161,8 @@ let try_lock t tid key mode =
   end
   else false
 
-(* Waits-for-graph deadlock detection: [tid] is about to wait on the
-   holders of [key]; refuse if some chain of waiting leads back to
-   [tid]. The graph is read off the lock table: a transaction waits for
-   the conflicting holders of the keys it is queued on. Top-level
-   identities are used so a subtransaction waiting on its sibling's
-   holder counts as the family waiting (intra-transaction deadlock is
-   still reported, as the paper warns it can occur). *)
-let would_deadlock t tid key mode =
-  let roots_of_holders entry requester req_mode =
-    List.filter_map
-      (fun (holder, modes) ->
-        if
-          Tid.equal holder requester
-          || Tid.is_ancestor ~ancestor:holder requester
-          || List.for_all (fun m -> t.compatible m req_mode) modes
-        then None
-        else Some holder)
-      entry.holds
-  in
-  (* edges from every queued waiter *)
-  let edges = Hashtbl.create 16 in
-  let add_edge a b = Hashtbl.add edges a b in
-  Table.iter
-    (fun _ e ->
-      Queue.iter
-        (fun w ->
-          if not w.w_cancelled then
-            List.iter (add_edge w.w_tid) (roots_of_holders e w.w_tid w.w_mode))
-        e.waiters)
-    t.table;
-  (* plus the hypothetical edge set of the new request *)
-  let entry0 = entry t key in
-  let first_hops = roots_of_holders entry0 tid mode in
-  let visited = Hashtbl.create 16 in
-  let rec reaches_requester node =
-    Tid.equal node tid
-    || Tid.is_ancestor ~ancestor:node tid
-    || Tid.is_ancestor ~ancestor:tid node
-    ||
-    if Hashtbl.mem visited node then false
-    else begin
-      Hashtbl.add visited node ();
-      List.exists reaches_requester (Hashtbl.find_all edges node)
-    end
-  in
-  List.exists reaches_requester first_hops
-
 let lock t tid key mode ?timeout () =
   if try_lock t tid key mode then Granted
-  else if t.detect_deadlocks && would_deadlock t tid key mode then begin
-    t.deadlock_count <- t.deadlock_count + 1;
-    Deadlocked
-  end
   else begin
     let e = entry t key in
     let w =
@@ -316,5 +261,3 @@ let waiting t = Table.fold (fun _ e acc -> acc + e.live) t.table 0
 let entries t = Table.length t.table
 
 let timeouts t = t.timeout_count
-
-let deadlocks_detected t = t.deadlock_count

@@ -37,24 +37,11 @@ type Tabs_sim.Trace.event +=
       waited : int;
     }
 
-type outcome =
-  | Granted
-  | Timed_out
-  | Deadlocked
-      (** refused immediately because waiting would close a cycle —
-          only with [detect_deadlocks] *)
+type outcome = Granted | Timed_out
 
-(** [detect_deadlocks] (default false) enables a local waits-for-graph
-    detector in the style the paper cites as the alternative to
-    time-outs (Obermarck; R*'s local detector): a request that would
-    close a cycle of waiting transactions is refused with {!Deadlocked}
-    instead of joining the queue. Time-outs remain as the backstop
-    (and as the only resolution for distributed deadlocks, exactly as
-    in TABS). *)
 val create :
   ?compatible:Mode.compat ->
   ?default_timeout:int ->
-  ?detect_deadlocks:bool ->
   Tabs_sim.Engine.t ->
   unit ->
   t
@@ -111,6 +98,3 @@ val entries : t -> int
 
 (** Number of lock requests that have timed out (deadlock statistic). *)
 val timeouts : t -> int
-
-(** Number of requests refused by the waits-for-graph detector. *)
-val deadlocks_detected : t -> int

@@ -91,11 +91,7 @@ type pending_ack = {
   mutable ack_armed : bool;
 }
 
-type tree = {
-  mutable parent : int option;
-  mutable children : int list;
-  mutable local_root : bool;
-}
+type tree = { mutable parent : int option; mutable children : int list }
 
 type t = {
   net : Network.t;
@@ -154,24 +150,29 @@ let count_duplicate_reack t =
 
 (* Commit spanning tree ------------------------------------------------ *)
 
+(* The transaction's tree here, created on first use; the queries
+   below only look, so asking about an unknown transaction leaves no
+   entry behind. *)
 let tree_of t tid =
   let key = Tid.top_level tid in
   match Hashtbl.find_opt t.trees key with
   | Some tree -> tree
   | None ->
-      let tree = { parent = None; children = []; local_root = false } in
+      let tree = { parent = None; children = [] } in
       Hashtbl.add t.trees key tree;
       tree
 
-let note_local_root t tid = (tree_of t tid).local_root <- true
+let find_tree t tid = Hashtbl.find_opt t.trees (Tid.top_level tid)
 
-let parent_of t tid = (tree_of t tid).parent
+let parent_of t tid = Option.bind (find_tree t tid) (fun tree -> tree.parent)
 
-let children_of t tid = List.rev (tree_of t tid).children
+let children_of t tid =
+  match find_tree t tid with Some tree -> List.rev tree.children | None -> []
+
+let spread tree = tree.parent <> None || tree.children <> []
 
 let involved_remotely t tid =
-  let tree = tree_of t tid in
-  tree.parent <> None || tree.children <> []
+  Option.fold ~none:false ~some:spread (find_tree t tid)
 
 let forget_txn t tid = Hashtbl.remove t.trees (Tid.top_level tid)
 
@@ -180,7 +181,7 @@ let note_outgoing t tid dest =
   | None -> ()
   | Some tid ->
       let tree = tree_of t tid in
-      let fresh = not (involved_remotely t tid) in
+      let fresh = not (spread tree) in
       (* A reply to the node that first sent us the transaction must not
          turn our parent into a child. *)
       if
@@ -188,17 +189,20 @@ let note_outgoing t tid dest =
         && tree.parent <> Some dest
         && not (List.mem dest tree.children)
       then tree.children <- dest :: tree.children;
-      if fresh && involved_remotely t tid then t.remote_involvement tid
+      if fresh && spread tree then t.remote_involvement tid
 
 let note_incoming t tid src =
   match tid with
   | None -> ()
   | Some tid ->
       let tree = tree_of t tid in
-      let fresh = not (involved_remotely t tid) in
-      (* A reply from a child must not become our parent. *)
+      let fresh = not (spread tree) in
+      (* The tid names the node that began the transaction: that node is
+         the root and takes no parent, even when the transaction comes
+         back to it (as after a restart, before it has sent anything).
+         A reply from a child must not become our parent either. *)
       if
-        tree.parent = None && (not tree.local_root) && src <> t.node_id
+        tree.parent = None && tid.Tid.node <> t.node_id && src <> t.node_id
         && not (List.mem src tree.children)
       then tree.parent <- Some src;
       if fresh then t.remote_involvement tid

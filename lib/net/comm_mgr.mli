@@ -141,13 +141,10 @@ val set_broadcast_handler : t -> (src:int -> Network.payload -> unit) -> unit
 
 (** {2 Commit spanning tree} *)
 
-(** [note_local_root t tid] records that the transaction began at this
-    node (it can have no parent here). *)
-val note_local_root : t -> Tabs_wal.Tid.t -> unit
-
 (** [parent_of t tid] is the node that first invoked an operation here on
     behalf of [tid]'s top-level transaction, if the transaction arrived
-    from remote. *)
+    from remote. The node named in the tid (where the transaction began)
+    is the root and never has a parent. *)
 val parent_of : t -> Tabs_wal.Tid.t -> int option
 
 (** [children_of t tid] lists nodes this node first spread the

@@ -81,9 +81,6 @@ type t = {
   mutable checkpointer : Checkpointer.t option;
   log_space_limit : int;
   op_handlers : (string, op_handler) Hashtbl.t;
-  page_last_lsn : (Disk.page_id, int) Hashtbl.t;
-      (* highest LSN of a log record covering each page, for the
-         write-ahead force before page-out *)
   mutable active_txns_source :
     unit -> (Tid.t * Record.lsn option) list;
   mutable prepared_source : unit -> (Tid.t * int) list;
@@ -166,31 +163,19 @@ let tm_rm_msg t =
 
 (* The Recovery Manager's side of the kernel <-> Recovery Manager
    paging protocol of Section 3.2.1. The kernel ({!Vm}) owns the
-   protocol's message costs; here the write-ahead rule itself remains
-   (force the log through the page's last record before the kernel may
-   write it), plus the recovery-LSN capture at first modification: the
-   dirtying update's record is not appended yet, so the next LSN to be
-   issued is the conservative bound a fuzzy checkpoint taken in that
-   window must report. *)
+   protocol's message costs and the page's last LSN; here the
+   write-ahead rule itself remains (force the log through the sequence
+   number the kernel is about to stamp before it may write), plus the
+   recovery-LSN capture at first modification: the dirtying update's
+   record is not appended yet, so the next LSN to be issued is the
+   conservative bound a fuzzy checkpoint taken in that window must
+   report. *)
 let wal_hooks t =
   {
     Vm.on_first_dirty =
       (fun pid -> Vm.note_rec_lsn t.vm pid ~lsn:(Log_manager.next_lsn t.log));
-    before_page_out =
-      (fun pid ->
-        match Hashtbl.find_opt t.page_last_lsn pid with
-        | Some lsn -> Log_manager.force t.log ~upto:lsn
-        | None -> ());
-    after_page_out = (fun _pid -> ());
+    before_page_out = (fun ~seqno -> Log_manager.force t.log ~upto:seqno);
   }
-
-let note_pages_logged t pages lsn =
-  List.iter
-    (fun pid ->
-      match Hashtbl.find_opt t.page_last_lsn pid with
-      | Some prev when prev >= lsn -> ()
-      | Some _ | None -> Hashtbl.replace t.page_last_lsn pid lsn)
-    pages
 
 let maybe_poke_checkpointer t =
   match t.checkpointer with
@@ -209,7 +194,6 @@ let log_value t ~tid ~obj ~old_value ~new_value =
   Engine.charge_cpu t.engine ~process:"rm" Overheads.rm_spool_write;
   let lsn = Log_manager.append_value t.log ~tid ~obj ~old_value ~new_value in
   Vm.note_update t.vm obj ~lsn;
-  note_pages_logged t (Object_id.pages obj) lsn;
   maybe_poke_checkpointer t;
   lsn
 
@@ -223,7 +207,6 @@ let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?(reads = []) ~objs
       ~redo_arg ~pages ~objs ~reads ()
   in
   List.iter (fun obj -> Vm.note_update t.vm obj ~lsn) objs;
-  note_pages_logged t pages lsn;
   maybe_poke_checkpointer t;
   lsn
 
@@ -469,7 +452,6 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       checkpointer = None;
       log_space_limit;
       op_handlers = Hashtbl.create 8;
-      page_last_lsn = Hashtbl.create 256;
       active_txns_source = (fun () -> []);
       prepared_source = (fun () -> []);
       last_statuses = [];

@@ -9,7 +9,6 @@
 
 type abort_reason =
   | Lock_timeout (* a lock wait expired (deadlock resolution by timeout) *)
-  | Deadlock (* an explicit deadlock-detection victim *)
   | Explicit (* application called abort, or a server raised *)
   | Comm_failure (* a 2PC participant never answered (vote timeout) *)
   | Vote_no (* a participant voted No / failed local prepare *)
@@ -18,7 +17,6 @@ type abort_reason =
 
 let reason_name = function
   | Lock_timeout -> "lock_timeout"
-  | Deadlock -> "deadlock"
   | Explicit -> "explicit"
   | Comm_failure -> "comm_failure"
   | Vote_no -> "vote_no"

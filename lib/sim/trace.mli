@@ -10,7 +10,6 @@
 (** Why a (top-level) transaction aborted. *)
 type abort_reason =
   | Lock_timeout  (** a lock wait expired (deadlock resolution by timeout) *)
-  | Deadlock  (** an explicit deadlock-detection victim *)
   | Explicit  (** application called abort, or a server raised *)
   | Comm_failure  (** a 2PC participant never answered (vote timeout) *)
   | Vote_no  (** a participant voted No / failed local prepare *)

@@ -139,7 +139,6 @@ let begin_txn t =
   small t;
   let tid = Tid.top ~node:t.node_id ~seq:t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  Comm_mgr.note_local_root t.cm tid;
   ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_begin tid));
   if tracing t then emit t (Txn_begin { node = t.node_id; tid });
   small t;
@@ -176,11 +175,10 @@ let join t ~tid ~server =
     names := server :: !names
   end
 
-let is_aborted t tid =
-  Hashtbl.fold
-    (fun aborted_tid () acc ->
-      acc || Tid.is_ancestor ~ancestor:aborted_tid tid)
-    t.aborted false
+(* [tid] or one of its ancestors is known aborted: O(depth) lookups. *)
+let rec is_aborted t tid =
+  Hashtbl.mem t.aborted tid
+  || match Tid.parent tid with Some p -> is_aborted t p | None -> false
 
 let active_txns t =
   Hashtbl.fold

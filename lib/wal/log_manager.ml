@@ -7,6 +7,10 @@ type Trace.event +=
   | Wal_append of { lsn : lsn; tid : Tid.t option; kind : string }
   | Log_force of { upto : lsn; records : int; bytes : int; pages : int }
 
+(* A live transaction's backward undo chain: its first and latest
+   update records. *)
+type chain = { first : lsn; mutable last : lsn }
+
 (* The volatile buffer holds exactly the contiguous LSN range
    [buf_first, buf_first + buf_len) — everything appended but not yet
    forced — as a circular array indexed by LSN offset, so append, read,
@@ -21,8 +25,7 @@ type t = {
   mutable buf_len : int;
   mutable buf_first : lsn;
   mutable next : lsn;
-  txn_last : (Tid.t, lsn) Hashtbl.t;
-  txn_first : (Tid.t, lsn) Hashtbl.t;
+  chains : (Tid.t, chain) Hashtbl.t;
   outcome_lsns : (Tid.t, lsn) Hashtbl.t;
       (* commit/abort/end records appended, keyed by transaction; the
          fuzzy checkpoint consults this so a transaction whose outcome
@@ -59,8 +62,7 @@ let attach engine stable =
     buf_len = 0;
     buf_first = Stable.next stable;
     next = Stable.next stable;
-    txn_last = Hashtbl.create 32;
-    txn_first = Hashtbl.create 32;
+    chains = Hashtbl.create 32;
     outcome_lsns = Hashtbl.create 32;
     forces = 0;
     device_free_at = 0;
@@ -95,7 +97,8 @@ let buf_shift t =
 
 let stable t = t.stable
 
-let last_lsn_of t tid = Hashtbl.find_opt t.txn_last tid
+let last_lsn_of t tid =
+  Option.map (fun c -> c.last) (Hashtbl.find_opt t.chains tid)
 
 (* Minimum over every live update chain — active transactions,
    subtransactions, and prepared-but-unresolved participants alike
@@ -104,12 +107,12 @@ let last_lsn_of t tid = Hashtbl.find_opt t.txn_last tid
    from here on. *)
 let oldest_first_lsn t =
   Hashtbl.fold
-    (fun _ first acc ->
+    (fun _ { first; _ } acc ->
       match acc with None -> Some first | Some a -> Some (min a first))
-    t.txn_first None
+    t.chains None
 
 let live_chain_firsts t =
-  Hashtbl.fold (fun tid first acc -> (tid, first) :: acc) t.txn_first []
+  Hashtbl.fold (fun tid c acc -> (tid, c.first) :: acc) t.chains []
 
 let has_appended_outcome t tid = Hashtbl.mem t.outcome_lsns tid
 
@@ -118,12 +121,11 @@ let chained_tids_of_family t top =
   Hashtbl.fold
     (fun tid _ acc ->
       if Tid.is_ancestor ~ancestor:root tid then tid :: acc else acc)
-    t.txn_last []
+    t.chains []
   |> List.sort Tid.compare
 
 let restore_chain t ~tid ~first ~last =
-  Hashtbl.replace t.txn_first tid first;
-  Hashtbl.replace t.txn_last tid last
+  Hashtbl.replace t.chains tid { first; last }
 
 let next_lsn t = t.next
 
@@ -137,12 +139,11 @@ let push t record =
   | Some tid -> (
       match record with
       | Record.Update_value _ | Record.Update_operation _ ->
-          Hashtbl.replace t.txn_last tid lsn;
-          if not (Hashtbl.mem t.txn_first tid) then
-            Hashtbl.add t.txn_first tid lsn
+          (match Hashtbl.find_opt t.chains tid with
+          | Some c -> c.last <- lsn
+          | None -> Hashtbl.add t.chains tid { first = lsn; last = lsn })
       | Record.Txn_commit _ | Record.Txn_abort _ | Record.Txn_end _ ->
-          Hashtbl.remove t.txn_last tid;
-          Hashtbl.remove t.txn_first tid;
+          Hashtbl.remove t.chains tid;
           Hashtbl.replace t.outcome_lsns tid lsn
       | Record.Txn_begin _ | Record.Txn_prepare _ | Record.Checkpoint _
       | Record.Paxos_promise _ | Record.Paxos_accept _

@@ -150,8 +150,7 @@ let spawn_writers c ~tm ~seed ~writers ~think update =
                    update rand tid
                  done)
            with
-          | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-          | Errors.Lock_timeout _ ->
+          | Errors.Transaction_is_aborted _ | Errors.Lock_timeout _ ->
               ());
           Engine.delay (1 + rand think)
         done)
@@ -243,8 +242,7 @@ let spawn_write_all c ~node ~txns ~base =
                   ~server:(array_name dest) tid i (base + i)
               done)
         with
-        | Errors.Lock_timeout _ | Errors.Deadlock _
-        | Errors.Transaction_is_aborted _
+        | Errors.Lock_timeout _ | Errors.Transaction_is_aborted _
         | Rpc.Rpc_timeout _ ->
             ()
       done)

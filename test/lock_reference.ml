@@ -1,8 +1,7 @@
 (* Reference model of Tabs_lock.Lock_manager: the lock table with no
    index and no entry removal, every unlock a scan of the whole table.
    It is the specification the indexed manager is checked against in
-   test_lock.ml's model property; tracing and deadlock detection are
-   left out.
+   test_lock.ml's model property; tracing is left out.
 
    One unlock can grant waiters on several keys, and the order of those
    grants is the order their fibers run in. The specification fixes it:

@@ -74,24 +74,29 @@ let test_vm_pinned_not_evicted () =
 
 let test_vm_wal_protocol_order () =
   (* before any dirty page reaches disk, the hooks must run in order:
-     first-dirty at modification, then before/after around the write. *)
+     first-dirty at modification, then before-out ahead of the write,
+     announcing the highest LSN noted for the page. *)
   in_fiber (fun e ->
       let vm = make_vm ~frames:2 e in
       let events = ref [] in
       Vm.set_wal_hooks vm
         {
           Vm.on_first_dirty = (fun _ -> events := "first-dirty" :: !events);
-          before_page_out = (fun _ -> events := "before-out" :: !events);
-          after_page_out = (fun _ -> events := "after-out" :: !events);
+          before_page_out =
+            (fun ~seqno ->
+              events := Printf.sprintf "before-out %d" seqno :: !events);
         };
       let page n = obj ~segment:1 ~offset:(n * Page.size) ~length:4 in
       Vm.pin vm (page 0) ~access:`Random;
       Vm.write vm (page 0) "dirt";
       Vm.note_update vm (page 0) ~lsn:5;
       Vm.unpin vm (page 0);
-      (* second write on the same dirty page: no second notice *)
+      (* second write on the same dirty page: no second notice, and a
+         lower LSN noted again (as an undo re-notes its record) leaves
+         the page's highest at 5 *)
       Vm.pin vm (page 0) ~access:`Random;
       Vm.write vm (page 0) "dirx";
+      Vm.note_update vm (page 0) ~lsn:3;
       Vm.unpin vm (page 0);
       (* force eviction of page 0 *)
       ignore (Vm.read vm (page 1) ~access:`Random);
@@ -99,7 +104,7 @@ let test_vm_wal_protocol_order () =
       ignore (Vm.read vm (page 3) ~access:`Random);
       Alcotest.(check (list string))
         "protocol order"
-        [ "first-dirty"; "before-out"; "after-out" ]
+        [ "first-dirty"; "before-out 5" ]
         (List.rev !events);
       (* the sector sequence number was stamped atomically at page-out *)
       Alcotest.(check int) "seqno stamped" 5
@@ -204,13 +209,13 @@ type pool = {
 let whole_page (pid : Disk.page_id) =
   obj ~segment:pid.segment ~offset:(pid.page * Page.size) ~length:Page.size
 
-let real_pool e disk ~frames ~before_page_out =
+(* [noted o lsn] tells the script that [lsn] now covers [o]'s page. *)
+let real_pool e disk ~frames ~before_page_out ~noted =
   let vm = Vm.attach e disk ~frames () in
   Vm.set_wal_hooks vm
     {
       Vm.on_first_dirty = ignore;
-      before_page_out = (fun _ -> before_page_out ());
-      after_page_out = ignore;
+      before_page_out;
     };
   let observe () =
     let lru = Vm.lru vm and dirty = Vm.dirty_pages vm in
@@ -230,14 +235,18 @@ let real_pool e disk ~frames ~before_page_out =
       (fun o v ~lsn ~hold ->
         Vm.pin vm o ~access:`Random;
         Vm.write vm o v;
-        Option.iter (fun lsn -> Vm.note_update vm o ~lsn) lsn;
+        Option.iter
+          (fun lsn ->
+            Vm.note_update vm o ~lsn;
+            noted o lsn)
+          lsn;
         Engine.delay hold;
         Vm.unpin vm o);
     v_flush = Vm.flush_page vm;
     observe;
   }
 
-let reference_pool e disk ~frames ~before_page_out =
+let reference_pool e disk ~frames ~before_page_out ~noted =
   let vm = Vm_reference.attach e disk ~frames ~before_page_out in
   {
     v_read = Vm_reference.read vm;
@@ -245,7 +254,11 @@ let reference_pool e disk ~frames ~before_page_out =
       (fun o v ~lsn ~hold ->
         Vm_reference.pin vm o;
         Vm_reference.write vm o v;
-        Option.iter (fun lsn -> Vm_reference.note_update vm o ~lsn) lsn;
+        Option.iter
+          (fun lsn ->
+            Vm_reference.note_update vm o ~lsn;
+            noted o lsn)
+          lsn;
         Engine.delay hold;
         Vm_reference.unpin vm o);
     v_flush = Vm_reference.flush_page vm;
@@ -259,18 +272,33 @@ let reference_pool e disk ~frames ~before_page_out =
 (* Run the fibers' scripts on one pool; [forces] are the successive
    delays of the before-page-out hook (the log force), cycled. Returns
    every step's outcome, the pool's observation and the disk's images
-   and sequence numbers, in the order the steps ran. *)
+   and sequence numbers, in the order the steps ran. Checks the
+   write-ahead rule's inputs on the way: the hook must be handed the
+   highest LSN noted for the page so far, and after every step no
+   sector may carry a sequence number the modelled log has not
+   flushed. *)
 let run_pool make ~frames ~forces fibers =
   let e = Engine.create () in
   let disk = Disk.create e in
   Disk.ensure_segment disk 1 ~pages:16;
   let calls = ref 0 in
-  let before_page_out () =
+  let flushed = ref (-1) in
+  let highest = Array.make 16 (-1) and page_of_lsn = Hashtbl.create 16 in
+  let noted (o : Object_id.t) lsn =
+    let page = o.offset / Page.size in
+    highest.(page) <- max highest.(page) lsn;
+    Hashtbl.replace page_of_lsn lsn page
+  in
+  let before_page_out ~seqno =
+    (* -1 is a never-written sector's number: nothing was noted *)
+    if seqno >= 0 && seqno <> highest.(Hashtbl.find page_of_lsn seqno) then
+      Alcotest.failf "page-out announced LSN %d, not its page's highest" seqno;
     let d = List.nth forces (!calls mod List.length forces) in
     incr calls;
-    Engine.delay d
+    Engine.delay d;
+    flushed := max !flushed seqno
   in
-  let pool = make e disk ~frames ~before_page_out in
+  let pool = make e disk ~frames ~before_page_out ~noted in
   let log = ref [] and lsn = ref 0 in
   let page n = obj ~segment:1 ~offset:(n * Page.size) ~length:4 in
   let on_disk () =
@@ -304,8 +332,15 @@ let run_pool make ~frames ~forces fibers =
                        Engine.delay d;
                        ""
                  in
+                 let disk_now = on_disk () in
+                 List.iter
+                   (fun (_, seqno) ->
+                     if seqno > !flushed then
+                       Alcotest.failf "sector stamped %d, log flushed to %d"
+                         seqno !flushed)
+                   disk_now;
                  log :=
-                   (Engine.now e, i, step, result, pool.observe (), on_disk ())
+                   (Engine.now e, i, step, result, pool.observe (), disk_now)
                    :: !log)
                script)))
     fibers;

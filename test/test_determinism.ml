@@ -531,8 +531,7 @@ let instant_fingerprint ~seed =
                  Txn_lib.execute_transaction tm' (fun tid ->
                      Int_array_server.set arr tid (rand cells) (rand 1000))
                with
-              | Errors.Transaction_is_aborted _ | Errors.Deadlock _
-              | Errors.Lock_timeout _ ->
+              | Errors.Transaction_is_aborted _ | Errors.Lock_timeout _ ->
                   ());
               Engine.delay (1 + rand 500)
             done);

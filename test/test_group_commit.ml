@@ -115,8 +115,7 @@ let crash_mid_batch profile crash_at =
           with
           | () -> wl.acked <- value
           | exception Errors.Transaction_is_aborted _
-          | exception Errors.Lock_timeout _
-          | exception Errors.Deadlock _ ->
+          | exception Errors.Lock_timeout _ ->
               ()
         done)
   done;

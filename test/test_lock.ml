@@ -53,7 +53,7 @@ let test_shared_readers () =
       (List.init 3 (fun i _ lm ->
            match Lock_manager.lock lm (tid i) (obj 0) Mode.Read () with
            | Lock_manager.Granted -> incr granted
-           | Lock_manager.Timed_out | Lock_manager.Deadlocked -> ()))
+           | Lock_manager.Timed_out -> ()))
   in
   Alcotest.(check int) "three concurrent readers" 3 !granted
 
@@ -106,14 +106,14 @@ let test_deadlock_broken_by_timeout () =
           ignore (Lock_manager.lock lm (tid 1) (obj 0) Mode.Write ());
           Engine.delay 10;
           (match Lock_manager.lock lm (tid 1) (obj 1) Mode.Write ~timeout:500 () with
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked -> incr timeouts
+          | Lock_manager.Timed_out -> incr timeouts
           | Lock_manager.Granted -> ());
           Lock_manager.release_all lm (tid 1));
         (fun _ lm ->
           ignore (Lock_manager.lock lm (tid 2) (obj 1) Mode.Write ());
           Engine.delay 10;
           (match Lock_manager.lock lm (tid 2) (obj 0) Mode.Write ~timeout:500 () with
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked -> incr timeouts
+          | Lock_manager.Timed_out -> incr timeouts
           | Lock_manager.Granted -> ());
           Lock_manager.release_all lm (tid 2));
       ]
@@ -165,11 +165,11 @@ let test_reentrant_and_upgrade () =
           (* Re-request and upgrade with no competitor: immediate. *)
           (match Lock_manager.lock lm (tid 1) (obj 0) Mode.Read ~timeout:10 () with
           | Lock_manager.Granted -> ()
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked ->
+          | Lock_manager.Timed_out ->
               Alcotest.fail "reentrant read blocked");
           match Lock_manager.lock lm (tid 1) (obj 0) Mode.Write ~timeout:10 () with
           | Lock_manager.Granted -> ()
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked ->
+          | Lock_manager.Timed_out ->
               Alcotest.fail "self upgrade blocked");
       ]
   in
@@ -190,7 +190,7 @@ let test_subtxn_sibling_conflict () =
         (fun _ lm ->
           Engine.delay 10;
           match Lock_manager.lock lm s2 (obj 0) Mode.Write ~timeout:50 () with
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked -> blocked := true
+          | Lock_manager.Timed_out -> blocked := true
           | Lock_manager.Granted -> ());
       ]
   in
@@ -207,7 +207,7 @@ let test_subtxn_parent_not_blocking () =
           ignore (Lock_manager.lock lm top (obj 0) Mode.Write ());
           match Lock_manager.lock lm sub (obj 0) Mode.Write ~timeout:50 () with
           | Lock_manager.Granted -> granted := true
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked -> ());
+          | Lock_manager.Timed_out -> ());
       ]
   in
   Alcotest.(check bool) "child passes ancestor's lock" true !granted
@@ -229,7 +229,7 @@ let test_subtxn_transfer_to_parent () =
         (fun _ lm ->
           Engine.delay 10;
           match Lock_manager.lock lm (tid 9) (obj 0) Mode.Write ~timeout:50 () with
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked ->
+          | Lock_manager.Timed_out ->
               stranger_blocked := true
           | Lock_manager.Granted -> ());
       ]
@@ -259,7 +259,7 @@ let test_subtxn_commit_grants_sibling () =
   match !outcome with
   | Some (Lock_manager.Granted, at) ->
       Alcotest.(check int) "granted at the commit" 10 at
-  | Some ((Lock_manager.Timed_out | Lock_manager.Deadlocked), at) ->
+  | Some (Lock_manager.Timed_out, at) ->
       Alcotest.failf "sibling refused at %d us" at
   | None -> Alcotest.fail "sibling never answered"
 
@@ -278,7 +278,7 @@ let test_subtxn_abort_releases () =
           Engine.delay 10;
           match Lock_manager.lock lm (tid 9) (obj 0) Mode.Write ~timeout:500 () with
           | Lock_manager.Granted -> granted := true
-          | Lock_manager.Timed_out | Lock_manager.Deadlocked -> ());
+          | Lock_manager.Timed_out -> ());
       ]
   in
   Alcotest.(check bool) "released after subtxn abort" true !granted
@@ -295,7 +295,7 @@ let test_typed_mode_concurrency () =
       (Engine.spawn e (fun () ->
            match Lock_manager.lock lm tid_ (obj 0) (Mode.Typed mode) ~timeout:100 () with
            | Lock_manager.Granted -> results := (name, true) :: !results
-           | Lock_manager.Timed_out | Lock_manager.Deadlocked ->
+           | Lock_manager.Timed_out ->
                results := (name, false) :: !results))
   in
   attempt "enq1" (tid 1) "enq";
@@ -384,7 +384,7 @@ let test_fifo_order_survives_mid_queue_timeout () =
           order := id :: !order;
           Engine.delay hold;
           Lock_manager.release_all lm (tid id)
-      | Lock_manager.Timed_out | Lock_manager.Deadlocked ->
+      | Lock_manager.Timed_out ->
           order := -id :: !order
   in
   let _, lm =
@@ -435,81 +435,6 @@ let test_try_lock_after_timeouts () =
   Alcotest.(check bool) "conditional grant after stale waiters" true !ok;
   Alcotest.(check int) "both waiters timed out" 2 (Lock_manager.timeouts lm);
   Alcotest.(check int) "queue empty" 0 (Lock_manager.waiting lm)
-
-(* Deadlock detection (optional extension) ----------------------------- *)
-
-let test_detector_breaks_cycle () =
-  let e = Engine.create () in
-  let lm = Lock_manager.create ~detect_deadlocks:true e () in
-  let refused = ref 0 in
-  let t1_done = ref (-1) and t2_done = ref (-1) in
-  ignore
-    (Engine.spawn e (fun () ->
-         ignore (Lock_manager.lock lm (tid 1) (obj 0) Mode.Write ());
-         Engine.delay 10;
-         (match Lock_manager.lock lm (tid 1) (obj 1) Mode.Write () with
-         | Lock_manager.Deadlocked -> incr refused
-         | Lock_manager.Granted | Lock_manager.Timed_out -> ());
-         Lock_manager.release_all lm (tid 1);
-         t1_done := Engine.now e));
-  ignore
-    (Engine.spawn e (fun () ->
-         ignore (Lock_manager.lock lm (tid 2) (obj 1) Mode.Write ());
-         Engine.delay 15;
-         (match Lock_manager.lock lm (tid 2) (obj 0) Mode.Write () with
-         | Lock_manager.Deadlocked -> incr refused
-         | Lock_manager.Granted | Lock_manager.Timed_out -> ());
-         Lock_manager.release_all lm (tid 2);
-         t2_done := Engine.now e));
-  let _ = Engine.run e in
-  Alcotest.(check int) "exactly one victim, no timeout wait" 1 !refused;
-  Alcotest.(check int) "counted" 1 (Lock_manager.deadlocks_detected lm);
-  (* both transactions finished immediately — long before the 10 s
-     default time-out would have fired *)
-  Alcotest.(check bool) "both resolved fast" true
-    (!t1_done >= 0 && !t2_done >= 0 && !t1_done < 1_000_000
-    && !t2_done < 1_000_000)
-
-let test_detector_three_party_cycle () =
-  let e = Engine.create () in
-  let lm = Lock_manager.create ~detect_deadlocks:true e () in
-  let refused = ref 0 in
-  let spawn_party i holds wants =
-    ignore
-      (Engine.spawn e (fun () ->
-           ignore (Lock_manager.lock lm (tid i) (obj holds) Mode.Write ());
-           Engine.delay (10 * i);
-           (match Lock_manager.lock lm (tid i) (obj wants) Mode.Write () with
-           | Lock_manager.Deadlocked -> incr refused
-           | Lock_manager.Granted | Lock_manager.Timed_out -> ());
-           Lock_manager.release_all lm (tid i)))
-  in
-  spawn_party 1 0 1;
-  spawn_party 2 1 2;
-  spawn_party 3 2 0;
-  let _ = Engine.run e in
-  Alcotest.(check bool) "cycle of three broken" true (!refused >= 1)
-
-let test_detector_no_false_positives () =
-  (* a plain queue (no cycle) must not be refused *)
-  let e = Engine.create () in
-  let lm = Lock_manager.create ~detect_deadlocks:true e () in
-  let granted = ref 0 in
-  ignore
-    (Engine.spawn e (fun () ->
-         ignore (Lock_manager.lock lm (tid 1) (obj 0) Mode.Write ());
-         Engine.delay 50;
-         Lock_manager.release_all lm (tid 1);
-         incr granted));
-  ignore
-    (Engine.spawn e (fun () ->
-         Engine.delay 10;
-         match Lock_manager.lock lm (tid 2) (obj 0) Mode.Write () with
-         | Lock_manager.Granted -> incr granted
-         | Lock_manager.Timed_out | Lock_manager.Deadlocked -> ()));
-  let _ = Engine.run e in
-  Alcotest.(check int) "no false positive" 2 !granted;
-  Alcotest.(check int) "none detected" 0 (Lock_manager.deadlocks_detected lm)
 
 (* The family index against Lock_reference's table scans ------------------ *)
 
@@ -608,8 +533,7 @@ let run_manager make fibers =
                    | L_lock (k, mode, timeout) -> (
                        match m.m_lock who (obj k) mode ~timeout with
                        | Lock_manager.Granted -> "granted"
-                       | Lock_manager.Timed_out -> "timed out"
-                       | Lock_manager.Deadlocked -> "deadlocked")
+                       | Lock_manager.Timed_out -> "timed out")
                    | L_try (k, mode) -> string_of_bool (m.m_try who (obj k) mode)
                    | L_pause d ->
                        Engine.delay d;
@@ -720,12 +644,6 @@ let suites =
         quick "same-instant timeout/release" test_timeout_release_same_instant;
         quick "fifo around cancelled waiter" test_fifo_order_survives_mid_queue_timeout;
         quick "try_lock after timeouts" test_try_lock_after_timeouts;
-      ] );
-    ( "lock.deadlock_detector",
-      [
-        quick "breaks two-party cycle" test_detector_breaks_cycle;
-        quick "breaks three-party cycle" test_detector_three_party_cycle;
-        quick "no false positives" test_detector_no_false_positives;
       ] );
     ( "lock.subtxn",
       [

@@ -308,8 +308,7 @@ let test_spanning_tree () =
       Comm_mgr.set_remote_involvement_handler c (fun t ->
           spread := (i, Tid.to_string t) :: !spread))
     cms;
-  Comm_mgr.note_local_root (cm cms 0) tid;
-  (* 0 sends to 1; 1 sends onward to 2; replies flow back *)
+  (* the tid names node 0 as the root: 0 sends to 1; 1 sends onward to 2; replies flow back *)
   Comm_mgr.session_send (cm cms 0) ~dest:1 ~tid (Msg 1);
   let _ = Engine.run engine in
   Comm_mgr.session_send (cm cms 1) ~dest:2 ~tid (Msg 2);
@@ -335,7 +334,6 @@ let test_spanning_tree () =
 let test_tree_forgotten () =
   let engine, _, cms = setup () in
   let tid = Tid.top ~node:0 ~seq:2 in
-  Comm_mgr.note_local_root (cm cms 0) tid;
   Comm_mgr.session_send (cm cms 0) ~dest:1 ~tid (Msg 1);
   let _ = Engine.run engine in
   Alcotest.(check bool) "involved" true
@@ -343,6 +341,36 @@ let test_tree_forgotten () =
   Comm_mgr.forget_txn (cm cms 0) tid;
   Alcotest.(check bool) "forgotten" false
     (Comm_mgr.involved_remotely (cm cms 0) tid)
+
+(* Node 0 restarted: its own transaction comes back from node 1 before
+   node 0 has sent anything for it. The tid still names node 0 as the
+   root, so node 1 does not become its parent. A query for a tid never
+   seen leaves no tree behind for [forget_txn] to miss. *)
+let test_root_after_restart () =
+  let engine, _, cms = setup () in
+  let tid = Tid.top ~node:0 ~seq:3 in
+  let unknown = Tid.top ~node:2 ~seq:9 in
+  Alcotest.(check (option int)) "unknown: no parent" None
+    (Comm_mgr.parent_of (cm cms 0) unknown);
+  Alcotest.(check (list int)) "unknown: no children" []
+    (Comm_mgr.children_of (cm cms 0) unknown);
+  Alcotest.(check bool) "unknown: not involved" false
+    (Comm_mgr.involved_remotely (cm cms 0) unknown);
+  let words () = Obj.reachable_words (Obj.repr (cm cms 0)) in
+  let before = words () in
+  for seq = 10 to 200 do
+    ignore (Comm_mgr.involved_remotely (cm cms 0) (Tid.top ~node:2 ~seq))
+  done;
+  Alcotest.(check int) "queries allocate no tree" before (words ());
+  let noticed = ref 0 in
+  Comm_mgr.set_remote_involvement_handler (cm cms 0) (fun _ -> incr noticed);
+  Comm_mgr.session_send (cm cms 1) ~dest:0 ~tid (Msg 1);
+  let _ = Engine.run engine in
+  Alcotest.(check (option int)) "root has no parent" None
+    (Comm_mgr.parent_of (cm cms 0) tid);
+  Alcotest.(check (list int)) "and no children" []
+    (Comm_mgr.children_of (cm cms 0) tid);
+  Alcotest.(check int) "remote involvement still noticed" 1 !noticed
 
 let suites =
   [
@@ -370,5 +398,6 @@ let suites =
       [
         quick "spanning tree" test_spanning_tree;
         quick "forgotten" test_tree_forgotten;
+        quick "root after restart" test_root_after_restart;
       ] );
   ]

@@ -508,8 +508,7 @@ let run_convergence_case ~loss ~seed () =
               Sharded.Int_array.set arr rpc tid (16 + i) (100 + i);
               Sharded.Int_array.set arr rpc tid (32 + i) (100 + i))
         with
-        | Errors.Lock_timeout _ | Errors.Deadlock _
-        | Errors.Transaction_is_aborted _
+        | Errors.Lock_timeout _ | Errors.Transaction_is_aborted _
         | Rpc.Rpc_timeout _ ->
             ()
       done);

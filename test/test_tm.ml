@@ -120,6 +120,35 @@ let test_unique_tids () =
   let unique = List.sort_uniq Tabs_wal.Tid.compare tids in
   Alcotest.(check int) "globally unique" (List.length tids) (List.length unique)
 
+(* An abort covers the aborted tid's whole subtree and nothing else:
+   an aborted subtransaction's child is aborted, its parent and sibling
+   are not, and a top-level abort reaches every depth. *)
+let test_is_aborted_covers_descendants () =
+  let c = Cluster.create ~nodes:1 () in
+  let tm = Node.tm (Cluster.node c 0) in
+  let aborted =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        (* top, sub, sibling, grandchild (a child of sub) *)
+        let family () =
+          let top = Txn_lib.begin_transaction tm () in
+          let sub = Txn_lib.begin_transaction tm ~parent:top () in
+          let sibling = Txn_lib.begin_transaction tm ~parent:top () in
+          [ top; sub; sibling; Txn_lib.begin_transaction tm ~parent:sub () ]
+        in
+        let a = family () and b = family () and other = family () in
+        Txn_lib.abort_transaction tm (List.nth a 1);
+        Txn_lib.abort_transaction tm (List.hd b);
+        List.map (List.map (Txn_mgr.is_aborted tm)) [ a; b; other ])
+  in
+  Alcotest.(check (list (list bool)))
+    "sub aborted; top aborted; untouched"
+    [
+      [ false; true; false; true ];
+      [ true; true; true; true ];
+      [ false; false; false; false ];
+    ]
+    aborted
+
 let suites =
   [
     ( "tm",
@@ -130,6 +159,7 @@ let suites =
         quick "presumed abort" test_status_query_presumed_abort;
         quick "active txns" test_active_txns_reported;
         quick "commit after abort" test_commit_after_abort_refused;
+        quick "abort covers descendants" test_is_aborted_covers_descendants;
         quick "unique tids" test_unique_tids;
       ] );
   ]

@@ -28,7 +28,7 @@ type t = {
   disk : Disk.t;
   frames : int;
   table : (Disk.page_id, frame) Hashtbl.t;
-  before_page_out : unit -> unit;
+  before_page_out : seqno:int -> unit;
   mutable tick : int;
   mutable fault_count : int;
 }
@@ -54,7 +54,7 @@ let page_out t frame =
   msg t;
   let seqno = frame.last_lsn in
   let image = Bytes.to_string frame.data in
-  t.before_page_out ();
+  t.before_page_out ~seqno;
   msg t;
   Disk.write t.disk frame.pid image ~seqno;
   if frame.last_lsn = seqno && Page.equal (Bytes.to_string frame.data) image then begin
