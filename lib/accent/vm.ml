@@ -116,16 +116,23 @@ let touch t frame =
    completion. *)
 let page_out t frame =
   let started = Engine.now t.engine in
+  (* The disk must receive exactly the state the Recovery Manager's
+     go-ahead covers. The protocol legs, the log force, and the disk
+     write all suspend this fiber, and a writing coroutine may pin and
+     update the frame meanwhile, noting its record only later; such an
+     update must wait for a later page-out rather than ride along under
+     the old sequence number: sharing makes it write a copy. So the
+     snapshot is taken before the announcement, while the victim is
+     unpinned, and taken again after the first leg only if the frame is
+     unpinned then too: every writer notes its record before it
+     unpins. *)
+  let snapshot () =
+    frame.shared <- true;
+    (frame.last_lsn, Bytes.unsafe_to_string frame.data)
+  in
+  let announced = snapshot () in
   protocol_msg t;
-  (* Snapshot at the announcement: the disk must receive exactly the
-     state the Recovery Manager's go-ahead covers.  The protocol legs,
-     the log force, and the disk write all suspend this fiber, and a
-     writing coroutine may pin and update the frame meanwhile; such an
-     update's record may not be forced yet, so it must wait for a later
-     page-out rather than ride along: sharing makes it write a copy. *)
-  let seqno = frame.last_lsn in
-  let image = Bytes.unsafe_to_string frame.data in
-  frame.shared <- true;
+  let seqno, image = if frame.pins = 0 then snapshot () else announced in
   (match t.hooks with
   | Some h -> h.before_page_out ~seqno
   | None -> ());

@@ -51,9 +51,10 @@ let touch t frame =
 let msg t = Engine.charge t.engine Cost_model.Small_contiguous_message
 
 let page_out t frame =
+  let snapshot () = (frame.last_lsn, Bytes.to_string frame.data) in
+  let announced = snapshot () in
   msg t;
-  let seqno = frame.last_lsn in
-  let image = Bytes.to_string frame.data in
+  let seqno, image = if frame.pins = 0 then snapshot () else announced in
   t.before_page_out ~seqno;
   msg t;
   Disk.write t.disk frame.pid image ~seqno;
