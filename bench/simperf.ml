@@ -253,16 +253,16 @@ let print_simperf () =
     [
       run_arm ~name:"messages" ~kind:"engine_core"
         ~pinned:{ txns = 99_972; events = 240_539 }
-        ~ref_words_per_txn:64.4 run_messages_core;
+        ~ref_words_per_txn:61.1 run_messages_core;
       run_arm ~name:"scaleout" ~kind:"engine_core"
         ~pinned:{ txns = 126_822; events = 355_635 }
-        ~ref_words_per_txn:67.2 run_scaleout_core;
+        ~ref_words_per_txn:64.0 run_scaleout_core;
       run_arm ~name:"tabs_messages" ~kind:"full_stack"
-        ~pinned:{ txns = 144; events = 13_601 }
-        ~ref_words_per_txn:4_182.1 run_tabs_messages;
+        ~pinned:{ txns = 144; events = 11_873 }
+        ~ref_words_per_txn:4_067.5 run_tabs_messages;
       run_arm ~name:"tabs_scaleout" ~kind:"full_stack"
-        ~pinned:{ txns = 1_996; events = 76_574 }
-        ~ref_words_per_txn:1_948.3 run_tabs_scaleout;
+        ~pinned:{ txns = 1_996; events = 74_350 }
+        ~ref_words_per_txn:1_937.5 run_tabs_scaleout;
     ]
   in
   Printf.printf "\nSimulator-core throughput, one run per arm:\n";

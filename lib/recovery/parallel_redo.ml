@@ -228,7 +228,7 @@ let drain_over t phase engine ~node ~fibers ~apply =
   if m > 0 then begin
     let indeg = Array.map List.length d.preds in
     let heap = Heap.create () in
-    let push pos = Heap.push heap ~key:d.prio.(pos) pos in
+    let push pos = ignore (Heap.push heap ~key:d.prio.(pos) pos) in
     Array.iteri (fun pos n -> if n = 0 then push pos) indeg;
     let remaining = ref m in
     let idle : unit Engine.Waitq.t = Engine.Waitq.create () in

@@ -61,6 +61,25 @@ val at : t -> delay:int -> (unit -> unit) -> unit
     simulation run. *)
 val spawn : t -> ?node:int -> (unit -> unit) -> fiber
 
+(** {2 Timers} *)
+
+(** A pending start that can be withdrawn before it happens. *)
+type timer
+
+(** [timer t ~node ~delay fn] starts [fn] as a fiber bound to [node]
+    [delay] microseconds from now, in the same order as any event
+    scheduled then. The timer does nothing if [node] crashes before it
+    fires, as a fiber of that node would be killed. Time-outs that
+    guard one transaction use it, so that the end of the transaction
+    can {!cancel} them. *)
+val timer : t -> node:int -> delay:int -> (unit -> unit) -> timer
+
+(** [cancel t timer] withdraws [timer] if it has not fired: its event
+    leaves the queue and drops its closure at once, and it is never
+    run or counted by {!events_processed}. A no-op on a timer that has
+    fired or been cancelled. *)
+val cancel : t -> timer -> unit
+
 (** [run t] processes events until none remain. Returns the number of
     events processed. *)
 val run : t -> int
@@ -155,7 +174,8 @@ module Waitq : sig
   val wait : 'a t -> 'a
 
   (** [wait_timeout q ~engine ~timeout] is [Some v] if signaled within
-      [timeout] microseconds, [None] otherwise. *)
+      [timeout] microseconds, [None] otherwise. A signal cancels the
+      time-out: it leaves no event behind. *)
   val wait_timeout : 'a t -> engine:engine -> timeout:int -> 'a option
 
   (** [signal q ~engine v] wakes the earliest waiter with [v]; returns

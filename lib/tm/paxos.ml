@@ -81,7 +81,7 @@ type atxn = {
   insts : (int, inst) Hashtbl.t; (* participant node -> accepted value *)
   mutable a_first_lsn : Record.lsn option;
       (* oldest log record backing this state: the log-truncation floor *)
-  mutable watching : bool;
+  watchdog : Engine.timer option; (* cancelled when the decision is known *)
 }
 
 (* Ballot-0 leader state at the coordinator. *)
@@ -155,17 +155,23 @@ let broadcast t ~dests payload =
 
 (* Decision handling --------------------------------------------------- *)
 
+(* A decided transaction needs no acceptor state: dropping it releases
+   the truncation floor and cancels the takeover watchdog. *)
+let drop_atxn t a =
+  Option.iter (Engine.cancel t.engine) a.watchdog;
+  Hashtbl.remove t.axns a.a_tid
+
 let note_decision t tid ~committed ~ballot =
   if not (Hashtbl.mem t.decided tid) then begin
     Hashtbl.replace t.decided tid committed;
     (match Hashtbl.find_opt t.axns tid with
-    | Some _ ->
+    | Some a ->
         (* durable enough unforced: if lost, a takeover re-derives the
            same decision from the (forced) accept quorums *)
         ignore
           (Recovery_mgr.append_tm_record t.rm
              (Record.Paxos_decision { tid; committed }));
-        Hashtbl.remove t.axns tid (* releases the truncation floor *)
+        drop_atxn t a
     | None -> ());
     if tracing t then
       emit t (Paxos_decided { node = t.node; tid; committed; ballot })
@@ -192,27 +198,24 @@ let rec ensure_atxn t tid =
           parts = None;
           insts = Hashtbl.create 4;
           a_first_lsn = None;
-          watching = false;
+          watchdog = start_watchdog t tid;
         }
       in
       Hashtbl.add t.axns tid a;
-      start_watchdog t a;
       a
 
 (* Coordinator-failure takeover: once a transaction has sat undecided
    past the takeover delay, this acceptor runs ballots until a decision
    is reached. Ranks are staggered so in the common case only the
-   first surviving acceptor pays for a round. *)
-and start_watchdog t a =
-  if (not a.watching) && t.rank >= 0 then begin
-    a.watching <- true;
-    ignore
-      (Engine.spawn t.engine ~node:t.node (fun () ->
-           Engine.delay (t.takeover_base + (t.rank * 1_000_000));
-           let tid = a.a_tid in
-           if not (Hashtbl.mem t.decided tid) then
-             ignore (run_takeover t tid ~slot:t.rank)))
-  end
+   first surviving acceptor pays for a round. The timer is cancelled
+   when the decision is known. *)
+and start_watchdog t tid =
+  if t.rank < 0 then None
+  else
+    Some
+      (Engine.timer t.engine ~node:t.node
+         ~delay:(t.takeover_base + (t.rank * 1_000_000))
+         (fun () -> ignore (run_takeover t tid ~slot:t.rank)))
 
 (* A full Paxos round over every instance at once, at ballots owned by
    [slot]. Returns the decision; loops (with backoff) until one is
@@ -549,7 +552,7 @@ let reseed t records =
           if a.a_first_lsn = None then a.a_first_lsn <- Some lsn
       | Record.Paxos_decision { tid; committed } ->
           Hashtbl.replace t.decided tid committed;
-          Hashtbl.remove t.axns tid
+          Option.iter (drop_atxn t) (Hashtbl.find_opt t.axns tid)
       | _ -> ())
     records
 

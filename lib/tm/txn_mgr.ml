@@ -109,6 +109,8 @@ type t = {
   acks : (Tid.t, gather) Hashtbl.t; (* ack collection in flight *)
   participants : (Tid.t, int) Hashtbl.t;
       (* prepared, in doubt: top tid -> coordinator *)
+  queries : (Tid.t, Engine.timer) Hashtbl.t;
+      (* top tid -> the pending step of its status-query loop *)
 }
 
 let distributed_commits t = t.distributed_commits
@@ -295,7 +297,17 @@ let maybe_periodic_checkpoint t =
            ignore (Recovery_mgr.maybe_reclaim t.rm)))
   end
 
+(* The transaction is decided here: its status-query loop has nothing
+   left to ask. *)
+let stop_querying t top =
+  match Hashtbl.find_opt t.queries top with
+  | Some timer ->
+      Engine.cancel t.engine timer;
+      Hashtbl.remove t.queries top
+  | None -> ()
+
 let record_outcome t top outcome =
+  stop_querying t top;
   Hashtbl.replace t.outcomes top outcome;
   if outcome = Committed then maybe_periodic_checkpoint t
 
@@ -490,9 +502,10 @@ let commit_top t top ~distributed =
    hear the verdict: under presumed abort the coordinator's Tm_abort is
    a single unacknowledged datagram, so if it is lost before the
    participant was even prepared, nothing else would ever release its
-   write locks). Both used to duplicate this send path with separately
-   computed coordinators; now the target and the query are decided in
-   exactly one place.
+   write locks). A transaction has at most one loop: preparing turns
+   the watchdog into the resolver. Each step of the loop is an engine
+   timer, cancelled when the transaction is decided here, so no fiber
+   sleeps per transaction and a healthy commit leaves no event behind.
 
    Under 2PC the query goes to the coordinator, which answers with the
    recorded outcome — or presumed abort — once it genuinely has no
@@ -530,42 +543,25 @@ let abandon_resolution t top ~coordinator ~attempts =
     emit t
       (Resolution_abandoned { node = t.node_id; tid = top; coordinator; attempts })
 
-let start_resolver t top ~coordinator ~delay =
-  ignore
-    (Engine.spawn t.engine ~node:t.node_id (fun () ->
-         let rec loop attempts =
-           Engine.delay delay;
-           match Hashtbl.find_opt t.participants top with
-           | None -> () (* resolved meanwhile *)
-           | Some _ when attempts >= 100 ->
-               abandon_resolution t top ~coordinator ~attempts
-           | Some _ ->
-               send_status_query t top ~coordinator;
-               loop (attempts + 1)
-         in
-         loop 0))
-
-let start_orphan_watchdog t top =
-  ignore
-    (Engine.spawn t.engine ~node:t.node_id (fun () ->
-         let rec loop attempts =
-           Engine.delay (if attempts = 0 then 10_000_000 else 3_000_000);
-           if not (Hashtbl.mem t.outcomes top) then
-             if attempts >= 100 then begin
-               (* count it only if the in-doubt resolver doesn't own the
-                  transaction — that resolver abandons for itself *)
-               if not (Hashtbl.mem t.participants top) then
-                 abandon_resolution t top ~coordinator:(coordinator_of t top)
-                   ~attempts
-             end
-             else begin
-               (* once prepared, the in-doubt resolver owns the querying *)
-               if not (Hashtbl.mem t.participants top) then
-                 send_status_query t top ~coordinator:(coordinator_of t top);
-               loop (attempts + 1)
-             end
-         in
-         loop 0))
+(* Query after [first], then every [every] while undecided. The
+   resolver knows its coordinator; the watchdog asks the spanning tree
+   when it sends. *)
+let start_querying t top ?coordinator ~first ~every () =
+  let rec arm delay attempts =
+    Hashtbl.replace t.queries top
+      (Engine.timer t.engine ~node:t.node_id ~delay (fun () ->
+           let coordinator = Option.value coordinator ~default:(coordinator_of t top) in
+           if attempts >= 100 then begin
+             Hashtbl.remove t.queries top;
+             abandon_resolution t top ~coordinator ~attempts
+           end
+           else begin
+             send_status_query t top ~coordinator;
+             if not (Hashtbl.mem t.outcomes top) then arm every (attempts + 1)
+           end))
+  in
+  stop_querying t top;
+  arm first 0
 
 (* Runs in a datagram-handler fiber when a Prepare arrives from the
    spanning-tree parent: recursively prepares this node's subtree and
@@ -614,7 +610,7 @@ let handle_prepare t top ~src =
     (* If the coordinator's verdict never arrives we are blocked in
        doubt; keep asking. The generous first delay keeps queries off
        the wire in healthy runs. *)
-    start_resolver t top ~coordinator:src ~delay:3_000_000;
+    start_querying t top ~coordinator:src ~first:3_000_000 ~every:3_000_000 ();
     send_vote Yes
   end
 
@@ -624,6 +620,7 @@ let apply_decided_outcome t top outcome ~ack_to =
      (duplicate datagram). Only the first arrival is applied. *)
   let was_in_doubt = Hashtbl.mem t.participants top in
   Hashtbl.remove t.participants top;
+  stop_querying t top;
   if Hashtbl.mem t.outcomes top then
     Option.iter
       (fun dest -> Comm_mgr.send_datagram t.cm ~dest (Tm_ack top))
@@ -767,7 +764,7 @@ let recover t (summary : Recovery_mgr.recovery_outcome) =
       Hashtbl.replace t.participants tid coordinator;
       if tracing t then
         emit t (Prepared_in_doubt { node = t.node_id; tid; coordinator });
-      start_resolver t tid ~coordinator ~delay:200_000)
+      start_querying t tid ~coordinator ~first:200_000 ~every:200_000 ())
     summary.in_doubt;
   (* Reinstall surviving Paxos acceptor state (promises, accepts,
      decisions); takeover watchdogs restart for undecided transactions.
@@ -807,6 +804,7 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       gathers = Hashtbl.create 8;
       acks = Hashtbl.create 8;
       participants = Hashtbl.create 8;
+      queries = Hashtbl.create 8;
     }
   in
   (* The Paxos role registers its datagram handler (and its
@@ -825,7 +823,8 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       (* the Communication Manager's first-spread notice to the TM *)
       Metrics.record (Engine.metrics engine) Cost_model.Small_contiguous_message;
       let top = Tid.top_level tid in
-      if top.Tid.node <> node then start_orphan_watchdog t top);
+      if top.Tid.node <> node && not (Hashtbl.mem t.outcomes top) then
+        start_querying t top ~first:10_000_000 ~every:3_000_000 ());
   Comm_mgr.add_datagram_handler cm (fun ~src payload ->
       match payload with
       | Tm_prepare top -> handle_prepare t top ~src

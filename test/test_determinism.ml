@@ -99,7 +99,7 @@ let lossy_1 =
        n2:Large Contiguous Message=9.000;\
        n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 526;
+    events = 483;
   }
 
 let lossy_5 =
@@ -125,7 +125,7 @@ let lossy_5 =
        n2:Large Contiguous Message=9.000;\
        n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 566;
+    events = 517;
   }
 
 let lossy_9 =
@@ -151,7 +151,7 @@ let lossy_9 =
        n2:Large Contiguous Message=9.000;\
        n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 560;
+    events = 510;
   }
 
 let clean_3 =
@@ -177,7 +177,7 @@ let clean_3 =
        n2:Large Contiguous Message=10.000;\
        n2:Random Access Paged I/O=1.000;n2:Stable Storage Write=5.000;";
     now = 600_000_000;
-    events = 564;
+    events = 504;
   }
 
 let paxos_1 =
@@ -210,7 +210,7 @@ let paxos_1 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=29.000;";
     now = 600_000_000;
-    events = 1539;
+    events = 1461;
   }
 
 let paxos_5 =
@@ -243,7 +243,7 @@ let paxos_5 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=45.000;";
     now = 600_000_000;
-    events = 1750;
+    events = 1670;
   }
 
 let paxos_9 =
@@ -276,7 +276,7 @@ let paxos_9 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=41.000;";
     now = 600_000_000;
-    events = 1673;
+    events = 1587;
   }
 
 let integrated_1 =
@@ -309,7 +309,7 @@ let integrated_1 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 488;
+    events = 445;
   }
 
 let integrated_5 =
@@ -342,7 +342,7 @@ let integrated_5 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 526;
+    events = 477;
   }
 
 let integrated_9 =
@@ -375,7 +375,7 @@ let integrated_9 =
        n2:Random Access Paged I/O=1.000;\
        n2:Stable Storage Write=4.000;";
     now = 600_000_000;
-    events = 520;
+    events = 470;
   }
 
 let parallel_2 =

@@ -10,7 +10,7 @@ let pop_min h =
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.push h ~key:k (string_of_int k)) [ 5; 1; 9; 1; 3 ];
+  List.iter (fun k -> ignore (Heap.push h ~key:k (string_of_int k))) [ 5; 1; 9; 1; 3 ];
   let order = ref [] in
   while not (Heap.is_empty h) do
     let k, v = pop_min h in
@@ -23,7 +23,7 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
+  List.iter (fun v -> ignore (Heap.push h ~key:7 v)) [ "a"; "b"; "c" ];
   let vs = List.init 3 (fun _ -> snd (pop_min h)) in
   Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] vs
 
@@ -31,7 +31,7 @@ let test_heap_random_sorted () =
   let rng = Rng.create ~seed:42 in
   let h = Heap.create () in
   let keys = List.init 500 (fun _ -> Rng.int rng 1000) in
-  List.iter (fun k -> Heap.push h ~key:k k) keys;
+  List.iter (fun k -> ignore (Heap.push h ~key:k k)) keys;
   let out = List.init 500 (fun _ -> fst (pop_min h)) in
   Alcotest.(check (list int)) "heap sorts" (List.sort compare keys) out
 
@@ -103,7 +103,51 @@ let test_waitq_signal_beats_timeout () =
   in
   Engine.at e ~delay:10 (fun () -> ignore (Engine.Waitq.signal q ~engine:e 7));
   let _ = Engine.run e in
-  Alcotest.(check bool) "signaled in time" true (!result = Some 7)
+  Alcotest.(check bool) "signaled in time" true (!result = Some 7);
+  (* the signal cancelled the time-out: the run ends at the signal, after
+     the spawn, the signal and the resumption *)
+  Alcotest.(check int) "run ends at the signal" 10 (Engine.now e);
+  Alcotest.(check int) "time-out never counted" 3 (Engine.events_processed e)
+
+(* A timer starts a fiber of its node; cancelled first, it never runs,
+   is not counted, and the run ends at the last real event. Cancelling
+   a timer that has fired is a no-op. *)
+let test_timer_cancel () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let timer delay name =
+    Engine.timer e ~node:0 ~delay (fun () ->
+        Engine.delay 1;
+        fired := (name, Engine.now e) :: !fired)
+  in
+  let early = timer 5 "early" and late = timer 50 "late" in
+  Engine.at e ~delay:10 (fun () ->
+      Engine.cancel e late;
+      Engine.cancel e early);
+  let _ = Engine.run e in
+  Alcotest.(check (list (pair string int))) "only the early timer ran"
+    [ ("early", 6) ] !fired;
+  Alcotest.(check int) "run ends at the cancel" 10 (Engine.now e);
+  (* the early timer, its fiber's delay, the cancelling callback *)
+  Alcotest.(check int) "cancelled timer not counted" 3 (Engine.events_processed e)
+
+(* A node-bound timer does nothing once its node has crashed; one armed
+   after the crash runs. *)
+let test_timer_after_crash () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let arm name =
+    ignore
+      (Engine.timer e ~node:1 ~delay:20 (fun () ->
+           fired := (name, Engine.now e) :: !fired))
+  in
+  arm "before";
+  Engine.at e ~delay:10 (fun () ->
+      Engine.crash_node e 1;
+      arm "after");
+  let _ = Engine.run e in
+  Alcotest.(check (list (pair string int))) "only the restarted node's timer"
+    [ ("after", 30) ] !fired
 
 let test_waitq_fifo () =
   let e = Engine.create () in
@@ -221,44 +265,64 @@ let prop_heap_sorts =
     QCheck.(list int)
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k k) keys;
+      List.iter (fun k -> ignore (Heap.push h ~key:k k)) keys;
       let out = List.init (List.length keys) (fun _ -> fst (pop_min h)) in
       out = List.sort compare keys)
 
-(* Op scripts for the queue models: [Some k] pushes key (or delay) [k],
-   [None] pops. Long scripts drift upward (3 pushes to 2 pops), so the
-   heap grows past its initial 64 entries with live slots, every pop
-   frees a slot a later push refills, and a small key range ties many
-   entries. *)
+type heap_op = Push of int | Pop | Remove of int
+
+(* Op scripts for the heap model: push key [k], pop, or remove through
+   the handle of the [i]-th push (mod the pushes so far), which may have
+   left the heap already, its slot since reused. Long scripts drift
+   upward (3 pushes to 2 pops and 1 removal), so the heap grows past its
+   initial 64 entries with live slots, every pop or removal frees a slot
+   a later push refills, and a small key range ties many entries. *)
 let long_ops keys =
   QCheck.make
-    ~print:QCheck.Print.(list (option int))
+    ~print:
+      QCheck.Print.(
+        list (function
+          | Push k -> "push " ^ int k
+          | Pop -> "pop"
+          | Remove i -> "remove " ^ int i))
     QCheck.Gen.(
       list_size (int_range 0 1_500)
-        (frequency [ (3, map Option.some (int_range 0 keys)); (2, return None) ]))
+        (frequency
+           [
+             (3, map (fun k -> Push k) (int_range 0 keys));
+             (2, return Pop);
+             (1, map (fun i -> Remove i) nat);
+           ]))
 
 (* The int-only heap against a reference sorted-list model: same
    (key, seq) order, FIFO among equal keys (values are insertion ranks,
-   so a tie broken out of order is visible). *)
+   so a tie broken out of order is visible), and a removal takes out
+   exactly its own entry, or nothing once that entry has left. *)
 let heap_matches_model ops =
   let h = Heap.create () in
   let model = ref [] in
-  let rank = ref 0 in
+  let handles = ref [||] in
   let ok = ref true in
   List.iter
     (fun op ->
       match op with
-      | Some key ->
-          let v = !rank in
-          incr rank;
-          Heap.push h ~key v;
+      | Push key ->
+          let v = Array.length !handles in
+          handles := Array.append !handles [| Heap.push h ~key v |];
           model := List.merge compare !model [ (key, v) ]
-      | None -> (
+      | Pop -> (
           match !model with
           | [] -> if not (Heap.is_empty h) then ok := false
           | (k, v) :: rest ->
               model := rest;
-              if pop_min h <> (k, v) then ok := false))
+              if pop_min h <> (k, v) then ok := false)
+      | Remove i ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            let v = i mod n in
+            Heap.remove h !handles.(v);
+            model := List.filter (fun (_, v') -> v' <> v) !model
+          end)
     ops;
   (* drain what remains *)
   List.iter (fun (k, v) -> if pop_min h <> (k, v) then ok := false) !model;
@@ -271,51 +335,22 @@ let prop_heap_model =
 (* Grow to 200 live entries on four keys, free 150 slots, refill them
    and grow past the next doubling, then drain. *)
 let test_heap_refill () =
-  let push n = List.init n (fun i -> Some (i mod 4)) in
-  let pops n = List.init n (fun _ -> None) in
+  let push n = List.init n (fun i -> Push (i mod 4)) in
+  let pops n = List.init n (fun _ -> Pop) in
   Alcotest.(check bool) "pop order is the (key, seq) model" true
     (heap_matches_model (push 200 @ pops 150 @ push 300 @ pops 100 @ push 70))
 
-(* Two-tier event queue against a plain model: a list kept sorted by
-   (key, push sequence). Arbitrary interleavings of dense delay-0 and
-   short-delay pushes exercise every ring/heap merge, including ties
-   between a far event and a ring event at the same instant, where the
-   earlier push must pop first. *)
-let prop_event_queue_model =
-  QCheck.Test.make ~name:"event queue matches sorted (key, seq) model"
-    ~count:200 (long_ops 3)
-    (fun ops ->
-      let q = Event_queue.create () in
-      let model = ref [] in
-      let now = ref 0 in
-      let seq = ref 0 in
-      let ok = ref true in
-      let pop () =
-        match !model with
-        | [] -> if not (Event_queue.is_empty q) then ok := false
-        | (k, v) :: rest ->
-            model := rest;
-            if Event_queue.is_empty q then ok := false
-            else begin
-              let k' = Event_queue.min_key q in
-              let v' = Event_queue.pop q in
-              if k' <> k || v' <> v then ok := false;
-              now := k
-            end
-      in
-      List.iter
-        (fun op ->
-          match op with
-          | Some d ->
-              incr seq;
-              Event_queue.push q ~now:!now ~key:(!now + d) !seq;
-              model := List.merge compare !model [ (!now + d, !seq) ]
-          | None -> pop ())
-        ops;
-      while !ok && !model <> [] do
-        pop ()
-      done;
-      !ok && Event_queue.is_empty q)
+(* The first entry is popped and its slot goes to the second: the first
+   handle must not remove the second entry, while the second's own
+   handle does, and an entry removed from the middle keeps the rest in
+   order. *)
+let test_heap_stale_handle () =
+  Alcotest.(check bool) "stale handle is a no-op" true
+    (heap_matches_model [ Push 1; Pop; Push 2; Remove 0; Push 3 ]);
+  Alcotest.(check bool) "own handle removes" true
+    (heap_matches_model [ Push 1; Pop; Push 2; Remove 1; Push 3 ]);
+  Alcotest.(check bool) "removal mid-heap" true
+    (heap_matches_model (List.init 9 (fun k -> Push (9 - k)) @ [ Remove 4; Remove 0 ]))
 
 let test_simulation_deterministic () =
   (* two identical runs of a small workload produce byte-identical
@@ -486,7 +521,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_heap_sorts;
         QCheck_alcotest.to_alcotest prop_heap_model;
         quick "grow, refill and tie" test_heap_refill;
-        QCheck_alcotest.to_alcotest prop_event_queue_model;
+        quick "stale handle after slot reuse" test_heap_stale_handle;
       ] );
     ( "sim.engine",
       [
@@ -498,6 +533,8 @@ let suites =
         quick "zero-cost dispatch at 1M events" test_zero_cost_dispatch;
         quick "charge allocation budget" test_charge_allocation;
         quick "fiber_id after every resumption" test_fiber_id_after_resumption;
+        quick "cancelled timer never runs" test_timer_cancel;
+        quick "timer dies with its node" test_timer_after_crash;
       ] );
     ( "sim.waitq",
       [
