@@ -157,6 +157,44 @@ let test_relock_in_doubt () =
   in
   Alcotest.(check bool) "in-doubt data blocked" true blocked
 
+(* A data server joins a transaction once: its first operation there
+   costs the server [Overheads.data_server_txn] of CPU, a later one
+   under the same transaction nothing, another server's first one the
+   same again, and re-locking in-doubt data at restart (a re-join)
+   nothing. *)
+let test_join_charged_once_per_server () =
+  let c, node, server = setup () in
+  let other =
+    Server_lib.create (Node.env node) ~name:"raw2" ~segment:8 ~pages:16 ()
+  in
+  let engine = Cluster.engine c in
+  let o = Server_lib.create_object_id server ~offset:0 ~length:8 in
+  let in_doubt = Tabs_wal.Tid.top ~node:9 ~seq:1 in
+  let costs =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        let cost f =
+          let before = Tabs_sim.Engine.cpu_time engine ~process:"ds" in
+          f ();
+          Tabs_sim.Engine.cpu_time engine ~process:"ds" - before
+        in
+        let tid = Txn_lib.begin_transaction (Node.tm node) () in
+        let first = cost (fun () -> Server_lib.enter_operation server tid) in
+        let again = cost (fun () -> Server_lib.enter_operation server tid) in
+        let second = cost (fun () -> Server_lib.enter_operation other tid) in
+        Txn_lib.abort_transaction (Node.tm node) tid;
+        let relock =
+          cost (fun () -> Server_lib.relock_in_doubt server [ (in_doubt, o) ])
+        in
+        let after_relock =
+          cost (fun () -> Server_lib.enter_operation server in_doubt)
+        in
+        [ first; again; second; relock; after_relock ])
+  in
+  let join = Tabs_sim.Overheads.data_server_txn in
+  Alcotest.(check (list int))
+    "first op, same server again, second server, relock, op after relock"
+    [ join; 0; join; 0; 0 ] costs
+
 let test_relock_ignores_other_segments () =
   let c, _, server = setup () in
   let foreign = Tabs_wal.Object_id.make ~segment:99 ~offset:0 ~length:8 in
@@ -218,6 +256,7 @@ let suites =
         quick "execute_transaction commits" test_execute_transaction_commits;
         quick "execute_transaction aborts" test_execute_transaction_aborts_on_raise;
         quick "relock in doubt" test_relock_in_doubt;
+        quick "join charged once per server" test_join_charged_once_per_server;
         quick "relock foreign segment" test_relock_ignores_other_segments;
         quick "state bounded by live state" test_state_bounded_by_live;
       ] );

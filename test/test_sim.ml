@@ -223,14 +223,32 @@ let test_metrics_diff_and_weighting () =
   let m = Metrics.create () in
   Metrics.record_many m Cost_model.Datagram 4;
   Metrics.record m Cost_model.Stable_storage_write;
+  Metrics.record_elided m Cost_model.Small_contiguous_message;
+  Metrics.record_weighted m Cost_model.Large_contiguous_message ~num:1 ~den:2;
   let before = Metrics.snapshot m in
   Metrics.record_many m Cost_model.Datagram 2;
+  Metrics.record_elided m Cost_model.Small_contiguous_message;
+  Metrics.record_elided m Cost_model.Small_contiguous_message;
+  Metrics.record_weighted m Cost_model.Large_contiguous_message ~num:1 ~den:4;
+  (* the snapshot is a copy: counting after it leaves it as it was *)
+  Alcotest.(check int) "snapshot datagrams" 4
+    (Metrics.count before Cost_model.Datagram);
+  Alcotest.(check (float 1e-9)) "snapshot elided" 1.
+    (Metrics.elided_weight before Cost_model.Small_contiguous_message);
+  Alcotest.(check (float 1e-9)) "snapshot weighted" 0.5
+    (Metrics.weight before Cost_model.Large_contiguous_message);
   let d = Metrics.diff ~later:m ~earlier:before in
   Alcotest.(check int) "diff datagrams" 2 (Metrics.count d Cost_model.Datagram);
   Alcotest.(check int) "diff stable" 0
     (Metrics.count d Cost_model.Stable_storage_write);
-  Alcotest.(check int) "weighted = 6*25 + 79 ms"
-    ((6 * 25_000) + 79_000)
+  Alcotest.(check (float 1e-9)) "diff elided" 2.
+    (Metrics.elided_weight d Cost_model.Small_contiguous_message);
+  Alcotest.(check (float 1e-9)) "diff weighted" 0.25
+    (Metrics.weight d Cost_model.Large_contiguous_message);
+  Alcotest.(check (float 1e-9)) "diff charges nothing elided" 0.
+    (Metrics.weight d Cost_model.Small_contiguous_message);
+  Alcotest.(check int) "weighted = 6*25 + 79 + 0.75*4.4 ms (elided costs nothing)"
+    ((6 * 25_000) + 79_000 + 3_300)
     (Metrics.weighted_cost m Cost_model.measured)
 
 let test_cost_tables_match_paper () =
