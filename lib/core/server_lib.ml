@@ -23,7 +23,6 @@ type t = {
   locks : Lock_manager.t;
   buffered : (Tid.t * Object_id.t, string) Hashtbl.t;
   marked : (Tid.t, Object_id.t list ref) Hashtbl.t;
-  joined : (Tid.t, unit) Hashtbl.t; (* top tids whose first op was seen *)
   wrote : (Tid.t, unit) Hashtbl.t; (* top tids that logged here *)
   ops : (string, (arg:string -> unit) * (arg:string -> unit)) Hashtbl.t;
       (* op name -> (redo, undo) *)
@@ -47,7 +46,6 @@ let clear_txn_state t top =
       t.marked []
   in
   List.iter (fun tid -> Hashtbl.remove t.marked tid) stale_marks;
-  Hashtbl.remove t.joined (Tid.top_level top);
   Hashtbl.remove t.wrote (Tid.top_level top)
 
 (* Deadlock time-out for every server's lock waits. *)
@@ -63,7 +61,6 @@ let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
       locks = Lock_manager.create ~compatible ~default_timeout:lock_timeout env.engine ();
       buffered = Hashtbl.create 32;
       marked = Hashtbl.create 8;
-      joined = Hashtbl.create 32;
       wrote = Hashtbl.create 32;
       ops = Hashtbl.create 8;
     }
@@ -96,12 +93,8 @@ let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
 (* Startup ------------------------------------------------------------- *)
 
 let note_first_operation t tid =
-  let top = Tid.top_level tid in
-  if not (Hashtbl.mem t.joined top) then begin
-    Hashtbl.add t.joined top ();
-    Txn_mgr.join t.env.tm ~tid ~server:t.name;
+  if Txn_mgr.join t.env.tm ~tid ~server:t.name then
     Engine.charge_cpu t.env.engine ~process:"ds" Overheads.data_server_txn
-  end
 
 let enter_operation t tid =
   (* A request can race a restart: the node re-registers its servers
@@ -245,9 +238,6 @@ let relock_in_doubt t entries =
           lock_object t tid obj Mode.Write;
         (* re-join so the coordinator's eventual verdict reaches this
            server and releases the locks *)
-        if not (Hashtbl.mem t.joined (Tid.top_level tid)) then begin
-          Hashtbl.add t.joined (Tid.top_level tid) ();
-          Txn_mgr.join t.env.tm ~tid ~server:t.name
-        end
+        ignore (Txn_mgr.join t.env.tm ~tid ~server:t.name)
       end)
     entries

@@ -34,6 +34,7 @@ type op_handler = { redo : op:string -> arg:string -> unit;
 type recovery_outcome = {
   losers : Tid.t list;
   in_doubt : (Tid.t * int) list;
+  statuses : (Tid.t * txn_status) list; (* top-level tids, sorted *)
   written_objects : (Tid.t * Object_id.t) list;
   records_scanned : int;
   replay_us : int;
@@ -84,9 +85,7 @@ type t = {
   mutable active_txns_source :
     unit -> (Tid.t * Record.lsn option) list;
   mutable prepared_source : unit -> (Tid.t * int) list;
-  mutable last_statuses : (Tid.t * txn_status) list;
   mutable last_background_flush : int;
-  background_flush_interval : int;
   mutable truncation_floor_source : unit -> Record.lsn option;
       (* the TM's Paxos acceptor supplies the oldest log record that
          still backs undecided consensus state — those records belong to
@@ -217,12 +216,14 @@ let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?(reads = []) ~objs
    commit, so the simulation still quiesces. A configured checkpoint
    daemon supersedes it: its trickle write-back is this same traffic,
    ordered to raise the log-truncation floor. *)
+let background_flush_interval = 250_000
+
 let maybe_background_flush t =
   match t.checkpointer with
   | Some _ -> ()
   | None ->
       let now = Engine.now t.engine in
-      if now - t.last_background_flush >= t.background_flush_interval then begin
+      if now - t.last_background_flush >= background_flush_interval then begin
         t.last_background_flush <- now;
         ignore
           (Engine.spawn t.engine ~node:t.node (fun () -> Vm.flush_all t.vm))
@@ -454,9 +455,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       op_handlers = Hashtbl.create 8;
       active_txns_source = (fun () -> []);
       prepared_source = (fun () -> []);
-      last_statuses = [];
       last_background_flush = 0;
-      background_flush_interval = 250_000;
       truncation_floor_source = (fun () -> None);
       parallel = parallel_recovery;
       instant = instant_restart;
@@ -516,10 +515,10 @@ let scan_anchor t =
    higher), or to nothing recovery cares about. Statuses are seeded from
    the checkpoint — prepared participants first, since their prepare
    records may predate the scan — and records scanned afterwards
-   override the seeds. Without a checkpoint (or with [~anchored:false])
-   the scan covers the whole live log. *)
-let analyze ?(anchored = true) t =
-  let anchor = if anchored then scan_anchor t else None in
+   override the seeds. Without a checkpoint the scan covers the whole
+   live log. *)
+let analyze t =
+  let anchor = scan_anchor t in
   let scan_from =
     match anchor with
     | None -> Log_manager.first_lsn t.log
@@ -913,10 +912,10 @@ let close_eagerly t ~in_doubt ~chains =
    replay I/O. An eager restart then reclaims the scanned prefix so
    repeated crashes do not re-read ever-growing history; an instant one
    reclaims when the trickle finishes. *)
-let recover ?anchored t =
+let recover t =
   let t0 = Engine.now t.engine in
   t.recovering <- true;
-  let a = analyze ?anchored t in
+  let a = analyze t in
   let g = Parallel_redo.build a.records ~loser:(fun tid -> not (winner a tid)) in
   let apply = apply_record t a (Hashtbl.create 64) in
   let replay_start = Engine.now t.engine in
@@ -933,9 +932,6 @@ let recover ?anchored t =
   (match closing with
   | Some (ck, floor) -> ignore (truncate_below t ~ck ~floor)
   | None -> park t g apply ~paxos);
-  t.last_statuses <-
-    List.sort compare
-      (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses []);
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_recovered
@@ -949,6 +945,9 @@ let recover ?anchored t =
     {
       losers;
       in_doubt;
+      statuses =
+        List.sort compare
+          (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses []);
       written_objects;
       records_scanned = Array.length a.records;
       replay_us;
@@ -971,5 +970,3 @@ let await_open t =
   while t.recovering do
     Engine.Waitq.wait t.open_q
   done
-
-let statuses t = t.last_statuses

@@ -68,6 +68,10 @@ type recovery_outcome = {
       (** prepared transactions and their coordinator nodes; their
           updates are applied but their locks must be re-taken until the
           coordinator's verdict arrives *)
+  statuses : (Tabs_wal.Tid.t * txn_status) list;
+      (** every top-level transaction the analysis scan saw, with its
+          resolved fate, sorted by tid: the Transaction Manager
+          re-learns its decided outcomes from these *)
   written_objects : (Tabs_wal.Tid.t * Tabs_wal.Object_id.t) list;
       (** objects updated by in-doubt transactions, for lock
           re-acquisition *)
@@ -251,12 +255,11 @@ val maybe_reclaim : t -> bool
     once the graph is drained the segments reflect exactly the
     committed and prepared transactions.
 
-    By default the analysis scan is anchored at the last stable
-    checkpoint: it starts at the minimum of the checkpoint's LSN, its
-    dirty pages' recovery LSNs, and its live families' first-update
-    LSNs, seeding transaction statuses from the checkpoint's tables.
-    [~anchored:false] forces the pre-checkpoint behavior — a full scan
-    of the live log — for comparison and cross-checking.
+    The analysis scan is anchored at the last stable checkpoint: it
+    starts at the minimum of the checkpoint's LSN, its dirty pages'
+    recovery LSNs, and its live families' first-update LSNs, seeding
+    transaction statuses from the checkpoint's tables. Without a
+    checkpoint it scans the whole live log.
 
     Eager and instant restarts differ only in the schedule. Eager (the
     default) drains both redo phases — over N fibers with
@@ -274,7 +277,7 @@ val maybe_reclaim : t -> bool
     restart would have. Fuzzy checkpoints taken while pages are pending
     report them at their oldest parked record, so a re-crash in the
     serving window recovers correctly. *)
-val recover : ?anchored:bool -> t -> recovery_outcome
+val recover : t -> recovery_outcome
 
 (** [await_open t] parks the calling fiber until the in-progress
     {!recover} returns — the moment the node opens for service. Server
@@ -293,7 +296,3 @@ val await_open : t -> unit
     default) costs nothing. *)
 val set_apply_hook :
   t -> (phase:string -> lsn:Tabs_wal.Record.lsn -> unit) option -> unit
-
-(** [statuses t] — transaction statuses computed by the last {!recover},
-    for the Transaction Manager's restart queries. *)
-val statuses : t -> (Tabs_wal.Tid.t * txn_status) list

@@ -58,46 +58,33 @@ type t = {
   mutable node_rows : int array array;
 }
 
-let zero_tm () = { resolutions_abandoned = 0 }
-
-let copy_tm (m : tm) = { resolutions_abandoned = m.resolutions_abandoned }
-
-let zero_recovery () =
-  { restart_pages = 0; ondemand_pages = 0; trickle_pages = 0; pending_pages = 0 }
-
-let copy_recovery (r : recovery) =
-  {
-    restart_pages = r.restart_pages;
-    ondemand_pages = r.ondemand_pages;
-    trickle_pages = r.trickle_pages;
-    pending_pages = r.pending_pages;
-  }
-
-let zero_msgs () =
-  {
-    wire_messages = 0;
-    carried_frames = 0;
-    piggybacked_acks = 0;
-    delayed_acks = 0;
-    ack_deliveries_covered = 0;
-    duplicate_reacks = 0;
-  }
-
 let scale = 1000
 
 let size = Cost_model.count
 
 let idx = Cost_model.to_int
 
-let create () =
+(* A metrics block over the given per-primitive arrays, its other
+   counters zero: the live block, or a window ({!snapshot}, {!diff}). *)
+let make charged elided =
   {
-    charged = Array.make size 0;
-    elided = Array.make size 0;
-    msgs = zero_msgs ();
-    tm = zero_tm ();
+    charged;
+    elided;
+    msgs =
+      {
+        wire_messages = 0;
+        carried_frames = 0;
+        piggybacked_acks = 0;
+        delayed_acks = 0;
+        ack_deliveries_covered = 0;
+        duplicate_reacks = 0;
+      };
+    tm = { resolutions_abandoned = 0 };
     recovery_rows = Hashtbl.create 4;
     node_rows = [||];
   }
+
+let create () = make (Array.make size 0) (Array.make size 0)
 
 let msgs t = t.msgs
 
@@ -107,19 +94,16 @@ let recovery t ~node =
   match Hashtbl.find_opt t.recovery_rows node with
   | Some r -> r
   | None ->
-      let r = zero_recovery () in
+      let r =
+        {
+          restart_pages = 0;
+          ondemand_pages = 0;
+          trickle_pages = 0;
+          pending_pages = 0;
+        }
+      in
       Hashtbl.add t.recovery_rows node r;
       r
-
-let copy_msgs m =
-  {
-    wire_messages = m.wire_messages;
-    carried_frames = m.carried_frames;
-    piggybacked_acks = m.piggybacked_acks;
-    delayed_acks = m.delayed_acks;
-    ack_deliveries_covered = m.ack_deliveries_covered;
-    duplicate_reacks = m.duplicate_reacks;
-  }
 
 let record_weighted t p ~num ~den =
   if den <= 0 then invalid_arg "Metrics.record_weighted: den <= 0";
@@ -183,81 +167,11 @@ let weight t p = float_of_int t.charged.(idx p) /. float_of_int scale
 
 let elided_weight t p = float_of_int t.elided.(idx p) /. float_of_int scale
 
-let snapshot t =
-  let recovery_rows = Hashtbl.create (max 1 (Hashtbl.length t.recovery_rows)) in
-  Hashtbl.iter
-    (fun n r -> Hashtbl.replace recovery_rows n (copy_recovery r))
-    t.recovery_rows;
-  {
-    charged = Array.copy t.charged;
-    elided = Array.copy t.elided;
-    msgs = copy_msgs t.msgs;
-    tm = copy_tm t.tm;
-    recovery_rows;
-    node_rows =
-      Array.map
-        (fun row -> if Array.length row = 0 then [||] else Array.copy row)
-        t.node_rows;
-  }
+let snapshot t = make (Array.copy t.charged) (Array.copy t.elided)
 
 let diff ~later ~earlier =
-  let recovery_rows =
-    Hashtbl.create (max 1 (Hashtbl.length later.recovery_rows))
-  in
-  Hashtbl.iter
-    (fun n (r : recovery) ->
-      let base =
-        match Hashtbl.find_opt earlier.recovery_rows n with
-        | Some b -> b
-        | None -> zero_recovery ()
-      in
-      Hashtbl.replace recovery_rows n
-        {
-          restart_pages = r.restart_pages - base.restart_pages;
-          ondemand_pages = r.ondemand_pages - base.ondemand_pages;
-          trickle_pages = r.trickle_pages - base.trickle_pages;
-          pending_pages = r.pending_pages - base.pending_pages;
-        })
-    later.recovery_rows;
-  let node_rows =
-    Array.mapi
-      (fun n row ->
-        if Array.length row = 0 then [||]
-        else
-          let base =
-            if
-              n < Array.length earlier.node_rows
-              && Array.length earlier.node_rows.(n) > 0
-            then earlier.node_rows.(n)
-            else Array.make size 0
-          in
-          Array.init size (fun i -> row.(i) - base.(i)))
-      later.node_rows
-  in
-  {
-    node_rows;
-    recovery_rows;
-    charged = Array.init size (fun i -> later.charged.(i) - earlier.charged.(i));
-    elided = Array.init size (fun i -> later.elided.(i) - earlier.elided.(i));
-    msgs =
-      {
-        wire_messages = later.msgs.wire_messages - earlier.msgs.wire_messages;
-        carried_frames = later.msgs.carried_frames - earlier.msgs.carried_frames;
-        piggybacked_acks =
-          later.msgs.piggybacked_acks - earlier.msgs.piggybacked_acks;
-        delayed_acks = later.msgs.delayed_acks - earlier.msgs.delayed_acks;
-        ack_deliveries_covered =
-          later.msgs.ack_deliveries_covered
-          - earlier.msgs.ack_deliveries_covered;
-        duplicate_reacks =
-          later.msgs.duplicate_reacks - earlier.msgs.duplicate_reacks;
-      };
-    tm =
-      {
-        resolutions_abandoned =
-          later.tm.resolutions_abandoned - earlier.tm.resolutions_abandoned;
-      };
-  }
+  let sub a b = Array.init size (fun i -> a.(i) - b.(i)) in
+  make (sub later.charged earlier.charged) (sub later.elided earlier.elided)
 
 let weighted_cost t model =
   List.fold_left

@@ -44,17 +44,15 @@ type recovery = {
 
 val create : unit -> t
 
-(** [msgs t] is the live message-counter block (shared mutable state;
-    {!snapshot} and {!diff} copy it). *)
+(** [msgs t] is the live message-counter block (shared mutable state). *)
 val msgs : t -> msgs
 
 (** [tm t] is the live Transaction Manager counter block (shared mutable
-    state; {!snapshot} and {!diff} copy it). *)
+    state). *)
 val tm : t -> tm
 
 (** [recovery t ~node] is [node]'s live recovery counter block, created
-    zeroed on first access (shared mutable state; {!snapshot} and
-    {!diff} copy it). *)
+    zeroed on first access (shared mutable state). *)
 val recovery : t -> node:int -> recovery
 
 (** [record t p] counts one execution of primitive [p]. *)
@@ -109,7 +107,15 @@ val node_weight : t -> node:int -> Cost_model.primitive -> float
 (** [nodes_tracked t] lists node ids with any attributed executions. *)
 val nodes_tracked : t -> int list
 
-(** [snapshot t] is an independent copy of the current counts. *)
+(** {2 Windows}
+
+    A snapshot or diff holds per-primitive counts only: the charged and
+    elided counters that {!count}, {!weight}, {!elided_weight} and
+    {!weighted_cost} read. Its message, TM, recovery and per-node blocks
+    are zero; read those live. *)
+
+(** [snapshot t] is an independent copy of the current per-primitive
+    counts. *)
 val snapshot : t -> t
 
 (** [diff ~later ~earlier] is the per-primitive difference of counts. *)

@@ -96,7 +96,6 @@ type leader = {
 
 (* One in-flight takeover round on this node. *)
 type round = {
-  r_ballot : int;
   mutable r_promises : (int list option * (int * int * bool) list) list;
   mutable r_accepts : int;
   mutable r_phase : int; (* 1 or 2 *)
@@ -117,8 +116,6 @@ type t = {
   rounds : (Tid.t * int, round) Hashtbl.t;
       (* keyed by (tid, ballot): the coordinator-resolver and this
          node's acceptor watchdog can both run rounds for one tid *)
-  takeover_base : int;
-  takeover_retry : int;
 }
 
 let acceptors t = t.acceptors
@@ -128,6 +125,13 @@ let tracing t = Engine.tracing t.engine
 let emit t ev = Engine.emit t.engine ev
 
 let quorum t = t.f + 1
+
+(* An undecided transaction's first takeover starts this long after its
+   watchdog is armed (plus a second per acceptor rank); a failed round
+   backs off [takeover_retry] (plus 0.3 s per slot) before the next. *)
+let takeover_base = 2_500_000
+
+let takeover_retry = 1_500_000
 
 let decision_of t tid = Hashtbl.find_opt t.decided tid
 
@@ -214,7 +218,7 @@ and start_watchdog t tid =
   else
     Some
       (Engine.timer t.engine ~node:t.node
-         ~delay:(t.takeover_base + (t.rank * 1_000_000))
+         ~delay:(takeover_base + (t.rank * 1_000_000))
          (fun () -> ignore (run_takeover t tid ~slot:t.rank)))
 
 (* A full Paxos round over every instance at once, at ballots owned by
@@ -230,7 +234,6 @@ and run_takeover t tid ~slot =
         if tracing t then emit t (Paxos_takeover { node = t.node; tid; ballot });
         let r =
           {
-            r_ballot = ballot;
             r_promises = [];
             r_accepts = 0;
             r_phase = 1;
@@ -258,7 +261,7 @@ and run_takeover t tid ~slot =
           (* slot-staggered backoff so concurrent proposers (the
              coordinator-resolver plus up to 2F+1 watchdogs) cannot
              duel in lock-step forever *)
-          Engine.delay (t.takeover_retry + (slot * 300_000));
+          Engine.delay (takeover_retry + (slot * 300_000));
           attempt (n + 1)
         in
         if not (wait_phase (fun r -> List.length r.r_promises)) then retry ()
@@ -325,7 +328,7 @@ and run_takeover t tid ~slot =
                     broadcast t ~dests:t.acceptors
                       (Px_begin { tid; parts = l.l_parts })
                 | None -> ());
-                Engine.delay (t.takeover_retry + (slot * 300_000));
+                Engine.delay (takeover_retry + (slot * 300_000));
                 attempt (n + 1)
           end
         end
@@ -572,8 +575,6 @@ let create engine ~node ~f ~rm ~cm () =
       decided = Hashtbl.create 32;
       leaders = Hashtbl.create 8;
       rounds = Hashtbl.create 4;
-      takeover_base = 2_500_000;
-      takeover_retry = 1_500_000;
     }
   in
   Recovery_mgr.set_truncation_floor_source rm (fun () -> truncation_floor t);

@@ -101,7 +101,7 @@ type t = {
       (* committed tree 2PC rounds this TM coordinated (bench accounting) *)
   mutable next_seq : int;
   servers : (string, server_callbacks) Hashtbl.t;
-  joined : (Tid.t, string list ref) Hashtbl.t; (* top tid -> local servers *)
+  joined : (Tid.t, string list) Hashtbl.t; (* top tid -> local servers *)
   sub_counters : (Tid.t, int ref) Hashtbl.t;
   aborted : (Tid.t, unit) Hashtbl.t; (* tids (incl. subtxns) locally known aborted *)
   outcomes : (Tid.t, outcome) Hashtbl.t; (* top tids with known verdicts *)
@@ -129,7 +129,7 @@ let emit t ev = Engine.emit t.engine ev
 
 let joined_servers t tid =
   match Hashtbl.find_opt t.joined (Tid.top_level tid) with
-  | Some names -> !names
+  | Some names -> names
   | None -> []
 
 let callbacks t name = Hashtbl.find t.servers name
@@ -162,20 +162,16 @@ let begin_subtxn t parent =
   tid
 
 let join t ~tid ~server =
-  let top = Tid.top_level tid in
-  let names =
-    match Hashtbl.find_opt t.joined top with
-    | Some names -> names
-    | None ->
-        let names = ref [] in
-        Hashtbl.add t.joined top names;
-        names
-  in
-  if not (List.mem server !names) then begin
+  let names = joined_servers t tid in
+  let fresh = not (List.mem server names) in
+  if fresh then begin
+    (* joined from here on, so a checkpoint taken during the message
+       lists the transaction as active *)
+    Hashtbl.replace t.joined (Tid.top_level tid) (server :: names);
     (* the data server's first-operation message to the TM *)
-    small t;
-    names := server :: !names
-  end
+    small t
+  end;
+  fresh
 
 (* [tid] or one of its ancestors is known aborted: O(depth) lookups. *)
 let rec is_aborted t tid =
@@ -752,7 +748,7 @@ let recover t (summary : Recovery_mgr.recovery_outcome) =
       | Recovery_mgr.Committed -> Hashtbl.replace t.outcomes tid Committed
       | Recovery_mgr.Aborted -> Hashtbl.replace t.outcomes tid Aborted
       | Recovery_mgr.Prepared _ | Recovery_mgr.Active -> ())
-    (Recovery_mgr.statuses t.rm);
+    summary.statuses;
   List.iter
     (fun tid ->
       Hashtbl.replace t.aborted tid ();

@@ -166,10 +166,12 @@ val begin_txn : t -> Tabs_wal.Tid.t
 (** [begin_subtxn t parent] starts a subtransaction of [parent]. *)
 val begin_subtxn : t -> Tabs_wal.Tid.t -> Tabs_wal.Tid.t
 
-(** [join t ~tid ~server] — a data server reports the first operation it
-    performs on behalf of [tid] (one message), so the Transaction
-    Manager knows to inform it at completion. *)
-val join : t -> tid:Tabs_wal.Tid.t -> server:string -> unit
+(** [join t ~tid ~server] — a data server reports an operation it
+    performs on behalf of [tid], so the Transaction Manager knows to
+    inform it at completion. The server's first report for [tid]'s
+    family costs one message and returns [true], and a later one returns
+    [false]: the Transaction Manager alone keeps the joined servers. *)
+val join : t -> tid:Tabs_wal.Tid.t -> server:string -> bool
 
 (** [commit t tid] attempts commitment and reports the verdict.
 

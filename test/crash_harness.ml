@@ -54,7 +54,7 @@ let make_rig ~pages ?checkpointing ?log_space_limit ?parallel_recovery () =
   { engine; disk; stable; vm; log; rm }
 
 (* simulate a crash: rebuild all volatile structures *)
-let crash_and_recover ?anchored rig =
+let crash_and_recover rig =
   let frames = 2 * Disk.segment_pages rig.disk 1 in
   let vm = Vm.attach rig.engine rig.disk ~frames () in
   let log = Log_manager.attach rig.engine rig.stable in
@@ -62,7 +62,7 @@ let crash_and_recover ?anchored rig =
   rig.vm <- vm;
   rig.log <- log;
   rig.rm <- rm;
-  Recovery_mgr.recover ?anchored rm
+  Recovery_mgr.recover rm
 
 let run_fiber rig f =
   let out = ref None in

@@ -121,7 +121,9 @@ let crash_mid_batch profile crash_at =
   done;
   Cluster.run_until c ~time:crash_at;
   Node.crash n0;
-  ignore (Cluster.run_fiber c ~node:0 (fun () -> Node.restart n0 ~reinstall ()));
+  let outcome =
+    Cluster.run_fiber c ~node:0 (fun () -> Node.restart n0 ~reinstall ())
+  in
   let tm = Node.tm n0 in
   let arr = Option.get !holder in
   let vals =
@@ -129,7 +131,7 @@ let crash_mid_batch profile crash_at =
         Txn_lib.execute_transaction tm (fun tid ->
             List.init workers (fun w -> Int_array_server.get arr tid w)))
   in
-  let statuses = Recovery_mgr.statuses (Node.rm n0) in
+  let statuses = outcome.Recovery_mgr.statuses in
   List.iteri
     (fun w v ->
       let wl = logs.(w) in

@@ -650,7 +650,7 @@ let test_server_vote_no_aborts_distributed_txn () =
       on_subtxn_abort = (fun _ -> ());
     };
   Tabs_core.Rpc.expose (Node.rpc n1) ~server:"saboteur" (fun ~tid ~op:_ ~arg:_ ->
-      Tabs_tm.Txn_mgr.join (Node.tm n1) ~tid ~server:"saboteur";
+      ignore (Tabs_tm.Txn_mgr.join (Node.tm n1) ~tid ~server:"saboteur");
       "");
   let tm = Node.tm n0 and rpc = Node.rpc n0 in
   let verdict =

@@ -199,10 +199,13 @@ let recover_frozen rig ~parallel ~hook =
   in
   register_counter rm vm;
   Recovery_mgr.set_apply_hook rm hook;
+  (* the rig never checkpoints, so the analysis scan covers the whole
+     log, as the oracle's does *)
+  Alcotest.(check (option int)) "no checkpoint to anchor at" None
+    (Log_manager.last_checkpoint log);
   let out = ref None in
   ignore
-    (Engine.spawn engine (fun () ->
-         out := Some (Recovery_mgr.recover ~anchored:false rm)));
+    (Engine.spawn engine (fun () -> out := Some (Recovery_mgr.recover rm)));
   ignore (Engine.run engine);
   (Option.get !out, disk)
 
