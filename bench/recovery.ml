@@ -142,13 +142,12 @@ let run_points sizes =
       })
     sizes
 
-(* Replay-time benchmark: dependency-logged parallel redo.
+(* Replay-time benchmark: parallel redo over the redo graph.
 
-   One operation-logged workload builds a log with dependency records
-   (each transaction writes a hot counter on its own page plus two cold
-   cells spread over the remaining pages, declaring a read of another
-   family's hot counter — the read-write conflicts become the cross-page
-   edges no per-page chain captures). The crash instant is frozen by
+   One operation-logged workload builds the log (each transaction
+   writes a hot counter on its own page plus two cold cells spread over
+   the remaining pages, so the hot pages carry long per-page chains and
+   the cold pages short ones). The crash instant is frozen by
    copying disk and stable log, then replayed once per fiber count: same
    log, same graph, only the redo fan-out differs. One fiber is the
    paper's serial schedule, the baseline every speedup is taken over.
@@ -182,13 +181,10 @@ let run_replay_workload () =
   let stable = Stable.create () in
   let vm = Vm.attach engine disk ~frames:seg_pages () in
   let log = Log_manager.attach engine stable in
-  let rm =
-    Recovery_mgr.create engine ~node:0 ~log ~vm
-      ~parallel_recovery:Parallel_redo.default ()
-  in
+  let rm = Recovery_mgr.create engine ~node:0 ~log ~vm () in
   register_counter rm vm;
   let shadow = Array.make (seg_pages * cells_per_page) 0 in
-  let log_set tid cell v ~reads =
+  let log_set tid cell v =
     let o = counter_obj cell in
     Vm.pin vm o ~access:`Random;
     Vm.write vm o (Printf.sprintf "%08d" v);
@@ -197,20 +193,15 @@ let run_replay_workload () =
       (Recovery_mgr.log_operation rm ~tid ~server:"counter" ~op:"set"
          ~undo_arg:(Printf.sprintf "%d %d" cell shadow.(cell))
          ~redo_arg:(Printf.sprintf "%d %d" cell v)
-         ~reads ~objs:[ o ] ());
+         ~objs:[ o ]);
     shadow.(cell) <- v
   in
   run_fiber engine (fun () ->
       for i = 0 to replay_txns - 1 do
         let tid = Tid.top ~node:0 ~seq:(i + 1) in
         (* hot counter: one cell per page on pages 0..hot-1 *)
-        log_set tid ((i mod replay_hot_cells) * cells_per_page) (i + 1)
-          ~reads:[];
-        (* cold cells on pages hot..seg_pages-1, reading a hot counter
-           last written by another transaction *)
-        let foreign_hot =
-          counter_obj (((i + 1) mod replay_hot_cells) * cells_per_page)
-        in
+        log_set tid ((i mod replay_hot_cells) * cells_per_page) (i + 1);
+        (* cold cells on pages hot..seg_pages-1 *)
         for j = 1 to 2 do
           let k = (i * 2) + j in
           let page =
@@ -220,7 +211,7 @@ let run_replay_workload () =
             (page * cells_per_page)
             + (k / (seg_pages - replay_hot_cells) mod cells_per_page)
           in
-          log_set tid cell k ~reads:[ foreign_hot ]
+          log_set tid cell k
         done;
         (* every replay_loser_every-th transaction crashes undecided *)
         if (i + 1) mod replay_loser_every <> 0 then begin
@@ -230,7 +221,7 @@ let run_replay_workload () =
       done;
       Log_manager.force_all log);
   let log_records = Log_manager.next_lsn log - Log_manager.first_lsn log in
-  (disk, stable, log_records, Log_manager.deps_emitted log)
+  (disk, stable, log_records)
 
 type replay_arm = {
   fibers : int;
@@ -265,18 +256,17 @@ let run_replay_arm ~src_disk ~src_stable ~fibers =
 
 type replay_result = {
   rr_log_records : int;
-  rr_deps : int;
   arms : replay_arm list; (* first arm: one fiber, the serial schedule *)
 }
 
 let run_replay () =
-  let src_disk, src_stable, rr_log_records, rr_deps = run_replay_workload () in
+  let src_disk, src_stable, rr_log_records = run_replay_workload () in
   let arms =
     List.map
       (fun fibers -> run_replay_arm ~src_disk ~src_stable ~fibers)
       [ 1; 2; 4; 8 ]
   in
-  { rr_log_records; rr_deps; arms }
+  { rr_log_records; arms }
 
 let speedup replay a =
   float_of_int (List.hd replay.arms).arm_replay_us
@@ -310,20 +300,17 @@ let write_json points replay =
     "  \"replay\": {\n\
     \    \"txns\": %d,\n\
     \    \"log_records\": %d,\n\
-    \    \"deps_emitted\": %d,\n\
     \    \"arms\": [\n"
-    replay_txns replay.rr_log_records replay.rr_deps;
+    replay_txns replay.rr_log_records;
   List.iteri
     (fun i a ->
       let s = a.stats in
       Printf.fprintf oc
         "      {\"fibers\": %d, \"replay_us\": %d, \"restart_us\": %d, \
          \"speedup\": %.2f, \"op_records\": %d, \"value_records\": %d, \
-         \"chain_edges\": %d, \"dep_edges\": %d, \"critical_path\": %d, \
-         \"width\": %d}%s\n"
+         \"chain_edges\": %d, \"critical_path\": %d, \"width\": %d}%s\n"
         a.fibers a.arm_replay_us a.arm_restart_us (speedup replay a)
-        s.op_records s.value_records s.chain_edges s.dep_edges s.critical_path
-        s.width
+        s.op_records s.value_records s.chain_edges s.critical_path s.width
         (if i = List.length replay.arms - 1 then "" else ","))
     replay.arms;
   output_string oc "    ]\n  }\n}\n";
@@ -365,19 +352,18 @@ let print_recovery () =
     \   first touch, so the curve stays flat as the log grows)\n";
   let replay = run_replay () in
   Printf.printf
-    "\nReplay time: dependency-logged parallel redo (%d op-logged txns, %d \
-     log records,\n\
-     %d dependency records; every %dth transaction a loser)\n"
-    replay_txns replay.rr_log_records replay.rr_deps replay_loser_every;
+    "\nReplay time: parallel redo (%d op-logged txns, %d log records; every \
+     %dth transaction a loser)\n"
+    replay_txns replay.rr_log_records replay_loser_every;
   Printf.printf "%s\n" (String.make 72 '-');
-  Printf.printf "    %7s %12s %13s %8s %6s %6s %6s %6s\n" "fibers" "replay us"
-    "restart us" "speedup" "chain" "dep" "crit" "width";
+  Printf.printf "    %7s %12s %13s %8s %6s %6s %6s\n" "fibers" "replay us"
+    "restart us" "speedup" "chain" "crit" "width";
   List.iter
     (fun a ->
       let s = a.stats in
-      Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d %6d\n" a.fibers
+      Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d\n" a.fibers
         a.arm_replay_us a.arm_restart_us (speedup replay a) s.chain_edges
-        s.dep_edges s.critical_path s.width)
+        s.critical_path s.width)
     replay.arms;
   Printf.printf "  (one fiber is the serial schedule, the speedup baseline)\n";
   write_json points replay;

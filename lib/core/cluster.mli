@@ -13,8 +13,8 @@ type t
     lossless network. [?profile] applies the same architecture profile
     and [?group_commit] the same force-batching configuration (see
     {!Node.create}) to every node, as does [?checkpointing] for the
-    background checkpoint daemon, [?parallel_recovery] for
-    dependency-logged parallel restart recovery, [?instant_restart] for
+    background checkpoint daemon, [?parallel_recovery] for parallel
+    restart recovery, [?instant_restart] for
     serve-while-recovering restart with on-demand per-page redo, and
     [?comm_batching] for the Communication Managers' comm-batching
     layer.

@@ -33,21 +33,19 @@ type t
     by default for the same reason as [?group_commit]. The setting
     survives {!crash}/{!restart}.
 
-    [?parallel_recovery] turns on dependency logging (conflict-edge
-    records on the common log) and makes restart recovery drain its
-    redo graph over the configured number of simulator fibers
-    ({!Tabs_recovery.Parallel_redo}). Off by default — without it no
-    dependency record is written and the same graph drains inline at
-    one fiber, the paper's serial passes. The setting survives
-    {!crash}/{!restart}.
+    [?parallel_recovery] makes restart recovery drain its redo graph
+    over the configured number of simulator fibers
+    ({!Tabs_recovery.Parallel_redo}). Off by default — the same graph
+    then drains inline at one fiber, the paper's serial passes. The
+    setting survives {!crash}/{!restart}.
 
     [?instant_restart] makes {!restart}'s recovery open the node after
     the analysis scan alone and drain the same redo graph a page at a
     time: on the first touch of each page, and in the background by a
-    trickle fiber ({!Tabs_recovery.Recovery_mgr}). Also turns on
-    dependency logging. Off by default — no access gate is installed
-    and restart drains eagerly. The setting survives
-    {!crash}/{!restart}.
+    trickle fiber ({!Tabs_recovery.Recovery_mgr}). Off by default — no
+    access gate is installed and restart drains eagerly. The setting
+    survives {!crash}/{!restart}. Neither restart option changes what
+    forward processing logs.
 
     [?comm_batching] enables the Communication Manager's comm-batching
     layer ({!Tabs_net.Comm_mgr.batching}): piggybacked/delayed session

@@ -196,13 +196,13 @@ let log_and_unpin_marked_objects t tid =
 
 let register_operation t ~op ~redo ~undo = Hashtbl.replace t.ops op (redo, undo)
 
-let log_operation t tid ~op ~undo_arg ~redo_arg ?(reads = []) ~objs () =
+let log_operation t tid ~op ~undo_arg ~redo_arg ~objs =
   if not (Hashtbl.mem t.ops op) then
     invalid_arg ("log_operation: unregistered operation " ^ op);
   note_wrote t tid;
   ignore
     (Recovery_mgr.log_operation t.env.rm ~tid ~server:t.name ~op ~undo_arg
-       ~redo_arg ~reads ~objs ())
+       ~redo_arg ~objs)
 
 (* Transactions ---------------------------------------------------------------- *)
 

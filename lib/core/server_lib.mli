@@ -137,23 +137,18 @@ val register_operation :
   undo:(arg:string -> unit) ->
   unit
 
-(** [log_operation t tid ~op ~undo_arg ~redo_arg ?reads ~objs ()]
-    writes one operation-logging record covering all of [objs] (which
-    may span pages — the multi-page economy of operation logging). The
-    objects' pages must be pinned; the modification itself is performed
-    by the caller via {!write_object} before unpinning. [?reads] names
-    objects the operation read without writing — with dependency
-    logging on, read-write conflicts become cross-page redo-ordering
-    edges. *)
+(** [log_operation t tid ~op ~undo_arg ~redo_arg ~objs] writes one
+    operation-logging record covering all of [objs] (which may span
+    pages — the multi-page economy of operation logging). The objects'
+    pages must be pinned; the modification itself is performed by the
+    caller via {!write_object} before unpinning. *)
 val log_operation :
   t ->
   Tabs_wal.Tid.t ->
   op:string ->
   undo_arg:string ->
   redo_arg:string ->
-  ?reads:Tabs_wal.Object_id.t list ->
   objs:Tabs_wal.Object_id.t list ->
-  unit ->
   unit
 
 (** {2 Transactions} *)

@@ -75,8 +75,7 @@ let rec daemon t =
   if t.gate () then cycle t;
   daemon t
 
-let create engine ~node ~vm ~checkpoint_and_truncate ?(gate = fun () -> true)
-    config =
+let create engine ~node ~vm ~checkpoint_and_truncate ~gate config =
   let t =
     {
       engine;

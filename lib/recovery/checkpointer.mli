@@ -40,22 +40,22 @@ type Tabs_sim.Trace.event +=
       records : int;
     }
 
-(** [create engine ~node ~vm ~checkpoint_and_truncate ?gate config]
+(** [create engine ~node ~vm ~checkpoint_and_truncate ~gate config]
     spawns the daemon fiber. [checkpoint_and_truncate] is the Recovery
     Manager's fuzzy checkpoint followed by its log truncation (passed as
     a closure — the Recovery Manager owns the daemon); it returns the
-    truncation point and the number of records it reclaimed. [?gate]
-    (default: always true) is consulted before each cycle; a cycle whose
-    gate reads false is skipped entirely. Restart recovery holds the
-    gate closed: until it restores the log's chain table, a cycle would
-    see no live chains, truncate in-doubt undo records, and write a
-    checkpoint missing the prepared set. *)
+    truncation point and the number of records it reclaimed. [gate] is
+    consulted before each cycle; a cycle whose gate reads false is
+    skipped entirely. Restart recovery holds the gate closed: until it
+    restores the log's chain table, a cycle would see no live chains,
+    truncate in-doubt undo records, and write a checkpoint missing the
+    prepared set. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
   vm:Tabs_accent.Vm.t ->
   checkpoint_and_truncate:(unit -> Tabs_wal.Record.lsn * int) ->
-  ?gate:(unit -> bool) ->
+  gate:(unit -> bool) ->
   config ->
   t
 

@@ -10,7 +10,6 @@ type stats = {
   op_records : int;
   value_records : int;
   chain_edges : int;
-  dep_edges : int;
   critical_path : int;
   width : int;
 }
@@ -31,7 +30,6 @@ type dag = {
   applied : bool array;
   by_page : (Disk.page_id, int list) Hashtbl.t;
   mutable chain_edges : int;
-  mutable dep_edges : int;
 }
 
 type t = {
@@ -72,7 +70,6 @@ let make_dag members ~newest_first =
     applied = Array.make m false;
     by_page = Hashtbl.create 64;
     chain_edges = 0;
-    dep_edges = 0;
   }
 
 let add_edge d a b =
@@ -136,36 +133,7 @@ let build ~loser records =
       first = Hashtbl.create 64;
     }
   in
-  let op = t.op in
-  List.iter (index t) [ op; t.value; t.undo ];
-  (* Dependency edges between operation records; they never constrain
-     the other phases, which the phase barrier already orders. *)
-  let op_pos_of_lsn = Hashtbl.create (max 16 (Array.length op.members)) in
-  Array.iteri
-    (fun pos i -> Hashtbl.replace op_pos_of_lsn (fst records.(i)) pos)
-    op.members;
-  Array.iter
-    (fun (_, record) ->
-      match record with
-      | Record.Dependency d -> (
-          match Hashtbl.find_opt op_pos_of_lsn d.update_lsn with
-          | None -> ()
-          | Some upos ->
-              List.iter
-                (fun (_, pred_lsn) ->
-                  match Hashtbl.find_opt op_pos_of_lsn pred_lsn with
-                  | Some ppos when ppos < upos ->
-                      if add_edge op ppos upos then
-                        op.dep_edges <- op.dep_edges + 1
-                  | Some _ | None ->
-                      (* predecessor below the scan anchor (or a value
-                         record): its effect is already on stable disk,
-                         or the value phase orders it — nothing to
-                         schedule against *)
-                      ())
-                d.preds)
-      | _ -> ())
-    records;
+  List.iter (index t) [ t.op; t.value; t.undo ];
   t
 
 (* Longest-path depth and maximum level width of a phase, walking
@@ -196,7 +164,6 @@ let stats t =
     op_records = Array.length t.op.members;
     value_records = Array.length t.value.members;
     chain_edges = t.op.chain_edges + t.value.chain_edges;
-    dep_edges = t.op.dep_edges;
     critical_path = op_depth + val_depth;
     width = max op_width val_width;
   }
@@ -221,11 +188,13 @@ let drain t phase ~apply =
    priority, so the lowest-priority unapplied record always has
    in-degree zero — the heap can only be empty mid-phase while some
    worker is still applying, and that worker's completion signals the
-   idle queue. *)
+   idle queue. One fiber drains inline: the priority order is the
+   serial pass, so a worker would only add a spawn and a wake-up. *)
 let drain_over t phase engine ~node ~fibers ~apply =
   let d = dag t phase in
   let m = Array.length d.members in
-  if m > 0 then begin
+  if fibers <= 1 then drain t phase ~apply
+  else if m > 0 then begin
     let indeg = Array.map List.length d.preds in
     let heap = Heap.create () in
     let push pos = ignore (Heap.push heap ~key:d.prio.(pos) pos) in
@@ -233,8 +202,7 @@ let drain_over t phase engine ~node ~fibers ~apply =
     let remaining = ref m in
     let idle : unit Engine.Waitq.t = Engine.Waitq.create () in
     let finished : unit Engine.Waitq.t = Engine.Waitq.create () in
-    let workers = max 1 fibers in
-    let live = ref workers in
+    let live = ref fibers in
     let rec worker () =
       if !remaining > 0 then
         if Heap.is_empty heap then begin
@@ -258,7 +226,7 @@ let drain_over t phase engine ~node ~fibers ~apply =
           worker ()
         end
     in
-    for _ = 1 to workers do
+    for _ = 1 to fibers do
       ignore
         (Engine.spawn engine ~node (fun () ->
              worker ();

@@ -2,20 +2,17 @@
 
     Crash recovery's replay work is mostly independent: updates to
     different pages never conflict, and updates to the same page are
-    ordered by their position in the log. Dependency records (the third
-    logging technique) add the only cross-page constraints — an
-    operation that read or overwrote another transaction family's
-    object must be redone after that object's previous writer.
+    ordered by their position in the log. Every record names the pages
+    it writes and its redo argument is self-contained, so these per-page
+    chains are the only ordering replay needs.
 
     [build] turns an analysis scan's record array into one graph with
     three phases, each the paper's serial pass made a partial order:
 
-    - {e operation redo} (forward): per-page chains of operation records
-      plus the dependency-record edges between them;
+    - {e operation redo} (forward): per-page chains of operation records;
     - {e value} (newest-first): per-page chains among value records.
       Value-logged objects fit one page, so two records for the same
-      object are always chained; dependency records never constrain
-      this phase;
+      object are always chained;
     - {e loser operation undo} (newest-first): per-page chains among the
       operation records of losers, built like the value phase.
 
@@ -43,10 +40,6 @@ type stats = {
   op_records : int;  (** operation records scheduled in the redo phase *)
   value_records : int;  (** value records scheduled in the backward phase *)
   chain_edges : int;  (** same-page ordering edges across both redo phases *)
-  dep_edges : int;
-      (** cross-page edges contributed by dependency records (operation
-          phase only; dangling predecessors below the scan anchor are
-          dropped — their effects are provably on disk) *)
   critical_path : int;
       (** longest chain of ordering edges, operation and value phases
           summed — the lower bound, in records, on parallel replay *)
@@ -85,8 +78,8 @@ val drain : t -> phase -> apply:(int -> unit) -> unit
 (** [drain_over g phase engine ~node ~fibers ~apply] drains [phase] over
     [fibers] worker fibers spawned on [node]: [apply i] runs once record
     [i]'s predecessors have all been applied, lowest priority first.
-    Returns when the whole phase has been applied. Must run inside a
-    fiber. *)
+    Returns when the whole phase has been applied. At one fiber (or
+    fewer) it is {!drain}. Must run inside a fiber. *)
 val drain_over :
   t ->
   phase ->

@@ -90,7 +90,7 @@ type t = {
       (* the TM's Paxos acceptor supplies the oldest log record that
          still backs undecided consensus state — those records belong to
          no transaction chain, so reclamation would otherwise eat them *)
-  parallel : Parallel_redo.config option;
+  fibers : int; (* eager restart's redo fan-out; 1 drains inline *)
   instant : bool;
   mutable ondemand : ondemand option;
       (* Some while an instant restart's chains are still parked *)
@@ -196,14 +196,13 @@ let log_value t ~tid ~obj ~old_value ~new_value =
   maybe_poke_checkpointer t;
   lsn
 
-let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?(reads = []) ~objs
-    () =
+let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ~objs =
   Engine.charge t.engine Cost_model.Large_contiguous_message;
   Engine.charge_cpu t.engine ~process:"rm" Overheads.rm_spool_write;
   let pages = List.concat_map Object_id.pages objs in
   let lsn =
     Log_manager.append_operation t.log ~tid ~server ~operation:op ~undo_arg
-      ~redo_arg ~pages ~objs ~reads ()
+      ~redo_arg ~pages
   in
   List.iter (fun obj -> Vm.note_update t.vm obj ~lsn) objs;
   maybe_poke_checkpointer t;
@@ -372,12 +371,6 @@ let checkpoint t =
   in
   let c = { Record.dirty_pages; active_txns; prepared } in
   let lsn = Log_manager.append t.log (Record.Checkpoint c) in
-  (* Checkpoint-time pruning of the dependency last-writer table: an
-     entry below this checkpoint's scan anchor can never seed a kept
-     edge — the next restart's analysis starts at the anchor, and
-     {!Parallel_redo.build} drops dependency predecessors below it as
-     provably on disk. No-op unless dependency logging is on. *)
-  Log_manager.prune_last_writer t.log ~floor:(anchor_floor lsn c);
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_checkpoint
@@ -433,12 +426,6 @@ let maybe_reclaim t =
 let create engine ~node ~log ~vm ?(profile = Profile.Classic)
     ?group_commit ?checkpointing ?(log_space_limit = 256 * 1024)
     ?parallel_recovery ?(instant_restart = false) () =
-  (* Parallel recovery and instant restart both need the conflict edges
-     on the log: enabling either turns dependency-record emission on for
-     the whole incarnation, so the next crash finds its graph already
-     written. *)
-  if parallel_recovery <> None || instant_restart then
-    Log_manager.set_dep_logging log true;
   let t =
     {
       engine;
@@ -457,7 +444,10 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       prepared_source = (fun () -> []);
       last_background_flush = 0;
       truncation_floor_source = (fun () -> None);
-      parallel = parallel_recovery;
+      fibers =
+        (match parallel_recovery with
+        | Some { Parallel_redo.fibers } -> fibers
+        | None -> 1);
       instant = instant_restart;
       ondemand = None;
       apply_hook = None;
@@ -570,9 +560,6 @@ let analyze t =
       | Record.Paxos_accept _ | Record.Paxos_decision _ ->
           (* Paxos acceptor records track consensus on foreign
              transactions, not local transaction status *)
-          ()
-      | Record.Dependency _ ->
-          (* redo-ordering metadata; the parallel scheduler consumes it *)
           ())
     a.records;
   a
@@ -765,8 +752,8 @@ let condense_paxos a =
 (* Restart schedules ---------------------------------------------------- *)
 
 (* Every restart builds one redo graph and differs only in when it is
-   drained. Eager: both redo phases over the configured fibers — inline
-   at one fiber when parallel recovery is off — then loser undo inline
+   drained. Eager: both redo phases over the configured fibers — one,
+   inline, when parallel recovery is off — then loser undo inline
    (losers are few: fanning them out would buy little and move every
    restart timing), all before the node opens. The distinct pages
    written go into the Metrics restart_pages row. *)
@@ -776,11 +763,8 @@ let replay_eagerly t g apply =
     List.iter (fun pid -> Hashtbl.replace replayed pid ()) (apply phase i)
   in
   let redo phase =
-    match t.parallel with
-    | None -> Parallel_redo.drain g phase ~apply:(apply phase)
-    | Some { Parallel_redo.fibers } ->
-        Parallel_redo.drain_over g phase t.engine ~node:t.node ~fibers
-          ~apply:(apply phase)
+    Parallel_redo.drain_over g phase t.engine ~node:t.node ~fibers:t.fibers
+      ~apply:(apply phase)
   in
   redo Parallel_redo.Op_redo;
   redo Parallel_redo.Value;

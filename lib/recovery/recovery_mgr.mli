@@ -118,17 +118,14 @@ type recovery_outcome = {
     exactly as before.
 
     The last two arguments pick how {!recover} schedules its redo graph
-    ({!Parallel_redo}). [?parallel_recovery] drains the redo phases over
-    the configured number of simulator fibers and turns on
-    dependency-record emission for this incarnation, so the next crash
-    finds its cross-page edges already written; omitted (the default),
-    the graph drains inline at one fiber — the paper's serial passes,
-    record for record — and no dependency record is written.
+    ({!Parallel_redo}); neither changes what forward processing logs.
+    [?parallel_recovery] drains the redo phases over the configured
+    number of simulator fibers; omitted (the default), the graph drains
+    inline at one fiber — the paper's serial passes, record for record.
     [?instant_restart] (default [false]) opens the node right after
     analysis and drains the graph a page at a time, on first touch
     behind the {!Tabs_accent.Vm} access gate and by a background
-    trickle; it turns on dependency-record emission too. With neither,
-    the log and every virtual timing are the paper's. *)
+    trickle. With neither, every virtual timing is the paper's. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
@@ -183,13 +180,11 @@ val log_value :
   new_value:string ->
   Tabs_wal.Record.lsn
 
-(** [log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?reads ~objs
-    ()] spools an operation-logging record covering the pages of all of
+(** [log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ~objs]
+    spools an operation-logging record covering the pages of all of
     [objs] — one record may describe an operation on a multi-page
-    object. [?reads] names objects the operation read but did not
-    write; with dependency logging on, a read-write conflict against
-    another family's last write yields a cross-page redo-ordering edge
-    that no per-page chain would capture. *)
+    object. Redo arguments are self-contained, so the pages written are
+    all restart needs to order the record. *)
 val log_operation :
   t ->
   tid:Tabs_wal.Tid.t ->
@@ -197,9 +192,7 @@ val log_operation :
   op:string ->
   undo_arg:string ->
   redo_arg:string ->
-  ?reads:Tabs_wal.Object_id.t list ->
   objs:Tabs_wal.Object_id.t list ->
-  unit ->
   Tabs_wal.Record.lsn
 
 (** [append_tm_record t record] writes a transaction-management record on

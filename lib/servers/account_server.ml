@@ -50,7 +50,7 @@ let apply_adjustment t tid entries =
       (Codec.encode adjustment (List.map (fun (i, old_v, _) -> (i, old_v)) entries))
     ~redo_arg:
       (Codec.encode adjustment (List.map (fun (i, _, new_v) -> (i, new_v)) entries))
-    ~objs ();
+    ~objs;
   List.iter (fun obj -> Server_lib.unpin_object t.server obj) objs
 
 let deposit t tid i amount =
@@ -111,7 +111,7 @@ let credit t tid i amount =
   Server_lib.log_operation t.server tid ~op:"credit"
     ~undo_arg:(Codec.encode adjustment [ (i, -amount) ])
     ~redo_arg:(Codec.encode adjustment [ (i, amount) ])
-    ~objs:[ obj ] ();
+    ~objs:[ obj ];
   Server_lib.unpin_object t.server obj
 
 (* Recovery-time redo/undo. "adjust" records carry absolute balances;

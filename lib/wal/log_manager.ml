@@ -37,17 +37,6 @@ type t = {
                                    channel: a force whose writes would
                                    overlap an earlier force's queues
                                    behind it in virtual time *)
-  mutable dep_logging : bool;
-      (* the third logging technique: when on, every update append
-         consults [last_writer] and, if the update conflicts with
-         another transaction family's write, a {!Record.Dependency}
-         record naming the predecessor LSNs is appended immediately
-         after the update. Off by default — the log is byte-identical
-         to a build without dependency logging. *)
-  last_writer : (Object_id.t, Tid.t * lsn) Hashtbl.t;
-      (* last update (writer tid, LSN) per object, making dependency
-         emission O(objects touched); pruned at truncation *)
-  mutable deps_emitted : int;
 }
 
 let dummy_record =
@@ -66,9 +55,6 @@ let attach engine stable =
     outcome_lsns = Hashtbl.create 32;
     forces = 0;
     device_free_at = 0;
-    dep_logging = false;
-    last_writer = Hashtbl.create 64;
-    deps_emitted = 0;
   }
 
 let buf_get t i = t.buf.((t.buf_head + i) mod Array.length t.buf)
@@ -147,10 +133,7 @@ let push t record =
           Hashtbl.replace t.outcome_lsns tid lsn
       | Record.Txn_begin _ | Record.Txn_prepare _ | Record.Checkpoint _
       | Record.Paxos_promise _ | Record.Paxos_accept _
-      | Record.Paxos_decision _ | Record.Dependency _ ->
-          (* a dependency record annotates the update it follows; it is
-             not part of the transaction's backward undo chain *)
-          ())
+      | Record.Paxos_decision _ -> ())
   | None -> ());
   if Engine.tracing t.engine then
     Engine.emit t.engine
@@ -168,57 +151,13 @@ let append t record =
   in
   push t with_prev
 
-let set_dep_logging t on = t.dep_logging <- on
-
-let dep_logging t = t.dep_logging
-
-let deps_emitted t = t.deps_emitted
-
-(* Dependency emission for the update just appended at [lsn]. The
-   last-writer table answers "who last wrote each of these objects" in
-   O(1) per object; a record is appended only when at least one of those
-   writers belongs to another transaction family (a same-family
-   predecessor is already ordered by the per-page chain and the
-   transaction's own program order). Appended at [lsn + 1] — directly
-   after its update — so truncation and scan anchors can never separate
-   the two. *)
-let note_write_deps t ~tid ~objs ~reads ~lsn =
-  if t.dep_logging then begin
-    let top = Tid.top_level tid in
-    (* write-write conflicts on [objs], read-write conflicts on
-       [reads]: both order this update after the object's last writer.
-       Reads never take over the last-writer slot. *)
-    let pred obj =
-      match Hashtbl.find_opt t.last_writer obj with
-      | Some (wtid, wlsn) when not (Tid.equal (Tid.top_level wtid) top) ->
-          Some (obj, wlsn)
-      | Some _ | None -> None
-    in
-    let preds = List.filter_map pred objs @ List.filter_map pred reads in
-    List.iter (fun obj -> Hashtbl.replace t.last_writer obj (tid, lsn)) objs;
-    if preds <> [] then begin
-      t.deps_emitted <- t.deps_emitted + 1;
-      ignore (push t (Record.Dependency { tid; update_lsn = lsn; preds }))
-    end
-  end
-
 let append_value t ~tid ~obj ~old_value ~new_value =
-  let lsn =
-    append t
-      (Record.Update_value { tid; obj; old_value; new_value; prev = None })
-  in
-  note_write_deps t ~tid ~objs:[ obj ] ~reads:[] ~lsn;
-  lsn
+  append t (Record.Update_value { tid; obj; old_value; new_value; prev = None })
 
-let append_operation t ~tid ~server ~operation ~undo_arg ~redo_arg ~pages
-    ?(objs = []) ?(reads = []) () =
-  let lsn =
-    append t
-      (Record.Update_operation
-         { tid; server; operation; undo_arg; redo_arg; pages; prev = None })
-  in
-  note_write_deps t ~tid ~objs ~reads ~lsn;
-  lsn
+let append_operation t ~tid ~server ~operation ~undo_arg ~redo_arg ~pages =
+  append t
+    (Record.Update_operation
+       { tid; server; operation; undo_arg; redo_arg; pages; prev = None })
 
 let force t ~upto =
   if upto >= flushed_lsn t then begin
@@ -307,48 +246,11 @@ let last_checkpoint t =
   iter_backward t ~from:(Stable.next t.stable - 1) ~f;
   !found
 
-(* Truncation must never retain a dependency record whose update it
-   drops: the orphaned record would name an update that no longer
-   exists. Dependency records sit at [update_lsn + 1], so the only bad
-   cut is exactly between the two — move it down onto the update. (The
-   other direction is structurally impossible: keeping the update keeps
-   everything above it, including its dependency record.) *)
-let dep_aligned_keep_from t ~keep_from =
-  if not t.dep_logging then keep_from
-  else
-    match read t keep_from with
-    | Record.Dependency { update_lsn; _ } when update_lsn = keep_from - 1 ->
-        update_lsn
-    | _ -> keep_from
-    | exception Not_found -> keep_from
-
-(* Checkpoint-time pruning of the last-writer table. Entries at or
-   above [floor] may still seed dependency edges a restart would keep;
-   entries below it cannot: [floor] is the checkpoint's scan anchor
-   (min of the checkpoint LSN, its dirty pages' recovery LSNs, and its
-   live families' first-update LSNs), every later checkpoint's anchor
-   is at least as high, and [Parallel_redo.build] drops predecessor
-   edges below the anchor because their effects are provably on disk.
-   Dropping the entry merely skips emitting an edge that replay would
-   discard anyway. *)
-let prune_last_writer t ~floor =
-  if t.dep_logging then
-    Hashtbl.filter_map_inplace
-      (fun _ ((_, lsn) as v) -> if lsn < floor then None else Some v)
-      t.last_writer
-
-let last_writer_size t = Hashtbl.length t.last_writer
-
 let truncate t ~keep_from =
-  let keep_from = dep_aligned_keep_from t ~keep_from in
   Stable.truncate_prefix t.stable ~keep_from;
   Hashtbl.filter_map_inplace
     (fun _ lsn -> if lsn < keep_from then None else Some lsn)
-    t.outcome_lsns;
-  if t.dep_logging then
-    Hashtbl.filter_map_inplace
-      (fun _ ((_, lsn) as v) -> if lsn < keep_from then None else Some v)
-      t.last_writer
+    t.outcome_lsns
 
 let force_count t = t.forces
 

@@ -42,13 +42,9 @@ val append_value :
   lsn
 
 (** [append_operation t ~tid ~server ~operation ~undo_arg ~redo_arg
-    ~pages ?objs ?reads ()] buffers an operation-logging update. [?objs]
-    names the objects the operation writes and [?reads] the objects it
-    read, feeding the dependency-logging last-writer table: a write-write
-    conflict on an [objs] member or a read-write conflict on a [reads]
-    member each yields a predecessor edge. Without them an operation
-    record generates no dependency edges (per-page chains still order it
-    at redo). *)
+    ~pages] buffers an operation-logging update. [pages] names every
+    page the operation writes; restart redo orders the record after the
+    previous record on each of them. *)
 val append_operation :
   t ->
   tid:Tid.t ->
@@ -57,53 +53,7 @@ val append_operation :
   undo_arg:string ->
   redo_arg:string ->
   pages:Tabs_storage.Disk.page_id list ->
-  ?objs:Object_id.t list ->
-  ?reads:Object_id.t list ->
-  unit ->
   lsn
-
-(** {2 Dependency logging}
-
-    The third logging technique over the common log (Yao et al.:
-    logical operations plus their conflict dependencies). When enabled,
-    every update append consults an in-memory last-writer-per-object
-    table and, if the update overwrites an object last written by a
-    different transaction family, a {!Record.Dependency} record naming
-    the predecessor LSNs is appended immediately after the update —
-    emission is O(objects touched), and no record is written when no
-    cross-transaction conflict exists. Off by default: the log is then
-    byte-identical to a build without dependency logging. *)
-
-(** [set_dep_logging t on] turns dependency-record emission on or off.
-    The Recovery Manager enables it when parallel recovery is
-    configured. *)
-val set_dep_logging : t -> bool -> unit
-
-val dep_logging : t -> bool
-
-(** Number of dependency records appended (statistics). *)
-val deps_emitted : t -> int
-
-(** [prune_last_writer t ~floor] drops last-writer entries whose update
-    LSN is below [floor]. The Recovery Manager calls it at checkpoint
-    time with the checkpoint's scan anchor (the minimum of the
-    checkpoint LSN, its dirty pages' recovery LSNs, and its live
-    families' first-update LSNs): a dependency edge against an entry
-    below that anchor would be discarded at replay anyway — the
-    predecessor's effect is provably on disk — so long runs no longer
-    grow the table with every object ever touched. No-op when
-    dependency logging is off. *)
-val prune_last_writer : t -> floor:lsn -> unit
-
-(** Current entry count of the last-writer table (statistics). *)
-val last_writer_size : t -> int
-
-(** [dep_aligned_keep_from t ~keep_from] lowers a prospective truncation
-    point so it never falls between an update record and its dependency
-    record (the pair is adjacent, so at most one LSN of adjustment).
-    Identity when dependency logging is off. {!truncate} applies this
-    itself; reclamation may also call it to report the aligned floor. *)
-val dep_aligned_keep_from : t -> keep_from:lsn -> lsn
 
 (** [last_lsn_of t tid] is the most recent update LSN of [tid], used for
     checkpointing and abort. *)

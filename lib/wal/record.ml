@@ -26,17 +26,6 @@ type checkpoint = {
   prepared : (Tid.t * int) list;
 }
 
-type dependency = {
-  tid : Tid.t;
-  update_lsn : lsn;
-      (* the update record this dependency orders; always the
-         immediately preceding LSN, so truncation and scan anchors can
-         never keep the update while dropping its dependency record *)
-  preds : (Object_id.t * lsn) list;
-      (* per conflicting object, the last writer's update LSN — parallel
-         redo must not apply [update_lsn] before all of these *)
-}
-
 type t =
   | Update_value of update_value
   | Update_operation of update_operation
@@ -49,19 +38,15 @@ type t =
   | Paxos_promise of { tid : Tid.t; ballot : int }
   | Paxos_accept of { tid : Tid.t; part : int; ballot : int; yes : bool }
   | Paxos_decision of { tid : Tid.t; committed : bool }
-  | Dependency of dependency
 
 (* Paxos acceptor records describe consensus state this node holds on
    behalf of a *foreign* transaction, not local update history, so they
-   join no transaction chain and carry no tid for chain maintenance.
-   Dependency records annotate an update they follow; they are not part
-   of the transaction's backward undo chain either. *)
+   join no transaction chain and carry no tid for chain maintenance. *)
 let tid_of = function
   | Update_value u -> Some u.tid
   | Update_operation u -> Some u.tid
   | Txn_begin tid | Txn_commit tid | Txn_abort tid | Txn_end tid -> Some tid
   | Txn_prepare (tid, _) -> Some tid
-  | Dependency d -> Some d.tid
   | Checkpoint _ | Paxos_promise _ | Paxos_accept _ | Paxos_decision _ -> None
 
 let kind = function
@@ -76,7 +61,6 @@ let kind = function
   | Paxos_promise _ -> "paxos_promise"
   | Paxos_accept _ -> "paxos_accept"
   | Paxos_decision _ -> "paxos_decision"
-  | Dependency _ -> "dependency"
 
 (* Encoding --------------------------------------------------------- *)
 
@@ -156,12 +140,6 @@ let checkpoint =
       { dirty_pages; active_txns; prepared })
     ~write:(fun c -> (c.dirty_pages, c.active_txns, c.prepared))
 
-let dependency =
-  Codec.(triple tid int (list (pair obj int)))
-  |> Codec.map
-       ~read:(fun (tid, update_lsn, preds) -> { tid; update_lsn; preds })
-       ~write:(fun (d : dependency) -> (d.tid, d.update_lsn, d.preds))
-
 let tid_int = Codec.(pair tid int)
 
 let accept = Codec.(pair (triple tid int int) flag)
@@ -187,8 +165,7 @@ let codec : t Codec.t =
         | Checkpoint c -> tagged 7 checkpoint w c
         | Paxos_promise p -> tagged 8 tid_int w (p.tid, p.ballot)
         | Paxos_accept a -> tagged 9 accept w ((a.tid, a.part, a.ballot), a.yes)
-        | Paxos_decision d -> tagged 10 decision w (d.tid, d.committed)
-        | Dependency d -> tagged 11 dependency w d);
+        | Paxos_decision d -> tagged 10 decision w (d.tid, d.committed));
     read =
       (fun r ->
         match Codec.int.read r with
@@ -211,7 +188,6 @@ let codec : t Codec.t =
         | 10 ->
             let tid, committed = decision.read r in
             Paxos_decision { tid; committed }
-        | 11 -> Dependency (dependency.read r)
         | n -> raise (Codec.Reader.Malformed (Printf.sprintf "unknown tag %d" n)));
   }
 

@@ -50,21 +50,6 @@ type checkpoint = {
           analysis seeds their in-doubt status from here. *)
 }
 
-(** A dependency record — the third logging technique over the common
-    log (after value and operation logging): the conflict edges of the
-    update at [update_lsn], written only when a cross-transaction
-    conflict actually exists. [preds] names, per conflicting object, the
-    update LSN of the object's previous writer from another transaction
-    family; parallel redo must apply all of them before [update_lsn].
-    A dependency record is always appended at [update_lsn + 1], so no
-    truncation point or scan anchor can retain the update while dropping
-    its dependencies. *)
-type dependency = {
-  tid : Tid.t;
-  update_lsn : lsn;
-  preds : (Object_id.t * lsn) list;
-}
-
 type t =
   | Update_value of update_value
   | Update_operation of update_operation
@@ -82,9 +67,6 @@ type t =
           Aborted) at [ballot] for participant [part]'s instance *)
   | Paxos_decision of { tid : Tid.t; committed : bool }
       (** Paxos Commit acceptor: learned the transaction's outcome *)
-  | Dependency of dependency
-      (** conflict-dependency edges of the immediately preceding update
-          record, for graph-bounded parallel redo *)
 
 (** [tid_of t] is the transaction a record belongs to, if any. *)
 val tid_of : t -> Tid.t option

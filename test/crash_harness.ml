@@ -40,7 +40,7 @@ let obj n = Object_id.make ~segment:1 ~offset:(8 * n) ~length:8
 let v8 s = Printf.sprintf "%-8s" s
 
 (* [pages] of segment 1 over a pool of twice as many frames *)
-let make_rig ~pages ?checkpointing ?log_space_limit ?parallel_recovery () =
+let make_rig ~pages ?checkpointing ?log_space_limit () =
   let engine = Engine.create () in
   let disk = Disk.create engine in
   Disk.ensure_segment disk 1 ~pages;
@@ -49,7 +49,7 @@ let make_rig ~pages ?checkpointing ?log_space_limit ?parallel_recovery () =
   let log = Log_manager.attach engine stable in
   let rm =
     Recovery_mgr.create engine ~node:0 ~log ~vm ?checkpointing
-      ?log_space_limit ?parallel_recovery ()
+      ?log_space_limit ()
   in
   { engine; disk; stable; vm; log; rm }
 
@@ -83,17 +83,6 @@ let write rig tid n value =
 let commit rig tid =
   let lsn = Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit tid) in
   Recovery_mgr.force_through rig.rm lsn
-
-(* the dependency records of the forced log, oldest first *)
-let dependency_records rig =
-  run_fiber rig (fun () -> Log_manager.force_all rig.log);
-  let deps = ref [] in
-  Log_manager.iter_forward rig.log ~from:(Log_manager.first_lsn rig.log)
-    ~f:(fun lsn record ->
-      match record with
-      | Record.Dependency d -> deps := (lsn, d) :: !deps
-      | _ -> ());
-  List.rev !deps
 
 let check_pages_equal ~what disk_a disk_b ~segments =
   List.iter

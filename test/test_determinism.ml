@@ -381,7 +381,7 @@ let integrated_9 =
 let parallel_2 =
   {
     trace_md5 = "5896420ae4eee0e165104c78730e0858";
-    summary = "scanned=13 losers=0 replay=32000 graph=0/5/4/0/5/1";
+    summary = "scanned=13 losers=0 replay=32000 graph=0/5/4/5/1";
     now = 662_400;
     events = 103;
   }
@@ -389,7 +389,7 @@ let parallel_2 =
 let parallel_7 =
   {
     trace_md5 = "5511b433026bb5e869b7ba50d59ed1f5";
-    summary = "scanned=20 losers=1 replay=32000 graph=0/11/10/0/11/1";
+    summary = "scanned=20 losers=1 replay=32000 graph=0/11/10/11/1";
     now = 946_800;
     events = 142;
   }
@@ -445,7 +445,7 @@ let lcg seed =
     s := Crash_harness.next_rand !s;
     !s mod n
 
-(* A crash and dependency-logged parallel restart: the summary carries
+(* A crash and a parallel restart: the summary carries
    the redo-graph shape and the replay time. *)
 let recovery_fingerprint ~seed =
   let cells = 64 in
@@ -481,10 +481,9 @@ let recovery_fingerprint ~seed =
       (List.length outcome.Recovery_mgr.losers)
       outcome.Recovery_mgr.replay_us
       (let g = outcome.Recovery_mgr.graph in
-       Printf.sprintf "%d/%d/%d/%d/%d/%d" g.Parallel_redo.op_records
+       Printf.sprintf "%d/%d/%d/%d/%d" g.Parallel_redo.op_records
          g.Parallel_redo.value_records g.Parallel_redo.chain_edges
-         g.Parallel_redo.dep_edges g.Parallel_redo.critical_path
-         g.Parallel_redo.width)
+         g.Parallel_redo.critical_path g.Parallel_redo.width)
   in
   observe recorder engine summary
 

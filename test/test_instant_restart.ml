@@ -12,9 +12,7 @@
      is subsequently read agrees with the reference oracle's serial
      full-scan recovery ({!Recovery_oracle}) over a frozen copy of the same stable log and disk on losers, the
      in-doubt set, and every data byte — including with group commit,
-     checkpointing, and parallel recovery running at once;
-   - the last-writer table pruned at checkpoint time never drops an
-     entry that a live dependency chain still needs. *)
+     checkpointing, and parallel recovery running at once. *)
 
 open Tabs_sim
 open Tabs_wal
@@ -22,72 +20,6 @@ open Tabs_accent
 open Tabs_recovery
 open Tabs_core
 open Crash_harness
-
-let quick name f = Alcotest.test_case name `Quick f
-
-(* --- rig (no Transaction Manager) ------------------------------------ *)
-
-let make_rig () =
-  make_rig ~pages:16 ~parallel_recovery:Parallel_redo.default ()
-
-(* --- last-writer pruning at checkpoint time -------------------------- *)
-
-(* A committed-and-flushed family's entries fall below the prune floor
-   and are dropped; an active family's entry pins the floor and
-   survives, and a later cross-family write still finds it — the live
-   dependency chain is intact. *)
-let test_prune_keeps_live_chain_entries () =
-  let rig = make_rig () in
-  let t1 = Tid.top ~node:0 ~seq:1
-  and t2 = Tid.top ~node:0 ~seq:2
-  and t3 = Tid.top ~node:0 ~seq:3
-  and t4 = Tid.top ~node:0 ~seq:4 in
-  let t2_lsn = ref 0 in
-  run_fiber rig (fun () ->
-      write rig t1 0 (v8 "a");
-      commit rig t1;
-      (* t2 stays active: its first update is the prune floor *)
-      t2_lsn := Log_manager.next_lsn rig.log;
-      write rig t2 cells_per_page (v8 "b");
-      Alcotest.(check int) "two tracked writers" 2
-        (Log_manager.last_writer_size rig.log);
-      Vm.flush_all rig.vm;
-      ignore (Recovery_mgr.checkpoint rig.rm);
-      (* t1's entry was below the floor and is gone; t2's survives *)
-      Alcotest.(check int) "pruned down to the live entry" 1
-        (Log_manager.last_writer_size rig.log);
-      (* a cross-family write of t2's object still sees the last
-         writer: the live chain gets its dependency edge *)
-      write rig t3 cells_per_page (v8 "c");
-      commit rig t3;
-      (* the pruned object has no tracked writer: no edge, which is
-         safe exactly because the floor proved t1's update can never
-         be in a redo set with t4's *)
-      write rig t4 0 (v8 "d");
-      commit rig t4);
-  match dependency_records rig with
-  | [ (_, d) ] ->
-      Alcotest.(check int) "the edge points at the live entry" !t2_lsn
-        (snd (List.hd d.Record.preds))
-  | deps ->
-      Alcotest.failf "expected exactly one dependency, got %d"
-        (List.length deps)
-
-(* With nothing active and everything flushed, the table empties. *)
-let test_prune_empties_table_when_quiescent () =
-  let rig = make_rig () in
-  run_fiber rig (fun () ->
-      for i = 1 to 4 do
-        let tid = Tid.top ~node:0 ~seq:i in
-        write rig tid (i mod 3) (v8 (string_of_int i));
-        commit rig tid
-      done;
-      Alcotest.(check int) "three objects tracked" 3
-        (Log_manager.last_writer_size rig.log);
-      Vm.flush_all rig.vm;
-      ignore (Recovery_mgr.checkpoint rig.rm);
-      Alcotest.(check int) "all entries pruned" 0
-        (Log_manager.last_writer_size rig.log))
 
 (* --- crash at a random instant over a full node ---------------------- *)
 
@@ -160,10 +92,6 @@ let suites =
   [
     ( "instant_restart",
       [
-        quick "checkpoint pruning keeps live-chain entries"
-          test_prune_keeps_live_chain_entries;
-        quick "checkpoint pruning empties a quiescent table"
-          test_prune_empties_table_when_quiescent;
         QCheck_alcotest.to_alcotest
           (prop_instant_equivalence Profile.Classic
              "crash at a random instant: instant = serial (Classic)");

@@ -222,9 +222,6 @@ let golden_records =
     ( "paxos_decision",
       Record.Paxos_decision { tid; committed = false },
       "75ed4f0302420601b64d4ec41fd3c704" );
-    ( "dependency",
-      Record.Dependency { tid; update_lsn = 41; preds = [ (obj, 40); (obj, 7) ] },
-      "c938796a3f2940e472d836968460826b" );
   ]
 
 let test_record_byte_goldens () =
