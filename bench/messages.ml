@@ -83,7 +83,7 @@ let run_point ?comm_batching ~workers () =
 
 type pair = { off : point; on_ : point }
 
-let batch_config = Tabs_net.Comm_mgr.default_batching
+module Comm_mgr = Tabs_net.Comm_mgr
 
 let worker_counts = [ 1; 2; 4; 8; 16; 32 ]
 
@@ -92,7 +92,7 @@ let run_comparison () =
     (fun workers ->
       {
         off = run_point ~workers ();
-        on_ = run_point ~comm_batching:batch_config ~workers ();
+        on_ = run_point ~comm_batching:Comm_mgr.default_batching ~workers ();
       })
     worker_counts
 
@@ -110,7 +110,7 @@ let write_json pairs =
     \  \"flush_delay_us\": %d,\n\
     \  \"max_frames\": %d,\n\
     \  \"points\": [\n"
-    batch_config.ack_delay batch_config.flush_delay batch_config.max_frames;
+    Comm_mgr.ack_delay Comm_mgr.flush_delay Comm_mgr.max_frames;
   List.iteri
     (fun i p ->
       Printf.fprintf oc
@@ -134,7 +134,7 @@ let print_messages () =
     "\nComm batching: wire messages per distributed commit (3 nodes, 2 \
      remote writes per txn;\nack window %d us, flush window %d us, group \
      commit on in both arms)\n"
-    batch_config.ack_delay batch_config.flush_delay;
+    Comm_mgr.ack_delay Comm_mgr.flush_delay;
   Printf.printf "%s\n" (String.make 64 '-');
   Printf.printf "    %8s %11s %11s %11s %11s %10s %12s %12s %10s\n" "workers"
     "off msgs" "on msgs" "off m/cmt" "on m/cmt" "reduction" "off txn/s"

@@ -50,7 +50,7 @@ let obj n =
   Object_id.make ~segment ~offset:(8 * cell) ~length:8
 
 (* one checkpoint roughly every few transactions of virtual time *)
-let checkpointing = { Checkpointer.default with interval = 100_000 }
+let checkpointing = 100_000
 
 let run_fiber engine f =
   let out = ref None in
@@ -224,7 +224,7 @@ let run_replay_workload () =
   (disk, stable, log_records)
 
 type replay_arm = {
-  fibers : int;
+  arm_fibers : int;
   arm_replay_us : int;
   arm_restart_us : int;
   stats : Parallel_redo.stats;
@@ -238,7 +238,7 @@ let run_replay_arm ~src_disk ~src_stable ~fibers =
   let log = Log_manager.attach engine stable in
   let rm =
     Recovery_mgr.create engine ~node:0 ~log ~vm
-      ~parallel_recovery:{ Parallel_redo.fibers } ()
+      ~parallel_recovery:fibers ()
   in
   register_counter rm vm;
   let outcome, arm_restart_us =
@@ -248,7 +248,7 @@ let run_replay_arm ~src_disk ~src_stable ~fibers =
         (o, Engine.now engine - t0))
   in
   {
-    fibers;
+    arm_fibers = fibers;
     arm_replay_us = outcome.replay_us;
     arm_restart_us;
     stats = outcome.graph;
@@ -278,7 +278,7 @@ let write_json points replay =
   let oc = open_out json_file in
   Printf.fprintf oc
     "{\n  \"interval_us\": %d,\n  \"trickle\": %d,\n  \"points\": [\n"
-    checkpointing.interval checkpointing.trickle;
+    checkpointing Checkpointer.trickle;
   List.iteri
     (fun i p ->
       Printf.fprintf oc
@@ -309,7 +309,7 @@ let write_json points replay =
         "      {\"fibers\": %d, \"replay_us\": %d, \"restart_us\": %d, \
          \"speedup\": %.2f, \"op_records\": %d, \"value_records\": %d, \
          \"chain_edges\": %d, \"critical_path\": %d, \"width\": %d}%s\n"
-        a.fibers a.arm_replay_us a.arm_restart_us (speedup replay a)
+        a.arm_fibers a.arm_replay_us a.arm_restart_us (speedup replay a)
         s.op_records s.value_records s.chain_edges s.critical_path s.width
         (if i = List.length replay.arms - 1 then "" else ","))
     replay.arms;
@@ -320,7 +320,7 @@ let print_recovery () =
   Printf.printf
     "\nRestart cost: checkpoint-anchored recovery (interval %d us, trickle \
      %d pages)\n"
-    checkpointing.interval checkpointing.trickle;
+    checkpointing Checkpointer.trickle;
   Printf.printf "%s\n" (String.make 72 '-');
   Printf.printf "    %6s %12s %11s %14s %13s %6s\n" "txns" "off scanned"
     "on scanned" "off restart us" "on restart us" "ckpts";
@@ -361,7 +361,7 @@ let print_recovery () =
   List.iter
     (fun a ->
       let s = a.stats in
-      Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d\n" a.fibers
+      Printf.printf "    %7d %12d %13d %8.2f %6d %6d %6d\n" a.arm_fibers
         a.arm_replay_us a.arm_restart_us (speedup replay a) s.chain_edges
         s.critical_path s.width)
     replay.arms;

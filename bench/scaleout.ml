@@ -77,9 +77,7 @@ let run_chaos ~instant =
   let c =
     Cluster.create ~nodes:chaos_shards
       ~group_commit:Tabs_recovery.Group_commit.default
-      ~checkpointing:
-        { Tabs_recovery.Checkpointer.default with interval = 100_000 }
-      ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }
+      ~checkpointing:100_000 ~parallel_recovery:4
       ~instant_restart:instant ()
   in
   let engine = Cluster.engine c in

@@ -137,7 +137,7 @@ let print_all () =
 
 type gc_point = { off : point; on_ : point }
 
-let gc_config = Tabs_recovery.Group_commit.default
+module Group_commit = Tabs_recovery.Group_commit
 
 let gc_workers = [ 1; 2; 4; 8; 16; 32 ]
 
@@ -146,7 +146,9 @@ let run_gc_comparison () =
     (fun workers ->
       {
         off = run_point ~contended:false ~workers ();
-        on_ = run_point ~group_commit:gc_config ~contended:false ~workers ();
+        on_ =
+          run_point ~group_commit:Group_commit.default ~contended:false
+            ~workers ();
       })
     gc_workers
 
@@ -163,7 +165,7 @@ let write_gc_json points =
   let oc = open_out gc_json_file in
   Printf.fprintf oc
     "{\n  \"window_us\": %d,\n  \"max_batch\": %d,\n  \"points\": [\n"
-    gc_config.window gc_config.max_batch;
+    Group_commit.window Group_commit.max_batch;
   List.iteri
     (fun i g ->
       Printf.fprintf oc
@@ -183,7 +185,7 @@ let print_group_commit () =
   Printf.printf
     "\nGroup commit: batched log forces (disjoint cells; window %d us, max \
      batch %d)\n"
-    gc_config.window gc_config.max_batch;
+    Group_commit.window Group_commit.max_batch;
   Printf.printf "%s\n" (String.make 64 '-');
   Printf.printf "    %8s %12s %12s %8s %10s %10s %12s %9s\n" "workers"
     "off txn/s" "on txn/s" "speedup" "off forces" "on forces" "forces/commit"

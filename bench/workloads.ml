@@ -206,11 +206,9 @@ let sub_counts a b = Array.mapi (fun i x -> x -. b.(i)) a
 
 let add_into acc x = Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) x
 
-let run_spec ?(iterations = 25) ?(warmup = 5) ?profile ~model spec =
-  let cluster =
-    Cluster.create ~cost_model:model ?profile ~nodes:spec.nodes ()
-  in
-  let engine = Cluster.engine cluster in
+(* [setup cluster spec] deploys [spec]'s array on every node of
+   [cluster] and returns the context its body runs in, from node 0. *)
+let setup cluster spec =
   let cells =
     if spec.paging then paging_pages * Int_array_server.cells_per_page
     else small_cells
@@ -223,15 +221,20 @@ let run_spec ?(iterations = 25) ?(warmup = 5) ?profile ~model spec =
            ~segment:1 ~cells ()))
     (Cluster.nodes cluster);
   let node0 = Cluster.node cluster 0 in
-  let ctx =
-    {
-      cluster;
-      rpc = Node.rpc node0;
-      tm = Node.tm node0;
-      cursor = 0;
-      rng = Rng.create ~seed:7;
-    }
+  {
+    cluster;
+    rpc = Node.rpc node0;
+    tm = Node.tm node0;
+    cursor = 0;
+    rng = Rng.create ~seed:7;
+  }
+
+let run_spec ?(iterations = 25) ?(warmup = 5) ?profile ~model spec =
+  let cluster =
+    Cluster.create ~cost_model:model ?profile ~nodes:spec.nodes ()
   in
+  let engine = Cluster.engine cluster in
+  let ctx = setup cluster spec in
   let n_prims = List.length Cost_model.all in
   let pre_total = Array.make n_prims 0. in
   let commit_total = Array.make n_prims 0. in

@@ -56,22 +56,15 @@ let group_commit_arg =
 (* ... and --checkpoint-interval: the background fuzzy-checkpoint and
    log-reclamation daemon (off by default, as the paper measured). *)
 let checkpointing_arg =
-  let interval =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"USEC"
-          ~doc:
-            "Enable background fuzzy checkpoints on every node, at most \
-             one per $(docv) of virtual time: dirty pages trickle out, \
-             checkpoint records anchor restart recovery, and the log is \
-             reclaimed without foreground flushes.")
-  in
-  Term.(
-    const
-      (Option.map (fun interval ->
-           { Tabs_recovery.Checkpointer.default with interval }))
-    $ interval)
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "checkpoint-interval" ] ~docv:"USEC"
+        ~doc:
+          "Enable background fuzzy checkpoints on every node, at most one \
+           per $(docv) of virtual time: dirty pages trickle out, \
+           checkpoint records anchor restart recovery, and the log is \
+           reclaimed without foreground flushes.")
 
 (* ... and --comm-batch: the Communication Manager's comm-batching
    layer (off by default, keeping the measured tables byte-identical). *)
@@ -141,33 +134,47 @@ let trace_arg =
 
 let trace_enabled topts = topts.dump || topts.jsonl <> None
 
-let start_trace topts c =
-  if trace_enabled topts then Some (Tabs_obs.Recorder.attach (Cluster.engine c))
-  else None
+let finish_trace topts recorder =
+  let entries = Tabs_obs.Recorder.entries recorder in
+  Tabs_obs.Recorder.detach recorder;
+  (match topts.jsonl with
+  | Some path ->
+      Tabs_obs.Jsonl.to_file path entries;
+      say "trace: wrote %d events to %s" (List.length entries) path
+  | None -> ());
+  if topts.dump then begin
+    say "--- trace (%d events) ---" (List.length entries);
+    Tabs_obs.Render.dump stdout entries;
+    Tabs_obs.Render.span_summary stdout (Tabs_obs.Span.of_entries entries);
+    flush stdout
+  end
 
-let finish_trace topts = function
-  | None -> ()
-  | Some recorder ->
-      let entries = Tabs_obs.Recorder.entries recorder in
-      Tabs_obs.Recorder.detach recorder;
-      (match topts.jsonl with
-      | Some path ->
-          Tabs_obs.Jsonl.to_file path entries;
-          say "trace: wrote %d events to %s" (List.length entries) path
-      | None -> ());
-      if topts.dump then begin
-        say "--- trace (%d events) ---" (List.length entries);
-        Tabs_obs.Render.dump stdout entries;
-        Tabs_obs.Render.span_summary stdout (Tabs_obs.Span.of_entries entries);
-        flush stdout
-      end
+(* [with_trace topts c run] records [c]'s trace while [run] runs and
+   writes it out afterwards. A run that raises still writes its trace,
+   with the exception as the last event, and the exception is re-raised
+   so the exit status stays the same. *)
+let with_trace topts c run =
+  if not (trace_enabled topts) then run ()
+  else begin
+    let recorder = Tabs_obs.Recorder.attach (Cluster.engine c) in
+    match run () with
+    | result ->
+        finish_trace topts recorder;
+        result
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Engine.emit (Cluster.engine c)
+          (Trace.Note ("uncaught exception: " ^ Printexc.to_string e));
+        finish_trace topts recorder;
+        Printexc.raise_with_backtrace e bt
+  end
 
 (* crash ------------------------------------------------------------------ *)
 
 let run_crash profile group_commit checkpointing comm_batching topts instant =
   let c = Cluster.create ~nodes:1 ~profile ?group_commit ?checkpointing
       ?comm_batching ~instant_restart:instant () in
-  let tr = start_trace topts c in
+  with_trace topts c @@ fun () ->
   let node = Cluster.node c 0 in
   let arr = Int_array_server.create (Node.env node) ~name:"a" ~segment:1 ~cells:64 () in
   let tm = Node.tm node in
@@ -211,7 +218,6 @@ let run_crash profile group_commit checkpointing comm_batching topts instant =
       m.Metrics.ondemand_pages m.Metrics.trickle_pages m.Metrics.restart_pages
       m.Metrics.pending_pages
   end;
-  finish_trace topts tr;
   0
 
 (* twophase ---------------------------------------------------------------- *)
@@ -222,7 +228,7 @@ let run_twophase profile group_commit checkpointing comm_batching
   let c = Cluster.create ~nodes ~profile ?group_commit ?checkpointing
       ?comm_batching ~commit_protocol () in
   say "commit protocol: %s" (Tabs_tm.Commit_protocol.to_string commit_protocol);
-  let tr = start_trace topts c in
+  with_trace topts c @@ fun () ->
   List.iter
     (fun node ->
       ignore
@@ -297,7 +303,6 @@ let run_twophase profile group_commit checkpointing comm_batching
       in
       say "node %d cell0 = %d" id v)
     (Cluster.nodes c);
-  finish_trace topts tr;
   0
 
 (* voting -------------------------------------------------------------------- *)
@@ -305,7 +310,7 @@ let run_twophase profile group_commit checkpointing comm_batching
 let run_voting profile group_commit checkpointing comm_batching topts =
   let c = Cluster.create ~nodes:3 ~profile ?group_commit ?checkpointing
       ?comm_batching () in
-  let tr = start_trace topts c in
+  with_trace topts c @@ fun () ->
   List.iter
     (fun node ->
       ignore
@@ -342,7 +347,6 @@ let run_voting profile group_commit checkpointing comm_batching topts =
         (Option.value v ~default:"<none>")
         (Txn_lib.execute_transaction tm (fun tid ->
              Replicated_directory.entry_version dir tid ~key:"leader")));
-  finish_trace topts tr;
   0
 
 (* screen -------------------------------------------------------------------- *)
@@ -350,7 +354,7 @@ let run_voting profile group_commit checkpointing comm_batching topts =
 let run_screen profile group_commit checkpointing comm_batching topts =
   let c = Cluster.create ~nodes:1 ~profile ?group_commit ?checkpointing
       ?comm_batching () in
-  let tr = start_trace topts c in
+  with_trace topts c @@ fun () ->
   let node = Cluster.node c 0 in
   let io = Io_server.create (Node.env node) ~name:"io" ~segment:6 () in
   let tm = Node.tm node in
@@ -368,66 +372,54 @@ let run_screen profile group_commit checkpointing comm_batching topts =
   Cluster.run c;
   say "--- final screen ---";
   Cluster.run_fiber c ~node:0 (fun () -> say "%s" (Io_server.render_text io));
-  finish_trace topts tr;
   0
 
 (* stats --------------------------------------------------------------------- *)
 
 let run_stats profile group_commit checkpointing comm_batching topts index =
-  let specs = Workload_specs.specs in
-  if index < 0 || index >= List.length specs then begin
-    say "benchmark index out of range (0..%d):" (List.length specs - 1);
-    List.iteri (fun i (name, _, _) -> say "  %2d  %s" i name) specs;
-    1
-  end
-  else begin
-    let name, nodes, body = List.nth specs index in
-    say "running benchmark: %s (%d node(s))" name nodes;
-    let c = Cluster.create ~nodes ~profile ?group_commit ?checkpointing
-      ?comm_batching () in
-    let tr = start_trace topts c in
-    List.iter
-      (fun node ->
-        ignore
-          (Int_array_server.create (Node.env node)
-             ~name:(Printf.sprintf "a%d" (Node.id node))
-             ~segment:1 ~cells:1024 ()))
-      (Cluster.nodes c);
-    let n0 = Cluster.node c 0 in
-    let tm = Node.tm n0 in
-    let engine = Cluster.engine c in
-    Cluster.run_fiber c ~node:0 (fun () ->
-        let t0 = Engine.now engine in
-        let before = Metrics.snapshot (Engine.metrics engine) in
-        for _ = 1 to 10 do
-          Txn_lib.execute_transaction tm (fun tid -> body (Node.rpc n0) tid)
-        done;
-        let elapsed = Engine.now engine - t0 in
-        let counts =
-          Metrics.diff
-            ~later:(Metrics.snapshot (Engine.metrics engine))
-            ~earlier:before
-        in
-        say "10 transactions in %.1f virtual ms (%.1f ms each)"
-          (float_of_int elapsed /. 1000.)
-          (float_of_int elapsed /. 10_000.);
-        say "primitive profile per transaction:";
-        List.iter
-          (fun p ->
-            let w = Metrics.weight counts p /. 10. in
-            if w > 0.001 then say "  %-30s %6.2f" (Cost_model.name p) w)
-          Cost_model.all;
-        if profile = Profile.Integrated then begin
-          say "elided by the integrated architecture (per transaction):";
+  let module W = Tabs_bench.Workloads in
+  match if index < 0 then None else List.nth_opt W.specs index with
+  | None ->
+      say "benchmark index out of range (0..%d):" (List.length W.specs - 1);
+      List.iteri (fun i spec -> say "  %2d  %s" i spec.W.spec_name) W.specs;
+      1
+  | Some spec ->
+      say "running benchmark: %s (%d node(s))" spec.spec_name spec.nodes;
+      let c = Cluster.create ~nodes:spec.nodes ~profile ?group_commit
+        ?checkpointing ?comm_batching () in
+      with_trace topts c @@ fun () ->
+      let ctx = W.setup c spec in
+      let engine = Cluster.engine c in
+      Cluster.run_fiber c ~node:0 (fun () ->
+          let t0 = Engine.now engine in
+          let before = Metrics.snapshot (Engine.metrics engine) in
+          for _ = 1 to 10 do
+            Txn_lib.execute_transaction ctx.tm (fun tid -> spec.body ctx tid)
+          done;
+          let elapsed = Engine.now engine - t0 in
+          let counts =
+            Metrics.diff
+              ~later:(Metrics.snapshot (Engine.metrics engine))
+              ~earlier:before
+          in
+          say "10 transactions in %.1f virtual ms (%.1f ms each)"
+            (float_of_int elapsed /. 1000.)
+            (float_of_int elapsed /. 10_000.);
+          say "primitive profile per transaction:";
           List.iter
             (fun p ->
-              let w = Metrics.elided_weight counts p /. 10. in
+              let w = Metrics.weight counts p /. 10. in
               if w > 0.001 then say "  %-30s %6.2f" (Cost_model.name p) w)
-            Cost_model.all
-        end);
-    finish_trace topts tr;
-    0
-  end
+            Cost_model.all;
+          if profile = Profile.Integrated then begin
+            say "elided by the integrated architecture (per transaction):";
+            List.iter
+              (fun p ->
+                let w = Metrics.elided_weight counts p /. 10. in
+                if w > 0.001 then say "  %-30s %6.2f" (Cost_model.name p) w)
+              Cost_model.all
+          end);
+      0
 
 (* scaleout ------------------------------------------------------------------- *)
 

@@ -27,8 +27,8 @@ val create :
   ?seed:int ->
   ?profile:Tabs_sim.Profile.t ->
   ?group_commit:Tabs_recovery.Group_commit.config ->
-  ?checkpointing:Tabs_recovery.Checkpointer.config ->
-  ?parallel_recovery:Tabs_recovery.Parallel_redo.config ->
+  ?checkpointing:int ->
+  ?parallel_recovery:int ->
   ?instant_restart:bool ->
   ?comm_batching:Tabs_net.Comm_mgr.batching ->
   ?commit_protocol:Tabs_tm.Commit_protocol.t ->

@@ -21,20 +21,22 @@ type t
     {!crash}/{!restart}.
 
     [?group_commit] enables the {!Tabs_recovery.Group_commit} force
-    batcher: commit-protocol log forces arriving within the window (or
-    up to the batch cap) share one stable-storage round. Off by
+    batcher: commit-protocol log forces arriving within its 5 ms window
+    (or up to its 64-request cap) share one stable-storage round. Off by
     default — the Section 5 latency tables and the Classic/Integrated
     equivalence are byte-identical to a build without the batcher. The
     setting survives {!crash}/{!restart}.
 
-    [?checkpointing] starts the {!Tabs_recovery.Checkpointer} daemon:
-    fuzzy checkpoints, trickled page write-back, and background log
+    [?checkpointing] starts the {!Tabs_recovery.Checkpointer} daemon
+    with that interval in microseconds of virtual time
+    ({!Tabs_recovery.Checkpointer.default} is 500 ms): fuzzy
+    checkpoints, trickled page write-back, and background log
     reclamation, anchoring restart recovery at the last checkpoint. Off
     by default for the same reason as [?group_commit]. The setting
     survives {!crash}/{!restart}.
 
     [?parallel_recovery] makes restart recovery drain its redo graph
-    over the configured number of simulator fibers
+    over that many simulator fibers
     ({!Tabs_recovery.Parallel_redo}). Off by default — the same graph
     then drains inline at one fiber, the paper's serial passes. The
     setting survives {!crash}/{!restart}.
@@ -67,8 +69,8 @@ val create :
   id:int ->
   ?profile:Tabs_sim.Profile.t ->
   ?group_commit:Tabs_recovery.Group_commit.config ->
-  ?checkpointing:Tabs_recovery.Checkpointer.config ->
-  ?parallel_recovery:Tabs_recovery.Parallel_redo.config ->
+  ?checkpointing:int ->
+  ?parallel_recovery:int ->
   ?instant_restart:bool ->
   ?comm_batching:Tabs_net.Comm_mgr.batching ->
   ?commit_protocol:Tabs_tm.Commit_protocol.t ->

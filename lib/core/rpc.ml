@@ -30,12 +30,13 @@ type registry = {
   servers : (string, dispatch) Hashtbl.t;
   pending : (int, reply Engine.Waitq.t) Hashtbl.t;
   mutable next_call : int;
-  mutable call_timeout : int;
 }
 
-let expose t ~server dispatch = Hashtbl.replace t.servers server dispatch
+(* A remote call that gets no reply within this much virtual time
+   raises [Rpc_timeout]. *)
+let call_timeout = 5_000_000
 
-let set_call_timeout t micros = t.call_timeout <- micros
+let expose t ~server dispatch = Hashtbl.replace t.servers server dispatch
 
 let run_dispatch t ~server ~tid ~op ~arg =
   match Hashtbl.find_opt t.servers server with
@@ -77,7 +78,7 @@ let call t ~dest ~server ~tid ~op ~arg =
     Comm_mgr.session_send t.cm ~dest ~tid
       (Rpc_request { call_id; reply_to = t.node; server; tid; op; arg });
     let reply =
-      Engine.Waitq.wait_timeout q ~engine:t.engine ~timeout:t.call_timeout
+      Engine.Waitq.wait_timeout q ~engine:t.engine ~timeout:call_timeout
     in
     Hashtbl.remove t.pending call_id;
     match reply with
@@ -94,7 +95,6 @@ let create_registry engine ~node ~cm =
       servers = Hashtbl.create 8;
       pending = Hashtbl.create 16;
       next_call = 0;
-      call_timeout = 5_000_000;
     }
   in
   Comm_mgr.set_session_handler cm (fun ~src:_ payload ->

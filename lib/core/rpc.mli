@@ -30,7 +30,7 @@ val expose : registry -> server:string -> dispatch -> unit
     a data server from within a fiber. [dest] is the server's node;
     when it equals the registry's node the call is local. Raises
     [Failure] if the server is not exposed, and [Rpc_timeout] if a
-    remote server does not answer. *)
+    remote server does not answer within 5 s of virtual time. *)
 val call :
   registry ->
   dest:int ->
@@ -41,9 +41,6 @@ val call :
   string
 
 exception Rpc_timeout of { dest : int; server : string; op : string }
-
-(** Remote-call timeout (default 5 s of virtual time). *)
-val set_call_timeout : registry -> int -> unit
 
 (** {2 Typed operations} *)
 

@@ -48,9 +48,6 @@ let clear_txn_state t top =
   List.iter (fun tid -> Hashtbl.remove t.marked tid) stale_marks;
   Hashtbl.remove t.wrote (Tid.top_level top)
 
-(* Deadlock time-out for every server's lock waits. *)
-let lock_timeout = 2_000_000
-
 let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
   Disk.ensure_segment (Vm.disk env.vm) segment ~pages;
   let t =
@@ -58,7 +55,7 @@ let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
       env;
       name;
       segment;
-      locks = Lock_manager.create ~compatible ~default_timeout:lock_timeout env.engine ();
+      locks = Lock_manager.create ~compatible env.engine ();
       buffered = Hashtbl.create 32;
       marked = Hashtbl.create 8;
       wrote = Hashtbl.create 32;

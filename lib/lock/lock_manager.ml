@@ -54,18 +54,18 @@ end)
 type t = {
   engine : Engine.t;
   compatible : Mode.compat;
-  default_timeout : int;
   table : entry Table.t;
   families : entry list Family.t; (* what each family holds, see [family] *)
   mutable timeout_count : int;
 }
 
-let create ?(compatible = Mode.standard) ?(default_timeout = 10_000_000)
-    engine () =
+(* The deadlock time-out of a request that names none. *)
+let default_timeout = 2_000_000
+
+let create ?(compatible = Mode.standard) engine () =
   {
     engine;
     compatible;
-    default_timeout;
     table = Table.create 64;
     families = Family.create 64;
     timeout_count = 0;
@@ -178,9 +178,7 @@ let lock t tid key mode ?timeout () =
     e.live <- e.live + 1;
     if Engine.tracing t.engine then
       Engine.emit t.engine (Lock_wait { tid; obj = key; mode });
-    let timeout =
-      match timeout with Some micros -> micros | None -> t.default_timeout
-    in
+    let timeout = Option.value timeout ~default:default_timeout in
     match Engine.Waitq.wait_timeout w.w_queue ~engine:t.engine ~timeout with
     | Some outcome -> outcome
     | None ->

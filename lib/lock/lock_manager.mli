@@ -39,15 +39,10 @@ type Tabs_sim.Trace.event +=
 
 type outcome = Granted | Timed_out
 
-val create :
-  ?compatible:Mode.compat ->
-  ?default_timeout:int ->
-  Tabs_sim.Engine.t ->
-  unit ->
-  t
+val create : ?compatible:Mode.compat -> Tabs_sim.Engine.t -> unit -> t
 
 (** [lock t tid key mode] waits until the lock is granted or the timeout
-    (explicitly set by system users, defaulting to the manager's)
+    (explicitly set by system users, defaulting to 2 s of virtual time)
     expires. Re-requesting a held mode is granted immediately; an upgrade
     waits for conflicting holders. Must run inside a fiber. *)
 val lock :

@@ -37,23 +37,34 @@ type Trace.event +=
     }
 
 (* Comm batching (off by default): outgoing frames to the same peer
-   wait up to [flush_delay] for companions (or until [max_frames] /
-   [max_bytes]) and travel as one multi-frame datagram; delivery acks
-   wait up to [ack_delay] for a reverse-direction frame to ride, and
-   otherwise go out as one standalone cumulative ack. *)
-type batching = {
-  ack_delay : int;
-  flush_delay : int;
-  max_frames : int;
-  max_bytes : int;
-}
+   wait up to [flush_delay] for companions (or until [max_frames]) and
+   travel as one multi-frame datagram; delivery acks wait up to
+   [ack_delay] for a reverse-direction frame to ride, and otherwise go
+   out as one standalone cumulative ack. Batching has no parameters:
+   its only setting is on. *)
+type batching = unit
+
+let default_batching = ()
 
 (* The ack window sits just above the data-server-call time (26.1 ms),
    so the acknowledgement of an RPC request usually rides the reply —
    the classic delayed-ack design point — while staying well under the
    100 ms retransmission timeout. *)
-let default_batching =
-  { ack_delay = 30_000; flush_delay = 1_000; max_frames = 16; max_bytes = 8_192 }
+let ack_delay = 30_000
+
+let flush_delay = 1_000
+
+let max_frames = 16
+
+(* Session retransmission: the base timeout, doubled per barren round
+   up to [8 * session_rto]; the stream fails after [session_retries]
+   barren rounds, and each round resends at most [session_resend_burst]
+   head frames. *)
+let session_rto = 100_000
+
+let session_retries = 8
+
+let session_resend_burst = 8
 
 type out_session = {
   mutable seq : int; (* next sequence number to assign *)
@@ -65,7 +76,7 @@ type out_session = {
   mutable attempts : int;
   mutable cur_rto : int;
       (* current retransmission timeout: base rto, doubled per barren
-         retransmission up to rto_max, reset when an ack makes progress *)
+         retransmission up to 8x, reset when an ack makes progress *)
 }
 
 type in_session = { mutable expected : int; mutable incarnation : int }
@@ -77,7 +88,6 @@ type in_session = { mutable expected : int; mutable incarnation : int }
 type out_batch = {
   mutable frames : (bool * Network.payload) list; (* (control?, frame), newest first *)
   mutable nframes : int;
-  mutable bytes : int;
   mutable flush_armed : bool;
 }
 
@@ -96,11 +106,7 @@ type tree = { mutable parent : int option; mutable children : int list }
 type t = {
   net : Network.t;
   node_id : int;
-  rto : int;
-  rto_max : int;
-  retries : int;
-  resend_burst : int;
-  batching : batching option;
+  batching : bool;
   mutable alive : bool;
   out_sessions : (int, out_session) Hashtbl.t;
   in_sessions : (int, in_session) Hashtbl.t;
@@ -120,8 +126,6 @@ let engine t = Network.engine t.net
 (* Transport latency for session and ack frames; subsumed by the
    inter-node RPC primitive charged above this layer. *)
 let session_wire_delay = 2_000
-
-let batching t = t.batching
 
 let shutdown t = t.alive <- false
 
@@ -230,7 +234,7 @@ let out_session t peer =
           unsent = Queue.create ();
           timer_running = false;
           attempts = 0;
-          cur_rto = t.rto;
+          cur_rto = session_rto;
         }
       in
       Hashtbl.add t.out_sessions peer s;
@@ -249,18 +253,11 @@ let datagram_delay t =
 let coalesced_frame_delay t =
   Cost_model.cost (Engine.cost_model (engine t)) Cost_model.Coalesced_frame
 
-(* Nominal frame sizes for the byte cap: session data frames carry RPC
-   requests/replies, control frames and acks are small fixed records. *)
-let frame_bytes = function
-  | Sess_data _ -> 512
-  | Sess_ack _ | Sess_reset _ -> 32
-  | _ -> 96
-
 let out_batch_of t peer =
   match Hashtbl.find_opt t.out_batches peer with
   | Some b -> b
   | None ->
-      let b = { frames = []; nframes = 0; bytes = 0; flush_armed = false } in
+      let b = { frames = []; nframes = 0; flush_armed = false } in
       Hashtbl.add t.out_batches peer b;
       b
 
@@ -281,7 +278,6 @@ let flush_batch t ~dest =
       let frames = List.rev b.frames in
       b.frames <- [];
       b.nframes <- 0;
-      b.bytes <- 0;
       let frames, piggybacked =
         match Hashtbl.find_opt t.pending_acks dest with
         | Some pa when pa.live ->
@@ -342,16 +338,14 @@ let flush_batch t ~dest =
                done
              end))
 
-let enqueue t ~dest ~control frame (b : batching) =
+let enqueue t ~dest ~control frame =
   let ob = out_batch_of t dest in
   ob.frames <- (control, frame) :: ob.frames;
   ob.nframes <- ob.nframes + 1;
-  ob.bytes <- ob.bytes + frame_bytes frame;
-  if ob.nframes >= b.max_frames || ob.bytes >= b.max_bytes then
-    flush_batch t ~dest
+  if ob.nframes >= max_frames then flush_batch t ~dest
   else if not ob.flush_armed then begin
     ob.flush_armed <- true;
-    Engine.at (engine t) ~delay:b.flush_delay (fun () ->
+    Engine.at (engine t) ~delay:flush_delay (fun () ->
         ob.flush_armed <- false;
         if t.alive then flush_batch t ~dest)
   end
@@ -372,7 +366,7 @@ let pending_ack_of t peer =
    standalone cumulative ack covering every delivery since the window
    opened. It goes through the batch so it can still share a wire
    message with anything enqueued at the same instant. *)
-let ack_window_expired t ~peer (b : batching) =
+let ack_window_expired t ~peer =
   match Hashtbl.find_opt t.pending_acks peer with
   | None -> ()
   | Some pa ->
@@ -384,10 +378,9 @@ let ack_window_expired t ~peer (b : batching) =
         count_delayed_ack t ~covered;
         enqueue t ~dest:peer ~control:false
           (Sess_ack { seq = pa.upto; incarnation = pa.pa_incarnation })
-          b
       end
 
-let note_ack_due t ~src ~seq ~incarnation (b : batching) =
+let note_ack_due t ~src ~seq ~incarnation =
   let pa = pending_ack_of t src in
   if pa.live && pa.pa_incarnation = incarnation then begin
     if seq > pa.upto then pa.upto <- seq
@@ -400,8 +393,8 @@ let note_ack_due t ~src ~seq ~incarnation (b : batching) =
   pa.covered <- pa.covered + 1;
   if not pa.ack_armed then begin
     pa.ack_armed <- true;
-    Engine.at (engine t) ~delay:b.ack_delay (fun () ->
-        ack_window_expired t ~peer:src b)
+    Engine.at (engine t) ~delay:ack_delay (fun () ->
+        ack_window_expired t ~peer:src)
   end
 
 (* Retransmission ----------------------------------------------------- *)
@@ -433,12 +426,12 @@ and on_timer t ~dest s =
   s.timer_running <- false;
   if t.alive && not (Queue.is_empty s.unsent) then begin
     s.attempts <- s.attempts + 1;
-    if s.attempts > t.retries then begin
+    if s.attempts > session_retries then begin
       (* Permanent communication failure: drop the stream, start a new
          incarnation for any later traffic, and report the peer. *)
       Queue.clear s.unsent;
       s.attempts <- 0;
-      s.cur_rto <- t.rto;
+      s.cur_rto <- session_rto;
       s.incarnation <- fresh_incarnation t;
       s.seq <- 0;
       s.acked <- 0;
@@ -453,7 +446,7 @@ and on_timer t ~dest s =
          not flood O(window) frames onto the wire every timeout. In-order
          delivery means only the head frames can make progress anyway;
          later frames go out again on subsequent (ack-reset) rounds. *)
-      let resent = send_window ~limit:t.resend_burst t ~dest s in
+      let resent = send_window ~limit:session_resend_burst t ~dest s in
       if Engine.tracing (engine t) then
         Engine.emit (engine t)
           (Session_retransmit
@@ -467,7 +460,7 @@ and on_timer t ~dest s =
       (* Exponential backoff: under sustained loss or a dead peer, each
          barren round doubles the wait instead of flooding the wire at a
          fixed cadence. An ack that makes progress resets the timeout. *)
-      s.cur_rto <- min (2 * s.cur_rto) t.rto_max;
+      s.cur_rto <- min (2 * s.cur_rto) (8 * session_rto);
       arm_timer t ~dest s
     end
   end
@@ -479,9 +472,8 @@ let session_send t ~dest ?tid payload =
   s.seq <- seq + 1;
   Queue.add (seq, tid, payload) s.unsent;
   let frame = Sess_data { seq; incarnation = s.incarnation; tid; inner = payload } in
-  (match t.batching with
-  | None -> transmit_frame t ~dest frame
-  | Some b -> enqueue t ~dest ~control:false frame b);
+  if t.batching then enqueue t ~dest ~control:false frame
+  else transmit_frame t ~dest frame;
   arm_timer t ~dest s
 
 (* The receiver lost its state (restart): renumber every unacked
@@ -504,7 +496,7 @@ let handle_reset t ~src ~incarnation =
       Queue.transfer pending s.unsent;
       s.seq <- !n;
       s.attempts <- 0;
-      s.cur_rto <- t.rto;
+      s.cur_rto <- session_rto;
       ignore (send_window t ~dest:src s);
       arm_timer t ~dest:src s
   | Some _ | None -> ()
@@ -516,7 +508,7 @@ let handle_ack t ~src ~seq ~incarnation =
       if incarnation = s.incarnation && seq >= s.acked then begin
         s.acked <- seq + 1;
         s.attempts <- 0;
-        s.cur_rto <- t.rto;
+        s.cur_rto <- session_rto;
         while
           (not (Queue.is_empty s.unsent))
           && (let q, _, _ = Queue.peek s.unsent in
@@ -559,15 +551,13 @@ let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
        batching on the re-ack joins the delayed-ack path so it can
        piggyback instead of spending a wire message of its own. *)
     count_duplicate_reack t;
-    match t.batching with
-    | None -> send_ack_now t ~dest:src ~seq:(s.expected - 1) ~incarnation
-    | Some b -> note_ack_due t ~src ~seq:(s.expected - 1) ~incarnation b
+    if t.batching then note_ack_due t ~src ~seq:(s.expected - 1) ~incarnation
+    else send_ack_now t ~dest:src ~seq:(s.expected - 1) ~incarnation
   end
   else if seq = s.expected then begin
     s.expected <- seq + 1;
-    (match t.batching with
-    | None -> send_ack_now t ~dest:src ~seq ~incarnation
-    | Some b -> note_ack_due t ~src ~seq ~incarnation b);
+    if t.batching then note_ack_due t ~src ~seq ~incarnation
+    else send_ack_now t ~dest:src ~seq ~incarnation;
     note_incoming t tid src;
     t.session_handler ~src inner
   end
@@ -583,32 +573,32 @@ let handle_session_data t ~src ~seq ~incarnation ~tid ~inner =
    peer's batch: the flush fiber pays the (coalesced) cost, off this
    caller's critical path. *)
 let send_datagram t ~dest payload =
-  match t.batching with
-  | Some b -> enqueue t ~dest ~control:true payload b
-  | None ->
-      Engine.charge (engine t) Cost_model.Datagram;
-      Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t);
-      count_wire t ~frames:1;
-      Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Datagram
-        ~delay:0 payload
+  if t.batching then enqueue t ~dest ~control:true payload
+  else begin
+    Engine.charge (engine t) Cost_model.Datagram;
+    Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t);
+    count_wire t ~frames:1;
+    Network.transmit t.net ~src:t.node_id ~dest ~channel:Network.Datagram
+      ~delay:0 payload
+  end
 
 let send_datagrams_parallel t ~dests payload =
-  match t.batching with
-  | Some b -> List.iter (fun dest -> enqueue t ~dest ~control:true payload b) dests
-  | None -> (
-      match dests with
-      | [] -> ()
-      | first :: rest ->
-          send_datagram t ~dest:first payload;
-          List.iter
-            (fun dest ->
-              (* overlapped sends cost the paper's half-datagram increment *)
-              Engine.charge_fraction (engine t) Cost_model.Datagram ~num:1 ~den:2;
-              Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t / 2);
-              count_wire t ~frames:1;
-              Network.transmit t.net ~src:t.node_id ~dest
-                ~channel:Network.Datagram ~delay:0 payload)
-            rest)
+  if t.batching then
+    List.iter (fun dest -> enqueue t ~dest ~control:true payload) dests
+  else
+    match dests with
+    | [] -> ()
+    | first :: rest ->
+        send_datagram t ~dest:first payload;
+        List.iter
+          (fun dest ->
+            (* overlapped sends cost the paper's half-datagram increment *)
+            Engine.charge_fraction (engine t) Cost_model.Datagram ~num:1 ~den:2;
+            Engine.note_cpu (engine t) ~process:"cm" (datagram_delay t / 2);
+            count_wire t ~frames:1;
+            Network.transmit t.net ~src:t.node_id ~dest
+              ~channel:Network.Datagram ~delay:0 payload)
+          rest
 
 (* Broadcast --------------------------------------------------------- *)
 
@@ -669,17 +659,12 @@ let set_failure_handler t f = t.failure_handler <- f
 
 let set_remote_involvement_handler t f = t.remote_involvement <- f
 
-let create net ~node ?(session_rto = 100_000) ?(session_retries = 8)
-    ?(session_resend_burst = 8) ?batching () =
+let create net ~node ?batching () =
   let t =
     {
       net;
       node_id = node;
-      rto = session_rto;
-      rto_max = 8 * session_rto;
-      retries = session_retries;
-      resend_burst = max 1 session_resend_burst;
-      batching;
+      batching = Option.is_some batching;
       alive = true;
       out_sessions = Hashtbl.create 8;
       in_sessions = Hashtbl.create 8;

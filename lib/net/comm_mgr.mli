@@ -26,13 +26,13 @@
 
     - {e piggybacked acks} — an outgoing frame to a peer carries the
       receiver's cumulative acknowledgement for the reverse session
-      stream; standalone acks are delayed up to [ack_delay] so several
+      stream; standalone acks are delayed up to {!ack_delay} so several
       deliveries share one acknowledgement;
     - {e datagram coalescing} — frames queued to the same peer within
-      [flush_delay] (or until [max_frames]/[max_bytes]) travel as one
-      multi-frame wire message charged a single Datagram primitive plus
-      a small {!Tabs_sim.Cost_model.Coalesced_frame} increment per
-      extra datagram-class frame. *)
+      {!flush_delay} (or until {!max_frames}) travel as one multi-frame
+      wire message charged a single Datagram primitive plus a small
+      {!Tabs_sim.Cost_model.Coalesced_frame} increment per extra
+      datagram-class frame. *)
 
 type t
 
@@ -58,40 +58,28 @@ type Tabs_sim.Trace.event +=
       piggybacked_ack : bool;
     }
 
-(** Comm-batching parameters, all in microseconds of virtual time /
-    counts: [ack_delay] is how long a delivery acknowledgement may wait
-    for an outgoing frame to ride; [flush_delay] is how long a queued
-    frame may wait for companions; a batch departs early at [max_frames]
-    frames or [max_bytes] nominal bytes. *)
-type batching = {
-  ack_delay : int;
-  flush_delay : int;
-  max_frames : int;
-  max_bytes : int;
-}
+(** Comm batching is on or off; {!default_batching} is its one setting. *)
+type batching
 
 val default_batching : batching
 
-(** [session_rto] is the base retransmission timeout. Each barren
-    retransmission round doubles the timeout (exponential backoff) up to
-    [8 * session_rto]; an acknowledgement that makes progress resets it
-    to the base. After [session_retries] barren rounds the stream is
-    declared permanently failed.
-    [session_resend_burst] (default 8) caps how many unacked frames a
-    single retransmission round puts back on the wire. [batching]
-    enables the comm-batching layer; omitted means off. *)
-val create :
-  Network.t ->
-  node:int ->
-  ?session_rto:int ->
-  ?session_retries:int ->
-  ?session_resend_burst:int ->
-  ?batching:batching ->
-  unit ->
-  t
+(** Microseconds of virtual time a delivery acknowledgement may wait for
+    an outgoing frame to ride (30 ms). *)
+val ack_delay : int
 
-(** [batching t] is the batching configuration, if enabled. *)
-val batching : t -> batching option
+(** Microseconds a queued frame may wait for companions (1 ms). *)
+val flush_delay : int
+
+(** Frames that close a batch early (16). *)
+val max_frames : int
+
+(** Session retransmission starts at a 100 ms timeout. Each barren
+    round doubles it (exponential backoff) up to 800 ms; an
+    acknowledgement that makes progress resets it to 100 ms. After 8
+    barren rounds the stream is declared permanently failed. A round
+    puts at most 8 unacked frames back on the wire. [batching] enables
+    the comm-batching layer; omitted means off. *)
+val create : Network.t -> node:int -> ?batching:batching -> unit -> t
 
 (** [shutdown t] silences this incarnation (crash). *)
 val shutdown : t -> unit

@@ -2,9 +2,10 @@ open Tabs_sim
 open Tabs_accent
 open Tabs_wal
 
-type config = { interval : int; trickle : int }
+let default = 500_000
 
-let default = { interval = 500_000; trickle = 8 }
+(* Dirty pages written back per cycle. *)
+let trickle = 8
 
 type Trace.event +=
   | Rm_writeback of { node : int; pages : int; oldest_rec_lsn : int }
@@ -18,7 +19,7 @@ type t = {
   engine : Engine.t;
   node : int;
   vm : Vm.t;
-  config : config;
+  interval : int;
   checkpoint_and_truncate : unit -> Record.lsn * int;
       (* the Recovery Manager's fuzzy checkpoint and log truncation,
          passed as a closure because the Recovery Manager owns this
@@ -54,7 +55,7 @@ let cycle t =
   (match by_rec_lsn with
   | [] -> ()
   | (_, oldest_rec_lsn) :: _ ->
-      let victims = take t.config.trickle by_rec_lsn in
+      let victims = take trickle by_rec_lsn in
       List.iter (fun (pid, _) -> Vm.flush_page t.vm pid) victims;
       t.pages_written <- t.pages_written + List.length victims;
       if Engine.tracing t.engine then
@@ -75,13 +76,13 @@ let rec daemon t =
   if t.gate () then cycle t;
   daemon t
 
-let create engine ~node ~vm ~checkpoint_and_truncate ~gate config =
+let create engine ~node ~vm ~checkpoint_and_truncate ~gate ~interval =
   let t =
     {
       engine;
       node;
       vm;
-      config;
+      interval;
       checkpoint_and_truncate;
       gate;
       wake_q = Engine.Waitq.create ();
@@ -104,7 +105,7 @@ let request t =
 let poke t =
   if
     (not t.pending)
-    && Engine.now t.engine - t.last_cycle >= t.config.interval
+    && Engine.now t.engine - t.last_cycle >= t.interval
   then request t
 
 let cycles t = t.cycles

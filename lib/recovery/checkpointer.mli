@@ -5,7 +5,7 @@
     pokes it back awake once per [interval] of virtual time. Each cycle
     it
 
-    + trickle-writes up to [trickle] dirty pages, oldest recovery LSN
+    + trickle-writes up to {!trickle} dirty pages, oldest recovery LSN
       first (the pages holding the truncation floor down the longest);
     + takes a fuzzy checkpoint through the Recovery Manager — no
       flushing beyond the trickle, just the dirty-page and
@@ -22,13 +22,11 @@
 
 type t
 
-type config = {
-  interval : int;  (** minimum virtual microseconds between cycles *)
-  trickle : int;  (** dirty pages written back per cycle *)
-}
+(** The default checkpoint interval: 500 ms of virtual time. *)
+val default : int
 
-(** 500 ms between checkpoints, 8 pages per cycle. *)
-val default : config
+(** Dirty pages written back per cycle (8). *)
+val trickle : int
 
 (** Trace events: one trickle write-back burst, and one log truncation
     with how many records it reclaimed. *)
@@ -40,8 +38,9 @@ type Tabs_sim.Trace.event +=
       records : int;
     }
 
-(** [create engine ~node ~vm ~checkpoint_and_truncate ~gate config]
-    spawns the daemon fiber. [checkpoint_and_truncate] is the Recovery
+(** [create engine ~node ~vm ~checkpoint_and_truncate ~gate ~interval]
+    spawns the daemon fiber; [interval] is the minimum virtual
+    microseconds between cycles. [checkpoint_and_truncate] is the Recovery
     Manager's fuzzy checkpoint followed by its log truncation (passed as
     a closure — the Recovery Manager owns the daemon); it returns the
     truncation point and the number of records it reclaimed. [gate] is
@@ -56,7 +55,7 @@ val create :
   vm:Tabs_accent.Vm.t ->
   checkpoint_and_truncate:(unit -> Tabs_wal.Record.lsn * int) ->
   gate:(unit -> bool) ->
-  config ->
+  interval:int ->
   t
 
 (** [poke t] wakes the daemon if at least [interval] has passed since

@@ -1,9 +1,13 @@
 open Tabs_sim
 open Tabs_wal
 
-type config = { window : int; max_batch : int }
+type config = unit
 
-let default = { window = 5_000; max_batch = 64 }
+let default = ()
+
+let window = 5_000
+
+let max_batch = 64
 
 type Trace.event +=
   | Group_commit of {
@@ -26,7 +30,6 @@ type t = {
   engine : Engine.t;
   node : int;
   log : Log_manager.t;
-  config : config;
   wake_q : unit Engine.Waitq.t; (* daemon sleeps here while no batch is open *)
   close_q : unit Engine.Waitq.t; (* early wake when a batch fills to the cap *)
   mutable current : batch option;
@@ -46,10 +49,10 @@ let rec daemon t =
   (match t.current with
   | None -> () (* woken for a batch that got no members; just loop *)
   | Some b ->
-      if b.count < t.config.max_batch then
+      if b.count < max_batch then
         ignore
           (Engine.Waitq.wait_timeout t.close_q ~engine:t.engine
-             ~timeout:t.config.window);
+             ~timeout:window);
       t.current <- None;
       Log_manager.force t.log ~upto:b.high;
       let woken = Engine.Waitq.signal_all b.done_q ~engine:t.engine () in
@@ -60,13 +63,12 @@ let rec daemon t =
           (Group_commit { node = t.node; batch = b.count; upto = b.high; woken }));
   daemon t
 
-let create engine ~node ~log config =
+let create engine ~node ~log =
   let t =
     {
       engine;
       node;
       log;
-      config;
       wake_q = Engine.Waitq.create ();
       close_q = Engine.Waitq.create ();
       current = None;
@@ -92,7 +94,7 @@ let force_through t ~upto =
     in
     if upto > b.high then b.high <- upto;
     b.count <- b.count + 1;
-    if b.count >= t.config.max_batch then
+    if b.count >= max_batch then
       ignore (Engine.Waitq.signal t.close_q ~engine:t.engine ());
     Engine.Waitq.wait b.done_q
   end

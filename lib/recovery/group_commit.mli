@@ -5,8 +5,8 @@
     roughly [1/force-time]. The batcher amortizes that round: instead
     of calling {!Tabs_wal.Log_manager.force} directly, committing
     fibers enqueue on a per-node daemon fiber that coalesces every
-    force request arriving within a configurable window of virtual
-    time — or up to a batch-size cap — into {e one} log force (one
+    force request arriving within {!window} of virtual time — or up
+    to {!max_batch} requests — into {e one} log force (one
     large contiguous message plus one stable-storage write per log
     page), then wakes every waiter whose LSN the force covered.
 
@@ -17,17 +17,18 @@
     Disabled by default everywhere: the Section 5 no-load latency
     tables force once per commit, exactly as the paper measured. *)
 
-type config = {
-  window : int;
-      (** microseconds of virtual time a batch stays open after its
-          first request, trading commit latency for batching *)
-  max_batch : int;
-      (** force requests that close a batch early, bounding the
-          latency a stampede can add *)
-}
+(** Group commit is on or off; {!default} is its one setting. *)
+type config
 
-(** [window = 5_000], [max_batch = 64]. *)
 val default : config
+
+(** Microseconds of virtual time a batch stays open after its first
+    request, trading commit latency for batching (5 ms). *)
+val window : int
+
+(** Force requests that close a batch early, bounding the latency a
+    stampede can add (64). *)
+val max_batch : int
 
 (** One batched force: how many requests it coalesced, the LSN it
     forced through, and how many waiting fibers it woke. *)
@@ -41,11 +42,10 @@ type Tabs_sim.Trace.event +=
 
 type t
 
-(** [create engine ~node ~log config] starts the batcher's daemon
-    fiber on [node]. The fiber dies with the node; a restart builds a
-    fresh batcher (buffered log records did not survive anyway). *)
-val create :
-  Tabs_sim.Engine.t -> node:int -> log:Tabs_wal.Log_manager.t -> config -> t
+(** [create engine ~node ~log] starts the batcher's daemon fiber on
+    [node]. The fiber dies with the node; a restart builds a fresh
+    batcher (buffered log records did not survive anyway). *)
+val create : Tabs_sim.Engine.t -> node:int -> log:Tabs_wal.Log_manager.t -> t
 
 (** [force_through t ~upto] joins the current batch (opening one if
     needed) and suspends the calling fiber until a force covering

@@ -2,9 +2,7 @@ open Tabs_sim
 open Tabs_storage
 open Tabs_wal
 
-type config = { fibers : int }
-
-let default = { fibers = 8 }
+let default = 8
 
 type stats = {
   op_records : int;

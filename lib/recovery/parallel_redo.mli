@@ -32,9 +32,8 @@
 
     A record is applied at most once whichever way reaches it. *)
 
-type config = { fibers : int }
-
-val default : config
+(** The default fiber count for a parallel restart (8). *)
+val default : int
 
 type stats = {
   op_records : int;  (** operation records scheduled in the redo phase *)

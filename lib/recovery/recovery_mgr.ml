@@ -82,8 +82,7 @@ type t = {
   mutable checkpointer : Checkpointer.t option;
   log_space_limit : int;
   op_handlers : (string, op_handler) Hashtbl.t;
-  mutable active_txns_source :
-    unit -> (Tid.t * Record.lsn option) list;
+  mutable active_txns_source : unit -> Tid.t list;
   mutable prepared_source : unit -> (Tid.t * int) list;
   mutable last_background_flush : int;
   mutable truncation_floor_source : unit -> Record.lsn option;
@@ -348,11 +347,12 @@ let checkpoint t =
      must not list the decided transaction — at restart its outcome
      record would sit below the scan anchor and the seeded entry would
      surface as a phantom loser. The log is the authority. *)
-  let undecided (tid, _) =
+  let undecided tid =
     not (Log_manager.has_appended_outcome t.log (Tid.top_level tid))
   in
   let prepared =
-    List.sort compare (List.filter undecided (t.prepared_source ()))
+    List.sort compare
+      (List.filter (fun (tid, _) -> undecided tid) (t.prepared_source ()))
   in
   let family_first = family_firsts (Log_manager.live_chain_firsts t.log) in
   let seen = Hashtbl.create 16 in
@@ -364,7 +364,7 @@ let checkpoint t =
           Hashtbl.add seen top ();
           Some (top, Hashtbl.find_opt family_first top)
         end)
-      (List.map fst (List.filter undecided (t.active_txns_source ()))
+      (List.filter undecided (t.active_txns_source ())
       @ List.map fst prepared
       @ Hashtbl.fold (fun top _ acc -> top :: acc) family_first [])
     |> List.sort compare
@@ -434,9 +434,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       log;
       vm;
       group_commit =
-        Option.map
-          (fun config -> Group_commit.create engine ~node ~log config)
-          group_commit;
+        Option.map (fun _ -> Group_commit.create engine ~node ~log) group_commit;
       checkpointer = None;
       log_space_limit;
       op_handlers = Hashtbl.create 8;
@@ -444,10 +442,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       prepared_source = (fun () -> []);
       last_background_flush = 0;
       truncation_floor_source = (fun () -> None);
-      fibers =
-        (match parallel_recovery with
-        | Some { Parallel_redo.fibers } -> fibers
-        | None -> 1);
+      fibers = Option.value parallel_recovery ~default:1;
       instant = instant_restart;
       ondemand = None;
       apply_hook = None;
@@ -458,13 +453,13 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
   Vm.set_wal_hooks vm (wal_hooks t);
   t.checkpointer <-
     Option.map
-      (fun config ->
+      (fun interval ->
         Checkpointer.create engine ~node ~vm
           ~checkpoint_and_truncate:(fun () ->
             let ck = checkpoint t in
             truncate_below t ~ck ~floor:(reclamation_floor t))
           ~gate:(fun () -> not t.recovering)
-          config)
+          ~interval)
       checkpointing;
   t
 

@@ -111,7 +111,8 @@ type recovery_outcome = {
     forces; omitted (the default), every force pays its own
     stable-storage round, exactly as the paper measured.
     [?checkpointing] starts a background {!Checkpointer} daemon that
-    trickle-writes dirty pages, takes periodic fuzzy checkpoints, and
+    trickle-writes dirty pages, takes a fuzzy checkpoint at most once
+    per that many microseconds of virtual time, and
     reclaims the log in the background — with it configured,
     {!maybe_reclaim} never flushes on the foreground path. Omitted (the
     default), checkpoints happen only where callers ask for them,
@@ -119,8 +120,8 @@ type recovery_outcome = {
 
     The last two arguments pick how {!recover} schedules its redo graph
     ({!Parallel_redo}); neither changes what forward processing logs.
-    [?parallel_recovery] drains the redo phases over the configured
-    number of simulator fibers; omitted (the default), the graph drains
+    [?parallel_recovery] drains the redo phases over that many
+    simulator fibers; omitted (the default), the graph drains
     inline at one fiber — the paper's serial passes, record for record.
     [?instant_restart] (default [false]) opens the node right after
     analysis and drains the graph a page at a time, on first touch
@@ -133,9 +134,9 @@ val create :
   vm:Tabs_accent.Vm.t ->
   ?profile:Tabs_sim.Profile.t ->
   ?group_commit:Group_commit.config ->
-  ?checkpointing:Checkpointer.config ->
+  ?checkpointing:int ->
   ?log_space_limit:int ->
-  ?parallel_recovery:Parallel_redo.config ->
+  ?parallel_recovery:int ->
   ?instant_restart:bool ->
   unit ->
   t
@@ -148,8 +149,7 @@ val register_op_handler : t -> server:string -> op_handler -> unit
 
 (** [set_active_txns_source t f] — the Transaction Manager supplies the
     list of in-progress transactions for checkpoint records. *)
-val set_active_txns_source :
-  t -> (unit -> (Tabs_wal.Tid.t * Tabs_wal.Record.lsn option) list) -> unit
+val set_active_txns_source : t -> (unit -> Tabs_wal.Tid.t list) -> unit
 
 (** [set_prepared_source t f] — the Transaction Manager supplies the
     prepared-but-unresolved participants (with their coordinator nodes)

@@ -102,7 +102,8 @@ type t = {
   mutable next_seq : int;
   servers : (string, server_callbacks) Hashtbl.t;
   joined : (Tid.t, string list) Hashtbl.t; (* top tid -> local servers *)
-  sub_counters : (Tid.t, int ref) Hashtbl.t;
+  sub_counters : (Tid.t, int) Hashtbl.t;
+      (* top tid -> next subtransaction index, unique in the family *)
   aborted : (Tid.t, unit) Hashtbl.t; (* tids (incl. subtxns) locally known aborted *)
   outcomes : (Tid.t, outcome) Hashtbl.t; (* top tids with known verdicts *)
   gathers : (Tid.t, gather) Hashtbl.t; (* vote collection in flight *)
@@ -148,16 +149,10 @@ let begin_txn t =
 
 let begin_subtxn t parent =
   small t;
-  let counter =
-    match Hashtbl.find_opt t.sub_counters parent with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.add t.sub_counters parent c;
-        c
-  in
-  let tid = Tid.child parent ~index:!counter in
-  incr counter;
+  let top = Tid.top_level parent in
+  let index = Option.value (Hashtbl.find_opt t.sub_counters top) ~default:0 in
+  Hashtbl.replace t.sub_counters top (index + 1);
+  let tid = Tid.child parent ~index in
   small t;
   tid
 
@@ -180,9 +175,7 @@ let rec is_aborted t tid =
 
 let active_txns t =
   Hashtbl.fold
-    (fun top _ acc ->
-      if Hashtbl.mem t.outcomes top then acc
-      else (top, Log_manager.last_lsn_of (Recovery_mgr.log t.rm) top) :: acc)
+    (fun top _ acc -> if Hashtbl.mem t.outcomes top then acc else top :: acc)
     t.joined []
 
 (* Local undo of a whole family's updates at this node. *)
@@ -197,6 +190,7 @@ let family_wrote_locally t tid =
 
 let forget t top =
   Hashtbl.remove t.joined top;
+  Hashtbl.remove t.sub_counters top;
   Hashtbl.remove t.gathers top;
   Hashtbl.remove t.acks top;
   Comm_mgr.forget_txn t.cm top

@@ -197,8 +197,9 @@ val abort : t -> ?reason:Tabs_sim.Trace.abort_reason -> Tabs_wal.Tid.t -> unit
     exception: true once [tid] or an ancestor has aborted. *)
 val is_aborted : t -> Tabs_wal.Tid.t -> bool
 
-(** [active_txns t] feeds checkpoint records. *)
-val active_txns : t -> (Tabs_wal.Tid.t * Tabs_wal.Record.lsn option) list
+(** [active_txns t] lists the undecided top-level transactions with
+    joined servers here; it feeds checkpoint records. *)
+val active_txns : t -> Tabs_wal.Tid.t list
 
 (** [recover t outcome] is called at node restart with the Recovery
     Manager's summary: it re-registers in-doubt transactions and starts

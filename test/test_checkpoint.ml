@@ -79,7 +79,7 @@ let test_fuzzy_checkpoint_covers_live_txn () =
 let test_daemon_reclaims_in_background () =
   let rig =
     make_rig
-      ~checkpointing:{ Checkpointer.interval = 50_000; trickle = 4 }
+      ~checkpointing:50_000
       ~log_space_limit:2048 ()
   in
   run_fiber rig (fun () ->
@@ -115,7 +115,7 @@ let prop_crash_equivalence profile name =
     (fun seed ->
       let c =
         Cluster.create ~nodes:1 ~profile
-          ~checkpointing:{ Checkpointer.interval = 20_000; trickle = 4 }
+          ~checkpointing:20_000
           ()
       in
       ignore

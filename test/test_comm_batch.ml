@@ -1,7 +1,7 @@
 (* Tests for the Communication Manager's comm-batching layer: datagram
-   coalescing, delayed/piggybacked acks, the retransmission burst cap,
-   duplicate re-ack accounting, and off/on equivalence of outcomes and
-   recoverable state. *)
+   coalescing and its frame cap, delayed/piggybacked acks, the
+   retransmission burst cap, duplicate re-ack accounting, and off/on
+   equivalence of outcomes and recoverable state. *)
 
 open Tabs_sim
 open Tabs_wal
@@ -54,6 +54,39 @@ let test_datagrams_coalesce () =
     (Metrics.count (Engine.metrics engine) Cost_model.Coalesced_frame);
   Alcotest.(check (list (pair int int))) "one batch event" [ (3, 3) ] !batches
 
+let test_frame_cap_closes_batch () =
+  (* 20 datagrams queued to one peer in one instant: the 16th closes a
+     batch that leaves at once, and the other 4 wait out the flush
+     window *)
+  let engine = Engine.create () in
+  let net = Network.create engine ~seed:5 in
+  let cm0 = Comm_mgr.create net ~node:0 ~batching () in
+  let cm1 = Comm_mgr.create net ~node:1 ~batching () in
+  let got = ref [] in
+  let batches = ref [] in
+  Engine.set_tracer engine
+    (Some
+       (fun ~time ev ->
+         match ev with
+         | Comm_mgr.Comm_batch { frames; _ } ->
+             batches := (time, frames) :: !batches
+         | _ -> ()));
+  Comm_mgr.add_datagram_handler cm1 (fun ~src:_ payload ->
+      match payload with Msg v -> got := v :: !got | _ -> ());
+  ignore
+    (Engine.spawn engine ~node:0 (fun () ->
+         for v = 1 to 20 do
+           Comm_mgr.send_datagram cm0 ~dest:1 (Msg v)
+         done));
+  ignore (Engine.run engine);
+  Alcotest.(check (list int)) "all delivered, in order"
+    (List.init 20 (fun i -> i + 1))
+    (List.rev !got);
+  Alcotest.(check (list (pair int int)))
+    "a full batch at once, the rest after the flush window"
+    [ (0, Comm_mgr.max_frames); (Comm_mgr.flush_delay, 20 - Comm_mgr.max_frames) ]
+    (List.rev !batches)
+
 (* Delayed acks -------------------------------------------------------- *)
 
 let test_lone_frame_acked_within_window () =
@@ -77,7 +110,7 @@ let test_lone_frame_acked_within_window () =
   Comm_mgr.session_send cm0 ~dest:1 (Msg 1);
   ignore (Engine.run engine);
   Alcotest.(check bool) "delivered within the flush window" true
-    (!delivered_at >= 0 && !delivered_at <= batching.flush_delay + 2_000);
+    (!delivered_at >= 0 && !delivered_at <= Comm_mgr.flush_delay + 2_000);
   Alcotest.(check int) "one standalone delayed ack" 1
     (msgs engine).Metrics.delayed_acks;
   Alcotest.(check int) "nothing to piggyback on" 0
@@ -120,14 +153,12 @@ let test_ack_piggybacks_on_reply () =
 (* Retransmission burst cap -------------------------------------------- *)
 
 let test_resend_burst_capped () =
-  (* with 12 unacked frames and a burst cap of 4, each timer round
-     resends only the 4 head frames instead of the whole window *)
+  (* with 20 unacked frames and a burst cap of 8, each of the 8 timer
+     rounds before the stream fails resends only the 8 head frames
+     instead of the whole window *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:5 in
-  let cm0 =
-    Comm_mgr.create net ~node:0 ~session_rto:100_000 ~session_retries:2
-      ~session_resend_burst:4 ()
-  in
+  let cm0 = Comm_mgr.create net ~node:0 () in
   let _cm1 = Comm_mgr.create net ~node:1 () in
   let windows = ref [] in
   Engine.set_tracer engine
@@ -138,11 +169,12 @@ let test_resend_burst_capped () =
              windows := window :: !windows
          | _ -> ()));
   Network.set_node_up net ~node:1 false;
-  for v = 1 to 12 do
+  for v = 1 to 20 do
     Comm_mgr.session_send cm0 ~dest:1 (Msg v)
   done;
   ignore (Engine.run engine);
-  Alcotest.(check (list int)) "every barren round resends 4, not 12" [ 4; 4 ]
+  Alcotest.(check (list int)) "every barren round resends 8, not 20"
+    (List.init 8 (fun _ -> 8))
     (List.rev !windows)
 
 let test_resend_burst_progresses_under_loss () =
@@ -150,7 +182,7 @@ let test_resend_burst_progresses_under_loss () =
      head frames still drains a 20-frame window through a lossy link *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:77 in
-  let cm0 = Comm_mgr.create net ~node:0 ~session_resend_burst:4 () in
+  let cm0 = Comm_mgr.create net ~node:0 () in
   let cm1 = Comm_mgr.create net ~node:1 () in
   Network.set_loss net 0.4;
   let got = ref [] in
@@ -166,15 +198,26 @@ let test_resend_burst_progresses_under_loss () =
 
 (* Duplicate re-acks --------------------------------------------------- *)
 
+(* Cut the link between nodes 0 and 1 from [from] to [until] µs of
+   virtual time: an ack sent in that window is lost, so the sender's
+   retransmission reaches the receiver as a duplicate. *)
+let partition_between net ~from ~until =
+  let engine = Network.engine net in
+  Engine.at engine ~delay:from (fun () -> Network.set_partitioned net 0 1 true);
+  Engine.at engine ~delay:until (fun () ->
+      Network.set_partitioned net 0 1 false)
+
 let test_duplicate_reack_counted_unbatched () =
-  (* an absurdly short rto makes the retransmission overtake the ack:
-     the receiver re-acks the duplicate immediately and counts it *)
+  (* the frame arrives at 2 ms and its ack is lost in the partition: the
+     receiver re-acks the 100 ms retransmission immediately and counts
+     it *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:5 in
-  let cm0 = Comm_mgr.create net ~node:0 ~session_rto:1_000 () in
+  let cm0 = Comm_mgr.create net ~node:0 () in
   let cm1 = Comm_mgr.create net ~node:1 () in
   let got = ref 0 in
   Comm_mgr.set_session_handler cm1 (fun ~src:_ _ -> incr got);
+  partition_between net ~from:1_000 ~until:50_000;
   Comm_mgr.session_send cm0 ~dest:1 (Msg 1);
   ignore (Engine.run engine);
   Alcotest.(check int) "delivered exactly once" 1 !got;
@@ -182,19 +225,24 @@ let test_duplicate_reack_counted_unbatched () =
     ((msgs engine).Metrics.duplicate_reacks > 0)
 
 let test_duplicate_reack_delayed_when_batched () =
-  (* with batching on, the duplicate's re-ack joins the delayed-ack path
+  (* with batching on, the duplicates' re-acks join the delayed-ack path
      (one cumulative ack) instead of answering every duplicate with its
-     own wire message *)
+     own wire message: five frames arrive together at 3 ms, their
+     delayed ack is lost in the partition, and the 100 ms
+     retransmission brings five duplicates *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:5 in
-  let cm0 = Comm_mgr.create net ~node:0 ~session_rto:5_000 ~batching () in
+  let cm0 = Comm_mgr.create net ~node:0 ~batching () in
   let cm1 = Comm_mgr.create net ~node:1 ~batching () in
   let got = ref 0 in
   Comm_mgr.set_session_handler cm1 (fun ~src:_ _ -> incr got);
-  Comm_mgr.session_send cm0 ~dest:1 (Msg 1);
+  partition_between net ~from:5_000 ~until:60_000;
+  for v = 1 to 5 do
+    Comm_mgr.session_send cm0 ~dest:1 (Msg v)
+  done;
   ignore (Engine.run engine);
   let m = msgs engine in
-  Alcotest.(check int) "delivered exactly once" 1 !got;
+  Alcotest.(check int) "each delivered exactly once" 5 !got;
   Alcotest.(check bool) "duplicates re-acked" true (m.Metrics.duplicate_reacks > 0);
   (* every re-ack was folded into delayed/piggybacked cumulative acks:
      wire traffic is the data frame, its retransmissions, and the acks —
@@ -264,6 +312,7 @@ let suites =
     ( "net.comm_batch",
       [
         quick "datagrams coalesce" test_datagrams_coalesce;
+        quick "frame cap closes a batch" test_frame_cap_closes_batch;
         quick "lone frame acked within window"
           test_lone_frame_acked_within_window;
         quick "ack piggybacks on reply" test_ack_piggybacks_on_reply;

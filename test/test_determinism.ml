@@ -450,9 +450,7 @@ let lcg seed =
 let recovery_fingerprint ~seed =
   let cells = 64 in
   let c =
-    Cluster.create ~nodes:1 ~seed
-      ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }
-      ()
+    Cluster.create ~nodes:1 ~seed ~parallel_recovery:4 ()
   in
   let node = Cluster.node c 0 in
   let arr =
@@ -493,11 +491,8 @@ let recovery_fingerprint ~seed =
 let instant_fingerprint ~seed =
   let cells = 64 in
   let c =
-    Cluster.create ~nodes:1 ~seed
-      ~parallel_recovery:{ Tabs_recovery.Parallel_redo.fibers = 4 }
-      ~instant_restart:true
-      ~checkpointing:{ Tabs_recovery.Checkpointer.interval = 50_000; trickle = 4 }
-      ()
+    Cluster.create ~nodes:1 ~seed ~parallel_recovery:4 ~instant_restart:true
+      ~checkpointing:50_000 ()
   in
   let node = Cluster.node c 0 in
   let arr =

@@ -22,8 +22,7 @@ let quick name f = Alcotest.test_case name `Quick f
 (* 1. Batching engagement ---------------------------------------------- *)
 
 let test_concurrent_commits_share_forces () =
-  let gc = { Group_commit.window = 4_000; max_batch = 64 } in
-  let c = Cluster.create ~nodes:1 ~group_commit:gc () in
+  let c = Cluster.create ~nodes:1 ~group_commit:Group_commit.default () in
   let n0 = Cluster.node c 0 in
   let arr =
     Int_array_server.create (Node.env n0) ~name:"a0" ~segment:1 ~cells:64 ()
@@ -71,6 +70,57 @@ let test_concurrent_commits_share_forces () =
   in
   Alcotest.(check (list int)) "values" (List.init n (fun w -> w + 1)) vals
 
+(* One committer opens a batch at virtual time 0 and [late] more join
+   it at 1 ms, each forcing its own commit record through the batcher.
+   Returns when the batch's force left for the log device (the
+   [Log_force] event less the charge of its one large message) and how
+   many committers were acknowledged by one batch. *)
+let first_force_departure ~late =
+  let engine = Engine.create () in
+  let log = Log_manager.attach engine (Tabs_storage.Stable.create ()) in
+  let gc = Group_commit.create engine ~node:0 ~log in
+  let forced_at = ref [] in
+  Engine.set_tracer engine
+    (Some
+       (fun ~time ev ->
+         match ev with
+         | Log_manager.Log_force _ -> forced_at := time :: !forced_at
+         | _ -> ()));
+  let acked = ref 0 in
+  let commit ~delay seq =
+    ignore
+      (Engine.spawn engine ~node:0 (fun () ->
+           Engine.delay delay;
+           let lsn =
+             Log_manager.append log (Record.Txn_commit (Tid.top ~node:0 ~seq))
+           in
+           Group_commit.force_through gc ~upto:lsn;
+           incr acked))
+  in
+  commit ~delay:0 0;
+  for seq = 1 to late do
+    commit ~delay:1_000 seq
+  done;
+  ignore (Engine.run engine);
+  let message =
+    Cost_model.cost (Engine.cost_model engine) Cost_model.Large_contiguous_message
+  in
+  Alcotest.(check int) "every committer acknowledged" (late + 1) !acked;
+  Alcotest.(check int) "one batch" 1 (Group_commit.batches gc);
+  match !forced_at with
+  | [ t ] -> t - message
+  | l -> Alcotest.failf "%d forces, expected one" (List.length l)
+
+let test_batch_cap_closes_early () =
+  (* 70 committers: the 64th closes the batch at 1 ms, so its force
+     leaves before the window ends *)
+  Alcotest.(check int) "force departs when the cap is reached" 1_000
+    (first_force_departure ~late:69);
+  (* 8 committers: the batch stays open for the whole window *)
+  Alcotest.(check int) "force departs when the window ends"
+    Group_commit.window
+    (first_force_departure ~late:7)
+
 (* 2. Crash-mid-batch durability (qcheck) ------------------------------ *)
 
 let workers = 6
@@ -88,8 +138,9 @@ type worker_log = {
    the legitimate committed-but-unacknowledged window. Anything else is
    a durability (or atomicity) violation. *)
 let crash_mid_batch profile crash_at =
-  let gc = { Group_commit.window = 3_000; max_batch = 8 } in
-  let c = Cluster.create ~nodes:1 ~profile ~group_commit:gc () in
+  let c =
+    Cluster.create ~nodes:1 ~profile ~group_commit:Group_commit.default ()
+  in
   let n0 = Cluster.node c 0 in
   let holder = ref None in
   let reinstall env =
@@ -268,6 +319,7 @@ let suites =
       [
         quick "concurrent commits share forces"
           test_concurrent_commits_share_forces;
+        quick "batch cap closes a batch early" test_batch_cap_closes_early;
         QCheck_alcotest.to_alcotest prop_crash_mid_batch_durability;
         quick "off by default" test_default_has_no_batcher;
         quick "seed probe metrics identical" test_seed_probe_metrics_identical;

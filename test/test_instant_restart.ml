@@ -35,12 +35,12 @@ let instant_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
   let cells = 128 and accounts = 64 in
   let c =
     Cluster.create ~nodes:1 ~profile
-      ~parallel_recovery:{ Parallel_redo.fibers = 4 }
+      ~parallel_recovery:4
       ~instant_restart:true
       ?group_commit:(if full_stack then Some Group_commit.default else None)
       ?checkpointing:
         (if full_stack then
-           Some { Checkpointer.interval = 20_000; trickle = 4 }
+           Some 20_000
          else None)
       ()
   in

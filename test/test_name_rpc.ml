@@ -176,7 +176,6 @@ let test_rpc_timeout_on_dead_node () =
   ignore (Int_array_server.create (Node.env n1) ~name:"a1" ~segment:1 ~cells:8 ());
   Node.crash n1;
   let tm = Node.tm n0 in
-  Rpc.set_call_timeout (Node.rpc n0) 300_000;
   let timed_out =
     Cluster.run_fiber c ~node:0 (fun () ->
         let tid = Txn_lib.begin_transaction tm () in

@@ -233,14 +233,12 @@ let test_drop_causes () =
 (* Session retransmission backoff ------------------------------------------ *)
 
 let test_session_backoff_schedule () =
-  (* With the peer down, retransmissions back off exponentially:
-     base rto, 2x, 4x, ... and the stream is declared failed after
-     [session_retries] barren rounds. *)
+  (* With the peer down, retransmissions back off exponentially from
+     the 100 ms base: 1x, 2x, 4x, then capped at 8x, and the stream is
+     declared failed after 8 barren rounds. *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:1 in
-  let cm0 =
-    Comm_mgr.create net ~node:0 ~session_rto:100_000 ~session_retries:3 ()
-  in
+  let cm0 = Comm_mgr.create net ~node:0 () in
   let _cm1 = Comm_mgr.create net ~node:1 () in
   let retransmits = ref [] and failed_at = ref None in
   Engine.set_tracer engine
@@ -256,12 +254,21 @@ let test_session_backoff_schedule () =
   Comm_mgr.session_send cm0 ~dest:1 (Msg 1);
   let _ = Engine.run engine in
   Alcotest.(check (list (triple int int int)))
-    "doubling retransmission schedule"
-    [ (100_000, 1, 100_000); (300_000, 2, 200_000); (700_000, 3, 400_000) ]
+    "doubling retransmission schedule, capped at 8x"
+    [
+      (100_000, 1, 100_000);
+      (300_000, 2, 200_000);
+      (700_000, 3, 400_000);
+      (1_500_000, 4, 800_000);
+      (2_300_000, 5, 800_000);
+      (3_100_000, 6, 800_000);
+      (3_900_000, 7, 800_000);
+      (4_700_000, 8, 800_000);
+    ]
     (List.rev !retransmits);
   Alcotest.(check (option (pair int int)))
     "declared failed one capped rto after the last round"
-    (Some (1_500_000, 1))
+    (Some (5_500_000, 1))
     !failed_at
 
 let test_session_backoff_reset_on_ack () =
@@ -270,7 +277,7 @@ let test_session_backoff_reset_on_ack () =
      barren round waits only the base rto again. *)
   let engine = Engine.create () in
   let net = Network.create engine ~seed:3 in
-  let cm0 = Comm_mgr.create net ~node:0 ~session_rto:100_000 () in
+  let cm0 = Comm_mgr.create net ~node:0 () in
   let _cm1 = Comm_mgr.create net ~node:1 () in
   let rtos = ref [] in
   Engine.set_tracer engine

@@ -178,16 +178,16 @@ let test_one_fiber_is_the_oracle () =
   in
   Alcotest.(check int) "inline and one fiber take the same time"
     (replay "inline" None)
-    (replay "one fiber" (Some { Parallel_redo.fibers = 1 }))
+    (replay "one fiber" (Some 1))
 
 let test_more_fibers_same_state_less_time () =
   let rig = build_mixed_log () in
   let oracle, oracle_disk = counter_oracle rig in
   let one_outcome, _ =
-    recover_frozen rig ~parallel:(Some { Parallel_redo.fibers = 1 }) ~hook:None
+    recover_frozen rig ~parallel:(Some 1) ~hook:None
   in
   let par_outcome, par_disk =
-    recover_frozen rig ~parallel:(Some { Parallel_redo.fibers = 8 })
+    recover_frozen rig ~parallel:(Some 8)
       ~hook:None
   in
   Alcotest.(check bool) "replay is faster with 8 fibers" true
@@ -230,7 +230,7 @@ let test_eight_fiber_undo_is_newest_first () =
     (List.sort (fun a b -> compare b a) (List.map snd oracle_undos))
     (List.map snd oracle_undos);
   let trace, outcome, disk =
-    trace_frozen rig ~parallel:(Some { Parallel_redo.fibers = 8 })
+    trace_frozen rig ~parallel:(Some 8)
   in
   Alcotest.(check (list (pair string int)))
     "eight fibers undo in the oracle's order" oracle_undos (undos trace);
@@ -255,11 +255,11 @@ let parallel_crash_equivalence ~profile ~full_stack ?(window = 2_000_000) ~seed
     () =
   let c =
     Cluster.create ~nodes:1 ~profile
-      ~parallel_recovery:{ Parallel_redo.fibers = 4 }
+      ~parallel_recovery:4
       ?group_commit:(if full_stack then Some Group_commit.default else None)
       ?checkpointing:
         (if full_stack then
-           Some { Checkpointer.interval = 20_000; trickle = 4 }
+           Some 20_000
          else None)
       ?comm_batching:
         (if full_stack then Some Tabs_net.Comm_mgr.default_batching

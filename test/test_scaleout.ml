@@ -490,8 +490,7 @@ let conv_txns = 6
 let run_convergence_case ~loss ~seed () =
   let c =
     Cluster.create ~nodes:3 ~seed
-      ~group_commit:{ Tabs_recovery.Group_commit.window = 5_000; max_batch = 64 }
-      ~checkpointing:{ Tabs_recovery.Checkpointer.interval = 100_000; trickle = 4 }
+      ~group_commit:Tabs_recovery.Group_commit.default ~checkpointing:100_000
       ~comm_batching:Tabs_net.Comm_mgr.default_batching ()
   in
   let arr = Sharded.Int_array.deploy c ~name:"k" ~keys:48 () in

@@ -120,6 +120,35 @@ let test_unique_tids () =
   let unique = List.sort_uniq Tabs_wal.Tid.compare tids in
   Alcotest.(check int) "globally unique" (List.length tids) (List.length unique)
 
+(* Subtransaction indices are unique in the whole family, so nested
+   subtransactions under different parents never share a tid, and each
+   keeps its own parent. *)
+let test_nested_subtxn_tids () =
+  let c = Cluster.create ~nodes:1 () in
+  let tm = Node.tm (Cluster.node c 0) in
+  let top, subs =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        let top = Txn_lib.begin_transaction tm () in
+        let a = Txn_mgr.begin_subtxn tm top in
+        let b = Txn_mgr.begin_subtxn tm top in
+        let a1 = Txn_mgr.begin_subtxn tm a in
+        let b1 = Txn_mgr.begin_subtxn tm b in
+        let a2 = Txn_mgr.begin_subtxn tm a1 in
+        Txn_lib.abort_transaction tm top;
+        (top, [ (a, top); (b, top); (a1, a); (b1, b); (a2, a1) ]))
+  in
+  let tids = top :: List.map fst subs in
+  Alcotest.(check int) "distinct tids" (List.length tids)
+    (List.length (List.sort_uniq Tabs_wal.Tid.compare tids));
+  List.iter
+    (fun (sub, parent) ->
+      let name = Tabs_wal.Tid.to_string sub in
+      Alcotest.(check bool) (name ^ ": parent") true
+        (Option.equal Tabs_wal.Tid.equal (Tabs_wal.Tid.parent sub) (Some parent));
+      Alcotest.(check bool) (name ^ ": family") true
+        (Tabs_wal.Tid.equal (Tabs_wal.Tid.top_level sub) top))
+    subs
+
 (* An abort covers the aborted tid's whole subtree and nothing else:
    an aborted subtransaction's child is aborted, its parent and sibling
    are not, and a top-level abort reaches every depth. *)
@@ -161,5 +190,6 @@ let suites =
         quick "commit after abort" test_commit_after_abort_refused;
         quick "abort covers descendants" test_is_aborted_covers_descendants;
         quick "unique tids" test_unique_tids;
+        quick "nested subtransaction tids" test_nested_subtxn_tids;
       ] );
   ]
