@@ -91,11 +91,14 @@ let scramble ~keys rank =
   let x = x lxor (x lsr 13) in
   (x land max_int) mod keys
 
-let run ?group_commit ?checkpointing ?comm_batching ?profile config =
-  let cluster =
-    Cluster.create ~nodes:config.shards ?group_commit ?checkpointing
-      ?comm_batching ?profile ()
-  in
+(* One node per shard, with the given layers. *)
+let cluster ?group_commit ?checkpointing ?comm_batching ?profile config =
+  Cluster.create ~nodes:config.shards ?group_commit ?checkpointing
+    ?comm_batching ?profile ()
+
+(* [run_on cluster config] drives [config]'s load through [cluster],
+   which {!cluster} built for it. *)
+let run_on cluster config =
   let engine = Cluster.engine cluster in
   let arr = Sharded.Int_array.deploy cluster ~name:"k" ~keys:config.keys () in
   let rng = Rng.create ~seed:config.seed in
@@ -218,3 +221,6 @@ let run ?group_commit ?checkpointing ?comm_batching ?profile config =
             Cost_model.Stable_storage_write);
     events = Engine.events_processed engine;
   }
+
+let run ?group_commit ?checkpointing ?comm_batching ?profile config =
+  run_on (cluster ?group_commit ?checkpointing ?comm_batching ?profile config) config

@@ -451,10 +451,12 @@ let run_scaleout profile group_commit checkpointing comm_batching topts shards
       (if comm_batching <> None then ", comm batching" else "");
     if trace_enabled topts then
       say "(note: --trace records the whole open-loop run; expect many events)";
-    (* the generator builds its own cluster, so tracing attaches after *)
-    let stats =
-      Tabs_bench.Generator.run ~profile ?group_commit ?checkpointing
+    let c =
+      Tabs_bench.Generator.cluster ~profile ?group_commit ?checkpointing
         ?comm_batching config
+    in
+    let stats =
+      with_trace topts c @@ fun () -> Tabs_bench.Generator.run_on c config
     in
     say "offered %d, admitted %d, shed %d" stats.offered stats.admitted
       stats.shed;
@@ -464,7 +466,7 @@ let run_scaleout profile group_commit checkpointing comm_batching topts shards
       stats.single_committed stats.p50_single_us stats.p95_single_us;
     if stats.cross_committed > 0 then
       say
-        "  cross-shard:  %d committed, p50 %d us, p95 %d us (2PC tax: +%d \
+        "  cross-shard:  %d committed, p50 %d us, p95 %d us (2PC tax: %+d \
          us at p50; %.1f wire msgs per cross commit)"
         stats.cross_committed stats.p50_cross_us stats.p95_cross_us
         (stats.p50_cross_us - stats.p50_single_us)

@@ -83,10 +83,14 @@ let () =
 
   (* Verify the money is right: 35 deposited, 80 withdrawn (committed
      at the end). *)
-  Cluster.run_fiber cluster ~node:0 (fun () ->
-      let balance =
+  let balance =
+    Cluster.run_fiber cluster ~node:0 (fun () ->
         Txn_lib.execute_transaction tm (fun tid ->
-            Account_server.balance accounts tid checking)
-      in
-      Printf.printf "\nfinal checking balance: $%d (35 - 80 = -45)\n" balance);
-  print_endline "bank: ok"
+            Account_server.balance accounts tid checking))
+  in
+  Printf.printf "\nfinal checking balance: $%d (35 - 80 = -45)\n" balance;
+  if balance = -45 then print_endline "bank: ok"
+  else begin
+    print_endline "bank: FAILED";
+    exit 1
+  end

@@ -56,10 +56,14 @@ let () =
     outcome.records_scanned
     (List.length outcome.losers);
   let array = Option.get !restored in
-  Cluster.run_fiber cluster ~node:0 (fun () ->
-      let v =
+  let v =
+    Cluster.run_fiber cluster ~node:0 (fun () ->
         Txn_lib.execute_transaction (Node.tm node) (fun tid ->
-            Int_array_server.get array tid 0)
-      in
-      Printf.printf "cell0 after crash and recovery: %d\n" v);
-  print_endline "quickstart: ok"
+            Int_array_server.get array tid 0))
+  in
+  Printf.printf "cell0 after crash and recovery: %d\n" v;
+  if v = 41 then print_endline "quickstart: ok"
+  else begin
+    print_endline "quickstart: FAILED";
+    exit 1
+  end

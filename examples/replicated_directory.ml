@@ -64,13 +64,18 @@ let () =
              ignore (Btree_server.create env ~name:"rep2" ~segment:5 ())) ()));
   Printf.printf "node 2 restarted (its copy of mail-host is stale)\n";
 
-  Cluster.run_fiber cluster ~node:0 (fun () ->
-      let v, version =
+  let v, version =
+    Cluster.run_fiber cluster ~node:0 (fun () ->
         Txn_lib.execute_transaction tm (fun tid ->
             ( Replicated_directory.lookup dir tid ~key:"mail-host",
-              Replicated_directory.entry_version dir tid ~key:"mail-host" ))
-      in
-      Printf.printf "lookup mail-host after recovery: %s (version %d)\n"
-        (Option.value v ~default:"<missing>")
-        version);
-  print_endline "replicated_directory: ok"
+              Replicated_directory.entry_version dir tid ~key:"mail-host" )))
+  in
+  Printf.printf "lookup mail-host after recovery: %s (version %d)\n"
+    (Option.value v ~default:"<missing>")
+    version;
+  if v = Some "perq9" && version = 2 then
+    print_endline "replicated_directory: ok"
+  else begin
+    print_endline "replicated_directory: FAILED";
+    exit 1
+  end

@@ -11,13 +11,8 @@ type t = {
 
 let create ?cost_model ?(seed = 1) ?profile ?group_commit ?checkpointing
     ?parallel_recovery ?instant_restart ?comm_batching ?commit_protocol
-    ?frames ?log_space_limit ?read_only_optimization ?topology ~nodes () =
-  let topology =
-    match topology with
-    | Some topo -> topo
-    | None -> Topology.one_per_node ~shards:nodes
-  in
-  let nodes = max nodes (Topology.nodes_required topology) in
+    ?frames ?log_space_limit ?read_only_optimization ~nodes () =
+  let topology = Topology.one_per_node ~shards:nodes in
   let engine = Engine.create ?cost_model () in
   let net = Network.create engine ~seed in
   let node_arr =

@@ -1,11 +1,11 @@
 (** A network of TABS nodes under one simulation engine — the
     "collection of networked Perq workstations" the prototype ran on —
-    plus the cluster's {!Topology} (named shards on hosting nodes) and
-    {!Placement} map (key-range ownership of sharded keyspaces).
+    plus the cluster's {!Topology} (one shard per node) and {!Placement}
+    map (key-range ownership of sharded keyspaces).
 
     The seed's "list of nodes" view is preserved: every accessor below
-    that predates sharding behaves exactly as before, and the default
-    topology (one shard per node) changes nothing observable. *)
+    that predates sharding behaves exactly as before, and the topology
+    changes nothing observable. *)
 
 type t
 
@@ -17,11 +17,7 @@ type t
     restart recovery, [?instant_restart] for
     serve-while-recovering restart with on-demand per-page redo, and
     [?comm_batching] for the Communication Managers' comm-batching
-    layer.
-
-    [?topology] overrides the default one-shard-per-node layout; when it
-    names more nodes than [nodes], enough nodes are created to host
-    every shard. *)
+    layer. Shard [i] of the topology lives on node [i]. *)
 val create :
   ?cost_model:Tabs_sim.Cost_model.t ->
   ?seed:int ->
@@ -35,7 +31,6 @@ val create :
   ?frames:int ->
   ?log_space_limit:int ->
   ?read_only_optimization:bool ->
-  ?topology:Topology.t ->
   nodes:int ->
   unit ->
   t
@@ -52,7 +47,7 @@ val nodes : t -> Node.t list
 
 val node_count : t -> int
 
-(** The shard layout this cluster was created with. *)
+(** The cluster's shard layout: one shard per node. *)
 val topology : t -> Topology.t
 
 (** The cluster's placement map. Keyspaces are added by the sharded

@@ -1,15 +1,13 @@
 type range = { lo : int; hi : int } (* [lo, hi), indexed by shard *)
 
-(* [bound] is one past the last key: the last non-empty range's [hi].
-   With more shards than keys the trailing ranges are empty ([lo = hi]),
-   and quoting [ranges.(n-1).hi] would misreport the valid key space. *)
-type strategy = Ranged of { ranges : range array; bound : int } | Hashed
-
 type location = { shard : int; node : int; instance : string; base : int }
 
-(* [locations.(s)] routes to shard [s]. The topology is immutable, so
+(* [bound] is one past the last key: the last non-empty range's [hi].
+   With more shards than keys the trailing ranges are empty ([lo = hi]),
+   and quoting [ranges.(n-1).hi] would misreport the valid key space.
+   [locations.(s)] routes to shard [s]. The topology is immutable, so
    each record is built once and every lookup returns it. *)
-type keyspace = { strategy : strategy; locations : location array }
+type keyspace = { ranges : range array; bound : int; locations : location array }
 
 type t = {
   topology : Topology.t;
@@ -27,22 +25,10 @@ let keyspace t server =
 let instance_name t ~server ~shard =
   Printf.sprintf "%s.%s" server (Topology.shard_name t.topology shard)
 
-let add_keyspace t server strategy =
-  if Hashtbl.mem t.keyspaces server then
-    invalid_arg (Printf.sprintf "Placement: keyspace %s already placed" server);
-  let location shard =
-    {
-      shard;
-      node = Topology.node_of_shard t.topology shard;
-      instance = instance_name t ~server ~shard;
-      base = (match strategy with Ranged r -> r.ranges.(shard).lo | Hashed -> 0);
-    }
-  in
-  let locations = Array.init (Topology.shards t.topology) location in
-  Hashtbl.replace t.keyspaces server { strategy; locations }
-
 let partition t ~server ~keys =
   if keys <= 0 then invalid_arg "Placement.partition: keys <= 0";
+  if Hashtbl.mem t.keyspaces server then
+    invalid_arg (Printf.sprintf "Placement: keyspace %s already placed" server);
   let shards = Topology.shards t.topology in
   (* as even as integer division allows: the first [keys mod shards]
      ranges get one extra key *)
@@ -58,21 +44,16 @@ let partition t ~server ~keys =
   let bound =
     Array.fold_left (fun b r -> if r.hi > r.lo then max b r.hi else b) 0 ranges
   in
-  add_keyspace t server (Ranged { ranges; bound })
-
-let partition_hashed t ~server = add_keyspace t server Hashed
-
-(* FNV-1a over 64 bits, keeping bits 1..62: deterministic across runs
-   and OCaml versions, unlike [Hashtbl.hash]. The low 63 bits of a
-   64-bit xor or product depend only on the operands' low 63 bits, so
-   OCaml's 63-bit ints compute them exactly without boxing an [Int64];
-   the offset basis 0xcbf29ce484222325 is written modulo 2^63. *)
-let fnv1a s =
-  let h = ref 0x4bf29ce484222325 in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x100000001b3
-  done;
-  !h lsr 1
+  let location shard =
+    {
+      shard;
+      node = Topology.node_of_shard t.topology shard;
+      instance = instance_name t ~server ~shard;
+      base = ranges.(shard).lo;
+    }
+  in
+  let locations = Array.init shards location in
+  Hashtbl.replace t.keyspaces server { ranges; bound; locations }
 
 (* binary search for the covering range (empty ranges never cover) *)
 let rec find_range server ranges key lo hi =
@@ -87,46 +68,26 @@ let rec find_range server ranges key lo hi =
 
 let locate t ~server ~key =
   let ks = keyspace t server in
-  match ks.strategy with
-  | Ranged { ranges; bound } ->
-      if key < 0 || key >= bound then
-        invalid_arg
-          (Printf.sprintf "Placement: key %d outside keyspace %s [0, %d)" key
-             server bound);
-      ks.locations.(find_range server ranges key 0 (Array.length ranges - 1))
-  | Hashed -> invalid_arg (server ^ ": hashed keyspace, use locate_hashed")
+  if key < 0 || key >= ks.bound then
+    invalid_arg
+      (Printf.sprintf "Placement: key %d outside keyspace %s [0, %d)" key
+         server ks.bound);
+  ks.locations.(find_range server ks.ranges key 0 (Array.length ks.ranges - 1))
 
 let shard_of t ~server ~key = (locate t ~server ~key).shard
 
-let locate_hashed t ~server ~key =
-  let ks = keyspace t server in
-  match ks.strategy with
-  | Hashed -> ks.locations.(fnv1a key mod Array.length ks.locations)
-  | Ranged _ -> invalid_arg (server ^ ": ranged keyspace, use locate")
-
-let shards_of t ~server ~keys =
-  List.sort_uniq compare (List.map (fun key -> shard_of t ~server ~key) keys)
-
 let ranges t ~server =
-  match (keyspace t server).strategy with
-  | Ranged { ranges; _ } ->
-      Array.to_list (Array.mapi (fun s r -> (s, r.lo, r.hi)) ranges)
-  | Hashed -> invalid_arg (server ^ ": hashed keyspace has no ranges")
+  Array.to_list (Array.mapi (fun s r -> (s, r.lo, r.hi)) (keyspace t server).ranges)
 
 let publish t ns ~server ~only_node =
   let ks = keyspace t server in
-  match ks.strategy with
-  | Ranged { ranges; _ } ->
-      Array.iter2
-        (fun loc r ->
-          let wanted = Option.fold ~none:true ~some:(( = ) loc.node) only_node in
-          if wanted && r.hi > r.lo then
-            Tabs_name.Name_server.register_range ns ~name:server
-              ~server:loc.instance ~lo:r.lo ~hi:r.hi)
-        ks.locations ranges
-  | Hashed ->
-      (* hashed slices own no contiguous range; nothing to advertise *)
-      ()
+  Array.iter2
+    (fun loc r ->
+      let wanted = Option.fold ~none:true ~some:(( = ) loc.node) only_node in
+      if wanted && r.hi > r.lo then
+        Tabs_name.Name_server.register_range ns ~name:server
+          ~server:loc.instance ~lo:r.lo ~hi:r.hi)
+    ks.locations ks.ranges
 
 let shard_of_instance instance =
   (* "<logical>.s<shard>" *)

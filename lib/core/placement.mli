@@ -1,11 +1,9 @@
 (** Data placement: which shard — and therefore which node and which
     physical server instance — owns each key of a sharded keyspace.
 
-    A {e keyspace} is a logical server name (e.g. ["acct"]) whose keys
-    are spread over the topology's shards. Integer keyspaces (accounts,
-    int-array cells) are split into contiguous key ranges, one per
-    shard; string keyspaces (the B-tree) are hashed onto shards. Each
-    shard's slice is served by a physical instance named
+    A {e keyspace} is a logical server name (e.g. ["acct"]) whose
+    integer keys are split into contiguous ranges, one per shard of the
+    topology. Each shard's slice is served by a physical instance named
     ["<logical>.s<shard>"], created on the shard's hosting node.
 
     The map is pure data: building or querying it charges no simulated
@@ -18,8 +16,7 @@ type t
 
 (** Everything a router needs to reach one key: the owning shard, its
     hosting node, the physical instance name, and [base], the first key
-    of the owning range ([key - base] is the instance-local key; 0 for
-    hashed keyspaces, whose instances keep global keys). *)
+    of the owning range ([key - base] is the instance-local key). *)
 type location = { shard : int; node : int; instance : string; base : int }
 
 val create : Topology.t -> t
@@ -30,30 +27,17 @@ val create : Topology.t -> t
     Raises [Invalid_argument] if [server] is already placed. *)
 val partition : t -> server:string -> keys:int -> unit
 
-(** [partition_hashed t ~server] places a string-keyed keyspace: a key
-    belongs to shard [hash(key) mod shards]. *)
-val partition_hashed : t -> server:string -> unit
-
 (** [instance_name t ~server ~shard] is the physical server name of one
     shard's slice, ["<server>.s<shard>"]. *)
 val instance_name : t -> server:string -> shard:int -> string
 
-(** [locate t ~server ~key] routes an integer key to its shard's
-    location, built once when the keyspace was placed: the lookup
-    allocates nothing. Raises [Invalid_argument] on an unplaced keyspace
-    or out-of-range key. *)
+(** [locate t ~server ~key] routes a key to its shard's location, built
+    once when the keyspace was placed: the lookup allocates nothing.
+    Raises [Invalid_argument] on an unplaced keyspace or out-of-range
+    key. *)
 val locate : t -> server:string -> key:int -> location
 
-(** [locate_hashed t ~server ~key] routes a string key of a hashed
-    keyspace. *)
-val locate_hashed : t -> server:string -> key:string -> location
-
 val shard_of : t -> server:string -> key:int -> int
-
-(** [shards_of t ~server ~keys] is the distinct, sorted set of shards an
-    operation touching [keys] must visit — singleton for a single-shard
-    transaction, longer for one that will need distributed commit. *)
-val shards_of : t -> server:string -> keys:int list -> int list
 
 (** [ranges t ~server] lists [(shard, lo, hi)] with [lo <= k < hi], in
     shard order (for tests and reporting; empty ranges included). *)

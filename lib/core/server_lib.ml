@@ -64,8 +64,7 @@ let create env ~name ~segment ~pages ?(compatible = Mode.standard) () =
   in
   Txn_mgr.register_server env.tm ~name
     {
-      Txn_mgr.on_prepare = (fun _ -> true);
-      on_outcome =
+      Txn_mgr.on_outcome =
         (fun top _outcome ->
           Lock_manager.release_family t.locks top;
           clear_txn_state t top);

@@ -1,30 +1,14 @@
-type t = { hosts : int array } (* shard id -> hosting node *)
-
-let create hosts =
-  if Array.length hosts = 0 then invalid_arg "Topology.create: no shards";
-  Array.iter
-    (fun n -> if n < 0 then invalid_arg "Topology.create: negative node id")
-    hosts;
-  { hosts = Array.copy hosts }
+type t = { shards : int } (* shard [i] lives on node [i] *)
 
 let one_per_node ~shards =
   if shards <= 0 then invalid_arg "Topology.one_per_node: shards <= 0";
-  { hosts = Array.init shards (fun i -> i) }
+  { shards }
 
-let shards t = Array.length t.hosts
+let shards t = t.shards
 
 let node_of_shard t s =
-  if s < 0 || s >= Array.length t.hosts then
+  if s < 0 || s >= t.shards then
     invalid_arg "Topology.node_of_shard: no such shard";
-  t.hosts.(s)
-
-let shards_on_node t n =
-  let acc = ref [] in
-  for s = Array.length t.hosts - 1 downto 0 do
-    if t.hosts.(s) = n then acc := s :: !acc
-  done;
-  !acc
-
-let nodes_required t = Array.fold_left (fun acc n -> max acc (n + 1)) 0 t.hosts
+  s
 
 let shard_name _t s = Printf.sprintf "s%d" s

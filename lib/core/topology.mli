@@ -3,35 +3,21 @@
 
     The seed treated a cluster as a bare list of nodes; scale-out work
     needs the extra level of indirection — a {e shard} is a named unit
-    of data placement, and the topology records which node hosts each
-    shard. The default topology is one shard per node (shard [i] on
-    node [i]), which reproduces the seed behaviour exactly; richer
-    layouts (several shards co-hosted on one node, e.g. to rehearse a
-    migration) are expressible without touching any caller. *)
+    of data placement, and the topology says which node hosts it. There
+    is one shard per node: shard [i] lives on node [i], which reproduces
+    the seed behaviour exactly. *)
 
 type t
 
-(** [one_per_node ~shards] is the canonical layout: [shards] shards,
-    shard [i] hosted on node [i]. *)
+(** [one_per_node ~shards] is the layout: [shards] shards, shard [i]
+    hosted on node [i]. *)
 val one_per_node : shards:int -> t
-
-(** [create hosts] places shard [i] on node [hosts.(i)]. Raises
-    [Invalid_argument] on an empty array or a negative node id. *)
-val create : int array -> t
 
 (** Number of shards. *)
 val shards : t -> int
 
 (** [node_of_shard t s] is the node hosting shard [s]. *)
 val node_of_shard : t -> int -> int
-
-(** [shards_on_node t n] lists the shards hosted by node [n], in shard
-    order. *)
-val shards_on_node : t -> int -> int list
-
-(** [nodes_required t] is the smallest node count that covers every
-    shard (max hosting node + 1). *)
-val nodes_required : t -> int
 
 (** [shard_name t s] is the conventional display name ["s<id>"], used
     as the instance-name suffix by the placement layer. *)

@@ -120,34 +120,3 @@ module Accounts = struct
         ~server:to_loc.instance tid (to_ - to_loc.base) amount
     end
 end
-
-module Btree = struct
-  type t = {
-    placement : Placement.t;
-    logical : string;
-  }
-
-  let deploy cluster ~name ?(segment = 1) () =
-    let placement = Cluster.placement cluster in
-    Placement.partition_hashed placement ~server:name;
-    ignore
-      (deploy_instances cluster ~name (fun ~shard ~node ~instance ->
-           Btree_server.create (Node.env node) ~name:instance
-             ~segment:(segment + shard) ()));
-    { placement; logical = name }
-
-  let locate t key = Placement.locate_hashed t.placement ~server:t.logical ~key
-
-  let insert t rpc tid ~key ~value =
-    let loc = locate t key in
-    Btree_server.call_insert rpc ~dest:loc.node ~server:loc.instance tid ~key
-      ~value
-
-  let lookup t rpc tid ~key =
-    let loc = locate t key in
-    Btree_server.call_lookup rpc ~dest:loc.node ~server:loc.instance tid ~key
-
-  let delete t rpc tid ~key =
-    let loc = locate t key in
-    Btree_server.call_delete rpc ~dest:loc.node ~server:loc.instance tid ~key
-end

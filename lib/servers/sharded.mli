@@ -3,10 +3,10 @@
     directory, and route operations by key.
 
     A deployment under logical name [n] creates instances
-    ["n.s0" .. "n.s<k-1>"], instance [i] on shard [i]'s hosting node in
-    disk segment [segment + i] (leave a topology's worth of segment room
-    between deployments). Integer keyspaces (int-array, accounts) are
-    range-partitioned; the string-keyed B-tree is hash-partitioned.
+    ["n.s0" .. "n.s<k-1>"], instance [i] on node [i] in disk segment
+    [segment + i] (leave a topology's worth of segment room between
+    deployments). Both keyspaces (int-array cells, accounts) are
+    range-partitioned integers.
 
     Routing is a pure map lookup plus the ordinary {!Tabs_core.Rpc}
     call: an operation whose key lives on the calling node is one local
@@ -68,25 +68,4 @@ module Accounts : sig
   val transfer :
     t -> Tabs_core.Rpc.registry -> Tabs_wal.Tid.t ->
     from_:int -> to_:int -> int -> unit
-end
-
-(** Hash-partitioned B-tree ({!Btree_server} slices): key strings are
-    FNV-hashed onto shards, so single-key operations are always
-    single-shard and multi-key transactions spread. *)
-module Btree : sig
-  type t
-
-  val deploy :
-    Tabs_core.Cluster.t -> name:string -> ?segment:int -> unit -> t
-
-  val insert :
-    t -> Tabs_core.Rpc.registry -> Tabs_wal.Tid.t ->
-    key:string -> value:string -> unit
-
-  val lookup :
-    t -> Tabs_core.Rpc.registry -> Tabs_wal.Tid.t -> key:string ->
-    string option
-
-  val delete :
-    t -> Tabs_core.Rpc.registry -> Tabs_wal.Tid.t -> key:string -> bool
 end

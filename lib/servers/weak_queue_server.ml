@@ -175,9 +175,3 @@ let create env ~name ~segment ~capacity () =
        ]);
   Server_lib.register_name server ~name ~object_id:"queue";
   t
-
-let call_enqueue rpc ~dest ~server tid v =
-  Rpc.invoke rpc ~dest ~server tid enqueue_op v
-
-let call_dequeue rpc ~dest ~server tid =
-  Rpc.invoke rpc ~dest ~server tid dequeue_op ()

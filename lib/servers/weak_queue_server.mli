@@ -51,11 +51,3 @@ val dequeue : t -> Tabs_wal.Tid.t -> int
 (** [is_queue_empty t tid] — true when no element is dequeuable right
     now. *)
 val is_queue_empty : t -> Tabs_wal.Tid.t -> bool
-
-(** Client stubs for remote use. *)
-val call_enqueue :
-  Tabs_core.Rpc.registry -> dest:int -> server:string -> Tabs_wal.Tid.t ->
-  int -> unit
-
-val call_dequeue :
-  Tabs_core.Rpc.registry -> dest:int -> server:string -> Tabs_wal.Tid.t -> int

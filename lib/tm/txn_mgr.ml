@@ -57,7 +57,6 @@ type Network.payload +=
   | Tm_status_reply of Tid.t * outcome
 
 type server_callbacks = {
-  on_prepare : Tid.t -> bool;
   on_outcome : Tid.t -> outcome -> unit;
   on_subtxn_commit : Tid.t -> unit;
   on_subtxn_abort : Tid.t -> unit;
@@ -202,15 +201,10 @@ let notify_local_servers t top outcome =
       (callbacks t name).on_outcome top outcome)
     (joined_servers t top)
 
-(* Phase-one local work: ask every joined server to vote. *)
-let local_votes_ok t top =
-  List.for_all
-    (fun name ->
-      small t;
-      let ok = (callbacks t name).on_prepare top in
-      small t;
-      ok)
-    (joined_servers t top)
+(* Phase-one local work: each joined server's prepare request and its
+   Yes reply (a data server never refuses). *)
+let local_votes t top =
+  List.iter (fun _ -> small t; small t) (joined_servers t top)
 
 (* Vote gathering ------------------------------------------------------ *)
 
@@ -317,22 +311,22 @@ let force t record =
   Recovery_mgr.force_through t.rm (Recovery_mgr.append_tm_record t.rm record)
 
 (* Phase one below any node: prepares go down to [children] while the
-   local servers vote; [cast local_ok] runs between the local vote and
-   the wait, so a Paxos root can force its prepare and cast its own
+   local servers vote; [cast ()] runs between the local vote and the
+   wait, so a Paxos root can force its prepare and cast its own
    ballot-0 vote while the children's votes are in flight. *)
 let prepare_subtree t top ~children ~cast =
   let g = new_gather () t.gathers top children in
   if tracing t then
     emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
   Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  cast local_ok;
+  local_votes t top;
+  cast ();
   wait_gather t g;
   Hashtbl.remove t.gathers top;
-  (g, local_ok)
+  g
 
-let abort_reason g ~local_ok =
-  if local_ok && g.timed_out then Trace.Comm_failure else Trace.Vote_no
+let abort_reason g =
+  if g.timed_out then Trace.Comm_failure else Trace.Vote_no
 
 (* Whole subtree read-only: one phase suffices; subordinates already
    released their locks when they voted Read_only. *)
@@ -403,12 +397,12 @@ let root_aborted t top ~children ~reason =
      can ever choose Commit. *)
 let commit_paxos t px top ~children ~wrote =
   Paxos.begin_leader px top ~parts:(t.node_id :: children);
-  let g, local_ok =
-    prepare_subtree t top ~children ~cast:(fun local_ok ->
+  let g =
+    prepare_subtree t top ~children ~cast:(fun () ->
         (* the coordinator's own instance: force the prepare first (a
            vote must never outlive the updates it promises), then cast *)
-        if local_ok && wrote then force t (Record.Txn_prepare (top, t.node_id));
-        Paxos.cast_vote px top ~part:t.node_id ~yes:local_ok)
+        if wrote then force t (Record.Txn_prepare (top, t.node_id));
+        Paxos.cast_vote px top ~part:t.node_id ~yes:true)
   in
   let committed () =
     ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top));
@@ -428,7 +422,7 @@ let commit_paxos t px top ~children ~wrote =
   | Some true -> committed ()
   | Some false -> aborted ~reason:Trace.Comm_failure ~announce:false
   | None ->
-      if (g.any_no && not g.timed_out) || not local_ok then
+      if g.any_no && not g.timed_out then
         (* an explicit No somewhere: abort directly, and tell the
            acceptors so in-doubt queries are answerable at once *)
         aborted ~reason:Trace.Vote_no ~announce:true
@@ -462,21 +456,18 @@ let commit_top t top ~distributed =
     (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
   Engine.charge_cpu t.engine ~process:"rm"
     (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  if not distributed then
-    if not (local_votes_ok t top) then
-      root_aborted t top ~children:[] ~reason:Trace.Vote_no
-    else begin
-      if wrote then force t (Record.Txn_commit top);
-      root_committed t top ~children:[] ~distributed ~phase_two:false
-    end
+  if not distributed then begin
+    local_votes t top;
+    if wrote then force t (Record.Txn_commit top);
+    root_committed t top ~children:[] ~distributed ~phase_two:false
+  end
   else
     let children = Comm_mgr.children_of t.cm top in
     match t.px with
     | Some px -> commit_paxos t px top ~children ~wrote
     | None ->
-        let g, local_ok = prepare_subtree t top ~children ~cast:ignore in
-        if g.any_no || not local_ok then
-          root_aborted t top ~children ~reason:(abort_reason g ~local_ok)
+        let g = prepare_subtree t top ~children ~cast:ignore in
+        if g.any_no then root_aborted t top ~children ~reason:(abort_reason g)
         else if read_only_tree t g ~wrote then
           root_committed t top ~children ~distributed ~phase_two:false
         else begin
@@ -559,9 +550,6 @@ let start_querying t top ?coordinator ~first ~every () =
 let handle_prepare t top ~src =
   if tracing t then emit t (Prepare_received { node = t.node_id; tid = top; src });
   Engine.charge_cpu t.engine ~process:"tm" Overheads.tm_commit_write;
-  let children = Comm_mgr.children_of t.cm top in
-  let g, local_ok = prepare_subtree t top ~children ~cast:ignore in
-  let wrote = family_wrote_locally t top in
   let send_vote vote =
     (* Under Paxos Commit a direct child of the root is a root-level
        participant: its vote is also the ballot-0 phase-2a message of
@@ -570,7 +558,7 @@ let handle_prepare t top ~src =
        node, which aggregates them into its own vote. Read_only is cast
        on the child's behalf by the root, which must decide whether the
        whole tree is read-only first.) For a Yes this runs after the
-       prepare record is forced above: a vote must never outlive the
+       prepare record is forced below: a vote must never outlive the
        updates it promises. *)
     (match t.px with
     | Some px when src = top.Tid.node && vote <> Read_only ->
@@ -580,29 +568,38 @@ let handle_prepare t top ~src =
       emit t (Vote_sent { node = t.node_id; tid = top; dest = src; vote });
     Comm_mgr.send_datagram t.cm ~dest:src (Tm_vote (top, vote))
   in
-  if g.any_no || not local_ok then begin
-    abort_top t top ~children ~reason:(abort_reason g ~local_ok);
-    forget t top;
+  if not (Comm_mgr.involved_remotely t.cm top) then
+    (* No record of T: every live participant has one from the session
+       frame that brought T here, so this node restarted since then and
+       lost T's updates with its volatile state. Presumed abort. *)
     send_vote No
-  end
-  else if read_only_tree t g ~wrote then begin
-    (* Read-only subtree: release and drop out of phase two. *)
-    record_outcome t top Committed;
-    notify_local_servers t top Committed;
-    forget t top;
-    send_vote Read_only
-  end
-  else begin
-    force t (Record.Txn_prepare (top, src));
-    Hashtbl.replace t.participants top src;
-    if tracing t then
-      emit t (Prepared_in_doubt { node = t.node_id; tid = top; coordinator = src });
-    (* If the coordinator's verdict never arrives we are blocked in
-       doubt; keep asking. The generous first delay keeps queries off
-       the wire in healthy runs. *)
-    start_querying t top ~coordinator:src ~first:3_000_000 ~every:3_000_000 ();
-    send_vote Yes
-  end
+  else
+    let children = Comm_mgr.children_of t.cm top in
+    let g = prepare_subtree t top ~children ~cast:ignore in
+    let wrote = family_wrote_locally t top in
+    if g.any_no then begin
+      abort_top t top ~children ~reason:(abort_reason g);
+      forget t top;
+      send_vote No
+    end
+    else if read_only_tree t g ~wrote then begin
+      (* Read-only subtree: release and drop out of phase two. *)
+      record_outcome t top Committed;
+      notify_local_servers t top Committed;
+      forget t top;
+      send_vote Read_only
+    end
+    else begin
+      force t (Record.Txn_prepare (top, src));
+      Hashtbl.replace t.participants top src;
+      if tracing t then
+        emit t (Prepared_in_doubt { node = t.node_id; tid = top; coordinator = src });
+      (* If the coordinator's verdict never arrives we are blocked in
+         doubt; keep asking. The generous first delay keeps queries off
+         the wire in healthy runs. *)
+      start_querying t top ~coordinator:src ~first:3_000_000 ~every:3_000_000 ();
+      send_vote Yes
+    end
 
 let apply_decided_outcome t top outcome ~ack_to =
   (* The verdict may reach us in the prepared state (normal phase two),

@@ -28,7 +28,9 @@ type t
 type outcome = Committed | Aborted
 
 (** Phase-one replies: [Read_only] is the vote of a subtree that logged
-    nothing and can skip phase two. *)
+    nothing and can skip phase two. A node votes [No] when its subtree
+    aborted, or when it has no record of the transaction: it restarted
+    since the transaction reached it (presumed abort). *)
 type vote = Yes | No | Read_only
 
 (** Trace events for transaction lifecycle and 2PC phase transitions.
@@ -105,11 +107,9 @@ type Tabs_net.Network.payload +=
   | Tm_status_reply of Tabs_wal.Tid.t * outcome
 
 (** What a data server must provide to take part in transaction
-    completion; registered once per server at startup. *)
+    completion; registered once per server at startup. A server never
+    refuses to prepare, so it has no vote callback. *)
 type server_callbacks = {
-  on_prepare : Tabs_wal.Tid.t -> bool;
-      (** phase-one vote covering the whole family of the given
-          top-level transaction *)
   on_outcome : Tabs_wal.Tid.t -> outcome -> unit;
       (** top-level verdict: release the family's locks (undo of aborted
           updates has already been performed by the Recovery Manager) *)

@@ -633,40 +633,52 @@ let test_distributed_deadlock_broken_by_timeout () =
   Alcotest.(check bool) "cells reflect only committed transactions" true
     (valid v0 && valid v1)
 
-let test_server_vote_no_aborts_distributed_txn () =
-  (* A data server may refuse to prepare; the whole distributed
-     transaction must then abort everywhere. *)
+(* A participant that crashes and restarts between T's remote call and
+   its prepare has lost T: the restarted TM keeps no tree, joined
+   server or update chain for it. Presumed abort: it must vote No, and
+   T aborts everywhere. With [~checkpoint] node 1's update reached its
+   disk before the crash, and restart rolls it back as a loser. *)
+let test_participant_restart_before_prepare ~checkpoint () =
   let c = make_cluster ~nodes:2 () in
   let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
   let a0 = make_array ~name:"a0" n0 in
   let _a1 = make_array ~name:"a1" n1 in
-  (* a saboteur server on node 1 that joins the transaction and votes
-     No at prepare time *)
-  Tabs_tm.Txn_mgr.register_server (Node.tm n1) ~name:"saboteur"
-    {
-      Tabs_tm.Txn_mgr.on_prepare = (fun _ -> false);
-      on_outcome = (fun _ _ -> ());
-      on_subtxn_commit = (fun _ -> ());
-      on_subtxn_abort = (fun _ -> ());
-    };
-  Tabs_core.Rpc.expose (Node.rpc n1) ~server:"saboteur" (fun ~tid ~op:_ ~arg:_ ->
-      ignore (Tabs_tm.Txn_mgr.join (Node.tm n1) ~tid ~server:"saboteur");
-      "");
   let tm = Node.tm n0 and rpc = Node.rpc n0 in
-  let verdict =
+  let engine = Cluster.engine c in
+  let holder = ref None in
+  (* run [f] in a fiber on node 1 and wait for it *)
+  let on_node1 f =
+    let finished = ref false in
+    ignore
+      (Engine.spawn engine ~node:1 (fun () ->
+           f ();
+           finished := true));
+    while not !finished do
+      Engine.delay 1_000
+    done
+  in
+  let committed =
     Cluster.run_fiber c ~node:0 (fun () ->
         let tid = Txn_lib.begin_transaction tm () in
-        Int_array_server.set a0 tid 0 5;
-        Int_array_server.call_set rpc ~dest:1 ~server:"a1" tid 0 6;
-        ignore (Tabs_core.Rpc.call rpc ~dest:1 ~server:"saboteur" ~tid ~op:"x" ~arg:"");
+        Int_array_server.set a0 tid 0 7;
+        Int_array_server.call_set rpc ~dest:1 ~server:"a1" tid 0 7;
+        if checkpoint then on_node1 (fun () -> Node.checkpoint n1);
+        Node.crash n1;
+        on_node1 (fun () ->
+            ignore
+              (Node.restart n1 ~reinstall:(reinstall_array ~name:"a1" holder) ()));
         Txn_lib.end_transaction tm tid)
   in
-  Alcotest.(check bool) "commit refused by the No vote" false verdict;
-  let v0, v1 =
+  Alcotest.(check bool) "the restarted participant votes No" false committed;
+  let a1 = Option.get !holder in
+  let v0 =
     Cluster.run_fiber c ~node:0 (fun () ->
-        Txn_lib.execute_transaction tm (fun tid ->
-            ( Int_array_server.get a0 tid 0,
-              Int_array_server.call_get rpc ~dest:1 ~server:"a1" tid 0 )))
+        Txn_lib.execute_transaction tm (fun tid -> Int_array_server.get a0 tid 0))
+  in
+  let v1 =
+    Cluster.run_fiber c ~node:1 (fun () ->
+        Txn_lib.execute_transaction (Node.tm n1) (fun tid ->
+            Int_array_server.get a1 tid 0))
   in
   Alcotest.(check (pair int int)) "undone on both nodes" (0, 0) (v0, v1)
 
@@ -763,7 +775,10 @@ let suites =
         quick "prepared participant crash"
           test_prepared_participant_crash_and_resolution;
         quick "distributed deadlock" test_distributed_deadlock_broken_by_timeout;
-        quick "server votes no" test_server_vote_no_aborts_distributed_txn;
+        quick "participant restart before prepare"
+          (test_participant_restart_before_prepare ~checkpoint:false);
+        quick "participant restart before prepare, update checkpointed"
+          (test_participant_restart_before_prepare ~checkpoint:true);
       ] );
     ( "integration.subtxn",
       [

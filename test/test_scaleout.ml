@@ -18,16 +18,7 @@ let test_topology_units () =
   let topo = Topology.one_per_node ~shards:4 in
   Alcotest.(check int) "shards" 4 (Topology.shards topo);
   Alcotest.(check int) "shard 2 on node 2" 2 (Topology.node_of_shard topo 2);
-  Alcotest.(check int) "nodes required" 4 (Topology.nodes_required topo);
-  Alcotest.(check string) "shard name" "s3" (Topology.shard_name topo 3);
-  (* co-hosted layout: three shards on two nodes *)
-  let co = Topology.create [| 0; 1; 0 |] in
-  Alcotest.(check int) "co-hosted shards" 3 (Topology.shards co);
-  Alcotest.(check (list int)) "shards on node 0" [ 0; 2 ]
-    (Topology.shards_on_node co 0);
-  Alcotest.(check (list int)) "shards on node 1" [ 1 ]
-    (Topology.shards_on_node co 1);
-  Alcotest.(check int) "two nodes cover it" 2 (Topology.nodes_required co)
+  Alcotest.(check string) "shard name" "s3" (Topology.shard_name topo 3)
 
 (* placement --------------------------------------------------------------- *)
 
@@ -43,10 +34,6 @@ let test_placement_ranges () =
   Alcotest.(check int) "hosted by node 2" 2 loc.Placement.node;
   Alcotest.(check string) "instance name" "k.s2" loc.Placement.instance;
   Alcotest.(check int) "range base" 50 loc.Placement.base;
-  Alcotest.(check (list int)) "single-shard key set" [ 1 ]
-    (Placement.shards_of p ~server:"k" ~keys:[ 30; 40; 49 ]);
-  Alcotest.(check (list int)) "cross-shard key set" [ 0; 3 ]
-    (Placement.shards_of p ~server:"k" ~keys:[ 99; 3; 0 ]);
   (* uneven split: 10 keys over 4 shards is 3,3,2,2 *)
   let q = Placement.create (Topology.one_per_node ~shards:4) in
   Placement.partition q ~server:"k" ~keys:10;
@@ -78,68 +65,29 @@ let test_placement_more_shards_than_keys () =
     (Invalid_argument "Placement: key -1 outside keyspace k [0, 2)")
     (fun () -> ignore (Placement.locate p ~server:"k" ~key:(-1)))
 
-let test_placement_hashed () =
-  let p = Placement.create (Topology.one_per_node ~shards:4) in
-  Placement.partition_hashed p ~server:"bt";
-  let loc = Placement.locate_hashed p ~server:"bt" ~key:"alpha" in
-  Alcotest.(check bool) "shard in range" true
-    (loc.Placement.shard >= 0 && loc.Placement.shard < 4);
-  Alcotest.(check int) "hashed keyspaces keep global keys" 0
-    loc.Placement.base;
-  let again = Placement.locate_hashed p ~server:"bt" ~key:"alpha" in
-  Alcotest.(check int) "deterministic" loc.Placement.shard
-    again.Placement.shard;
-  (* keys spread: 64 distinct keys should not all land on one shard *)
-  let shards =
-    List.sort_uniq compare
-      (List.init 64 (fun i ->
-           (Placement.locate_hashed p ~server:"bt"
-              ~key:(Printf.sprintf "key-%d" i))
-             .Placement.shard))
-  in
-  Alcotest.(check bool) "hash spreads over shards" true
-    (List.length shards > 1)
-
 (* Every location is built once, when the keyspace is placed. For
-   every key of a ranged and a hashed keyspace, [locate] must equal a
-   record built per call the way the routing used to: the hosting node,
-   [instance_name] and the range base — for hashed keys, the shard of
-   the boxed-[Int64] FNV-1a. Out-of-range keys still raise, and a
-   lookup allocates nothing. *)
-let fnv1a_int64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Int64.to_int (Int64.shift_right_logical !h 1) land max_int
-
+   every key, [locate] must equal a record built per call the way the
+   routing used to: the hosting node, [instance_name] and the range
+   base. Out-of-range keys still raise, and a lookup allocates
+   nothing. *)
 let test_placement_locations_built_once () =
-  let topo = Topology.create [| 0; 1; 0 |] in
+  let topo = Topology.one_per_node ~shards:3 in
   let p = Placement.create topo in
   Placement.partition p ~server:"k" ~keys:100;
-  Placement.partition_hashed p ~server:"bt";
-  let reference server shard base =
+  let reference shard base =
     {
       Placement.shard;
       node = Topology.node_of_shard topo shard;
-      instance = Placement.instance_name p ~server ~shard;
+      instance = Placement.instance_name p ~server:"k" ~shard;
       base;
     }
   in
   let ranges = Placement.ranges p ~server:"k" in
   for key = 0 to 99 do
     let shard, lo, _ = List.find (fun (_, lo, hi) -> lo <= key && key < hi) ranges in
-    if Placement.locate p ~server:"k" ~key <> reference "k" shard lo then
-      Alcotest.failf "ranged key %d misrouted" key
+    if Placement.locate p ~server:"k" ~key <> reference shard lo then
+      Alcotest.failf "key %d misrouted" key
   done;
-  let keys = Array.init 1_000 (fun i -> Printf.sprintf "key-%d%s" i (String.make (i mod 13) 'x')) in
-  Array.iter
-    (fun key ->
-      if Placement.locate_hashed p ~server:"bt" ~key <> reference "bt" (fnv1a_int64 key mod 3) 0
-      then Alcotest.failf "hashed key %S misrouted" key)
-    keys;
   Alcotest.(check_raises) "out of range"
     (Invalid_argument "Placement: key 100 outside keyspace k [0, 100)")
     (fun () -> ignore (Placement.locate p ~server:"k" ~key:100));
@@ -147,14 +95,11 @@ let test_placement_locations_built_once () =
   for _ = 1 to 100 do
     for key = 0 to 99 do
       ignore (Sys.opaque_identity (Placement.locate p ~server:"k" ~key))
-    done;
-    for i = 0 to Array.length keys - 1 do
-      ignore (Sys.opaque_identity (Placement.locate_hashed p ~server:"bt" ~key:keys.(i)))
     done
   done;
-  (* 110,000 lookups; the words are the two [Gc.minor_words] boxes *)
+  (* 10,000 lookups; the words are the two [Gc.minor_words] boxes *)
   let words = Gc.minor_words () -. before in
-  if words > 16. then Alcotest.failf "110,000 lookups allocated %.0f words" words
+  if words > 16. then Alcotest.failf "10,000 lookups allocated %.0f words" words
 
 (* placement-aware directory ----------------------------------------------- *)
 
@@ -273,36 +218,14 @@ let test_cross_shard_transfer () =
            (Server_lib.lock_manager (Account_server.server inst))))
     (Sharded.Accounts.instances acct)
 
-let test_btree_routing () =
-  let c = Cluster.create ~nodes:3 () in
-  let bt = Sharded.Btree.deploy c ~name:"bt" ~segment:5 () in
-  let n0 = Cluster.node c 0 in
-  let tm = Node.tm n0 and rpc = Node.rpc n0 in
-  let keys = List.init 12 (fun i -> Printf.sprintf "key-%d" i) in
-  Cluster.run_fiber c ~node:0 (fun () ->
-      Txn_lib.execute_transaction tm (fun tid ->
-          List.iter
-            (fun k -> Sharded.Btree.insert bt rpc tid ~key:k ~value:("v" ^ k))
-            keys);
-      Txn_lib.execute_transaction tm (fun tid ->
-          List.iter
-            (fun k ->
-              Alcotest.(check (option string))
-                ("lookup " ^ k)
-                (Some ("v" ^ k))
-                (Sharded.Btree.lookup bt rpc tid ~key:k))
-            keys))
-
 (* seed identity at 1 shard ------------------------------------------------ *)
 
-(* The seed probe (test_group_commit.ml) run against an explicit 1-shard
-   topology and a sharded deployment, touching the instance directly:
+(* The seed probe (test_group_commit.ml) run against a 1-node cluster's
+   one shard and a sharded deployment, touching the instance directly:
    the sharded machinery must not perturb a single primitive charge or
    the virtual finish time. *)
 let test_one_shard_probe_identical () =
-  let c =
-    Cluster.create ~topology:(Topology.one_per_node ~shards:1) ~nodes:1 ()
-  in
+  let c = Cluster.create ~nodes:1 () in
   let arr = Sharded.Int_array.deploy c ~name:"a0" ~keys:64 () in
   let inst =
     match Sharded.Int_array.instances arr with
@@ -558,13 +481,11 @@ let suites =
         quick "placement locations built once" test_placement_locations_built_once;
         quick "placement with more shards than keys"
           test_placement_more_shards_than_keys;
-        quick "placement hashed keyspaces" test_placement_hashed;
         quick "range directory entries" test_range_entries;
         quick "lookup_owner across nodes" test_lookup_owner_across_nodes;
         quick "single-shard local, cross-shard 2PC"
           test_single_shard_commits_locally;
         quick "cross-shard transfer atomicity" test_cross_shard_transfer;
-        quick "btree hash routing" test_btree_routing;
         quick "1-shard probe identical to seed" test_one_shard_probe_identical;
         quick "1-shard routing charges nothing extra"
           test_one_shard_routing_costs_nothing;
