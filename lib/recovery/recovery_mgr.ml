@@ -511,12 +511,12 @@ let analyze t =
   in
   let acc = ref [] in
   let bytes = ref 0 in
+  let stable = Log_manager.stable t.log in
   Log_manager.iter_forward t.log ~from:scan_from ~f:(fun lsn record ->
-      bytes := !bytes + String.length (Record.encode record);
+      bytes := !bytes + String.length (Stable.read stable lsn);
       acc := (lsn, record) :: !acc);
   (* reading the log back is sequential I/O, one read per log page *)
-  let pages = (!bytes + Page.size - 1) / Page.size in
-  for _ = 1 to pages do
+  for _ = 1 to (!bytes + Page.size - 1) / Page.size do
     Engine.charge t.engine Cost_model.Sequential_read
   done;
   let a =

@@ -24,9 +24,9 @@ let check_range t i =
     raise (Errors.Server_error "NoSuchAccount")
 
 (* A balance is an 8-byte slot *)
-let read_slot t obj = Codec.(decode int) (Server_lib.read_object t.server obj)
+let read_slot t obj = Codec.(decode slot) (Server_lib.read_object t.server obj)
 
-let write_slot t obj v = Server_lib.write_object t.server obj (Codec.(encode int) v)
+let write_slot t obj v = Server_lib.write_object t.server obj (Codec.(encode slot) v)
 
 (* A transition-logged adjustment: a list of (account, old, new)
    absolute balances. Applying either side is idempotent. *)

@@ -28,7 +28,7 @@ let get t tid ?(access = `Random) i =
   check_range t i;
   let obj = cell_obj t i in
   Server_lib.lock_object t.server tid obj Mode.Read;
-  Codec.(decode int) (Server_lib.read_object t.server ~access obj)
+  Codec.(decode slot) (Server_lib.read_object t.server ~access obj)
 
 let set t tid ?(access = `Random) i value =
   Server_lib.enter_operation t.server tid;
@@ -36,7 +36,7 @@ let set t tid ?(access = `Random) i value =
   let obj = cell_obj t i in
   Server_lib.lock_object t.server tid obj Mode.Write;
   Server_lib.pin_and_buffer t.server tid ~access obj;
-  Server_lib.write_object t.server obj (Codec.(encode int) value);
+  Server_lib.write_object t.server obj (Codec.(encode slot) value);
   Server_lib.log_and_unpin t.server tid obj
 
 (* Matchmaker-style stubs ------------------------------------------------ *)

@@ -50,13 +50,13 @@ let content_obj t a ~off ~len =
     ~offset:((content_page a * Page.size) + off)
     ~length:len
 
-let read_int t obj = Codec.(decode int) (Server_lib.read_object t.server obj)
+let read_int t obj = Codec.(decode slot) (Server_lib.read_object t.server obj)
 
 (* value-logged single-int write under a given transaction *)
 let put_int t tid obj v =
   Server_lib.lock_object t.server tid obj Mode.Write;
   Server_lib.pin_and_buffer t.server tid obj;
-  Server_lib.write_object t.server obj (Codec.(encode int) v);
+  Server_lib.write_object t.server obj (Codec.(encode slot) v);
   Server_lib.log_and_unpin t.server tid obj
 
 let state_aborted = 0

@@ -36,11 +36,11 @@ let element_obj t index =
 
 (* An element is its InUse flag and its contents, two 8-byte ints *)
 let element =
-  Codec.(map (pair int int))
+  Codec.(map (pair slot slot))
     ~read:(fun (in_use, value) -> (in_use <> 0, value))
     ~write:(fun (in_use, value) -> (Bool.to_int in_use, value))
 
-let read_head t = Codec.(decode int) (Server_lib.read_object t.server (head_obj t))
+let read_head t = Codec.(decode slot) (Server_lib.read_object t.server (head_obj t))
 
 let read_element t index =
   Codec.decode element (Server_lib.read_object t.server (element_obj t index))
@@ -90,7 +90,7 @@ let collect_garbage t tid =
   if h' > h && Server_lib.conditionally_lock_object t.server tid (head_obj t) Mode.Write
   then begin
     Server_lib.pin_and_buffer t.server tid (head_obj t);
-    Server_lib.write_object t.server (head_obj t) (Codec.(encode int) h');
+    Server_lib.write_object t.server (head_obj t) (Codec.(encode slot) h');
     Server_lib.log_and_unpin t.server tid (head_obj t)
   end
 

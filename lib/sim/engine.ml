@@ -246,8 +246,6 @@ let charge_cpu t ~process micros =
 
 let cpu_time t ~process = !(cpu_counter t process)
 
-let reset_cpu t = List.iter (fun (_, r) -> r := 0) t.cpu
-
 module Waitq = struct
   type 'a waiter = {
     fiber : fiber;

@@ -146,9 +146,6 @@ val note_cpu : t -> process:string -> int -> unit
 (** [cpu_time t ~process] is the total CPU time attributed so far. *)
 val cpu_time : t -> process:string -> int
 
-(** [reset_cpu t] zeroes all CPU accumulators. *)
-val reset_cpu : t -> unit
-
 (** [fiber_id t] is the engine-unique identifier of the fiber of [t]
     that is running (deterministic: ids come from a per-engine spawn
     counter). Used as an owner token by re-entrant latches such as the

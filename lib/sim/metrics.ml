@@ -153,9 +153,7 @@ let nodes_tracked t =
   done;
   !acc
 
-let record_many t p n = record_weighted t p ~num:n ~den:1
-
-let record t p = record_many t p 1
+let record t p = record_weighted t p ~num:1 ~den:1
 
 let record_elided t p =
   let i = idx p in

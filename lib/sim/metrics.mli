@@ -58,9 +58,6 @@ val recovery : t -> node:int -> recovery
 (** [record t p] counts one execution of primitive [p]. *)
 val record : t -> Cost_model.primitive -> unit
 
-(** [record_many t p n] counts [n] executions at once. *)
-val record_many : t -> Cost_model.primitive -> int -> unit
-
 (** [record_weighted t p ~num ~den] counts a fractional execution —
     num/den of one — reproducing the paper's accounting of overlapped
     work, e.g. the "one-half datagram time" charged for a second

@@ -14,10 +14,6 @@ let blit_string s b ~off =
     invalid_arg "Page.blit_string: out of page bounds";
   Bytes.blit_string s 0 b off (String.length s)
 
-let sub t ~off ~len =
-  if off < 0 || off + len > size then invalid_arg "Page.sub: out of page bounds";
-  String.sub t off len
-
 let get_int t ~off = Int64.to_int (String.get_int64_le t off)
 
 let equal = String.equal

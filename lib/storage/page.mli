@@ -20,9 +20,6 @@ val update : t -> (bytes -> unit) -> t
     the page. *)
 val blit_string : string -> bytes -> off:int -> unit
 
-(** [sub t ~off ~len] reads [len] bytes at [off] as a string. *)
-val sub : t -> off:int -> len:int -> string
-
 (** [get_int t ~off] reads a 63-bit OCaml integer stored in 8 bytes
     little-endian at byte offset [off]. *)
 val get_int : t -> off:int -> int

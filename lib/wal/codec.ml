@@ -14,7 +14,36 @@ end
 
 type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
 
+(* Zigzag folds the sign into bit 0, so small magnitudes of either
+   sign stay small; LEB128 then writes 7 bits per byte, low group
+   first, the high bit set on every byte but the last. *)
+let rec write_varint w u =
+  if u land lnot 0x7f = 0 then Buffer.add_char w (Char.unsafe_chr u)
+  else begin
+    Buffer.add_char w (Char.unsafe_chr (u land 0x7f lor 0x80));
+    write_varint w (u lsr 7)
+  end
+
+(* A 63-bit int needs at most nine groups of 7 bits *)
+let rec read_varint (r : Reader.t) acc shift =
+  Reader.need r 1;
+  let b = Char.code r.data.[r.pos] in
+  r.pos <- r.pos + 1;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc
+  else if shift >= 56 then raise (Reader.Malformed "varint too long")
+  else read_varint r acc (shift + 7)
+
 let int =
+  {
+    write = (fun w v -> write_varint w ((v lsl 1) lxor (v asr 62)));
+    read =
+      (fun r ->
+        let u = read_varint r 0 0 in
+        (u lsr 1) lxor -(u land 1));
+  }
+
+let slot =
   {
     write = (fun w v -> Buffer.add_int64_le w (Int64.of_int v));
     read =
@@ -34,8 +63,8 @@ let string =
     read =
       (fun r ->
         let len = int.read r in
-        if len < 0 then raise (Reader.Malformed "negative length");
-        Reader.need r len;
+        if len < 0 || len > String.length r.data - r.pos then
+          raise (Reader.Malformed "bad length");
         let s = String.sub r.data r.pos len in
         r.pos <- r.pos + len;
         s);
@@ -66,7 +95,8 @@ let list c =
     read =
       (fun r ->
         let n = int.read r in
-        if n < 0 then raise (Reader.Malformed "negative list length");
+        if n < 0 || n > String.length r.data - r.pos then
+          raise (Reader.Malformed "bad list length");
         List.init n (fun _ -> c.read r));
   }
 

@@ -18,8 +18,14 @@ end
 
 type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
 
-(** Eight bytes, little-endian. *)
+(** Zigzag LEB128: 7 bits a byte, low group first, so a value in
+    [-64, 63] takes one byte, [-8192, 8191] two and a 63-bit extreme nine.
+    Every length, count, tag, id and LSN in a log record is one. *)
 val int : int t
+
+(** Eight bytes, little-endian: an int that fills a fixed-size slot of
+    a data page (an array cell, a balance, a queue head). *)
+val slot : int t
 
 (** An [int] length, then the bytes. *)
 val string : string t
@@ -30,7 +36,8 @@ val bool : bool t
 (** No bytes. *)
 val unit : unit t
 
-(** An [int] count, then the elements. *)
+(** An [int] count, then the elements. A count above the bytes left is
+    malformed, so each element must take at least one byte. *)
 val list : 'a t -> 'a list t
 
 (** A [bool] presence flag, then the value. *)
@@ -46,5 +53,6 @@ val map : 'a t -> read:('a -> 'b) -> write:('b -> 'a) -> 'b t
 
 val encode : 'a t -> 'a -> string
 
-(** Raises [Reader.Malformed] on truncated input or trailing bytes. *)
+(** Raises [Reader.Malformed] on truncated input, trailing bytes, a
+    varint over nine bytes or a negative or impossible length. *)
 val decode : 'a t -> string -> 'a

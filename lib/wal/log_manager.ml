@@ -208,20 +208,6 @@ let read t lsn =
     buf_get t (lsn - t.buf_first)
   else Record.decode (Stable.read t.stable lsn)
 
-let iter_backward t ~from ~f =
-  let lowest = Stable.first t.stable in
-  let rec go lsn =
-    if lsn >= lowest then begin
-      match
-        (try Some (read t lsn) with Not_found -> None)
-      with
-      | None -> go (lsn - 1)
-      | Some record -> (
-          match f lsn record with `Stop -> () | `Continue -> go (lsn - 1))
-    end
-  in
-  if from >= lowest then go (min from (t.next - 1))
-
 let iter_forward t ~from ~f =
   let stop = Stable.next t.stable in
   let rec go lsn =
@@ -234,17 +220,16 @@ let iter_forward t ~from ~f =
 
 let first_lsn t = Stable.first t.stable
 
+(* A backward scan from the newest stable record, as at restart *)
 let last_checkpoint t =
-  let found = ref None in
-  let f lsn record =
-    match record with
-    | Record.Checkpoint _ ->
-        found := Some lsn;
-        `Stop
-    | _ -> `Continue
+  let rec go lsn =
+    if lsn < Stable.first t.stable then None
+    else
+      match Record.decode (Stable.read t.stable lsn) with
+      | Record.Checkpoint _ -> Some lsn
+      | _ -> go (lsn - 1)
   in
-  iter_backward t ~from:(Stable.next t.stable - 1) ~f;
-  !found
+  go (Stable.next t.stable - 1)
 
 let truncate t ~keep_from =
   Stable.truncate_prefix t.stable ~keep_from;

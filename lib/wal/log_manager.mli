@@ -109,11 +109,6 @@ val force_all : t -> unit
     Raises [Not_found] for truncated or unwritten LSNs. *)
 val read : t -> lsn -> Record.t
 
-(** [iter_backward t ~from ~f] applies [f] from [from] down to the start
-    of the live log, stopping early when [f] returns [`Stop]. *)
-val iter_backward :
-  t -> from:lsn -> f:(lsn -> Record.t -> [ `Continue | `Stop ]) -> unit
-
 (** [iter_forward t ~from ~f] applies [f] in LSN order to the end of the
     stable log (the buffer is not included: crash recovery only ever sees
     stable records). *)

@@ -107,9 +107,6 @@ let page : Disk.page_id Codec.t =
         { segment; page = Codec.int.read r });
   }
 
-(* Paxos acceptor flags are logged as 8-byte ints, not 1-byte bools *)
-let flag = Codec.(map int) ~read:(fun n -> n <> 0) ~write:Bool.to_int
-
 let update_value =
   Codec.(map (pair (triple tid obj string) (pair string (option int))))
     ~read:(fun ((tid, obj, old_value), (new_value, prev)) ->
@@ -142,9 +139,9 @@ let checkpoint =
 
 let tid_int = Codec.(pair tid int)
 
-let accept = Codec.(pair (triple tid int int) flag)
+let accept = Codec.(pair (triple tid int int) bool)
 
-let decision = Codec.pair tid flag
+let decision = Codec.(pair tid bool)
 
 (* A tag, then the constructor's payload. *)
 let codec : t Codec.t =

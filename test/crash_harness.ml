@@ -109,7 +109,7 @@ let accounts_handler vm ~segment =
     List.iter
       (fun (i, v) ->
         Vm.pin vm (slot_obj i) ~access:`Random;
-        Vm.write vm (slot_obj i) (Codec.encode Codec.int v);
+        Vm.write vm (slot_obj i) (Codec.encode Codec.slot v);
         Vm.unpin vm (slot_obj i))
       (Codec.(decode (list (pair int int))) arg)
   in

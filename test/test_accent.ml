@@ -156,8 +156,8 @@ let test_vm_single_frame_pool () =
       ignore (Vm.read vm (page 1) ~access:`Random);
       Alcotest.(check int) "one resident" 1 (Vm.resident vm);
       Alcotest.(check string) "page 0 written back" "aaaa"
-        (Page.sub (Disk.read_nocharge (Vm.disk vm) { Disk.segment = 1; page = 0 })
-           ~off:0 ~len:4);
+        (String.sub (Disk.read_nocharge (Vm.disk vm) { Disk.segment = 1; page = 0 })
+           0 4);
       (* and faulting it back reads the written data *)
       Alcotest.(check string) "refault reads it" "aaaa"
         (Vm.read vm (page 0) ~access:`Random))
@@ -179,7 +179,7 @@ let test_vm_flushed_image_kept () =
       Vm.flush_page vm pid;
       update "v2" 2;
       Alcotest.(check string) "disk keeps v1" "v1"
-        (Page.sub (Disk.read_nocharge (Vm.disk vm) pid) ~off:0 ~len:2);
+        (String.sub (Disk.read_nocharge (Vm.disk vm) pid) 0 2);
       Alcotest.(check string) "frame has v2" "v2" (Vm.read vm o ~access:`Random);
       Alcotest.(check (list (pair int int))) "dirty again" [ (0, 2) ]
         (List.map (fun ((p : Disk.page_id), l) -> (p.page, l)) (Vm.dirty_pages vm)))
@@ -373,7 +373,7 @@ let run_pool make ~frames ~forces fibers =
                      if seqno > !flushed then
                        Alcotest.failf "sector stamped %d, log flushed to %d"
                          seqno !flushed;
-                     let head = Page.sub image ~off:0 ~len:4 in
+                     let head = String.sub image 0 4 in
                      if seqno >= 0 && head <> Hashtbl.find image_of_lsn seqno then
                        Alcotest.failf "sector stamped %d holds %S, noted as %S"
                          seqno head (Hashtbl.find image_of_lsn seqno))
@@ -458,7 +458,7 @@ let test_vm_write_during_page_out () =
     let _, _, _, _, (_, dirty, _, _, data), disk =
       List.nth real (List.length real - 1)
     in
-    let head page = Page.sub page ~off:0 ~len:4 in
+    let head page = String.sub page 0 4 in
     (head (fst (List.hd disk)), dirty, head (List.hd data))
   in
   let disk, dirty, frame = run (V_update (0, 0)) in

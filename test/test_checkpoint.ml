@@ -71,7 +71,7 @@ let test_fuzzy_checkpoint_covers_live_txn () =
     Disk.read_nocharge rig.disk { Disk.segment = 1; page = 0 }
   in
   Alcotest.(check string) "old value restored" (v8 "keep")
-    (Page.sub page ~off:0 ~len:8)
+    (String.sub page 0 8)
 
 (* With the daemon configured, the foreground reclamation path only
    requests a background cycle; the daemon does the flushing,

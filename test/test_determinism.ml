@@ -78,7 +78,7 @@ let fingerprint ?profile ?commit_protocol ~loss ~seed () =
 
 let lossy_1 =
   {
-    trace_md5 = "47f9e82ed9cfc0a913f8d7678dc5994e";
+    trace_md5 = "73a062fb50ca2f322dbb0f66bc0a9b77";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
@@ -104,7 +104,7 @@ let lossy_1 =
 
 let lossy_5 =
   {
-    trace_md5 = "88fbde31f00c1f1f423b3e5748acd2f7";
+    trace_md5 = "7007050cd17e683ebc00a1937adb9153";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
@@ -130,7 +130,7 @@ let lossy_5 =
 
 let lossy_9 =
   {
-    trace_md5 = "e18b979bf8f9d2cbb09fe0e9f3fb0744";
+    trace_md5 = "7c8fc9cf54ac4b2dc365efc350fd9cb1";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;Datagram=41.000/0.000;\
@@ -156,7 +156,7 @@ let lossy_9 =
 
 let clean_3 =
   {
-    trace_md5 = "1aa12dac5fe12d6c6f5bb39ee9a1aa10";
+    trace_md5 = "dc25540e2af68c86e7ef9da5c19ac30b";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;Datagram=35.000/0.000;\
@@ -182,7 +182,7 @@ let clean_3 =
 
 let paxos_1 =
   {
-    trace_md5 = "3694e038b4dc5b1a0f148f998e40765d";
+    trace_md5 = "6c7e10f9638ebad4c23a99696a4f1621";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -215,7 +215,7 @@ let paxos_1 =
 
 let paxos_5 =
   {
-    trace_md5 = "ec737692da10b75a856e5a7d534760a1";
+    trace_md5 = "9bf8551d691c9795e581f8bc925e7ed8";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -248,7 +248,7 @@ let paxos_5 =
 
 let paxos_9 =
   {
-    trace_md5 = "094db4ae0e8cf20a89b42a757151cc80";
+    trace_md5 = "2cfed64fb2d1d3ab2c383f978790a393";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -281,7 +281,7 @@ let paxos_9 =
 
 let integrated_1 =
   {
-    trace_md5 = "15f63cf3bbe143e592ee19e1fafe7358";
+    trace_md5 = "76b804325a15dac7989f734f4070906c";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -314,7 +314,7 @@ let integrated_1 =
 
 let integrated_5 =
   {
-    trace_md5 = "11a1054ca1495087a34d699e4d0a9f16";
+    trace_md5 = "774500bd4ae85cde475897975ce85ab9";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -347,7 +347,7 @@ let integrated_5 =
 
 let integrated_9 =
   {
-    trace_md5 = "11ffce127566511d264c604aef80dd79";
+    trace_md5 = "5862256b1f9efd85c05e92e4ca9a0a07";
     summary =
       "Data Server Call=5.000/0.000;\
        Inter-Node Data Server Call=10.000/0.000;\
@@ -380,23 +380,23 @@ let integrated_9 =
 
 let parallel_2 =
   {
-    trace_md5 = "5896420ae4eee0e165104c78730e0858";
+    trace_md5 = "d6bd1c211c129f8a20ef554d37a5e9e9";
     summary = "scanned=13 losers=0 replay=32000 graph=0/5/4/5/1";
-    now = 662_400;
-    events = 103;
+    now = 646_400;
+    events = 102;
   }
 
 let parallel_7 =
   {
-    trace_md5 = "5511b433026bb5e869b7ba50d59ed1f5";
-    summary = "scanned=20 losers=1 replay=32000 graph=0/11/10/11/1";
-    now = 946_800;
-    events = 142;
+    trace_md5 = "4991b9ef7a6d395160f4c1ecea47463f";
+    summary = "scanned=23 losers=1 replay=32000 graph=0/12/11/12/1";
+    now = 914_800;
+    events = 151;
   }
 
 let instant_2 =
   {
-    trace_md5 = "aef58426698468d5668e703e98ec3ceb";
+    trace_md5 = "3f3f0982d1b2fe223389e972e54179bb";
     summary = "scanned=4 losers=0 open_early=true tto=16000 pages=0/0/1/0";
     now = 2_162_038;
     events = 406;
@@ -404,7 +404,7 @@ let instant_2 =
 
 let instant_7 =
   {
-    trace_md5 = "47136af0da307382df9f5dd623ef9fb0";
+    trace_md5 = "2da0ef4639e24244a5a1d9c88ad5941b";
     summary = "scanned=7 losers=0 open_early=true tto=16000 pages=0/0/1/0";
     now = 4_276_148;
     events = 449;

@@ -17,7 +17,7 @@ let make_rig = make_rig ~pages:8
 let read_disk rig n =
   let (pid : Disk.page_id) = List.hd (Object_id.pages (obj n)) in
   let page = Disk.read_nocharge rig.disk pid in
-  Page.sub page ~off:(8 * n mod Page.size) ~len:8
+  String.sub page (8 * n mod Page.size) 8
 
 let test_committed_redone () =
   let rig = make_rig () in

@@ -21,7 +21,7 @@ let test_page_roundtrip () =
         Page.blit_string "hello" b ~off:100;
         Bytes.set_int64_le b 8 123456789L)
   in
-  Alcotest.(check string) "read back" "hello" (Page.sub p ~off:100 ~len:5);
+  Alcotest.(check string) "read back" "hello" (String.sub p 100 5);
   Alcotest.(check int) "int roundtrip" 123456789 (Page.get_int p ~off:8);
   Alcotest.(check bool) "the zero image is untouched" true
     (Page.equal Page.zero (String.make Page.size '\000'))
@@ -37,7 +37,7 @@ let test_disk_persistence () =
       Disk.ensure_segment d 1 ~pages:4;
       Disk.write d { segment = 1; page = 2 } (page_of "data") ~seqno:7;
       let back, seqno = Disk.read d { segment = 1; page = 2 } ~access:`Random in
-      Alcotest.(check string) "contents" "data" (Page.sub back ~off:0 ~len:4);
+      Alcotest.(check string) "contents" "data" (String.sub back 0 4);
       Alcotest.(check int) "seqno read with the page" 7 seqno;
       Alcotest.(check int) "seqno stored" 7 (Disk.seqno d { segment = 1; page = 2 }))
 
@@ -61,7 +61,7 @@ let test_disk_grow_preserves () =
       Disk.ensure_segment d 9 ~pages:10;
       Alcotest.(check int) "grown" 10 (Disk.segment_pages d 9);
       let back = Disk.read_nocharge d { segment = 9; page = 1 } in
-      Alcotest.(check string) "data kept" "keep" (Page.sub back ~off:0 ~len:4))
+      Alcotest.(check string) "data kept" "keep" (String.sub back 0 4))
 
 let test_disk_bounds () =
   in_fiber (fun e ->
@@ -81,7 +81,7 @@ let test_disk_copy_independent () =
   Disk.write_nocharge src pid (page_of "v2") ~seqno:2;
   Disk.ensure_segment src 1 ~pages:8;
   Disk.write_nocharge dst { pid with page = 1 } (page_of "w1") ~seqno:3;
-  let text d pid = Page.sub (Disk.read_nocharge d pid) ~off:0 ~len:2 in
+  let text d pid = String.sub (Disk.read_nocharge d pid) 0 2 in
   Alcotest.(check string) "copy keeps v1" "v1" (text dst pid);
   Alcotest.(check int) "copy keeps its seqno" 1 (Disk.seqno dst pid);
   Alcotest.(check int) "copy keeps its size" 2 (Disk.segment_pages dst 1);

@@ -105,50 +105,86 @@ let test_record_rejects_garbage () =
        false
      with Codec.Reader.Malformed _ -> true)
 
-let gen_tid =
+(* Every constructor, each int field drawn from the varint's
+   boundaries, small values of either sign, a TM sequence number seeded
+   from a clock up to an hour into a run (five varint bytes), or any
+   int. *)
+let gen_field =
   QCheck.Gen.(
-    map3
-      (fun node seq path -> { Tid.node; seq; path })
-      (int_bound 100) (int_bound 10000)
-      (list_size (int_bound 3) (int_bound 5)))
+    oneof
+      [
+        oneofl [ 0; -1; min_int; max_int ];
+        int_range (-200) 200;
+        int_bound 3_600_000_000;
+        int;
+      ])
 
 let gen_record =
   QCheck.Gen.(
-    gen_tid >>= fun tid ->
-    string_size (int_bound 40) >>= fun s1 ->
-    string_size (int_bound 40) >>= fun s2 ->
-    int_bound 1000 >>= fun n ->
-    oneofl
+    let tid =
+      map3
+        (fun node seq path -> { Tid.node; seq; path })
+        gen_field gen_field
+        (list_size (int_bound 3) gen_field)
+    in
+    let page =
+      map2 (fun segment page -> { Disk.segment; page }) gen_field gen_field
+    in
+    let lsn = opt gen_field in
+    let s = string_size (int_bound 20) in
+    oneof
       [
-        Record.Update_value
-          {
-            tid;
-            obj = Object_id.make ~segment:(n mod 7) ~offset:n ~length:8;
-            old_value = s1;
-            new_value = s2;
-            prev = (if n mod 2 = 0 then Some n else None);
-          };
-        Record.Update_operation
-          {
-            tid;
-            server = s1;
-            operation = s2;
-            undo_arg = s2;
-            redo_arg = s1;
-            pages = [ { Disk.segment = n mod 7; page = n mod 13 } ];
-            prev = None;
-          };
-        Record.Txn_begin tid;
-        Record.Txn_commit tid;
-        Record.Txn_abort tid;
-        Record.Txn_prepare (tid, n mod 5);
-        Record.Txn_end tid;
-        Record.Checkpoint
-          {
-            dirty_pages = [ ({ Disk.segment = 1; page = n mod 17 }, n) ];
-            active_txns = [ (tid, Some n) ];
-            prepared = [ (tid, n mod 7) ];
-          };
+        (fun st ->
+          Record.Update_value
+            {
+              tid = tid st;
+              obj =
+                {
+                  Object_id.segment = gen_field st;
+                  offset = gen_field st;
+                  length = gen_field st;
+                };
+              old_value = s st;
+              new_value = s st;
+              prev = lsn st;
+            });
+        (fun st ->
+          Record.Update_operation
+            {
+              tid = tid st;
+              server = s st;
+              operation = s st;
+              undo_arg = s st;
+              redo_arg = s st;
+              pages = list_size (int_bound 3) page st;
+              prev = lsn st;
+            });
+        map (fun t -> Record.Txn_begin t) tid;
+        map (fun t -> Record.Txn_commit t) tid;
+        map (fun t -> Record.Txn_abort t) tid;
+        map2 (fun t c -> Record.Txn_prepare (t, c)) tid gen_field;
+        map (fun t -> Record.Txn_end t) tid;
+        (fun st ->
+          Record.Checkpoint
+            {
+              dirty_pages = list_size (int_bound 3) (pair page gen_field) st;
+              active_txns = list_size (int_bound 3) (pair tid lsn) st;
+              prepared = list_size (int_bound 3) (pair tid gen_field) st;
+            });
+        map2
+          (fun tid ballot -> Record.Paxos_promise { tid; ballot })
+          tid gen_field;
+        (fun st ->
+          Record.Paxos_accept
+            {
+              tid = tid st;
+              part = gen_field st;
+              ballot = gen_field st;
+              yes = bool st;
+            });
+        map2
+          (fun tid committed -> Record.Paxos_decision { tid; committed })
+          tid bool;
       ])
 
 let prop_decode_never_crashes =
@@ -162,9 +198,85 @@ let prop_decode_never_crashes =
       | exception Codec.Reader.Malformed _ -> true)
 
 let prop_record_roundtrip =
-  QCheck.Test.make ~name:"record encode/decode roundtrip" ~count:500
+  QCheck.Test.make ~name:"record encode/decode roundtrip" ~count:1000
     (QCheck.make gen_record)
     (fun r -> Record.decode (Record.encode r) = r)
+
+let test_varint_bounds () =
+  List.iter
+    (fun (v, len) ->
+      let bytes = Codec.encode Codec.int v in
+      Alcotest.(check int) (Printf.sprintf "%d: length" v) len
+        (String.length bytes);
+      Alcotest.(check int) (Printf.sprintf "%d: roundtrip" v) v
+        (Codec.decode Codec.int bytes))
+    [
+      (0, 1); (-1, 1); (63, 1); (-64, 1); (64, 2); (3_600_000_000, 5);
+      (max_int, 9); (min_int, 9);
+    ];
+  let malformed what decode bytes =
+    Alcotest.(check bool) what true
+      (match decode bytes with
+      | _ -> false
+      | exception Codec.Reader.Malformed _ -> true)
+  in
+  let ints = Codec.(decode (list int)) in
+  malformed "ten-byte varint" Codec.(decode int) (String.make 9 '\255' ^ "\001");
+  malformed "count above the bytes left" ints "\006\000\000";
+  malformed "negative count" ints "\001";
+  malformed "negative string length" Codec.(decode string) "\001";
+  (* a length near max_int: pos + len overflows to a negative sum *)
+  malformed "string length above the bytes left"
+    Codec.(decode (pair bool string))
+    "\000\254\255\255\255\255\255\255\255\127";
+  (* a Paxos decision whose tid path count reads -48 *)
+  malformed "negative count in a record" Record.decode "\020aa_"
+
+(* One log page per commit force: a transaction's begin, five
+   value-logged cell updates and its commit, and a two-account
+   transfer's operation record and commit, each fit in 512 bytes with
+   ids, offsets and LSNs of a long run (196 and 88 bytes). *)
+let test_commit_fits_one_page () =
+  let tid = { Tid.node = 7; seq = 3_600_000_000; path = [] } in
+  let slot = Codec.encode Codec.slot in
+  let size records =
+    List.fold_left (fun n r -> n + String.length (Record.encode r)) 0 records
+  in
+  let cell i =
+    Record.Update_value
+      {
+        tid;
+        obj = Object_id.make ~segment:1 ~offset:(32_760 + (8 * i)) ~length:8;
+        old_value = slot min_int;
+        new_value = slot max_int;
+        prev = Some (10_000_000 + i);
+      }
+  in
+  let five_bytes =
+    size ((Record.Txn_begin tid :: List.init 5 cell) @ [ Record.Txn_commit tid ])
+  in
+  if five_bytes > Page.size then
+    Alcotest.failf "five cells: %d bytes" five_bytes;
+  let adjustment = Codec.(encode (list (pair int int))) in
+  let transfer =
+    [
+      Record.Update_operation
+        {
+          tid;
+          server = "accounts";
+          operation = "adjust";
+          undo_arg = adjustment [ (4_095, max_int); (63, min_int) ];
+          redo_arg = adjustment [ (4_095, min_int); (63, max_int) ];
+          pages =
+            [ { Disk.segment = 2; page = 63 }; { Disk.segment = 2; page = 0 } ];
+          prev = Some 10_000_000;
+        };
+      Record.Txn_commit tid;
+    ]
+  in
+  let transfer_bytes = size transfer in
+  if transfer_bytes > Page.size then
+    Alcotest.failf "transfer: %d bytes" transfer_bytes
 
 (* Byte-format goldens ------------------------------------------------- *)
 
@@ -183,7 +295,7 @@ let golden_records =
     ( "update_value",
       Record.Update_value
         { tid; obj; old_value = "old\000"; new_value = "new!"; prev = Some 12 },
-      "4505870158aa8e0f5c1b285cce266c84" );
+      "8b9a8da0b45eaa26d84f452ed7afb700" );
     ( "update_operation",
       Record.Update_operation
         {
@@ -195,16 +307,16 @@ let golden_records =
           pages = [ page 0; page 1 ];
           prev = None;
         },
-      "916b4c99210cb891da8626c2dab4f139" );
-    ("begin", Record.Txn_begin tid, "7aafd47d291f3a20824527de5061c2ff");
+      "20b81beaeb043e214e78e1699d0c23d3" );
+    ("begin", Record.Txn_begin tid, "dffaafaa67284be4a22520cea4c70a15");
     ( "commit",
       Record.Txn_commit (Tid.top ~node:0 ~seq:1),
-      "a639b35506421dceaf759a700fd21010" );
-    ("abort", Record.Txn_abort tid, "f0b7cdbe2d651cd2d0238657d7901ccc");
+      "d928f0cf2cda4a37d4f90b335233af84" );
+    ("abort", Record.Txn_abort tid, "ab3a6ef88348c1aff9aa20a4fd201304");
     ( "prepare",
       Record.Txn_prepare (tid, 3),
-      "4667fd4a7cc45099ebe9303eeff8662f" );
-    ("end", Record.Txn_end tid, "becf2e742ee24b700c51c4a9a40090d8");
+      "39b604f3f8a7e6cc484a56d95f0e34b7" );
+    ("end", Record.Txn_end tid, "950355c3f6cf96712f4286a60c8450ab");
     ( "checkpoint",
       Record.Checkpoint
         {
@@ -212,16 +324,16 @@ let golden_records =
           active_txns = [ (tid, Some 98); (Tid.top ~node:1 ~seq:4, None) ];
           prepared = [ (tid, 3) ];
         },
-      "b493fbd1e5d51d313b58207bf93bd240" );
+      "44e46607036ebf70ccc01ce9948a188e" );
     ( "paxos_promise",
       Record.Paxos_promise { tid; ballot = 33 },
-      "dc70dc5edd8347a99d531a8443062852" );
+      "3a50c3301f2f07a699929831053471fa" );
     ( "paxos_accept",
       Record.Paxos_accept { tid; part = 1; ballot = 17; yes = true },
-      "956931090d2b8364d900dbe8f9043319" );
+      "3c269eda087a23cd816df20934393b37" );
     ( "paxos_decision",
       Record.Paxos_decision { tid; committed = false },
-      "75ed4f0302420601b64d4ec41fd3c704" );
+      "7cfe077d765775a2ecece76ebbc1c410" );
   ]
 
 let test_record_byte_goldens () =
@@ -307,7 +419,7 @@ let test_slot_byte_goldens () =
       Alcotest.(check string) (what ^ " bytes") pinned (md5 bytes))
     [
       ("int array cells", cells, "746277082bfa1874faf93402a14c3c58");
-      ("account adjustments", adjustments, "b792e988ec5242beea7b4181933b9d8e");
+      ("account adjustments", adjustments, "ebd27a364cfa15141f71b7e66ce94761");
       ("account slots", !account_slots, "bcf2ad212b0b1983f2d7c06008019aca");
       ("queue head and elements", queue, "03ef3b02c9c8a499f58590fbd990fa3b");
       ("io area ints", io, "11a5af70472be0b9b6080710fdb6cd98");
@@ -421,8 +533,8 @@ let test_log_truncate () =
       Log_manager.truncate log ~keep_from:6;
       Alcotest.(check int) "first lsn" 6 (Log_manager.first_lsn log);
       let seen = ref 0 in
-      Log_manager.iter_backward log ~from:9 ~f:(fun _ _ -> incr seen; `Continue);
-      Alcotest.(check int) "backward scan sees live only" 4 !seen)
+      Log_manager.iter_forward log ~from:0 ~f:(fun _ _ -> incr seen);
+      Alcotest.(check int) "scan sees live only" 4 !seen)
 
 (* [Codec.encode] reuses one buffer. A writer that encodes re-entrantly
    gets a fresh buffer, and a writer that raises — nested or not — leaves
@@ -447,7 +559,7 @@ let test_codec_reentrant () =
     (match Codec.encode Codec.(pair string boom) ("partial", 0) with
     | _ -> false
     | exception Failure _ -> true);
-  Alcotest.(check string) "after a raise" "\003\000\000\000\000\000\000\000"
+  Alcotest.(check string) "after a raise" "\006"
     (Codec.encode Codec.int 3);
   Alcotest.(check string) "re-entrant after a raise"
     expected
@@ -467,6 +579,8 @@ let suites =
         quick "rejects garbage" test_record_rejects_garbage;
         QCheck_alcotest.to_alcotest prop_record_roundtrip;
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;
+        quick "varint lengths and bounds" test_varint_bounds;
+        quick "a commit fits one log page" test_commit_fits_one_page;
         quick "record byte goldens" test_record_byte_goldens;
         quick "slot byte goldens" test_slot_byte_goldens;
         quick "re-entrant and raising writers" test_codec_reentrant;
