@@ -213,10 +213,8 @@ let run_crash profile group_commit checkpointing comm_batching topts instant =
   if instant then begin
     let m = Metrics.recovery (Engine.metrics (Cluster.engine c)) ~node:0 in
     say
-      "pages replayed: %d on first touch, %d by trickle, %d at restart; %d \
-       still pending"
-      m.Metrics.ondemand_pages m.Metrics.trickle_pages m.Metrics.restart_pages
-      m.Metrics.pending_pages
+      "pages replayed: %d on first touch, %d by trickle; %d still pending"
+      m.Metrics.ondemand_pages m.Metrics.trickle_pages m.Metrics.pending_pages
   end;
   0
 

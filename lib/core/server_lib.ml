@@ -226,12 +226,7 @@ let relock_in_doubt t entries =
   List.iter
     (fun (tid, (obj : Object_id.t)) ->
       if obj.segment = t.segment then begin
-        (* On an eager restart nothing else runs yet, so the try-lock
-           always succeeds. Under instant restart the node is already
-           serving: a new transaction may hold the lock for the length
-           of its own access, so fall back to a blocking acquire. *)
-        if not (Lock_manager.try_lock t.locks tid obj Mode.Write) then
-          lock_object t tid obj Mode.Write;
+        lock_object t tid obj Mode.Write;
         (* re-join so the coordinator's eventual verdict reaches this
            server and releases the locks *)
         ignore (Txn_mgr.join t.env.tm ~tid ~server:t.name)

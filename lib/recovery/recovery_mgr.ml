@@ -42,9 +42,9 @@ type recovery_outcome = {
          analysis scan, so fiber fan-out is visible in isolation *)
   graph : Parallel_redo.stats; (* shape of the redo graph this restart built *)
   paxos : (Record.lsn * Record.t) list;
-      (* surviving Paxos Commit acceptor state, already re-appended
-         above the closing checkpoint; the TM reseeds its acceptor from
-         these (the LSNs restore its truncation floor) *)
+      (* surviving Paxos Commit acceptor state, already re-appended and
+         held as the acceptor floor through the restart's close; the TM
+         reseeds its acceptor from these (the LSNs restore its floor) *)
   open_early : bool;
       (* instant restart: the node opened after analysis with redo
          parked per page; false after a full (eager) replay *)
@@ -65,9 +65,6 @@ type analysis = {
 type ondemand = {
   graph : Parallel_redo.t;
   apply : Parallel_redo.phase -> int -> unit;
-  paxos_floor : Record.lsn option;
-      (* oldest re-appended acceptor record: held down until the
-         trickle finalizes (the TM's own floor takes over by then) *)
   mutable owner : int; (* fiber id mid-replay; -1 when free *)
   latch : unit Engine.Waitq.t;
 }
@@ -89,6 +86,9 @@ type t = {
       (* the TM's Paxos acceptor supplies the oldest log record that
          still backs undecided consensus state — those records belong to
          no transaction chain, so reclamation would otherwise eat them *)
+  mutable paxos_floor : Record.lsn option;
+      (* oldest acceptor record [recover] re-appended: held down until
+         the restart's close (the TM's own floor takes over by then) *)
   fibers : int; (* eager restart's redo fan-out; 1 drains inline *)
   instant : bool;
   mutable ondemand : ondemand option;
@@ -123,10 +123,12 @@ let set_apply_hook t f = t.apply_hook <- f
 let min_opt a b =
   match (a, b) with None, f | f, None -> f | Some a, Some b -> Some (min a b)
 
-(* Besides the TM's floor, parked recovery work pins the log: the oldest
-   record of any still-pending page, plus the re-appended Paxos acceptor
-   records (held until the trickle's finalize; the TM's own floor
-   covers the acceptor from the moment it reseeds). *)
+(* The oldest log record backing Paxos acceptor state: the TM's floor,
+   and until a restart's close the records [recover] re-appended. *)
+let acceptor_floor t = min_opt t.paxos_floor (t.truncation_floor_source ())
+
+(* Besides the acceptor floor, parked recovery work pins the log: the
+   oldest record of any still-pending page. *)
 let reclamation_floor t =
   if t.recovering then
     (* Chain table not restored yet (see [recovering]): pin the floor at
@@ -139,9 +141,9 @@ let reclamation_floor t =
       | Some st ->
           List.fold_left
             (fun acc (first, _) -> min_opt acc (Some first))
-            st.paxos_floor (Parallel_redo.pending st.graph)
+            None (Parallel_redo.pending st.graph)
     in
-    min_opt parked (t.truncation_floor_source ())
+    min_opt parked (acceptor_floor t)
 
 let hook t phase lsn =
   match t.apply_hook with None -> () | Some f -> f ~phase ~lsn
@@ -293,34 +295,28 @@ let abort t ~tid =
 (* Checkpoints and reclamation ---------------------------------------- *)
 
 (* Where analysis anchored at checkpoint [c], written at [lsn], starts:
-   no record below the checkpoint, its dirty pages' recovery LSNs, and
-   its transaction families' first-update LSNs is needed. *)
+   no record below the checkpoint, its dirty pages' recovery LSNs, its
+   transaction families' first-update LSNs, and its acceptor floor is
+   needed. *)
 let anchor_floor lsn (c : Record.checkpoint) =
   let floor = List.fold_left (fun acc (_, r) -> min acc r) lsn c.dirty_pages in
+  let floor =
+    match c.acceptor_floor with Some f -> min floor f | None -> floor
+  in
   List.fold_left
     (fun acc (_, first) -> match first with Some f -> min acc f | None -> acc)
     floor c.active_txns
 
-(* Oldest first-update LSN per top-level family, from per-tid chains. *)
-let family_firsts chain_firsts =
-  let family_first = Hashtbl.create 16 in
-  List.iter
-    (fun (tid, first) ->
-      let top = Tid.top_level tid in
-      match Hashtbl.find_opt family_first top with
-      | Some f when f <= first -> ()
-      | Some _ | None -> Hashtbl.replace family_first top first)
-    chain_firsts;
-  family_first
-
 (* A fuzzy checkpoint: record where recovery would have to start —
    the dirty pages with their recovery LSNs, the first-update LSN of
-   every live transaction family, and the unresolved prepared
-   participants — without writing a single data page. The family
+   every live transaction family, the unresolved prepared participants,
+   and the acceptor floor — without writing a single data page. The family
    first-LSNs come from the log's own chain table, which also covers
    rigs and restart windows where no Transaction Manager source is
-   wired. *)
-let checkpoint t =
+   wired. [prepared] is the Transaction Manager's in-doubt set, except
+   at an eager restart's close, which runs before the TM has re-learned
+   it and passes the restart's own. *)
+let checkpoint_with t ~prepared =
   let dirty_pages = Vm.dirty_pages t.vm in
   (* Parked instant-restart chains are recovery work this checkpoint
      must keep reachable: report each still-pending page at its chain's
@@ -352,9 +348,17 @@ let checkpoint t =
   in
   let prepared =
     List.sort compare
-      (List.filter (fun (tid, _) -> undecided tid) (t.prepared_source ()))
+      (List.filter (fun (tid, _) -> undecided tid) prepared)
   in
-  let family_first = family_firsts (Log_manager.live_chain_firsts t.log) in
+  (* oldest first-update LSN per top-level family, from per-tid chains *)
+  let family_first = Hashtbl.create 16 in
+  List.iter
+    (fun (tid, first) ->
+      let top = Tid.top_level tid in
+      match Hashtbl.find_opt family_first top with
+      | Some f when f <= first -> ()
+      | Some _ | None -> Hashtbl.replace family_first top first)
+    (Log_manager.live_chain_firsts t.log);
   let seen = Hashtbl.create 16 in
   let active_txns =
     List.filter_map
@@ -369,7 +373,14 @@ let checkpoint t =
       @ Hashtbl.fold (fun top _ acc -> top :: acc) family_first [])
     |> List.sort compare
   in
-  let c = { Record.dirty_pages; active_txns; prepared } in
+  let c =
+    {
+      Record.dirty_pages;
+      active_txns;
+      prepared;
+      acceptor_floor = acceptor_floor t;
+    }
+  in
   let lsn = Log_manager.append t.log (Record.Checkpoint c) in
   if Engine.tracing t.engine then
     Engine.emit t.engine
@@ -383,6 +394,8 @@ let checkpoint t =
          });
   Log_manager.force_all t.log;
   lsn
+
+let checkpoint t = checkpoint_with t ~prepared:(t.prepared_source ())
 
 (* Truncate the log below the checkpoint at [ck], keeping every live
    update chain, the recovery LSN of every page still dirty (pinned
@@ -403,11 +416,12 @@ let truncate_below t ~ck ~floor =
 
 (* Reclamation "may force pages back to disk before they would otherwise
    be written": flush, checkpoint, and truncate below the checkpoint.
-   [floor] is read once the checkpoint is stable: the flush and the
-   checkpoint's force both suspend. *)
-let reclaim t ~floor =
+   [prepared] is read once the flush is done and [floor] once the
+   checkpoint is stable: the flush and the checkpoint's force both
+   suspend. *)
+let reclaim t ~prepared ~floor =
   Vm.flush_all t.vm;
-  let ck = checkpoint t in
+  let ck = checkpoint_with t ~prepared:(prepared ()) in
   ignore (truncate_below t ~ck ~floor:(floor ()))
 
 let maybe_reclaim t =
@@ -420,7 +434,8 @@ let maybe_reclaim t =
         Checkpointer.request cp;
         false
     | None ->
-        reclaim t ~floor:(fun () -> reclamation_floor t);
+        reclaim t ~prepared:t.prepared_source
+          ~floor:(fun () -> reclamation_floor t);
         true
 
 let create engine ~node ~log ~vm ?(profile = Profile.Classic)
@@ -442,6 +457,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       prepared_source = (fun () -> []);
       last_background_flush = 0;
       truncation_floor_source = (fun () -> None);
+      paxos_floor = None;
       fibers = Option.value parallel_recovery ~default:1;
       instant = instant_restart;
       ondemand = None;
@@ -493,8 +509,9 @@ let scan_anchor t =
    subtransactions.
 
    Anchored at the last checkpoint, the scan starts at the minimum of
-   the checkpoint's own LSN, its dirty pages' recovery LSNs, and its
-   transaction families' first-update LSNs: every record below that
+   the checkpoint's own LSN, its dirty pages' recovery LSNs, its
+   transaction families' first-update LSNs, and its acceptor floor (the
+   Paxos acceptor records belong to no family): every record below that
    either belongs to a finished transaction whose effects the segments
    already reflect (its pages were clean, or their recovery LSNs were
    higher), or to nothing recovery cares about. Statuses are seeded from
@@ -568,10 +585,9 @@ let winner a tid =
   | Some (Committed | Prepared _) -> true
   | Some (Aborted | Active) | None -> false
 
-(* Apply record [i] of the analysis in [phase] and return the pages it
-   wrote — [] when a sector-seqno gate found nothing to do. Every
-   schedule of the redo graph calls this, so its body is the paper's
-   two techniques, record by record.
+(* Apply record [i] of the analysis in [phase], unless a sector-seqno
+   gate finds nothing to do. Every schedule of the redo graph calls
+   this, so its body is the paper's two techniques, record by record.
 
    Operation logging repeats history forward, gated by the sector
    sequence numbers so already-reflected effects are skipped, then
@@ -598,16 +614,13 @@ let apply_record t a finalized phase i =
         hook t "op_redo" lsn;
         small_msg t;
         (op_handler t u.server).redo ~op:u.operation ~arg:u.redo_arg;
-        Vm.note_pages t.vm u.pages ~lsn;
-        u.pages
+        Vm.note_pages t.vm u.pages ~lsn
       end
-      else []
   | Parallel_redo.Op_undo, (lsn, Record.Update_operation u) ->
       hook t "op_undo" lsn;
       small_msg t;
       (op_handler t u.server).undo ~op:u.operation ~arg:u.undo_arg;
-      Vm.note_pages t.vm u.pages ~lsn;
-      u.pages
+      Vm.note_pages t.vm u.pages ~lsn
   | Parallel_redo.Value, (lsn, Record.Update_value u)
     when not (Hashtbl.mem finalized u.obj) ->
       (* value-logged objects fit one page (checked at log_value) *)
@@ -616,17 +629,14 @@ let apply_record t a finalized phase i =
       let restore phase value =
         hook t phase lsn;
         restore_value t u.obj value;
-        Vm.note_pages t.vm pages ~lsn;
-        pages
+        Vm.note_pages t.vm pages ~lsn
       in
       if winner a u.tid then begin
-        let written = if on_disk then [] else restore "value_redo" u.new_value in
-        Hashtbl.replace finalized u.obj ();
-        written
+        if not on_disk then restore "value_redo" u.new_value;
+        Hashtbl.replace finalized u.obj ()
       end
       else if on_disk then restore "value_undo" u.old_value
-      else []
-  | _ -> []
+  | _ -> ()
 
 let resolve_outcome t a =
   (* Roll-back records for the losers that never logged an outcome. *)
@@ -681,10 +691,7 @@ let resolve_outcome t a =
   List.iter
     (fun (tid, first, last) -> Log_manager.restore_chain t.log ~tid ~first ~last)
     chains;
-  ( losers,
-    in_doubt,
-    written_objects,
-    List.map (fun (tid, first, _) -> (tid, first)) chains )
+  (losers, in_doubt, written_objects)
 
 (* Paxos Commit acceptor state must survive post-restart reclamation: it
    belongs to no local transaction chain, so the keep_from floor would
@@ -750,13 +757,8 @@ let condense_paxos a =
    drained. Eager: both redo phases over the configured fibers — one,
    inline, when parallel recovery is off — then loser undo inline
    (losers are few: fanning them out would buy little and move every
-   restart timing), all before the node opens. The distinct pages
-   written go into the Metrics restart_pages row. *)
+   restart timing), all before the node opens. *)
 let replay_eagerly t g apply =
-  let replayed = Hashtbl.create 32 in
-  let apply phase i =
-    List.iter (fun pid -> Hashtbl.replace replayed pid ()) (apply phase i)
-  in
   let redo phase =
     Parallel_redo.drain_over g phase t.engine ~node:t.node ~fibers:t.fibers
       ~apply:(apply phase)
@@ -764,9 +766,7 @@ let replay_eagerly t g apply =
   redo Parallel_redo.Op_redo;
   redo Parallel_redo.Value;
   Parallel_redo.drain g Parallel_redo.Op_undo
-    ~apply:(apply Parallel_redo.Op_undo);
-  let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
-  m.Metrics.restart_pages <- m.Metrics.restart_pages + Hashtbl.length replayed
+    ~apply:(apply Parallel_redo.Op_undo)
 
 (* Instant: replay one parked page's closure, then retire every page it
    completed — cross-page closures can complete neighbours too. *)
@@ -811,15 +811,19 @@ let ondemand_gate t pid =
           recover_page t st pid ~via:`Fault
       end
 
-(* Every chain is drained: flush the recovered state, close the window
-   with a checkpoint, and reclaim the scanned history exactly as an
-   eager restart would have. The re-appended Paxos acceptor records
-   stay protected until the TM's own floor covers them. *)
-let finalize_instant t st =
+(* The one restart close, once every chain is drained: flush the
+   recovered state, write the fuzzy checkpoint, and reclaim the scanned
+   history. An eager restart closes here before the node opens; an
+   instant one when its trickle finishes. In-doubt chains stay walkable
+   for a late Abort verdict (the restored chain table holds the floor at
+   them). The re-appended Paxos acceptor records sit below this
+   checkpoint: its acceptor floor keeps them in the next restart's scan,
+   and truncation keeps them too. Then the TM's own floor takes over. *)
+let finalize t ~prepared =
   t.ondemand <- None;
   Vm.set_on_fault t.vm None;
-  reclaim t ~floor:(fun () ->
-      min_opt st.paxos_floor (t.truncation_floor_source ()))
+  reclaim t ~prepared ~floor:(fun () -> acceptor_floor t);
+  t.paxos_floor <- None
 
 let trickle_pause = 10_000
 
@@ -832,27 +836,18 @@ let rec trickle_loop t st =
     Engine.Waitq.wait st.latch
   done;
   match List.sort compare (Parallel_redo.pending st.graph) with
-  | [] -> finalize_instant t st
+  | [] -> finalize t ~prepared:t.prepared_source
   | (_, pid) :: _ ->
       recover_page t st pid ~via:`Trickle;
-      if Parallel_redo.pending_count st.graph = 0 then finalize_instant t st
-      else begin
+      if Parallel_redo.pending_count st.graph > 0 then
         Engine.delay trickle_pause;
-        trickle_loop t st
-      end
+      trickle_loop t st
 
 (* Instant: open now, with the graph parked behind the access gate.
    First touch drains a page's closure; the trickle drains the rest. *)
-let park t g apply ~paxos =
+let park t g apply =
   let st =
-    {
-      graph = g;
-      apply = (fun phase i -> ignore (apply phase i));
-      paxos_floor =
-        List.fold_left (fun acc (lsn, _) -> min_opt acc (Some lsn)) None paxos;
-      owner = -1;
-      latch = Engine.Waitq.create ();
-    }
+    { graph = g; apply; owner = -1; latch = Engine.Waitq.create () }
   in
   t.ondemand <- Some st;
   Vm.set_on_fault t.vm (Some (fun pid -> ondemand_gate t pid));
@@ -860,37 +855,15 @@ let park t g apply ~paxos =
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
   m.Metrics.pending_pages <- Parallel_redo.pending_count g
 
-(* Eager close: segments must reflect exactly committed + prepared
-   work, so flush, then write the closing checkpoint. Chains of
-   in-doubt transactions must stay walkable for a late Abort verdict,
-   and the checkpoint carries them so the next restart can anchor on
-   it. Returns the checkpoint and the oldest in-doubt chain record, the
-   floor below which the scanned prefix can be reclaimed. *)
-let close_eagerly t ~in_doubt ~chains =
-  Vm.flush_all t.vm;
-  Log_manager.force_all t.log;
-  let family_first = family_firsts chains in
-  let ck =
-    Log_manager.append t.log
-      (Record.Checkpoint
-         {
-           dirty_pages = Vm.dirty_pages t.vm;
-           active_txns =
-             List.map
-               (fun (tid, _) -> (tid, Hashtbl.find_opt family_first tid))
-               in_doubt;
-           prepared = in_doubt;
-         })
-  in
-  (ck, List.fold_left (fun acc (_, first) -> min_opt acc (Some first)) None chains)
-
 (* Analysis, then the one graph under the configured schedule. The
    bookkeeping later traffic depends on — loser roll-back records,
    in-doubt chains, condensed Paxos acceptor state — happens before the
    node opens either way: it costs log appends and one force, not
-   replay I/O. An eager restart then reclaims the scanned prefix so
-   repeated crashes do not re-read ever-growing history; an instant one
-   reclaims when the trickle finishes. *)
+   replay I/O. Both close through [finalize], which reclaims the scanned
+   prefix so repeated crashes do not re-read ever-growing history: an
+   eager restart before the node opens, with the TM's in-doubt set not
+   yet re-learned, so it passes its own; an instant one when the
+   trickle finishes. *)
 let recover t =
   let t0 = Engine.now t.engine in
   t.recovering <- true;
@@ -900,17 +873,15 @@ let recover t =
   let replay_start = Engine.now t.engine in
   if not t.instant then replay_eagerly t g apply;
   let replay_us = Engine.now t.engine - replay_start in
-  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
-  let closing =
-    if t.instant then None else Some (close_eagerly t ~in_doubt ~chains)
-  in
+  let losers, in_doubt, written_objects = resolve_outcome t a in
   let paxos =
     List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
   in
+  t.paxos_floor <-
+    List.fold_left (fun acc (lsn, _) -> min_opt acc (Some lsn)) None paxos;
   Log_manager.force_all t.log;
-  (match closing with
-  | Some (ck, floor) -> ignore (truncate_below t ~ck ~floor)
-  | None -> park t g apply ~paxos);
+  if t.instant then park t g apply
+  else finalize t ~prepared:(fun () -> in_doubt);
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_recovered

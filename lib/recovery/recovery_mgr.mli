@@ -86,10 +86,11 @@ type recovery_outcome = {
   paxos : (Tabs_wal.Record.lsn * Tabs_wal.Record.t) list;
       (** surviving Paxos Commit acceptor records (condensed: decisions
           for decided transactions; highest promise and highest-ballot
-          accepts for undecided ones), already re-appended above the
-          closing checkpoint so reclamation cannot eat them. The
-          Transaction Manager reseeds its acceptor from these; the LSNs
-          restore the acceptor's log-truncation floor. *)
+          accepts for undecided ones), already re-appended and held as
+          the acceptor floor through the restart's closing checkpoint,
+          so neither truncation nor the next restart's anchored scan
+          skips them. The Transaction Manager reseeds its acceptor from
+          these; the LSNs restore the acceptor's log-truncation floor. *)
   open_early : bool;
       (** instant restart: the node opened right after the analysis
           scan, with redo parked as per-page chains; [false] after a
@@ -162,7 +163,7 @@ val set_prepared_source : t -> (unit -> (Tabs_wal.Tid.t * int) list) -> unit
     undecided consensus state. Acceptor records join no transaction
     chain, so both reclamation paths (foreground {!maybe_reclaim} and
     the background {!Checkpointer}) consult this extra floor before
-    truncating. *)
+    truncating, and every checkpoint records it as its acceptor floor. *)
 val set_truncation_floor_source :
   t -> (unit -> Tabs_wal.Record.lsn option) -> unit
 
@@ -223,8 +224,8 @@ val abort : t -> tid:Tabs_wal.Tid.t -> unit
 
 (** [checkpoint t] writes a {e fuzzy} checkpoint record — the dirty
     pages with their recovery LSNs, the first-update LSN of every live
-    transaction family, and the unresolved prepared participants — and
-    forces the log. No data page is written. *)
+    transaction family, the unresolved prepared participants, and the
+    acceptor floor — and forces the log. No data page is written. *)
 val checkpoint : t -> Tabs_wal.Record.lsn
 
 (** [maybe_reclaim t] runs the reclamation algorithm if the live log
@@ -250,7 +251,8 @@ val maybe_reclaim : t -> bool
 
     The analysis scan is anchored at the last stable checkpoint: it
     starts at the minimum of the checkpoint's LSN, its dirty pages'
-    recovery LSNs, and its live families' first-update LSNs, seeding
+    recovery LSNs, its live families' first-update LSNs, and its
+    acceptor floor, seeding
     transaction statuses from the checkpoint's tables. Without a
     checkpoint it scans the whole live log.
 
@@ -266,9 +268,9 @@ val maybe_reclaim : t -> bool
     and the whole graph parked. The first transaction to touch a page
     drains that page's closure before its access proceeds; a trickle
     fiber drains untouched pages oldest-first and, once nothing is
-    pending, flushes, checkpoints, and reclaims the log as an eager
-    restart would have. Fuzzy checkpoints taken while pages are pending
-    report them at their oldest parked record, so a re-crash in the
+    pending, flushes, checkpoints, and reclaims the log: the one close
+    an eager restart ends with too. Fuzzy checkpoints taken while pages
+    are pending report them at their oldest parked record, so a re-crash in the
     serving window recovers correctly. *)
 val recover : t -> recovery_outcome
 

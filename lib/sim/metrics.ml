@@ -33,12 +33,10 @@ type msgs = {
    with locks held — under 2PC the data stays locked forever. *)
 type tm = { mutable resolutions_abandoned : int }
 
-(* [recovery] counts per-node crash-recovery page replays by who drove
-   them: eagerly inside [Recovery_mgr.recover] (the classic restart),
-   on demand at first touch, or by the instant-restart background
-   trickle. [pending_pages] is a gauge: per-page chains still parked. *)
+(* [recovery] counts per-node instant-restart page replays by who drove
+   them: on demand at first touch, or by the background trickle.
+   [pending_pages] is a gauge: per-page chains still parked. *)
 type recovery = {
-  mutable restart_pages : int;
   mutable ondemand_pages : int;
   mutable trickle_pages : int;
   mutable pending_pages : int;
@@ -94,14 +92,7 @@ let recovery t ~node =
   match Hashtbl.find_opt t.recovery_rows node with
   | Some r -> r
   | None ->
-      let r =
-        {
-          restart_pages = 0;
-          ondemand_pages = 0;
-          trickle_pages = 0;
-          pending_pages = 0;
-        }
-      in
+      let r = { ondemand_pages = 0; trickle_pages = 0; pending_pages = 0 } in
       Hashtbl.add t.recovery_rows node r;
       r
 

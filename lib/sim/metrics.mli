@@ -28,15 +28,13 @@ type msgs = {
     blocked with write locks held. Mutate only from {!Tabs_tm.Txn_mgr}. *)
 type tm = { mutable resolutions_abandoned : int }
 
-(** Per-node crash-recovery progress counters, kept by the Recovery
-    Managers: page replays attributed to who drove them — eagerly
-    inside [recover] (the classic restart path), on demand at first
-    touch after an instant restart, or by the instant-restart
-    background trickle. [pending_pages] is a gauge: per-page chains
-    still parked for lazy replay. Mutate only from
-    [Tabs_recovery.Recovery_mgr]. *)
+(** Per-node instant-restart progress counters, kept by the Recovery
+    Managers: parked page replays attributed to who drove them — on
+    demand at first touch, or by the background trickle. An eager
+    restart parks nothing and counts nothing here. [pending_pages] is
+    a gauge: per-page chains still parked for lazy replay. Mutate only
+    from [Tabs_recovery.Recovery_mgr]. *)
 type recovery = {
-  mutable restart_pages : int;
   mutable ondemand_pages : int;
   mutable trickle_pages : int;
   mutable pending_pages : int;

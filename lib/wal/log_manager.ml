@@ -40,7 +40,8 @@ type t = {
 }
 
 let dummy_record =
-  Record.Checkpoint { dirty_pages = []; active_txns = []; prepared = [] }
+  Record.Checkpoint
+    { dirty_pages = []; active_txns = []; prepared = []; acceptor_floor = None }
 
 let attach engine stable =
   {

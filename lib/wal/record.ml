@@ -24,6 +24,7 @@ type checkpoint = {
   dirty_pages : (Disk.page_id * lsn) list;
   active_txns : (Tid.t * lsn option) list;
   prepared : (Tid.t * int) list;
+  acceptor_floor : lsn option;
 }
 
 type t =
@@ -129,13 +130,16 @@ let update_operation =
 let checkpoint =
   Codec.(
     map
-      (triple
-         (list (pair page int))
-         (list (pair tid (option int)))
-         (list (pair tid int))))
-    ~read:(fun (dirty_pages, active_txns, prepared) ->
-      { dirty_pages; active_txns; prepared })
-    ~write:(fun c -> (c.dirty_pages, c.active_txns, c.prepared))
+      (pair
+         (triple
+            (list (pair page int))
+            (list (pair tid (option int)))
+            (list (pair tid int)))
+         (option int)))
+    ~read:(fun ((dirty_pages, active_txns, prepared), acceptor_floor) ->
+      { dirty_pages; active_txns; prepared; acceptor_floor })
+    ~write:(fun c ->
+      ((c.dirty_pages, c.active_txns, c.prepared), c.acceptor_floor))
 
 let tid_int = Codec.(pair tid int)
 

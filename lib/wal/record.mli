@@ -48,6 +48,11 @@ type checkpoint = {
       (** prepared-but-unresolved participants and their coordinator
           nodes: their prepare records may predate the checkpoint, so
           analysis seeds their in-doubt status from here. *)
+  acceptor_floor : lsn option;
+      (** the oldest log record backing Paxos Commit acceptor state,
+          [None] if there is none. Those records belong to no local
+          transaction, so no other field reaches them; checkpoint-anchored
+          analysis starts its scan no later than this. *)
 }
 
 type t =

@@ -380,7 +380,7 @@ let integrated_9 =
 
 let parallel_2 =
   {
-    trace_md5 = "d6bd1c211c129f8a20ef554d37a5e9e9";
+    trace_md5 = "7b2d095e1866f34c173552813daef01a";
     summary = "scanned=13 losers=0 replay=32000 graph=0/5/4/5/1";
     now = 646_400;
     events = 102;
@@ -388,7 +388,7 @@ let parallel_2 =
 
 let parallel_7 =
   {
-    trace_md5 = "4991b9ef7a6d395160f4c1ecea47463f";
+    trace_md5 = "227f42f49c6d0ec09b34780eca553b37";
     summary = "scanned=23 losers=1 replay=32000 graph=0/12/11/12/1";
     now = 914_800;
     events = 151;
@@ -396,16 +396,16 @@ let parallel_7 =
 
 let instant_2 =
   {
-    trace_md5 = "3f3f0982d1b2fe223389e972e54179bb";
-    summary = "scanned=4 losers=0 open_early=true tto=16000 pages=0/0/1/0";
+    trace_md5 = "247bb0126fd4c27e69918058df9b2837";
+    summary = "scanned=4 losers=0 open_early=true tto=16000 pages=0/1/0";
     now = 2_162_038;
     events = 406;
   }
 
 let instant_7 =
   {
-    trace_md5 = "2da0ef4639e24244a5a1d9c88ad5941b";
-    summary = "scanned=7 losers=0 open_early=true tto=16000 pages=0/0/1/0";
+    trace_md5 = "b452512244ef108c3ebe5ac872ea5181";
+    summary = "scanned=7 losers=0 open_early=true tto=16000 pages=0/1/0";
     now = 4_276_148;
     events = 449;
   }
@@ -535,12 +535,12 @@ let instant_fingerprint ~seed =
     let open Tabs_recovery in
     let m = Metrics.recovery (Engine.metrics engine) ~node:0 in
     Printf.sprintf
-      "scanned=%d losers=%d open_early=%b tto=%d pages=%d/%d/%d/%d"
+      "scanned=%d losers=%d open_early=%b tto=%d pages=%d/%d/%d"
       outcome.Recovery_mgr.records_scanned
       (List.length outcome.Recovery_mgr.losers)
       outcome.Recovery_mgr.open_early outcome.Recovery_mgr.time_to_open_us
-      m.Metrics.restart_pages m.Metrics.ondemand_pages
-      m.Metrics.trickle_pages m.Metrics.pending_pages
+      m.Metrics.ondemand_pages m.Metrics.trickle_pages
+      m.Metrics.pending_pages
   in
   observe recorder engine summary
 

@@ -456,14 +456,18 @@ let test_coordinator_crash_in_doubt_then_resolved () =
   Alcotest.(check (pair int int)) "both sides converged to commit" (5, 6)
     (v0, v1)
 
-let test_prepared_participant_crash_and_resolution () =
+let test_prepared_participant_crash_and_resolution ~writes () =
   (* The subordinate crashes AFTER forcing its prepare record but
      BEFORE its vote reaches the coordinator. The coordinator times out
      and aborts. The restarted subordinate comes back in doubt with the
-     prepared data applied and relocked; its status query returns
-     Aborted, and the undo uses the update chain restored from the
-     log. *)
-  let c = make_cluster ~nodes:2 () in
+     prepared data applied and relocked. It crashes again the moment
+     that restart returns: the restart's closing checkpoint must carry
+     the in-doubt set, or the second restart, anchored above the prepare
+     record, forgets it. A reader (no read-only optimization, so it
+     prepares) has a prepare record but no update chain to keep the scan
+     below it. Once back, its status query returns Aborted, and the undo
+     uses the update chain restored from the log. *)
+  let c = Cluster.create ~nodes:2 ~read_only_optimization:writes () in
   let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
   let a0 = make_array ~name:"a0" n0 in
   let _a1 = make_array ~name:"a1" n1 in
@@ -472,7 +476,8 @@ let test_prepared_participant_crash_and_resolution () =
   Cluster.spawn c ~node:0 (fun () ->
       let tid = Txn_lib.begin_transaction tm () in
       Int_array_server.set a0 tid 0 5;
-      Int_array_server.call_set rpc ~dest:1 ~server:"a1" tid 0 6;
+      if writes then Int_array_server.call_set rpc ~dest:1 ~server:"a1" tid 0 6
+      else ignore (Int_array_server.call_get rpc ~dest:1 ~server:"a1" tid 0);
       ignore (Txn_lib.end_transaction tm tid));
   (* watcher: kill the subordinate the moment it is prepared, before
      its vote datagram leaves *)
@@ -495,23 +500,30 @@ let test_prepared_participant_crash_and_resolution () =
   (* restart the subordinate: recovery applies the prepared update and
      reports it in doubt; relock it before resolution starts *)
   let holder = ref None in
-  let relocked = ref false in
-  let outcome =
-    Cluster.run_fiber c ~node:1 (fun () ->
-        Node.restart n1
-          ~reinstall:(fun env ->
-            holder :=
-              Some (Int_array_server.create env ~name:"a1" ~segment:1 ~cells:256 ()))
-          ~after_recovery:(fun outcome ->
-            let arr = Option.get !holder in
-            Server_lib.relock_in_doubt
-              (Int_array_server.server arr)
-              outcome.written_objects;
-            relocked := outcome.written_objects <> [])
-          ())
+  let restart what =
+    let relocked = ref false in
+    let outcome =
+      Cluster.run_fiber c ~node:1 (fun () ->
+          Node.restart n1
+            ~reinstall:(fun env ->
+              holder :=
+                Some
+                  (Int_array_server.create env ~name:"a1" ~segment:1
+                     ~cells:256 ()))
+            ~after_recovery:(fun outcome ->
+              let arr = Option.get !holder in
+              Server_lib.relock_in_doubt
+                (Int_array_server.server arr)
+                outcome.written_objects;
+              relocked := outcome.written_objects <> [])
+            ())
+    in
+    Alcotest.(check int) (what ^ " in doubt") 1 (List.length outcome.in_doubt);
+    Alcotest.(check bool) (what ^ " relocked in-doubt data") writes !relocked
   in
-  Alcotest.(check int) "restarted in doubt" 1 (List.length outcome.in_doubt);
-  Alcotest.(check bool) "in-doubt data relocked" true !relocked;
+  restart "first restart";
+  Node.crash n1;
+  restart "second restart";
   (* resolution: the status query returns Aborted; the undo runs *)
   Cluster.run_until c ~time:(Engine.now (Cluster.engine c) + 60_000_000);
   Alcotest.(check int) "resolved" 0
@@ -773,7 +785,9 @@ let suites =
         quick "subordinate crash aborts" test_subordinate_crash_aborts;
         quick "in-doubt resolution" test_coordinator_crash_in_doubt_then_resolved;
         quick "prepared participant crash"
-          test_prepared_participant_crash_and_resolution;
+          (test_prepared_participant_crash_and_resolution ~writes:true);
+        quick "prepared read-only participant crash"
+          (test_prepared_participant_crash_and_resolution ~writes:false);
         quick "distributed deadlock" test_distributed_deadlock_broken_by_timeout;
         quick "participant restart before prepare"
           (test_participant_restart_before_prepare ~checkpoint:false);

@@ -107,6 +107,65 @@ let test_prepared_applied_and_in_doubt () =
   Alcotest.(check string) "post-verdict undo" (String.make 8 '\000')
     (read_disk rig 0)
 
+(* An acceptor's undecided accept for a foreign transaction, forced:
+   it belongs to no local transaction chain. *)
+let log_accept rig =
+  let tid = Tid.top ~node:1 ~seq:7 in
+  let accept = Record.Paxos_accept { tid; part = 1; ballot = 3; yes = true } in
+  let lsn =
+    run_fiber rig (fun () ->
+        let lsn = Recovery_mgr.append_tm_record rig.rm accept in
+        Recovery_mgr.force_through rig.rm lsn;
+        lsn)
+  in
+  (accept, lsn)
+
+(* crash and restart: the acceptor state must come back *)
+let restart_keeps rig what accept =
+  let outcome = run_fiber rig (fun () -> crash_and_recover rig) in
+  Alcotest.(check bool) (what ^ " keeps the accept") true
+    (List.map snd outcome.Recovery_mgr.paxos = [ accept ])
+
+let test_paxos_state_below_checkpoint () =
+  (* a checkpoint taken while the acceptor's floor holds its record
+     carries that floor, so the anchored scan still reads the record *)
+  let rig = make_rig () in
+  let accept, lsn = log_accept rig in
+  Recovery_mgr.set_truncation_floor_source rig.rm (fun () -> Some lsn);
+  ignore (run_fiber rig (fun () -> Recovery_mgr.checkpoint rig.rm));
+  restart_keeps rig "restart" accept
+
+let test_paxos_state_survives_second_restart () =
+  (* two crashes in a row: the first restart re-appends the condensed
+     acceptor state below its closing checkpoint, whose acceptor floor
+     keeps it in the second restart's anchored scan *)
+  let rig = make_rig () in
+  let accept, _ = log_accept rig in
+  List.iter
+    (fun what -> restart_keeps rig what accept)
+    [ "first restart"; "second restart" ]
+
+let test_paxos_state_survives_crash_in_close () =
+  (* the node crashes again while the restart's closing checkpoint is
+     being forced, before anything is truncated *)
+  let rig = make_rig () in
+  let accept, _ = log_accept rig in
+  let crashed = ref false in
+  Tabs_sim.Engine.set_tracer rig.engine
+    (Some
+       (fun ~time:_ -> function
+         | Recovery_mgr.Rm_checkpoint _ when not !crashed ->
+             crashed := true;
+             Tabs_sim.Engine.crash_node rig.engine 0
+         | _ -> ()));
+  ignore
+    (Tabs_sim.Engine.spawn rig.engine ~node:0 (fun () ->
+         ignore (crash_and_recover rig)));
+  ignore (Tabs_sim.Engine.run rig.engine);
+  Tabs_sim.Engine.set_tracer rig.engine None;
+  Alcotest.(check bool) "crashed in the close" true !crashed;
+  restart_keeps rig "next restart" accept
+
 let test_subtxn_abort_record_respected () =
   (* a subtransaction abort record makes its updates losers even though
      the top-level transaction commits *)
@@ -197,6 +256,11 @@ let suites =
         quick "abort then overwrite" test_abort_then_overwrite_then_crash;
         quick "prepared in doubt" test_prepared_applied_and_in_doubt;
         quick "subtxn abort record" test_subtxn_abort_record_respected;
+        quick "paxos state below a checkpoint" test_paxos_state_below_checkpoint;
+        quick "paxos state survives a second restart"
+          test_paxos_state_survives_second_restart;
+        quick "paxos state survives a crash in the close"
+          test_paxos_state_survives_crash_in_close;
         quick "checkpoint bounds" test_checkpoint_bounds_nothing_lost;
         QCheck_alcotest.to_alcotest prop_random_schedules;
       ] );

@@ -84,6 +84,7 @@ let sample_records =
         dirty_pages = [ ({ Disk.segment = 4; page = 7 }, 99) ];
         active_txns = [ (tid, Some 98); (sub, None) ];
         prepared = [ (tid, 3) ];
+        acceptor_floor = Some 97;
       };
   ]
 
@@ -170,6 +171,7 @@ let gen_record =
               dirty_pages = list_size (int_bound 3) (pair page gen_field) st;
               active_txns = list_size (int_bound 3) (pair tid lsn) st;
               prepared = list_size (int_bound 3) (pair tid gen_field) st;
+              acceptor_floor = lsn st;
             });
         map2
           (fun tid ballot -> Record.Paxos_promise { tid; ballot })
@@ -323,8 +325,9 @@ let golden_records =
           dirty_pages = [ (page 7, 99); (page 2, -1) ];
           active_txns = [ (tid, Some 98); (Tid.top ~node:1 ~seq:4, None) ];
           prepared = [ (tid, 3) ];
+          acceptor_floor = Some 97;
         },
-      "44e46607036ebf70ccc01ce9948a188e" );
+      "c47be0372ee059a03ab9769cacef8fbf" );
     ( "paxos_promise",
       Record.Paxos_promise { tid; ballot = 33 },
       "3a50c3301f2f07a699929831053471fa" );
@@ -515,7 +518,12 @@ let test_log_checkpoint_scan () =
       let ck =
         Log_manager.append log
           (Record.Checkpoint
-             { dirty_pages = []; active_txns = []; prepared = [] })
+             {
+               dirty_pages = [];
+               active_txns = [];
+               prepared = [];
+               acceptor_floor = None;
+             })
       in
       ignore (Log_manager.append log (Record.Txn_commit tid));
       Log_manager.force_all log;
