@@ -258,10 +258,10 @@ let print_simperf () =
         ~pinned:{ txns = 126_822; events = 355_635 }
         ~ref_words_per_txn:64.0 run_scaleout_core;
       run_arm ~name:"tabs_messages" ~kind:"full_stack"
-        ~pinned:{ txns = 224; events = 18_312 }
+        ~pinned:{ txns = 224; events = 18_360 }
         ~ref_words_per_txn:4_067.5 run_tabs_messages;
       run_arm ~name:"tabs_scaleout" ~kind:"full_stack"
-        ~pinned:{ txns = 3_498; events = 115_749 }
+        ~pinned:{ txns = 4_318; events = 138_064 }
         ~ref_words_per_txn:1_937.5 run_tabs_scaleout;
     ]
   in

@@ -110,4 +110,4 @@ let restart t ~reinstall ?(after_recovery = fun _ -> ()) () =
   Txn_mgr.recover t.live.tm outcome;
   outcome
 
-let checkpoint t = ignore (Recovery_mgr.checkpoint t.live.rm)
+let checkpoint t = Recovery_mgr.checkpoint t.live.rm

@@ -7,11 +7,11 @@
 
     + trickle-writes up to {!trickle} dirty pages, oldest recovery LSN
       first (the pages holding the truncation floor down the longest);
-    + takes a fuzzy checkpoint through the Recovery Manager — no
-      flushing beyond the trickle, just the dirty-page and
-      active-transaction tables;
-    + truncates the log before [min (oldest dirty recovery LSN, oldest
-      live chain first LSN, checkpoint LSN)].
+    + appends a fuzzy checkpoint through the Recovery Manager, unforced:
+      the next commit force makes it stable. No flushing beyond the trickle;
+    + truncates the log below the newest of its checkpoints already
+      stable, keeping that checkpoint's anchor floor, every dirty page's
+      recovery LSN and every live chain.
 
     This replaces the flush-the-world path of
     {!Recovery_mgr.maybe_reclaim} on nodes that enable it (see

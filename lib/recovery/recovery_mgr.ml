@@ -77,6 +77,8 @@ type t = {
   vm : Vm.t;
   group_commit : Group_commit.t option;
   mutable checkpointer : Checkpointer.t option;
+  mutable daemon_cks : (Record.lsn * Record.lsn) list;
+      (* unforced daemon checkpoints with their anchor floors, newest first *)
   log_space_limit : int;
   op_handlers : (string, op_handler) Hashtbl.t;
   mutable active_txns_source : unit -> Tid.t list;
@@ -127,23 +129,12 @@ let min_opt a b =
    and until a restart's close the records [recover] re-appended. *)
 let acceptor_floor t = min_opt t.paxos_floor (t.truncation_floor_source ())
 
-(* Besides the acceptor floor, parked recovery work pins the log: the
-   oldest record of any still-pending page. *)
+(* What truncation keeps besides a checkpoint's anchor floor: the
+   acceptor floor, or, until the chain table is restored (see
+   [recovering]), everything, so any truncation is a no-op. *)
 let reclamation_floor t =
-  if t.recovering then
-    (* Chain table not restored yet (see [recovering]): pin the floor at
-       the log's first retained record so any truncation is a no-op. *)
-    Some (Log_manager.first_lsn t.log)
-  else
-    let parked =
-      match t.ondemand with
-      | None -> None
-      | Some st ->
-          List.fold_left
-            (fun acc (first, _) -> min_opt acc (Some first))
-            None (Parallel_redo.pending st.graph)
-    in
-    min_opt parked (acceptor_floor t)
+  if t.recovering then Some (Log_manager.first_lsn t.log)
+  else acceptor_floor t
 
 let hook t phase lsn =
   match t.apply_hook with None -> () | Some f -> f ~phase ~lsn
@@ -161,6 +152,16 @@ let tm_rm_msg t =
   | Profile.Integrated ->
       Engine.elide t.engine Cost_model.Small_contiguous_message
 
+(* The commit-protocol force (local commit records, 2PC commit and
+   prepare records). With group commit enabled the caller joins the
+   node's force batch instead of paying its own stable-storage round;
+   either way, on return the log is stable through [lsn]. Page-outs and
+   [checkpoint] force through it too: one writer for forward processing. *)
+let force_through t lsn =
+  match t.group_commit with
+  | None -> Log_manager.force t.log ~upto:lsn
+  | Some gc -> Group_commit.force_through gc ~upto:lsn
+
 (* The Recovery Manager's side of the kernel <-> Recovery Manager
    paging protocol of Section 3.2.1. The kernel ({!Vm}) owns the
    protocol's message costs and the page's last LSN; here the
@@ -174,7 +175,7 @@ let wal_hooks t =
   {
     Vm.on_first_dirty =
       (fun pid -> Vm.note_rec_lsn t.vm pid ~lsn:(Log_manager.next_lsn t.log));
-    before_page_out = (fun ~seqno -> Log_manager.force t.log ~upto:seqno);
+    before_page_out = (fun ~seqno -> force_through t seqno);
   }
 
 let maybe_poke_checkpointer t =
@@ -219,15 +220,14 @@ let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ~objs =
 let background_flush_interval = 250_000
 
 let maybe_background_flush t =
-  match t.checkpointer with
-  | Some _ -> ()
-  | None ->
-      let now = Engine.now t.engine in
-      if now - t.last_background_flush >= background_flush_interval then begin
-        t.last_background_flush <- now;
-        ignore
-          (Engine.spawn t.engine ~node:t.node (fun () -> Vm.flush_all t.vm))
-      end
+  let now = Engine.now t.engine in
+  if
+    Option.is_none t.checkpointer
+    && now - t.last_background_flush >= background_flush_interval
+  then begin
+    t.last_background_flush <- now;
+    ignore (Engine.spawn t.engine ~node:t.node (fun () -> Vm.flush_all t.vm))
+  end
 
 let append_tm_record t record =
   (* Transaction Manager -> Recovery Manager traffic: a message on
@@ -238,15 +238,6 @@ let append_tm_record t record =
   | _ -> ());
   maybe_poke_checkpointer t;
   Log_manager.append t.log record
-
-(* The commit-protocol force (local commit records, 2PC commit and
-   prepare records). With group commit enabled the caller joins the
-   node's force batch instead of paying its own stable-storage round;
-   either way, on return the log is stable through [lsn]. *)
-let force_through t lsn =
-  match t.group_commit with
-  | None -> Log_manager.force t.log ~upto:lsn
-  | Some gc -> Group_commit.force_through gc ~upto:lsn
 
 let group_commit t = t.group_commit
 
@@ -315,7 +306,8 @@ let anchor_floor lsn (c : Record.checkpoint) =
    rigs and restart windows where no Transaction Manager source is
    wired. [prepared] is the Transaction Manager's in-doubt set, except
    at an eager restart's close, which runs before the TM has re-learned
-   it and passes the restart's own. *)
+   it and passes the restart's own. The record is appended unforced;
+   returns its LSN and anchor floor. *)
 let checkpoint_with t ~prepared =
   let dirty_pages = Vm.dirty_pages t.vm in
   (* Parked instant-restart chains are recovery work this checkpoint
@@ -359,19 +351,12 @@ let checkpoint_with t ~prepared =
       | Some f when f <= first -> ()
       | Some _ | None -> Hashtbl.replace family_first top first)
     (Log_manager.live_chain_firsts t.log);
-  let seen = Hashtbl.create 16 in
   let active_txns =
-    List.filter_map
-      (fun top ->
-        if Hashtbl.mem seen top then None
-        else begin
-          Hashtbl.add seen top ();
-          Some (top, Hashtbl.find_opt family_first top)
-        end)
+    List.sort_uniq compare
       (List.filter undecided (t.active_txns_source ())
       @ List.map fst prepared
       @ Hashtbl.fold (fun top _ acc -> top :: acc) family_first [])
-    |> List.sort compare
+    |> List.map (fun top -> (top, Hashtbl.find_opt family_first top))
   in
   let c =
     {
@@ -392,37 +377,53 @@ let checkpoint_with t ~prepared =
            active = List.length active_txns;
            prepared = List.length prepared;
          });
-  Log_manager.force_all t.log;
-  lsn
+  (lsn, anchor_floor lsn c)
 
-let checkpoint t = checkpoint_with t ~prepared:(t.prepared_source ())
+(* Stable on return, through the commit-protocol force. *)
+let checkpoint t =
+  force_through t (fst (checkpoint_with t ~prepared:(t.prepared_source ())))
 
-(* Truncate the log below the checkpoint at [ck], keeping every live
-   update chain, the recovery LSN of every page still dirty (pinned
-   pages can survive a flush), and [floor]. Returns the truncation point
-   and how many records it reclaimed (not positive when nothing goes). *)
-let truncate_below t ~ck ~floor =
+(* Truncate the log below [anchor], a checkpoint's anchor floor, keeping
+   every live update chain, the recovery LSN of every page still dirty
+   (pinned pages can survive a flush), and [floor]. Returns the
+   truncation point and how many records it reclaimed (not positive when
+   nothing goes). *)
+let truncate_below t ~anchor ~floor =
   let keep_from =
-    match min_opt (Log_manager.oldest_first_lsn t.log) floor with
-    | Some f -> min ck f
-    | None -> ck
-  in
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) keep_from (Vm.dirty_pages t.vm)
+    List.fold_left min anchor
+      (Option.to_list (min_opt (Log_manager.oldest_first_lsn t.log) floor)
+      @ List.map snd (Vm.dirty_pages t.vm))
   in
   let reclaimed = keep_from - Log_manager.first_lsn t.log in
   Log_manager.truncate t.log ~keep_from;
   (keep_from, reclaimed)
 
 (* Reclamation "may force pages back to disk before they would otherwise
-   be written": flush, checkpoint, and truncate below the checkpoint.
+   be written": flush, checkpoint, and truncate below its anchor floor.
    [prepared] is read once the flush is done and [floor] once the
    checkpoint is stable: the flush and the checkpoint's force both
    suspend. *)
 let reclaim t ~prepared ~floor =
   Vm.flush_all t.vm;
-  let ck = checkpoint_with t ~prepared:(prepared ()) in
-  ignore (truncate_below t ~ck ~floor:(floor ()))
+  let _, anchor = checkpoint_with t ~prepared:(prepared ()) in
+  Log_manager.force_all t.log;
+  ignore (truncate_below t ~anchor ~floor:(floor ()))
+
+(* The daemon's checkpoint rides the next commit force. The cycle
+   truncates below the newest daemon checkpoint already stable, the one
+   a crash now anchors at, at that checkpoint's floor as appended: a
+   transaction it lists may since have appended a commit that is not
+   stable yet, so today's chains no longer show it. *)
+let daemon_cycle t =
+  let stable, volatile =
+    List.partition
+      (fun (lsn, _) -> lsn < Log_manager.flushed_lsn t.log)
+      (checkpoint_with t ~prepared:(t.prepared_source ()) :: t.daemon_cks)
+  in
+  t.daemon_cks <- volatile;
+  match stable with
+  | [] -> (Log_manager.first_lsn t.log, 0)
+  | (_, anchor) :: _ -> truncate_below t ~anchor ~floor:(reclamation_floor t)
 
 let maybe_reclaim t =
   if Log_manager.stable_bytes t.log <= t.log_space_limit then false
@@ -451,6 +452,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
       group_commit =
         Option.map (fun _ -> Group_commit.create engine ~node ~log) group_commit;
       checkpointer = None;
+      daemon_cks = [];
       log_space_limit;
       op_handlers = Hashtbl.create 8;
       active_txns_source = (fun () -> []);
@@ -471,9 +473,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
     Option.map
       (fun interval ->
         Checkpointer.create engine ~node ~vm
-          ~checkpoint_and_truncate:(fun () ->
-            let ck = checkpoint t in
-            truncate_below t ~ck ~floor:(reclamation_floor t))
+          ~checkpoint_and_truncate:(fun () -> daemon_cycle t)
           ~gate:(fun () -> not t.recovering)
           ~interval)
       checkpointing;

@@ -109,12 +109,13 @@ type recovery_outcome = {
     (the default) each hop is an Accent small message, as the paper
     measured. [?group_commit] starts a {!Group_commit} force batcher
     through which {!force_through} coalesces concurrent commit-protocol
-    forces; omitted (the default), every force pays its own
-    stable-storage round, exactly as the paper measured.
-    [?checkpointing] starts a background {!Checkpointer} daemon that
-    trickle-writes dirty pages, takes a fuzzy checkpoint at most once
-    per that many microseconds of virtual time, and
-    reclaims the log in the background — with it configured,
+    forces, page-out write-ahead forces and {!checkpoint}'s force;
+    omitted (the default), every force pays its own stable-storage
+    round, exactly as the paper measured. [?checkpointing] starts a
+    background {!Checkpointer} daemon that trickle-writes dirty pages,
+    appends an unforced fuzzy checkpoint at most once per that many
+    microseconds of virtual time, and reclaims the log below the newest
+    one already stable — with it configured,
     {!maybe_reclaim} never flushes on the foreground path. Omitted (the
     default), checkpoints happen only where callers ask for them,
     exactly as before.
@@ -225,8 +226,9 @@ val abort : t -> tid:Tabs_wal.Tid.t -> unit
 (** [checkpoint t] writes a {e fuzzy} checkpoint record — the dirty
     pages with their recovery LSNs, the first-update LSN of every live
     transaction family, the unresolved prepared participants, and the
-    acceptor floor — and forces the log. No data page is written. *)
-val checkpoint : t -> Tabs_wal.Record.lsn
+    acceptor floor — and makes it stable through {!force_through}. No
+    data page is written. *)
+val checkpoint : t -> unit
 
 (** [maybe_reclaim t] runs the reclamation algorithm if the live log
     exceeds the space limit. With a {!Checkpointer} configured it only

@@ -141,6 +141,8 @@ let begin_txn t =
   small t;
   let tid = Tid.top ~node:t.node_id ~seq:t.next_seq in
   t.next_seq <- t.next_seq + 1;
+  (* live before its begin record, so a checkpoint in between lists it *)
+  Hashtbl.replace t.joined tid [];
   ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_begin tid));
   if tracing t then emit t (Txn_begin { node = t.node_id; tid });
   small t;
@@ -227,12 +229,8 @@ let gather_note t table top src verdict =
   | Some g ->
       if List.mem src g.awaiting then begin
         g.awaiting <- List.filter (fun n -> n <> src) g.awaiting;
-        (match verdict with
-        | Yes -> g.all_read_only <- false
-        | No ->
-            g.any_no <- true;
-            g.all_read_only <- false
-        | Read_only -> ());
+        if verdict <> Read_only then g.all_read_only <- false;
+        if verdict = No then g.any_no <- true;
         if g.awaiting = [] then
           ignore (Engine.Waitq.signal g.signal ~engine:t.engine ())
       end
@@ -277,7 +275,7 @@ let maybe_periodic_checkpoint t =
     t.commits_since_checkpoint <- 0;
     ignore
       (Engine.spawn t.engine ~node:t.node_id (fun () ->
-           ignore (Recovery_mgr.checkpoint t.rm);
+           Recovery_mgr.checkpoint t.rm;
            ignore (Recovery_mgr.maybe_reclaim t.rm)))
   end
 

@@ -102,6 +102,54 @@ let test_daemon_reclaims_in_background () =
   in
   Alcotest.(check bool) "foreground path defers to the daemon" false sync
 
+(* The daemon appends its checkpoints unforced. Crash while the newest
+   (C2) is still volatile: restart anchors at the previous one (C1),
+   which is stable because T2 committed in between. T was listed in C1
+   and has since appended a commit record that never became stable, so
+   today's chains no longer show it; T3 is still live. Truncation must
+   keep C1's own floor (T's first update), not the volatile C2's and not
+   one recomputed at truncation time — either of those cuts T's update
+   while C1 still seeds T as live, and the anchored restart reports a
+   loser the full scan cannot see. *)
+let test_crash_with_volatile_daemon_checkpoint () =
+  let rig = make_rig ~checkpointing:max_int () in
+  let cp = Option.get (Recovery_mgr.checkpointer rig.rm) in
+  let cycle () =
+    Checkpointer.request cp;
+    Engine.delay 1_000_000
+  in
+  let t = Tid.top ~node:0 ~seq:1 in
+  let t2 = Tid.top ~node:0 ~seq:2 in
+  let t3 = Tid.top ~node:0 ~seq:3 in
+  run_fiber rig (fun () ->
+      write rig t 0 (v8 "t");
+      write rig t3 cells_per_page (v8 "t3");
+      (* C1: the trickle writes both pages out, C1 lists T and T3 *)
+      cycle ();
+      write rig t2 (2 * cells_per_page) (v8 "t2");
+      commit rig t2;
+      ignore (Recovery_mgr.append_tm_record rig.rm (Record.Txn_commit t));
+      (* C2: appended unforced; the cycle truncates below C1 *)
+      cycle ());
+  Alcotest.(check int) "two daemon cycles" 2 (Checkpointer.cycles cp);
+  Alcotest.(check bool) "C2 and T's commit are volatile" true
+    (Log_manager.flushed_lsn rig.log < Log_manager.next_lsn rig.log - 1);
+  let oracle, disk_copy =
+    Recovery_oracle.run ~disk:rig.disk ~stable:rig.stable
+      ~handlers:(fun _ -> []) ()
+  in
+  let outcome = run_fiber rig (fun () -> crash_and_recover rig) in
+  let tids = List.map Tid.to_string in
+  Alcotest.(check (list string)) "anchored restart and full scan: losers"
+    (tids oracle.losers) (tids outcome.losers);
+  Alcotest.(check (list string)) "T and T3 roll back" (tids [ t; t3 ])
+    (tids outcome.losers);
+  Alcotest.(check (list string)) "and the in-doubt set"
+    (tids (List.map fst oracle.in_doubt))
+    (tids (List.map fst outcome.in_doubt));
+  check_pages_equal ~what:"anchored restart vs the oracle" rig.disk disk_copy
+    ~segments:[ 1 ]
+
 (* --- the crash-equivalence property over full nodes ------------------ *)
 
 (* Run a random concurrent workload on one node with the checkpoint
@@ -153,6 +201,8 @@ let suites =
           test_fuzzy_checkpoint_covers_live_txn;
         quick "daemon reclaims in background"
           test_daemon_reclaims_in_background;
+        quick "crash while the newest daemon checkpoint is volatile"
+          test_crash_with_volatile_daemon_checkpoint;
         QCheck_alcotest.to_alcotest
           (prop_crash_equivalence Profile.Classic
              "crash at a random instant: anchored = full scan (Classic)");

@@ -396,18 +396,18 @@ let parallel_7 =
 
 let instant_2 =
   {
-    trace_md5 = "247bb0126fd4c27e69918058df9b2837";
-    summary = "scanned=4 losers=0 open_early=true tto=16000 pages=0/1/0";
-    now = 2_162_038;
-    events = 406;
+    trace_md5 = "3c573b1f4e63b077b2d27aaea49ec099";
+    summary = "scanned=6 losers=0 open_early=true tto=16000 pages=0/1/0";
+    now = 2_142_938;
+    events = 388;
   }
 
 let instant_7 =
   {
-    trace_md5 = "b452512244ef108c3ebe5ac872ea5181";
-    summary = "scanned=7 losers=0 open_early=true tto=16000 pages=0/1/0";
-    now = 4_276_148;
-    events = 449;
+    trace_md5 = "ab98d0cac5b5e083854408fe2feb097e";
+    summary = "scanned=4 losers=1 open_early=true tto=99400 pages=0/1/0";
+    now = 4_351_270;
+    events = 427;
   }
 
 let test_lossy_goldens () =

@@ -70,6 +70,59 @@ let test_concurrent_commits_share_forces () =
   in
   Alcotest.(check (list int)) "values" (List.init n (fun w -> w + 1)) vals
 
+(* With group commit and the checkpoint daemon on, the batcher is the
+   only writer to the log device: daemon checkpoints ride the next
+   commit force, and page-out and periodic-checkpoint forces join the
+   open batch. Every log force is then some batch's force. *)
+let test_batcher_is_the_only_log_writer () =
+  let c =
+    Cluster.create ~nodes:1 ~group_commit:Group_commit.default
+      ~checkpointing:20_000 ~frames:16 ()
+  in
+  let n0 = Cluster.node c 0 in
+  let cells = 24 * Crash_harness.cells_per_page in
+  let arr =
+    Int_array_server.create (Node.env n0) ~name:"a0" ~segment:1 ~cells ()
+  in
+  let recorder = Recorder.attach (Cluster.engine c) in
+  for w = 0 to 7 do
+    Cluster.spawn c ~node:0 (fun () ->
+        for i = 1 to 30 do
+          Txn_lib.execute_transaction (Node.tm n0) (fun tid ->
+              Int_array_server.set arr tid ((w * 997 * i) mod cells) i);
+          Engine.delay 2_000
+        done)
+  done;
+  (* run to quiescence, so no force is still in flight *)
+  Cluster.run c;
+  let count p =
+    List.length
+      (List.filter (fun { Recorder.event; _ } -> p event)
+         (Recorder.entries recorder))
+  in
+  let forces =
+    count (function Log_manager.Log_force _ -> true | _ -> false)
+  in
+  let batches =
+    count (function Group_commit.Group_commit _ -> true | _ -> false)
+  in
+  let commits =
+    count (function Tabs_tm.Txn_mgr.Txn_commit _ -> true | _ -> false)
+  in
+  let page_outs =
+    count (function Tabs_accent.Vm.Page_out _ -> true | _ -> false)
+  in
+  Recorder.detach recorder;
+  let cp = Option.get (Recovery_mgr.checkpointer (Node.rm n0)) in
+  (* the run exercises every other source of log writes: the TM asks
+     for a checkpoint every 50 commits *)
+  Alcotest.(check bool) "several periodic checkpoints" true (commits > 100);
+  Alcotest.(check bool) "daemon cycled and reclaimed" true
+    (Checkpointer.cycles cp > 0 && Checkpointer.reclaimed cp > 0);
+  Alcotest.(check bool) "pages went out" true (page_outs > 0);
+  Alcotest.(check int) "every log force is a group-commit batch" batches
+    forces
+
 (* One committer opens a batch at virtual time 0 and [late] more join
    it at 1 ms, each forcing its own commit record through the batcher.
    Returns when the batch's force left for the log device (the
@@ -320,6 +373,8 @@ let suites =
         quick "concurrent commits share forces"
           test_concurrent_commits_share_forces;
         quick "batch cap closes a batch early" test_batch_cap_closes_early;
+        quick "the batcher is the only log writer"
+          test_batcher_is_the_only_log_writer;
         QCheck_alcotest.to_alcotest prop_crash_mid_batch_durability;
         quick "off by default" test_default_has_no_batcher;
         quick "seed probe metrics identical" test_seed_probe_metrics_identical;

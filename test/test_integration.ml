@@ -562,6 +562,30 @@ let test_checkpoint_and_recover () =
   in
   Alcotest.(check (pair int int)) "both updates survive" (1, 2) v
 
+(* A checkpoint between a transaction's begin and its first operation
+   must list it: the anchored restart rolls it back, as the full scan
+   does, instead of losing it below the anchor. *)
+let test_checkpoint_after_begin_lists_txn () =
+  let c = make_cluster () in
+  let node = Cluster.node c 0 in
+  ignore (make_array node);
+  Cluster.run_fiber c ~node:0 (fun () ->
+      ignore (Tabs_tm.Txn_mgr.begin_txn (Node.tm node));
+      Node.checkpoint node);
+  Node.crash node;
+  let oracle, _ =
+    Recovery_oracle.run ~disk:(Node.disk node)
+      ~stable:(Log_manager.stable (Node.log node))
+      ~handlers:(fun _ -> []) ()
+  in
+  let outcome =
+    Cluster.run_fiber c ~node:0 (fun () ->
+        Node.restart node ~reinstall:(reinstall_array (ref None)) ())
+  in
+  let tids = List.map Tid.to_string in
+  Alcotest.(check (list string)) "anchored restart and full scan: losers"
+    (tids oracle.losers) (tids outcome.losers)
+
 let test_log_reclamation () =
   let c = Cluster.create ~nodes:1 ~log_space_limit:4096 () in
   let node = Cluster.node c 0 in
@@ -774,6 +798,8 @@ let suites =
         quick "recovery idempotent" test_recovery_idempotent;
         quick "checkpoint" test_checkpoint_and_recover;
         quick "log reclamation" test_log_reclamation;
+        quick "checkpoint between begin and first operation"
+          test_checkpoint_after_begin_lists_txn;
       ] );
     ( "integration.distributed",
       [
